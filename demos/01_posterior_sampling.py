@@ -8,7 +8,8 @@ against the truth and against the raw inverted sample covariance.
 
 import numpy as np
 
-from bayesdn import GibbsConfig, invert_pd, mirror_lower, posterior_mean, run_chain
+from bayesdn.gibbs import GibbsConfig, chain_draws
+from bayesdn.linalg import invert_pd, mirror_lower
 from bayesdn.structures import StructureSpec, make_structure, sample_gaussian
 
 np.set_printoptions(precision=2, suppress=True, linewidth=120)
@@ -21,11 +22,18 @@ scatter = mirror_lower(x.T @ x)
 print("true precision (first 4 rows):")
 print(pair.theta2[:4])
 
+# the chain streams its draws; keep a running mean and two entries' traces
 cfg = GibbsConfig(burn_in=1000, retained=2000, seed=7)
-chain = run_chain(scatter, n, cfg)
-mean = posterior_mean(chain)
+mean = np.zeros((p, p))
+on_edge, off_edge = [], []
+for theta in chain_draws(scatter, n, cfg):
+    mean += theta
+    on_edge.append(theta[0, 1])
+    off_edge.append(theta[0, p - 1])
+mean /= cfg.retained
+on_edge, off_edge = np.array(on_edge), np.array(off_edge)
 
-print(f"\nposterior mean over {len(chain)} retained draws:")
+print(f"\nposterior mean over {cfg.retained} retained draws:")
 print(mean[:4])
 
 raw = invert_pd(scatter / n)
@@ -39,7 +47,5 @@ print(
 )
 
 # per-draw uncertainty for one edge on and one off the support
-on_edge = chain.draws[:, 0, 1]
-off_edge = chain.draws[:, 0, p - 1]
 print(f"theta[0,1] (true {pair.theta2[0, 1]}): mean {on_edge.mean():+.3f}, sd {on_edge.std():.3f}")
 print(f"theta[0,{p-1}] (true 0): mean {off_edge.mean():+.3f}, sd {off_edge.std():.3f}")

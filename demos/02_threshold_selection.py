@@ -9,10 +9,10 @@ curves that drive the selection.
 
 import numpy as np
 
-from bayesdn import DEFAULT_GRID, posterior_partial_corr_mean, posterior_spec, threshold_sweep
 from bayesdn.diffnet import dn_adjacency
 from bayesdn.linalg import mirror_lower
 from bayesdn.structures import StructureSpec, make_structure, sample_gaussian
+from bayesdn.wishart import DEFAULT_GRID, posterior_partial_corr_mean, posterior_spec, threshold_sweep
 
 p, n = 10, 100
 pair = make_structure(StructureSpec("ar2", p))

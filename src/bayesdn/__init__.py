@@ -6,93 +6,4 @@ synthetic structure generators, a proximal-gradient comparator, and an
 experiment harness.
 """
 
-from .linalg import (
-    NotPositiveDefiniteError,
-    PDFactor,
-    assemble_last,
-    cholesky_pd,
-    eigenvalues_sym,
-    invert_pd,
-    mirror_lower,
-    partial_correlation,
-    partition_last,
-)
-from .gibbs import (
-    GibbsChain,
-    GibbsConfig,
-    SamplerState,
-    initial_state,
-    posterior_mean,
-    run_chain,
-    sample_gamma_variate,
-    sample_inverse_gaussian,
-    update_column,
-    update_hyperparameters,
-)
-from .wishart import (
-    DEFAULT_GRID,
-    ThresholdReport,
-    WishartSpec,
-    edge_rule_mean,
-    edge_rule_ratio,
-    posterior_partial_corr_mean,
-    posterior_spec,
-    sample_wishart,
-    threshold_sweep,
-)
-from .diffnet import DifferentialNetwork, dn_adjacency, estimate_bnet
-from .structures import (
-    ModelPair,
-    StructureSpec,
-    make_structure,
-    pd_repair,
-    raw_components,
-    sample_gaussian,
-)
-from .metrics import (
-    NA,
-    ConfusionCounts,
-    LossReport,
-    Scores,
-    classification_scores,
-    confusion,
-    eigen_losses,
-    is_na,
-    loss_report,
-    matrix_losses,
-)
-from .ista import (
-    IstaConfig,
-    SolutionPath,
-    bic_select,
-    dnet_gradient,
-    dnet_loss,
-    estimate_dnet,
-    ista_solve,
-    soft_threshold,
-    solve_path,
-)
-from .pipeline import (
-    Dataset,
-    EmptyDataError,
-    PhaseSplit,
-    boxs_m_test,
-    moving_average,
-    nonparanormal_transform,
-    read_csv,
-    split_phases,
-    write_csv,
-)
-from .harness import (
-    ExperimentConfig,
-    RealAnalysisConfig,
-    ResultsTable,
-    StudyResult,
-    emit_outputs,
-    run_real_analysis,
-    run_synthetic_experiment,
-    run_threshold_study,
-    task_seeds,
-)
-
 __version__ = "0.1.0"

@@ -21,9 +21,7 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from .gibbs import GibbsConfig, posterior_mean, run_chain
+from .gibbs import GibbsConfig, run_chain
 from .harness import (
     ExperimentConfig,
     config_from_dict,
@@ -152,15 +150,11 @@ def _cmd_sample(args) -> int:
         seed=args.seed if args.seed is not None else 0,
     )
     chain = run_chain(mirror_lower(x.T @ x), x.shape[0], cfg)
-    mean = posterior_mean(chain)
-    draws = chain.draws
-    idx = np.arange(mean.shape[0])
-    d = np.sqrt(draws[:, idx, idx])
-    rho = (-draws / (d[:, :, None] * d[:, None, :])).mean(axis=0)
-    np.fill_diagonal(rho, 1.0)
     os.makedirs(args.out, exist_ok=True)
-    write_csv(os.path.join(args.out, "posterior_mean.csv"), ds.columns, mean)
-    write_csv(os.path.join(args.out, "partial_correlation_mean.csv"), ds.columns, rho)
+    write_csv(os.path.join(args.out, "posterior_mean.csv"), ds.columns, chain.theta_mean)
+    write_csv(
+        os.path.join(args.out, "partial_correlation_mean.csv"), ds.columns, chain.partial_mean
+    )
     payload = {"csv": args.csv, "n": int(x.shape[0]), **config_to_dict(cfg)}
     write_manifest(args.out, payload, [[cfg.seed]])
     print(f"wrote posterior summaries for {len(ds.columns)} columns to {args.out}")

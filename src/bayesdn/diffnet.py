@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gibbs import GibbsConfig, posterior_mean, run_chain
+from .gibbs import GibbsConfig, run_chain
 from .linalg import mirror_lower
 from .wishart import EPSILON, edge_rule_mean, posterior_partial_corr_mean, posterior_spec
 
@@ -95,8 +95,7 @@ def estimate_bnet(
     partials = []
     for x, seed in ((x1, seeds[0]), (x2, seeds[1])):
         scatter = mirror_lower(x.T @ x)
-        chain = run_chain(scatter, x.shape[0], replace(cfg, seed=seed))
-        means.append(posterior_mean(chain))
+        means.append(run_chain(scatter, x.shape[0], replace(cfg, seed=seed)).theta_mean)
         spec = posterior_spec(scatter, x.shape[0], eps=eps)
         rng = np.random.default_rng(seed + 2)
         partials.append(posterior_partial_corr_mean(spec, wishart_draws, rng))

@@ -17,23 +17,23 @@ inherited sweep after sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_solve, cholesky, solve_triangular
 
-from .linalg import NotPositiveDefiniteError, require_symmetric
+from .linalg import NotPositiveDefiniteError, partial_correlation, require_symmetric
 
 __all__ = [
     "GibbsConfig",
     "SamplerState",
-    "GibbsChain",
+    "ChainSummary",
     "sample_gamma_variate",
-    "sample_inverse_gaussian",
     "initial_state",
     "update_column",
     "update_hyperparameters",
+    "chain_draws",
     "run_chain",
-    "posterior_mean",
 ]
 
 
@@ -86,14 +86,16 @@ class SamplerState:
 
 
 @dataclass(frozen=True)
-class GibbsChain:
-    """Retained draws of Theta, in sweep order, plus the config that made them."""
+class ChainSummary:
+    """Posterior means over the retained draws of one chain.
 
-    draws: np.ndarray  # shape (retained, p, p)
+    ``theta_mean`` averages Theta and ``partial_mean`` averages the
+    partial correlation matrix of each draw (unit diagonal).
+    """
+
+    theta_mean: np.ndarray
+    partial_mean: np.ndarray
     config: GibbsConfig
-
-    def __len__(self) -> int:
-        return self.draws.shape[0]
 
 
 def sample_gamma_variate(shape: float, rate: float, rng: np.random.Generator) -> float:
@@ -105,16 +107,6 @@ def sample_gamma_variate(shape: float, rate: float, rng: np.random.Generator) ->
     if shape <= 0 or rate <= 0:
         raise ValueError(f"gamma parameters must be positive, got ({shape}, {rate})")
     return float(rng.gamma(shape, 1.0 / rate))
-
-
-def sample_inverse_gaussian(mu: float, lam: float, rng: np.random.Generator) -> float:
-    """One inverse-Gaussian draw with mean ``mu`` and shape ``lam``.
-
-    The variance is ``mu**3 / lam``.
-    """
-    if mu <= 0 or lam <= 0:
-        raise ValueError(f"inverse-Gaussian parameters must be positive, got ({mu}, {lam})")
-    return float(rng.wald(mu, lam))
 
 
 def initial_state(scatter: np.ndarray, n: int, config: GibbsConfig) -> SamplerState:
@@ -239,19 +231,19 @@ def update_hyperparameters(
     return state
 
 
-def run_chain(scatter: np.ndarray, n: int, config: GibbsConfig) -> GibbsChain:
-    """Run ``burn_in + retained`` full sweeps and keep the last ``retained``.
+def chain_draws(scatter: np.ndarray, n: int, config: GibbsConfig) -> Iterator[np.ndarray]:
+    """Run ``burn_in + retained`` full sweeps, yielding Theta after each retained one.
 
     A full sweep updates every column in order 0..p-1 and then the
-    hyperparameters.  Deterministic given ``config.seed``.
+    hyperparameters.  The yielded array is the live state, overwritten by
+    the next sweep, so copy it to keep it.  Deterministic given
+    ``config.seed``.
     """
     state = initial_state(scatter, n, config)
     rng = np.random.default_rng(config.seed)
     p = state.dim
     work = _SweepWorkspace(p)
-    total = config.burn_in + config.retained
-    draws = np.empty((config.retained, p, p))
-    for sweep in range(total):
+    for sweep in range(config.burn_in + config.retained):
         try:
             for col in range(p):
                 update_column(state, col, rng, _work=work)
@@ -261,12 +253,16 @@ def run_chain(scatter: np.ndarray, n: int, config: GibbsConfig) -> GibbsChain:
                 f"sweep {sweep}: {err}", minor=err.minor
             ) from err
         if sweep >= config.burn_in:
-            draws[sweep - config.burn_in] = state.theta
-    return GibbsChain(draws=draws, config=config)
+            yield state.theta
 
 
-def posterior_mean(chain: GibbsChain) -> np.ndarray:
-    """Entrywise average of the retained draws."""
-    if len(chain) == 0:
-        raise ValueError("chain has no draws")
-    return chain.draws.mean(axis=0)
+def run_chain(scatter: np.ndarray, n: int, config: GibbsConfig) -> ChainSummary:
+    """Run one chain and average Theta and its partial correlations over the retained draws."""
+    theta_sum = np.zeros_like(scatter, dtype=float)
+    partial_sum = np.zeros_like(scatter, dtype=float)
+    for theta in chain_draws(scatter, n, config):
+        theta_sum += theta
+        partial_sum += partial_correlation(theta)
+    theta_sum /= config.retained
+    partial_sum /= config.retained
+    return ChainSummary(theta_mean=theta_sum, partial_mean=partial_sum, config=config)

@@ -322,18 +322,6 @@ def run_synthetic_experiment(cfg: ExperimentConfig, threads: int = 1) -> Results
     )
 
 
-def _chain_partial_mean(x: np.ndarray, cfg: ExperimentConfig, seed: int) -> np.ndarray:
-    scatter = mirror_lower(x.T @ x)
-    chain = run_chain(scatter, x.shape[0], replace(cfg.gibbs, seed=seed))
-    draws = chain.draws
-    idx = np.arange(draws.shape[1])
-    d = np.sqrt(draws[:, idx, idx])
-    rho = -draws / (d[:, :, None] * d[:, None, :])
-    mean = rho.mean(axis=0)
-    np.fill_diagonal(mean, 1.0)
-    return mean
-
-
 def _ratio_difference_adjacency(rho1, rho2, eg1, eg2, eta, mode):
     if mode == "difference":
         num = np.abs(rho2 - rho1)
@@ -369,8 +357,8 @@ def _study_task(args) -> dict:
             grid,
         )
     if "ratio" in cfg.rules:
-        rho1 = _chain_partial_mean(x1, cfg, s_chain)
-        rho2 = _chain_partial_mean(x2, cfg, s_chain + 1)
+        rho1 = run_chain(scatter1, n, replace(cfg.gibbs, seed=s_chain)).partial_mean
+        rho2 = run_chain(scatter2, n, replace(cfg.gibbs, seed=s_chain + 1)).partial_mean
         eg1 = posterior_partial_corr_mean(
             posterior_spec(scatter1, n, 1.0), cfg.wishart_draws, np.random.default_rng(s_w1 + 1)
         )

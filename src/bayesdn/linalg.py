@@ -27,9 +27,6 @@ __all__ = [
     "cholesky_pd",
     "invert_pd",
     "partial_correlation",
-    "partition_last",
-    "assemble_last",
-    "eigenvalues_sym",
 ]
 
 # Relative pivot floor for accepting a Cholesky factorization as PD.
@@ -152,50 +149,15 @@ def partial_correlation(theta: np.ndarray) -> np.ndarray:
     """Partial correlation matrix of a positive-definite precision matrix.
 
     ``rho[i, j] = -theta[i, j] / sqrt(theta[i, i] * theta[j, j])`` off the
-    diagonal, with unit diagonal.
+    diagonal, with unit diagonal.  A stack of shape ``(..., p, p)`` is
+    handled matrix by matrix.  Positive definiteness is not re-checked:
+    callers pass sampler or Wishart draws, which are PD by construction.
     """
-    theta = require_symmetric(theta, "theta")
-    cholesky_pd(theta)
-    d = np.sqrt(np.diag(theta))
-    rho = -theta / np.outer(d, d)
-    np.fill_diagonal(rho, 1.0)
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim < 2 or theta.shape[-1] != theta.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {theta.shape}")
+    idx = np.arange(theta.shape[-1])
+    d = np.sqrt(theta[..., idx, idx])
+    rho = -theta / (d[..., :, None] * d[..., None, :])
+    rho[..., idx, idx] = 1.0
     return rho
-
-
-def partition_last(m: np.ndarray, col: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Partition ``m`` after permuting ``col`` to the last position.
-
-    Returns ``(M11, m12, m22)`` where ``M11`` drops row/column ``col``,
-    ``m12`` is column ``col`` without its diagonal entry, and ``m22`` is
-    the diagonal entry.  ``assemble_last`` is the exact inverse.
-    """
-    m = require_symmetric(m)
-    p = m.shape[0]
-    if not 0 <= col < p:
-        raise IndexError(f"column {col} out of range for dimension {p}")
-    rest = np.r_[0:col, col + 1 : p]
-    m11 = m[np.ix_(rest, rest)]
-    m12 = m[rest, col]
-    m22 = float(m[col, col])
-    return m11, m12, m22
-
-
-def assemble_last(m11: np.ndarray, m12: np.ndarray, m22: float, col: int) -> np.ndarray:
-    """Undo :func:`partition_last`, restoring ``col`` to its position."""
-    q = m11.shape[0]
-    p = q + 1
-    if not 0 <= col < p:
-        raise IndexError(f"column {col} out of range for dimension {p}")
-    rest = np.r_[0:col, col + 1 : p]
-    out = np.empty((p, p))
-    out[np.ix_(rest, rest)] = m11
-    out[rest, col] = m12
-    out[col, rest] = m12
-    out[col, col] = m22
-    return out
-
-
-def eigenvalues_sym(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, sorted ascending."""
-    m = require_symmetric(m)
-    return np.linalg.eigvalsh(m)

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import cholesky_pd, invert_pd, require_symmetric
+from .linalg import cholesky_pd, invert_pd, partial_correlation, require_symmetric
 from .metrics import classification_scores, confusion, is_na
 
 __all__ = [
@@ -114,14 +114,10 @@ def posterior_partial_corr_mean(
     spec: WishartSpec, count: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Entrywise mean of the partial correlation matrix over Wishart draws."""
-    draws = sample_wishart(spec, count, rng)
     acc = np.zeros((spec.dim, spec.dim))
-    for w in draws:
-        d = np.sqrt(np.diag(w))
-        rho = -w / np.outer(d, d)
-        acc += rho
+    for w in sample_wishart(spec, count, rng):
+        acc += partial_correlation(w)
     acc /= count
-    np.fill_diagonal(acc, 1.0)
     return acc
 
 

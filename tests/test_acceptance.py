@@ -20,7 +20,7 @@ from scipy.stats import gamma as gamma_dist
 from scipy.stats import invgauss, kstest
 
 from bayesdn.diffnet import dn_adjacency
-from bayesdn.gibbs import GibbsConfig, initial_state, posterior_mean, run_chain, update_hyperparameters
+from bayesdn.gibbs import GibbsConfig, chain_draws, initial_state, run_chain, update_hyperparameters
 from bayesdn.harness import (
     ExperimentConfig,
     config_to_dict,
@@ -66,7 +66,7 @@ def test_criterion_1_oracle_equivalence():
         burn_in=5000, retained=50_000, seed=123,
         adapt_lambda=False, lambda_init=1.0, lambda_diag=1.0,
     )
-    pm = posterior_mean(run_chain(scatter, 30, cfg))
+    pm = run_chain(scatter, 30, cfg).theta_mean
     got = np.array([pm[0, 0], pm[0, 1], pm[1, 1]])
     expected = quad_posterior_mean_2x2(scatter, 30, 1.0)
     rel = np.abs(got - expected) / np.abs(expected)
@@ -88,14 +88,16 @@ def test_criterion_1_oracle_equivalence():
 def test_criterion_2_pd_invariance():
     theta, _ = raw_components(StructureSpec("ar1", 10))
     x = sample_gaussian(theta, 200, seed=7)
-    chain = run_chain(mirror_lower(x.T @ x), 200, GibbsConfig(burn_in=0, retained=1000, seed=8))
-    failures = 0
-    for draw in chain.draws:
+    cfg = GibbsConfig(burn_in=0, retained=1000, seed=8)
+    failures = draws = 0
+    for draw in chain_draws(mirror_lower(x.T @ x), 200, cfg):
+        draws += 1
         try:
             cholesky_pd(draw)
         except Exception:
             failures += 1
-    assert report(2, "PD invariance", failures == 0, f"{failures} failures in 1000 sweeps")
+    assert draws == 1000
+    assert report(2, "PD invariance", failures == 0, f"{failures} failures in {draws} sweeps")
 
 
 # -------------------------------------------------------------------------

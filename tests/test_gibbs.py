@@ -3,15 +3,14 @@ import pytest
 
 from bayesdn.gibbs import (
     GibbsConfig,
+    chain_draws,
     initial_state,
-    posterior_mean,
     run_chain,
     sample_gamma_variate,
-    sample_inverse_gaussian,
     update_column,
     update_hyperparameters,
 )
-from bayesdn.linalg import cholesky_pd, mirror_lower
+from bayesdn.linalg import cholesky_pd, mirror_lower, partial_correlation
 from bayesdn.structures import StructureSpec, raw_components, sample_gaussian
 
 from helpers import quad_posterior_mean_2x2, quad_posterior_mean_2x2_adaptive
@@ -36,18 +35,6 @@ class TestVariates:
             sample_gamma_variate(0.0, 1.0, rng)
         with pytest.raises(ValueError):
             sample_gamma_variate(1.0, -2.0, rng)
-
-    def test_inverse_gaussian_moments(self):
-        rng = np.random.default_rng(2)
-        draws = np.array([sample_inverse_gaussian(4.0, 4.0, rng) for _ in range(300_000)])
-        assert draws.mean() == pytest.approx(4.0, abs=0.05)
-        draws = np.array([sample_inverse_gaussian(1.0, 2.0, rng) for _ in range(300_000)])
-        assert draws.var() == pytest.approx(0.5, abs=0.01)
-
-    def test_inverse_gaussian_invalid(self):
-        rng = np.random.default_rng(3)
-        with pytest.raises(ValueError):
-            sample_inverse_gaussian(-1.0, 1.0, rng)
 
 
 class TestColumnUpdate:
@@ -176,42 +163,35 @@ class TestChain:
     def test_deterministic_given_seed(self):
         scatter, n = ar1_scatter(p=5, n=50)
         cfg = GibbsConfig(burn_in=30, retained=60, seed=42)
-        c1 = run_chain(scatter, n, cfg)
-        c2 = run_chain(scatter, n, cfg)
-        np.testing.assert_array_equal(c1.draws, c2.draws)
-        assert len(c1) == 60
+        d1 = [theta.copy() for theta in chain_draws(scatter, n, cfg)]
+        d2 = [theta.copy() for theta in chain_draws(scatter, n, cfg)]
+        assert len(d1) == 60
+        np.testing.assert_array_equal(np.stack(d1), np.stack(d2))
 
     def test_retained_draws_pd(self):
         scatter, n = ar1_scatter(p=5, n=50)
-        chain = run_chain(scatter, n, GibbsConfig(burn_in=20, retained=50, seed=3))
-        for draw in chain.draws[::10]:
-            cholesky_pd(mirror_lower(draw))
+        draws = chain_draws(scatter, n, GibbsConfig(burn_in=20, retained=50, seed=3))
+        for k, theta in enumerate(draws):
+            if k % 10 == 0:
+                cholesky_pd(mirror_lower(theta))
 
     def test_posterior_mean_trivial(self):
+        # the running means are bitwise the averages of the streamed draws
         scatter, n = ar1_scatter(p=4, n=50)
-        chain = run_chain(scatter, n, GibbsConfig(burn_in=10, retained=5, seed=1))
-        stacked = chain.draws
-        np.testing.assert_allclose(posterior_mean(chain), stacked.mean(axis=0))
-
-    def test_posterior_mean_two_draws(self):
-        from bayesdn.gibbs import GibbsChain
-
-        draws = np.stack([np.diag([1.0, 1.0]), np.diag([3.0, 3.0])])
-        chain = GibbsChain(draws=draws, config=GibbsConfig(burn_in=0, retained=2))
-        np.testing.assert_array_equal(posterior_mean(chain), np.diag([2.0, 2.0]))
-
-    def test_posterior_mean_identical_draws(self):
-        from bayesdn.gibbs import GibbsChain
-
-        m = np.array([[2.0, 0.3], [0.3, 1.0]])
-        chain = GibbsChain(draws=np.stack([m, m, m]), config=GibbsConfig(burn_in=0, retained=3))
-        np.testing.assert_array_equal(posterior_mean(chain), m)
+        cfg = GibbsConfig(burn_in=10, retained=5, seed=1)
+        stacked = np.stack([theta.copy() for theta in chain_draws(scatter, n, cfg)])
+        chain = run_chain(scatter, n, cfg)
+        np.testing.assert_array_equal(chain.theta_mean, stacked.mean(axis=0))
+        np.testing.assert_array_equal(
+            chain.partial_mean, partial_correlation(stacked).mean(axis=0)
+        )
+        assert chain.config is cfg
 
     def test_ar1_sign_recovery(self):
         theta, _ = raw_components(StructureSpec("ar1", 10))
         x = sample_gaussian(theta, 200, seed=11)
-        chain = run_chain(mirror_lower(x.T @ x), 200, GibbsConfig(burn_in=300, retained=600, seed=12))
-        pm = posterior_mean(chain)
+        cfg = GibbsConfig(burn_in=300, retained=600, seed=12)
+        pm = run_chain(mirror_lower(x.T @ x), 200, cfg).theta_mean
         np.testing.assert_array_equal(np.sign(np.diag(pm, 1)), np.sign(np.diag(theta, 1)))
 
     def test_p2_posterior_mean_matches_quadrature(self):
@@ -223,7 +203,7 @@ class TestChain:
             burn_in=2000, retained=12_000, seed=14, adapt_lambda=False,
             lambda_init=1.0, lambda_diag=1.0,
         )
-        pm = posterior_mean(run_chain(scatter, 30, cfg))
+        pm = run_chain(scatter, 30, cfg).theta_mean
         got = np.array([pm[0, 0], pm[0, 1], pm[1, 1]])
         expected = quad_posterior_mean_2x2(scatter, 30, 1.0)
         np.testing.assert_allclose(got, expected, rtol=0.08)
@@ -247,7 +227,7 @@ class TestChain:
         x = sample_gaussian(theta, 30, seed=13)
         scatter = mirror_lower(x.T @ x)
         cfg = GibbsConfig(burn_in=2000, retained=30_000, seed=14)
-        pm = posterior_mean(run_chain(scatter, 30, cfg))
+        pm = run_chain(scatter, 30, cfg).theta_mean
         expected = quad_posterior_mean_2x2_adaptive(scatter, 30, cfg.r, cfg.s, cfg.lambda_diag)
         assert abs(30 * np.linalg.inv(scatter)[0, 1] - expected[1]) > 0.25
         np.testing.assert_allclose([pm[0, 0], pm[1, 1]], expected[[0, 2]], rtol=0.02)

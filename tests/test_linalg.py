@@ -1,19 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bayesdn.linalg import (
     NotPositiveDefiniteError,
-    assemble_last,
     cholesky_pd,
-    eigenvalues_sym,
     invert_pd,
     mirror_lower,
     partial_correlation,
-    partition_last,
     require_symmetric,
 )
 
-from helpers import charpoly_eigenvalues, random_pd, random_symmetric
+from helpers import random_pd
 
 
 class TestCholesky:
@@ -86,67 +85,29 @@ class TestPartialCorrelation:
                     assert rho[i, j] == pytest.approx(expected, abs=1e-15)
         assert np.all(np.abs(rho[~np.eye(3, dtype=bool)]) < 1.0)
 
-    def test_invariant_under_diagonal_rescaling(self):
-        rng = np.random.default_rng(2)
-        theta = random_pd(5, rng)
-        d = np.diag(rng.uniform(0.5, 3.0, size=5))
-        scaled = mirror_lower(d @ theta @ d)
-        np.testing.assert_allclose(
-            partial_correlation(scaled), partial_correlation(theta), atol=1e-10
-        )
+    @settings(max_examples=50, deadline=None)
+    @given(
+        p=st.integers(2, 7),
+        jitter=st.floats(0.05, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_invariant_under_diagonal_rescaling(self, p, jitter, seed):
+        rng = np.random.default_rng(seed)
+        thetas = np.stack([random_pd(p, rng, jitter=jitter) for _ in range(3)])
+        rho = partial_correlation(thetas[0])
+        np.testing.assert_array_equal(np.diag(rho), np.ones(p))
+        np.testing.assert_array_equal(rho, rho.T)
+        assert np.all(np.abs(rho[~np.eye(p, dtype=bool)]) < 1.0)
+        d = np.diag(rng.uniform(0.5, 3.0, size=p))
+        scaled = mirror_lower(d @ thetas[0] @ d)
+        np.testing.assert_allclose(partial_correlation(scaled), rho, atol=1e-10)
+        stacked = partial_correlation(thetas)
+        for k in range(3):
+            np.testing.assert_array_equal(stacked[k], partial_correlation(thetas[k]))
 
-    def test_indefinite_rejected(self):
-        with pytest.raises(NotPositiveDefiniteError):
-            partial_correlation(np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-
-class TestPartition:
-    def test_identity_last_col(self):
-        m11, m12, m22 = partition_last(np.eye(3), 2)
-        np.testing.assert_array_equal(m11, np.eye(2))
-        np.testing.assert_array_equal(m12, np.zeros(2))
-        assert m22 == 1.0
-
-    def test_first_column(self):
-        m = np.array([[1.0, 2.0, 3.0], [2.0, 5.0, 6.0], [3.0, 6.0, 9.0]])
-        m11, m12, m22 = partition_last(m, 0)
-        assert m22 == 1.0
-        np.testing.assert_array_equal(m12, [2.0, 3.0])
-        np.testing.assert_array_equal(m11, [[5.0, 6.0], [6.0, 9.0]])
-
-    def test_round_trip_exact_all_cols(self):
-        rng = np.random.default_rng(3)
-        m = random_symmetric(6, rng)
-        for col in range(6):
-            m11, m12, m22 = partition_last(m, col)
-            np.testing.assert_array_equal(assemble_last(m11, m12, m22, col), m)
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            partition_last(np.eye(3), 3)
-
-
-class TestEigenvalues:
-    def test_diagonal(self):
-        np.testing.assert_allclose(eigenvalues_sym(np.diag([1.0, 2.0, 3.0])), [1, 2, 3])
-
-    def test_swap(self):
-        np.testing.assert_allclose(eigenvalues_sym(np.array([[0.0, 1.0], [1.0, 0.0]])), [-1, 1])
-
-    def test_against_charpoly_roots(self):
-        rng = np.random.default_rng(4)
-        for p in (2, 3, 4):
-            m = random_symmetric(p, rng)
-            np.testing.assert_allclose(
-                eigenvalues_sym(m), charpoly_eigenvalues(m), atol=1e-8
-            )
-
-    def test_sum_trace_product_det(self):
-        rng = np.random.default_rng(5)
-        m = random_pd(6, rng)
-        ev = eigenvalues_sym(m)
-        assert np.sum(ev) == pytest.approx(np.trace(m), abs=1e-8)
-        assert np.sum(np.log(ev)) == pytest.approx(cholesky_pd(m).logdet, rel=1e-6)
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError):
+            partial_correlation(np.zeros((2, 3)))
 
 
 class TestSymmetryHelpers:
