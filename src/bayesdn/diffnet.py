@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gibbs import GibbsConfig, run_chain
+from .gibbs import GibbsConfig, run_chain, spawn_seeds
 from .linalg import mirror_lower
 from .wishart import EPSILON, edge_rule_mean, posterior_partial_corr_mean, posterior_spec
 
@@ -74,13 +74,12 @@ def estimate_bnet(
     mode: str = "difference",
     wishart_draws: int = 1000,
     eps: float = EPSILON,
-    seeds: tuple[int, int] | None = None,
 ) -> DifferentialNetwork:
     """Estimate the differential network from two samples.
 
-    The two chains are independent; their seeds default to
-    ``(cfg.seed, cfg.seed + 1)`` and the per-sample Wishart references use
-    ``seed + 2`` of each slot, so one seed reproduces the whole estimate.
+    The two chains and the two per-sample Wishart references take four
+    seeds spawned from ``cfg.seed``, so one seed reproduces the whole
+    estimate and neighbouring seeds share no stream.
     """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
@@ -88,16 +87,15 @@ def estimate_bnet(
         raise ValueError(f"samples must be 2-d with equal width, got {x1.shape} and {x2.shape}")
     if min(x1.shape[0], x2.shape[0]) < 2:
         raise ValueError("each sample needs at least 2 rows")
-    if seeds is None:
-        seeds = (cfg.seed, cfg.seed + 1)
+    c1, c2, w1, w2 = spawn_seeds(cfg.seed, 4)
 
     means = []
     partials = []
-    for x, seed in ((x1, seeds[0]), (x2, seeds[1])):
+    for x, chain_seed, ref_seed in ((x1, c1, w1), (x2, c2, w2)):
         scatter = mirror_lower(x.T @ x)
-        means.append(run_chain(scatter, x.shape[0], replace(cfg, seed=seed)).theta_mean)
+        means.append(run_chain(scatter, x.shape[0], replace(cfg, seed=chain_seed)).theta_mean)
         spec = posterior_spec(scatter, x.shape[0], eps=eps)
-        rng = np.random.default_rng(seed + 2)
+        rng = np.random.default_rng(ref_seed)
         partials.append(posterior_partial_corr_mean(spec, wishart_draws, rng))
 
     delta_hat = means[1] - means[0]

@@ -28,6 +28,7 @@ __all__ = [
     "GibbsConfig",
     "SamplerState",
     "ChainSummary",
+    "spawn_seeds",
     "sample_gamma_variate",
     "initial_state",
     "update_column",
@@ -96,6 +97,18 @@ class ChainSummary:
     theta_mean: np.ndarray
     partial_mean: np.ndarray
     config: GibbsConfig
+
+
+def spawn_seeds(entropy: int, count: int, key: tuple[int, ...] = ()) -> list[int]:
+    """Derive ``count`` independent 63-bit seeds from ``entropy`` and ``key``.
+
+    ``SeedSequence(entropy, spawn_key=key)`` hashes its inputs, so
+    neighbouring entropies or keys give unrelated streams, unlike
+    ``seed + k`` arithmetic.  The derivation is a pure function of its
+    arguments.
+    """
+    ss = np.random.SeedSequence(entropy=entropy, spawn_key=key)
+    return [int(x >> 1) for x in ss.generate_state(count, np.uint64)]
 
 
 def sample_gamma_variate(shape: float, rate: float, rng: np.random.Generator) -> float:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .diffnet import DN_MODES, dn_adjacency, estimate_bnet
-from .gibbs import GibbsConfig, run_chain
+from .gibbs import GibbsConfig, run_chain, spawn_seeds
 from .ista import IstaConfig, estimate_dnet
 from .linalg import mirror_lower
 from .metrics import classification_scores, confusion, loss_report
@@ -196,15 +196,10 @@ def task_seeds(
 ) -> list[int]:
     """Derive ``count`` independent 63-bit seeds for one task.
 
-    Uses ``SeedSequence(master_seed, spawn_key=(structure_index,
-    dim_index, replication))``, so tasks get pairwise distinct streams and
-    the derivation is a pure function of the four integers.
+    The spawn key is ``(structure_index, dim_index, replication)``, so
+    tasks get pairwise distinct streams (see :func:`spawn_seeds`).
     """
-    ss = np.random.SeedSequence(
-        entropy=master_seed, spawn_key=(structure_index, dim_index, replication)
-    )
-    state = ss.generate_state(count, np.uint64)
-    return [int(x >> 1) for x in state]
+    return spawn_seeds(master_seed, count, (structure_index, dim_index, replication))
 
 
 def _structure_spec(kind: str, dim: int, seed: int) -> StructureSpec:
@@ -357,13 +352,14 @@ def _study_task(args) -> dict:
             grid,
         )
     if "ratio" in cfg.rules:
-        rho1 = run_chain(scatter1, n, replace(cfg.gibbs, seed=s_chain)).partial_mean
-        rho2 = run_chain(scatter2, n, replace(cfg.gibbs, seed=s_chain + 1)).partial_mean
+        c1, c2, g1, g2 = spawn_seeds(s_chain, 4)
+        rho1 = run_chain(scatter1, n, replace(cfg.gibbs, seed=c1)).partial_mean
+        rho2 = run_chain(scatter2, n, replace(cfg.gibbs, seed=c2)).partial_mean
         eg1 = posterior_partial_corr_mean(
-            posterior_spec(scatter1, n, 1.0), cfg.wishart_draws, np.random.default_rng(s_w1 + 1)
+            posterior_spec(scatter1, n, 1.0), cfg.wishart_draws, np.random.default_rng(g1)
         )
         eg2 = posterior_partial_corr_mean(
-            posterior_spec(scatter2, n, 1.0), cfg.wishart_draws, np.random.default_rng(s_w2 + 1)
+            posterior_spec(scatter2, n, 1.0), cfg.wishart_draws, np.random.default_rng(g2)
         )
         reports["ratio"] = threshold_sweep(
             pair.true_adjacency,

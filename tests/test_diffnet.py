@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from bayesdn.diffnet import dn_adjacency, estimate_bnet
-from bayesdn.gibbs import GibbsConfig
+from bayesdn.gibbs import GibbsConfig, run_chain, spawn_seeds
 from bayesdn.linalg import mirror_lower
 from bayesdn.metrics import classification_scores, confusion
 from bayesdn.structures import StructureSpec, make_structure, sample_gaussian
@@ -77,20 +79,32 @@ class TestAdjacency:
 
 
 class TestEstimate:
-    def test_identical_samples_and_seeds_give_zero(self):
+    def test_consecutive_seeds_share_no_chain(self):
+        # with x1 = x2, seed s + 1 must not rerun one of seed s's chains
         pair = make_structure(StructureSpec("ar1", 6))
         x = sample_gaussian(pair.theta1, 60, seed=6)
-        dn = estimate_bnet(x, x, FAST, eta=0.3, seeds=(9, 9))
-        np.testing.assert_array_equal(dn.delta_hat, np.zeros((6, 6)))
-        assert not dn_adjacency(dn.component_partials, 0.3, mode="difference").any()
+        a = estimate_bnet(x, x, replace(FAST, seed=9), eta=0.3)
+        b = estimate_bnet(x, x, replace(FAST, seed=10), eta=0.3)
+        for ma in a.component_means:
+            for mb in b.component_means:
+                assert not np.array_equal(ma, mb)
 
-    def test_antisymmetric_under_swap(self):
+    def test_components_follow_spawned_seeds(self):
         pair = make_structure(StructureSpec("ar2", 6))
         x1 = sample_gaussian(pair.theta1, 60, seed=7)
         x2 = sample_gaussian(pair.theta2, 60, seed=8)
-        fwd = estimate_bnet(x1, x2, FAST, eta=0.3, seeds=(11, 12))
-        rev = estimate_bnet(x2, x1, FAST, eta=0.3, seeds=(12, 11))
-        np.testing.assert_array_equal(rev.delta_hat, -fwd.delta_hat)
+        dn = estimate_bnet(x1, x2, FAST, eta=0.3, wishart_draws=200)
+        c1, c2, w1, w2 = spawn_seeds(FAST.seed, 4)
+        for x, mean, partial, c, w in zip(
+            (x1, x2), dn.component_means, dn.component_partials, (c1, c2), (w1, w2)
+        ):
+            scatter = mirror_lower(x.T @ x)
+            chain = run_chain(scatter, x.shape[0], replace(FAST, seed=c))
+            np.testing.assert_array_equal(mean, chain.theta_mean)
+            spec = posterior_spec(scatter, x.shape[0])
+            np.testing.assert_array_equal(
+                partial, posterior_partial_corr_mean(spec, 200, np.random.default_rng(w))
+            )
 
     def test_component_means_consistency(self):
         pair = make_structure(StructureSpec("ar1", 5))
