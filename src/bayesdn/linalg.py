@@ -156,8 +156,8 @@ def partial_correlation(theta: np.ndarray) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.ndim < 2 or theta.shape[-1] != theta.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {theta.shape}")
-    idx = np.arange(theta.shape[-1])
-    d = np.sqrt(theta[..., idx, idx])
+    d = np.sqrt(np.diagonal(theta, axis1=-2, axis2=-1))
     rho = -theta / (d[..., :, None] * d[..., None, :])
+    idx = np.arange(theta.shape[-1])
     rho[..., idx, idx] = 1.0
     return rho
