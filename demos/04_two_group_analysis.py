@@ -20,7 +20,8 @@ from bayesdn.harness import RealAnalysisConfig, emit_outputs, config_to_dict, ru
 from bayesdn.pipeline import write_csv
 from bayesdn.structures import StructureSpec, make_structure, sample_gaussian
 
-workdir = Path(tempfile.mkdtemp(prefix="bayesdn_demo_"))
+tmp = tempfile.TemporaryDirectory(prefix="bayesdn_demo_")
+workdir = Path(tmp.name)
 
 # two phases, 140 days each, with a covariance change between them
 pair = make_structure(StructureSpec("cluster", 8))
@@ -63,4 +64,7 @@ for a, b, w in edges:
 
 outdir = workdir / "out"
 emit_outputs(result, str(outdir), config_to_dict(cfg))
-print(f"\nfull outputs (delta, adjacency, component means, edge list, manifest) in {outdir}")
+print(f"\nfull outputs (delta, adjacency, component means, edge list, manifest) in {outdir}:")
+for path in sorted(outdir.iterdir()):
+    print(f"  {path.name}")
+tmp.cleanup()  # the dataset and outputs were only for this demo

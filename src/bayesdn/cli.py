@@ -55,7 +55,10 @@ def _load_config_dict(path: str | None) -> dict:
     if path is None:
         return {}
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        d = json.load(fh)
+    if not isinstance(d, dict):
+        raise ValueError(f"config {path} must hold a JSON object")
+    return d
 
 
 def _experiment_config(args) -> ExperimentConfig:
@@ -139,16 +142,20 @@ def _cmd_real(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    gibbs = _load_config_dict(args.config).get("gibbs", {})
+    if not isinstance(gibbs, dict):
+        raise ValueError("config section 'gibbs' must be an object")
+    scale = PAPER_SCALE if args.paper_scale else DESK_SCALE
+    gibbs.setdefault("burn_in", scale["burn_in"])
+    gibbs.setdefault("retained", scale["retained"])
+    for name in ("burn_in", "retained", "seed"):
+        if getattr(args, name) is not None:
+            gibbs[name] = getattr(args, name)
+    cfg = GibbsConfig(**gibbs)
     ds = read_csv(args.csv, date_column=args.date_column)
     x = ds.rows
     if args.nonparanormal:
         x = nonparanormal_transform(x)
-    scale = PAPER_SCALE if args.paper_scale else DESK_SCALE
-    cfg = GibbsConfig(
-        burn_in=args.burn_in if args.burn_in is not None else scale["burn_in"],
-        retained=args.retained if args.retained is not None else scale["retained"],
-        seed=args.seed if args.seed is not None else 0,
-    )
     chain = run_chain(mirror_lower(x.T @ x), x.shape[0], cfg)
     os.makedirs(args.out, exist_ok=True)
     write_csv(os.path.join(args.out, "posterior_mean.csv"), ds.columns, chain.theta_mean)

@@ -12,17 +12,27 @@ The column update keeps Theta positive definite by construction: writing
 theta22 = gamma + beta' Theta11^{-1} beta with gamma > 0 forces a positive
 Schur complement, so positive definiteness of the trailing block is
 inherited sweep after sweep.
+
+Following Wang (2012), the state also carries Sigma = Theta^{-1}.  A column
+update reads Theta11^{-1} = Sigma11 - sigma12 sigma12' / sigma22 from it in
+O(p^2), factors the conditional precision once (one Cholesky per column),
+and refreshes Sigma in O(p^2) from the same block-inverse identity, so a
+sweep costs O(p^3) instead of O(p^4).  Once per sweep :func:`chain_draws`
+re-derives Sigma from Theta with a checked Cholesky inversion, which bounds
+the rounding drift and re-checks that the whole of Theta is positive
+definite.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve, cholesky, solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
-from .linalg import NotPositiveDefiniteError, partial_correlation, require_symmetric
+from .linalg import NotPositiveDefiniteError, invert_pd, partial_correlation, require_symmetric
 
 __all__ = [
     "GibbsConfig",
@@ -72,9 +82,13 @@ class GibbsConfig:
 
 @dataclass
 class SamplerState:
-    """Mutable state of one chain: current Theta, latents, and the data."""
+    """Mutable state of one chain: current Theta, its inverse, latents, and the data.
+
+    ``sigma`` is Theta^{-1}, kept in step by :func:`update_column`.
+    """
 
     theta: np.ndarray
+    sigma: np.ndarray
     tau: np.ndarray
     lam: np.ndarray
     scatter: np.ndarray
@@ -136,7 +150,13 @@ def initial_state(scatter: np.ndarray, n: int, config: GibbsConfig) -> SamplerSt
     lam = np.full((p, p), config.lambda_init)
     np.fill_diagonal(lam, config.lambda_diag)
     return SamplerState(
-        theta=np.eye(p), tau=tau, lam=lam, scatter=scatter, n=int(n), config=config
+        theta=np.eye(p),
+        sigma=np.eye(p),
+        tau=tau,
+        lam=lam,
+        scatter=scatter,
+        n=int(n),
+        config=config,
     )
 
 
@@ -144,7 +164,6 @@ class _SweepWorkspace:
     """Per-chain cache of index arrays so sweeps avoid re-allocating them."""
 
     def __init__(self, p: int):
-        self.eye = np.eye(p - 1)
         self.rest = [np.r_[0:c, c + 1 : p] for c in range(p)]
         self.block = [np.ix_(r, r) for r in self.rest]
         self.diag = np.arange(p - 1)
@@ -163,48 +182,62 @@ def update_column(
     With the column permuted last, the conditional factorizes as
     gamma ~ GA(n/2 + 1, (s22 + lam_ii)/2) for the Schur complement and
     beta ~ N(-C s21, C) for the off-diagonal block, where
-    C = ((s22 + lam_ii) * Theta11^{-1} + Dtau^{-1})^{-1}.  The state is
-    modified in place and returned.
+    C = ((s22 + lam_ii) * Theta11^{-1} + Dtau^{-1})^{-1}.  Theta11^{-1} is
+    read from the carried Sigma, and Sigma is refreshed to the new
+    Theta^{-1}.  The state is modified in place and returned.
     """
     p = state.dim
     if not 0 <= col < p:
         raise IndexError(f"column {col} out of range for dimension {p}")
     work = _work if _work is not None else _SweepWorkspace(p)
     rest = work.rest[col]
-    theta11 = state.theta[work.block[col]]
+    block = work.block[col]
+    sigma = state.sigma
     s12 = state.scatter[rest, col]
     s22 = float(state.scatter[col, col])
     tau12 = state.tau[rest, col]
     lam_ii = float(state.lam[col, col])
 
-    try:
-        lower11 = np.linalg.cholesky(theta11)
-    except np.linalg.LinAlgError as err:
+    sigma22 = float(sigma[col, col])
+    if not (sigma22 > 0.0 and math.isfinite(sigma22)):
         raise NotPositiveDefiniteError(
             f"Theta block excluding column {col} lost positive definiteness"
-        ) from err
-    inv11 = cho_solve((lower11, True), work.eye, check_finite=False)
+        )
+    w = sigma[rest, col] / math.sqrt(sigma22)
+    inv11 = sigma[block] - np.outer(w, w)
 
     # C^{-1} mixes the data scale with 1/tau entries that grow without
     # bound as an entry is shrunk to zero, so it is factored raw: the sum
-    # of a PSD matrix and a positive diagonal cannot fail to be PD.
+    # of a PSD matrix and a positive diagonal cannot fail to be PD.  It is
+    # symmetric, so its transpose is handed to LAPACK in Fortran order.
     c_inv = (s22 + lam_ii) * inv11
     c_inv[work.diag, work.diag] += 1.0 / tau12
-    try:
-        lower_c = cholesky(c_inv, lower=True, check_finite=False)
-    except LinAlgError as err:
+    lower_c, info = dpotrf(c_inv.T, lower=1, clean=0, overwrite_a=1)
+    if info != 0:
         raise NotPositiveDefiniteError(
             f"conditional covariance for column {col} broke down"
-        ) from err
-    mean = -cho_solve((lower_c, True), s12, check_finite=False)
+        )
+    c_s12, _ = dpotrs(lower_c, s12, lower=1)
     z = rng.standard_normal(p - 1)
-    beta = mean + solve_triangular(lower_c.T, z, lower=False, check_finite=False)
+    noise, _ = dtrtrs(lower_c, z, lower=1, trans=1)
+    beta = noise - c_s12
 
     gamma = sample_gamma_variate(state.n / 2.0 + 1.0, (s22 + lam_ii) / 2.0, rng)
 
-    state.theta[rest, col] = beta
-    state.theta[col, rest] = beta
-    state.theta[col, col] = gamma + float(beta @ inv11 @ beta)
+    u = inv11 @ beta
+    theta = state.theta
+    theta[rest, col] = beta
+    theta[col, rest] = beta
+    theta[col, col] = gamma + float(beta @ u)
+
+    # block inverse of the new Theta: its Schur complement is gamma
+    root = math.sqrt(gamma)
+    v = u / root
+    sigma[block] = inv11 + np.outer(v, v)
+    v /= -root
+    sigma[rest, col] = v
+    sigma[col, rest] = v
+    sigma[col, col] = 1.0 / gamma
     return state
 
 
@@ -247,8 +280,9 @@ def update_hyperparameters(
 def chain_draws(scatter: np.ndarray, n: int, config: GibbsConfig) -> Iterator[np.ndarray]:
     """Run ``burn_in + retained`` full sweeps, yielding Theta after each retained one.
 
-    A full sweep updates every column in order 0..p-1 and then the
-    hyperparameters.  The yielded array is the live state, overwritten by
+    A full sweep updates every column in order 0..p-1, re-derives Sigma
+    from Theta (checking that Theta is positive definite), and then
+    updates the hyperparameters.  The yielded array is the live state, overwritten by
     the next sweep, so copy it to keep it.  Deterministic given
     ``config.seed``.
     """
@@ -260,6 +294,7 @@ def chain_draws(scatter: np.ndarray, n: int, config: GibbsConfig) -> Iterator[np
         try:
             for col in range(p):
                 update_column(state, col, rng, _work=work)
+            state.sigma = invert_pd(state.theta)
             update_hyperparameters(state, rng, _work=work)
         except NotPositiveDefiniteError as err:
             raise NotPositiveDefiniteError(

@@ -44,11 +44,12 @@ RATIO_FLOOR = 1e-8
 # Threshold candidates: 0.2 to 0.6 in steps of 0.02.
 DEFAULT_GRID = np.linspace(0.2, 0.6, 21)
 
-# Draws per vectorized partial-correlation call in the Wishart mean.  The
-# block's matrices are still added one at a time, in draw order, so the
-# mean is the same to the bit as a loop over single draws, and the block
-# stays a small temporary next to the draw stack itself.
-_PARTIAL_BLOCK = 32
+# Draws per block when a step over a draw stack is vectorized: the
+# Bartlett products ``lower @ a`` and the partial correlations of the
+# Wishart mean.  Each block is a small temporary next to the stack itself.
+# The mean still adds the block's matrices one at a time, in draw order,
+# so it is the same to the bit as a loop over single draws.
+_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,9 @@ def sample_wishart(spec: WishartSpec, count: int, rng: np.random.Generator) -> n
     """Draw ``count`` Wishart matrices by the Bartlett decomposition.
 
     Returns an array of shape ``(count, p, p)``; every draw is symmetric
-    positive definite.
+    positive definite.  The products ``lower @ a`` are formed block by
+    block into the Bartlett factors' own storage, so at most two
+    ``(count, p, p)`` stacks are alive at once: the factors and the draws.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -112,8 +115,9 @@ def sample_wishart(spec: WishartSpec, count: int, rng: np.random.Generator) -> n
     diag = np.sqrt(rng.chisquare(dof_seq, size=(count, p)))
     idx = np.arange(p)
     a[:, idx, idx] = diag
-    la = lower @ a
-    return la @ np.transpose(la, (0, 2, 1))
+    for start in range(0, count, _BLOCK):
+        a[start : start + _BLOCK] = lower @ a[start : start + _BLOCK]
+    return a @ np.transpose(a, (0, 2, 1))
 
 
 def posterior_partial_corr_mean(
@@ -122,8 +126,8 @@ def posterior_partial_corr_mean(
     """Entrywise mean of the partial correlation matrix over Wishart draws."""
     draws = sample_wishart(spec, count, rng)
     acc = np.zeros((spec.dim, spec.dim))
-    for start in range(0, count, _PARTIAL_BLOCK):
-        for rho in partial_correlation(draws[start : start + _PARTIAL_BLOCK]):
+    for start in range(0, count, _BLOCK):
+        for rho in partial_correlation(draws[start : start + _BLOCK]):
             acc += rho
     acc /= count
     return acc

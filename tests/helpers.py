@@ -2,12 +2,16 @@
 
 Everything here recomputes expected values by routes disjoint from the
 library code under test: tensor quadrature for the 2x2 posterior,
-characteristic-polynomial root finding for eigenvalues, and plain loops
-for matrix norms.
+characteristic-polynomial root finding for eigenvalues, plain loops for
+matrix norms, and a Gibbs column update that factorizes and inverts the
+Theta block instead of reading the sampler's carried inverse.
 """
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.linalg import cho_solve, cholesky, solve_triangular
+
+from bayesdn.gibbs import sample_gamma_variate
 
 
 def random_symmetric(p, rng, scale=1.0):
@@ -48,6 +52,32 @@ def random_pd(p, rng, jitter=None):
     a = rng.standard_normal((p, p))
     m = a @ a.T + (jitter if jitter is not None else p) * np.eye(p)
     return np.tril(m) + np.tril(m, -1).T
+
+
+def reference_update_column(state, col, rng):
+    """Gibbs column update computed from Theta alone.
+
+    Factorizes Theta11, inverts it against the identity and factorizes
+    C^{-1}, drawing from ``rng`` in the sampler's order (the p - 1 normals,
+    then the gamma), so at a common seed it matches ``update_column`` to
+    rounding.  Reads and writes ``state.theta`` only.
+    """
+    p = state.theta.shape[0]
+    rest = np.r_[0:col, col + 1 : p]
+    theta11 = state.theta[np.ix_(rest, rest)]
+    s12 = state.scatter[rest, col]
+    s22 = state.scatter[col, col]
+    lam_ii = state.lam[col, col]
+    inv11 = cho_solve((cholesky(theta11, lower=True), True), np.eye(p - 1))
+    c_inv = (s22 + lam_ii) * inv11 + np.diag(1.0 / state.tau[rest, col])
+    lower_c = cholesky(c_inv, lower=True)
+    mean = -cho_solve((lower_c, True), s12)
+    beta = mean + solve_triangular(lower_c.T, rng.standard_normal(p - 1), lower=False)
+    gamma = sample_gamma_variate(state.n / 2.0 + 1.0, (s22 + lam_ii) / 2.0, rng)
+    state.theta[rest, col] = beta
+    state.theta[col, rest] = beta
+    state.theta[col, col] = gamma + beta @ inv11 @ beta
+    return state
 
 
 def charpoly_eigenvalues(m):

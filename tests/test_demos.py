@@ -18,6 +18,7 @@ def test_demo_runs(script, tmp_path):
         [sys.executable, str(script)], cwd=tmp_path, env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+    assert not list(tmp_path.glob("bayesdn_demo_*")), "demo left its temporary directory"
 
 
 def test_all_demos_found():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import bayesdn.gibbs as gibbs
 from bayesdn.gibbs import (
     GibbsConfig,
     chain_draws,
@@ -10,10 +11,19 @@ from bayesdn.gibbs import (
     update_column,
     update_hyperparameters,
 )
-from bayesdn.linalg import cholesky_pd, mirror_lower, partial_correlation
+from bayesdn.linalg import (
+    NotPositiveDefiniteError,
+    cholesky_pd,
+    mirror_lower,
+    partial_correlation,
+)
 from bayesdn.structures import StructureSpec, raw_components, sample_gaussian
 
-from helpers import quad_posterior_mean_2x2, quad_posterior_mean_2x2_adaptive
+from helpers import (
+    quad_posterior_mean_2x2,
+    quad_posterior_mean_2x2_adaptive,
+    reference_update_column,
+)
 
 
 def ar1_scatter(p=10, n=200, seed=7):
@@ -102,6 +112,63 @@ class TestColumnUpdate:
         state = initial_state(scatter, n, GibbsConfig(burn_in=1, retained=1))
         with pytest.raises(IndexError):
             update_column(state, 4, np.random.default_rng(0))
+
+
+class TestCarriedInverse:
+    def test_sigma_inverts_theta_after_every_column(self):
+        # no resync here: the rank-one refreshes alone keep Sigma in step
+        scatter, n = ar1_scatter(p=6, n=50)
+        state = initial_state(scatter, n, GibbsConfig(burn_in=1, retained=1))
+        rng = np.random.default_rng(15)
+        worst = 0.0
+        for sweep in range(50):
+            for col in range(6):
+                update_column(state, col, rng)
+                worst = max(worst, np.abs(state.sigma @ state.theta - np.eye(6)).max())
+                np.testing.assert_array_equal(state.sigma, state.sigma.T)
+            update_hyperparameters(state, rng)
+        assert worst <= 1e-12
+
+    def test_matches_factorize_and_invert_reference(self):
+        scatter, n = ar1_scatter(p=6, n=50)
+        cfg = GibbsConfig(burn_in=0, retained=5, seed=16)
+        got = [theta.copy() for theta in chain_draws(scatter, n, cfg)]
+        state = initial_state(scatter, n, cfg)
+        rng = np.random.default_rng(cfg.seed)
+        for theta in got:
+            for col in range(6):
+                reference_update_column(state, col, rng)
+            update_hyperparameters(state, rng)
+            np.testing.assert_allclose(theta, state.theta, rtol=1e-9)
+
+    @pytest.mark.parametrize("sigma22", [0.0, -1.0, np.nan, np.inf])
+    def test_lost_schur_complement_names_column(self, sigma22):
+        scatter, n = ar1_scatter(p=4, n=50)
+        state = initial_state(scatter, n, GibbsConfig(burn_in=1, retained=1))
+        state.sigma[2, 2] = sigma22
+        with pytest.raises(NotPositiveDefiniteError, match="excluding column 2 lost"):
+            update_column(state, 2, np.random.default_rng(0))
+
+    def test_resync_failure_names_sweep(self, monkeypatch):
+        # break Theta after the last column of sweep 2: the per-sweep
+        # re-derivation of Sigma must catch it and name the sweep
+        scatter, n = ar1_scatter(p=4, n=50)
+        calls = []
+
+        def corrupting_update(state, col, rng, _work=None):
+            update_column(state, col, rng, _work=_work)
+            calls.append(col)
+            if len(calls) == 3 * 4:
+                big = 10.0 * np.sqrt(state.theta[0, 0] * state.theta[1, 1])
+                state.theta[0, 1] = state.theta[1, 0] = big
+            return state
+
+        monkeypatch.setattr(gibbs, "update_column", corrupting_update)
+        draws = chain_draws(scatter, n, GibbsConfig(burn_in=0, retained=5, seed=1))
+        assert next(draws) is not None and next(draws) is not None
+        with pytest.raises(NotPositiveDefiniteError, match=r"^sweep 2: ") as err:
+            next(draws)
+        assert err.value.minor == 2
 
 
 class TestHyperparameters:

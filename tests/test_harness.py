@@ -386,6 +386,35 @@ class TestCli:
         rc = main(["synthetic", "--dims", "10,10", "--sizes", "100,200", "--out", str(out)])
         assert rc == 2 and not out.exists()
 
+    def test_sample_reads_gibbs_section_with_flags_on_top(self, tmp_path):
+        from bayesdn.cli import main
+
+        rows = sample_gaussian(np.eye(3), 30, seed=1)
+        csv_path = tmp_path / "x.csv"
+        write_csv(csv_path, ["a", "b", "c"], rows)
+        cfg = tmp_path / "g.json"
+        cfg.write_text(json.dumps({"gibbs": {"burn_in": 7, "retained": 9, "r": 0.5, "seed": 4}}))
+        out = tmp_path / "o"
+        rc = main(["sample", "--csv", str(csv_path), "--config", str(cfg),
+                   "--retained", "5", "--out", str(out)])
+        assert rc == 0
+        gibbs = json.loads((out / "manifest.json").read_text())["config"]
+        assert (gibbs["burn_in"], gibbs["retained"], gibbs["r"], gibbs["seed"]) == (7, 5, 0.5, 4)
+
+    def test_sample_config_errors(self, tmp_path):
+        from bayesdn.cli import main
+
+        rows = sample_gaussian(np.eye(3), 30, seed=1)
+        csv_path = tmp_path / "x.csv"
+        write_csv(csv_path, ["a", "b", "c"], rows)
+        base = ["sample", "--csv", str(csv_path), "--out", str(tmp_path / "o")]
+        assert main(base + ["--config", str(tmp_path / "absent.json")]) == 3
+        for bad in ({"gibbs": {"burn_inn": 5}}, {"gibbs": {"retained": 0}}, {"gibbs": 3}, [1]):
+            cfg = tmp_path / "bad.json"
+            cfg.write_text(json.dumps(bad))
+            assert main(base + ["--config", str(cfg)]) == 2, bad
+        assert not (tmp_path / "o").exists()
+
 
 def _tiny_cli_config(tmp_path):
     import json as _json

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,34 @@ class TestSampling:
         small = np.median([err(200, s) for s in range(5)])
         large = np.median([err(20_000, s) for s in range(5)])
         assert large < small
+
+    def test_blocked_products_match_bartlett_formula_bitwise(self):
+        # 70 draws span two full blocks and a partial one
+        rng = np.random.default_rng(4)
+        spec = WishartSpec(dof=9.0, scale=random_pd(5, rng, jitter=5) / 5.0)
+        got = sample_wishart(spec, 70, np.random.default_rng(5))
+        ref_rng = np.random.default_rng(5)
+        p, count = 5, 70
+        a = np.zeros((count, p, p))
+        tril = np.tril_indices(p, k=-1)
+        a[:, tril[0], tril[1]] = ref_rng.standard_normal((count, p * (p - 1) // 2))
+        a[:, np.arange(p), np.arange(p)] = np.sqrt(
+            ref_rng.chisquare(spec.dof - np.arange(p), size=(count, p))
+        )
+        la = cholesky_pd(spec.scale).lower @ a
+        np.testing.assert_array_equal(got, la @ np.transpose(la, (0, 2, 1)))
+
+    def test_peak_memory_below_two_and_a_half_stacks(self):
+        spec = WishartSpec(dof=40.0, scale=np.eye(30))
+        count = 300
+        stack_bytes = count * 30 * 30 * 8
+        tracemalloc.start()
+        try:
+            sample_wishart(spec, count, np.random.default_rng(6))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * stack_bytes
 
     def test_invalid_count(self):
         with pytest.raises(ValueError):
