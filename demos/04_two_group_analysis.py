@@ -64,7 +64,8 @@ for a, b, w in edges:
 
 outdir = workdir / "out"
 emit_outputs(result, str(outdir), config_to_dict(cfg))
-print(f"\nfull outputs (delta, adjacency, component means, edge list, manifest) in {outdir}:")
-for path in sorted(outdir.iterdir()):
-    print(f"  {path.name}")
-tmp.cleanup()  # the dataset and outputs were only for this demo
+print(
+    f"\nfull outputs (delta, adjacency, component means, edge list, manifest) in {outdir},"
+    " a temporary directory removed on exit"
+)
+tmp.cleanup()

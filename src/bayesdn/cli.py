@@ -61,14 +61,25 @@ def _load_config_dict(path: str | None) -> dict:
     return d
 
 
-def _experiment_config(args) -> ExperimentConfig:
-    d = _load_config_dict(args.config)
-    scale = PAPER_SCALE if args.paper_scale else DESK_SCALE
-    d.setdefault("replications", scale["replications"])
+def _scale(args) -> dict:
+    return PAPER_SCALE if args.paper_scale else DESK_SCALE
+
+
+def _gibbs_section(d: dict, args) -> dict:
+    """The config's "gibbs" section, with the run scale's sweep counts as defaults."""
     gibbs = d.get("gibbs", {})
+    if not isinstance(gibbs, dict):
+        raise ValueError("config section 'gibbs' must be an object")
+    scale = _scale(args)
     gibbs.setdefault("burn_in", scale["burn_in"])
     gibbs.setdefault("retained", scale["retained"])
-    d["gibbs"] = gibbs
+    return gibbs
+
+
+def _experiment_config(args) -> ExperimentConfig:
+    d = _load_config_dict(args.config)
+    d.setdefault("replications", _scale(args)["replications"])
+    d["gibbs"] = _gibbs_section(d, args)
     if args.structures:
         d["structures"] = args.structures.split(",")
     if args.dims:
@@ -125,11 +136,7 @@ def _cmd_real(args) -> int:
         d["csv_path"] = args.csv
     if args.seed is not None:
         d["master_seed"] = args.seed
-    gibbs = d.get("gibbs", {})
-    scale = PAPER_SCALE if args.paper_scale else DESK_SCALE
-    gibbs.setdefault("burn_in", scale["burn_in"])
-    gibbs.setdefault("retained", scale["retained"])
-    d["gibbs"] = gibbs
+    d["gibbs"] = _gibbs_section(d, args)
     cfg = config_from_dict(d, real=True)
     result = run_real_analysis(cfg)
     emit_outputs(result, args.out, config_to_dict(cfg))
@@ -142,12 +149,7 @@ def _cmd_real(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    gibbs = _load_config_dict(args.config).get("gibbs", {})
-    if not isinstance(gibbs, dict):
-        raise ValueError("config section 'gibbs' must be an object")
-    scale = PAPER_SCALE if args.paper_scale else DESK_SCALE
-    gibbs.setdefault("burn_in", scale["burn_in"])
-    gibbs.setdefault("retained", scale["retained"])
+    gibbs = _gibbs_section(_load_config_dict(args.config), args)
     for name in ("burn_in", "retained", "seed"):
         if getattr(args, name) is not None:
             gibbs[name] = getattr(args, name)

@@ -281,9 +281,9 @@ def chain_draws(scatter: np.ndarray, n: int, config: GibbsConfig) -> Iterator[np
     """Run ``burn_in + retained`` full sweeps, yielding Theta after each retained one.
 
     A full sweep updates every column in order 0..p-1, re-derives Sigma
-    from Theta (checking that Theta is positive definite), and then
-    updates the hyperparameters.  The yielded array is the live state, overwritten by
-    the next sweep, so copy it to keep it.  Deterministic given
+    from Theta (checking that Theta is positive definite) and then updates
+    the hyperparameters.  The yielded array is the live state, overwritten
+    by the next sweep, so copy it to keep it.  Deterministic given
     ``config.seed``.
     """
     state = initial_state(scatter, n, config)

@@ -382,6 +382,10 @@ class TestCli:
         cfg.write_text('{"structures": ["nope"]}')
         rc = main(["synthetic", "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 2
+        for bad in ('{"gibbs": 3}', "[1]"):
+            cfg.write_text(bad)
+            for command in ("synthetic", "real"):
+                assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
         out = tmp_path / "o"
         rc = main(["synthetic", "--dims", "10,10", "--sizes", "100,200", "--out", str(out)])
         assert rc == 2 and not out.exists()
