@@ -11,8 +11,6 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 
-from bayesdn.gibbs import sample_gamma_variate
-
 
 def random_symmetric(p, rng, scale=1.0):
     a = rng.standard_normal((p, p)) * scale
@@ -73,7 +71,7 @@ def reference_update_column(state, col, rng):
     lower_c = cholesky(c_inv, lower=True)
     mean = -cho_solve((lower_c, True), s12)
     beta = mean + solve_triangular(lower_c.T, rng.standard_normal(p - 1), lower=False)
-    gamma = sample_gamma_variate(state.n / 2.0 + 1.0, (s22 + lam_ii) / 2.0, rng)
+    gamma = rng.gamma(state.n / 2.0 + 1.0, 1.0 / ((s22 + lam_ii) / 2.0))
     state.theta[rest, col] = beta
     state.theta[col, rest] = beta
     state.theta[col, col] = gamma + beta @ inv11 @ beta
