@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from bayesdn.gibbs import GibbsConfig
-from bayesdn.harness import RealAnalysisConfig, emit_outputs, config_to_dict, run_real_analysis
+from bayesdn.harness import RealAnalysisConfig, emit_real, run_real_analysis
 from bayesdn.pipeline import write_csv
 from bayesdn.structures import StructureSpec, make_structure, sample_gaussian
 
@@ -63,7 +63,7 @@ for a, b, w in edges:
     print(f"  {a} -- {b}   (precision change {w:+.3f})")
 
 outdir = workdir / "out"
-emit_outputs(result, str(outdir), config_to_dict(cfg))
+emit_real(result, cfg, str(outdir))
 print(
     f"\nfull outputs (delta, adjacency, component means, edge list, manifest) in {outdir},"
     " a temporary directory removed on exit"

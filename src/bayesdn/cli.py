@@ -26,7 +26,9 @@ from .harness import (
     ExperimentConfig,
     config_from_dict,
     config_to_dict,
-    emit_outputs,
+    emit_real,
+    emit_results_table,
+    emit_study,
     run_real_analysis,
     run_synthetic_experiment,
     run_threshold_study,
@@ -88,11 +90,11 @@ def _experiment_config(args) -> ExperimentConfig:
         d["sample_sizes"] = [int(x) for x in args.sizes.split(",")]
     if args.replications is not None:
         d["replications"] = args.replications
-    if args.eta is not None:
+    if getattr(args, "eta", None) is not None:  # synthetic only
         d["eta"] = args.eta
     if args.mode is not None:
         d["dn_mode"] = args.mode
-    if args.estimators:
+    if getattr(args, "estimators", None):  # synthetic only
         d["estimators"] = args.estimators.split(",")
     if args.seed is not None:
         d["master_seed"] = args.seed
@@ -104,15 +106,13 @@ def _add_experiment_flags(parser) -> None:
     parser.add_argument("--dims", help="comma list of dimensions")
     parser.add_argument("--sizes", help="comma list of sample sizes (pairs with dims)")
     parser.add_argument("--replications", type=int)
-    parser.add_argument("--eta", type=float)
     parser.add_argument("--mode", choices=("difference", "xor", "union"))
-    parser.add_argument("--estimators", help="comma subset of bnet,dnet")
 
 
 def _cmd_synthetic(args) -> int:
     cfg = _experiment_config(args)
     table = run_synthetic_experiment(cfg, threads=args.threads)
-    emit_outputs(table, args.out, config_to_dict(cfg))
+    emit_results_table(table, cfg, args.out)
     print(f"wrote {os.path.join(args.out, 'results.csv')}")
     return 0
 
@@ -120,7 +120,7 @@ def _cmd_synthetic(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = _experiment_config(args)
     studies = run_threshold_study(cfg, threads=args.threads)
-    emit_outputs(studies, args.out, config_to_dict(cfg))
+    emit_study(studies, cfg, args.out)
     for st in studies:
         for rule, rs in st.rules.items():
             print(
@@ -139,7 +139,7 @@ def _cmd_real(args) -> int:
     d["gibbs"] = _gibbs_section(d, args)
     cfg = config_from_dict(d, real=True)
     result = run_real_analysis(cfg)
-    emit_outputs(result, args.out, config_to_dict(cfg))
+    emit_real(result, cfg, args.out)
     print(
         f"groups {result.group_names} sizes {result.group_sizes}; "
         f"Box's M p-value {result.box_m_p_value:.4g}; "
@@ -179,6 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_syn = sub.add_parser("synthetic", help="synthetic loss/score benchmark")
     _add_common(p_syn)
     _add_experiment_flags(p_syn)
+    # the threshold study scans eta over its grid and runs no estimator
+    p_syn.add_argument("--eta", type=float)
+    p_syn.add_argument("--estimators", help="comma subset of bnet,dnet")
     p_syn.set_defaults(fn=_cmd_synthetic)
 
     p_sweep = sub.add_parser("sweep", help="threshold study over the eta grid")

@@ -10,6 +10,7 @@ processes executed the tasks.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import datetime
 import hashlib
@@ -38,6 +39,7 @@ from .wishart import (
     DEFAULT_GRID,
     RATIO_FLOOR,
     ThresholdReport,
+    best_threshold,
     edge_rule_ratio,
     posterior_partial_corr_mean,
     posterior_spec,
@@ -54,7 +56,9 @@ __all__ = [
     "run_synthetic_experiment",
     "run_threshold_study",
     "run_real_analysis",
-    "emit_outputs",
+    "emit_results_table",
+    "emit_study",
+    "emit_real",
     "config_to_dict",
     "config_from_dict",
 ]
@@ -154,9 +158,6 @@ class ResultsTable:
     """
 
     entries: dict[tuple[str, int, str, str], dict]
-    replications: int
-    master_seed: int
-    seeds: list[list[int]]
 
 
 @dataclass(frozen=True)
@@ -188,37 +189,61 @@ class RealAnalysisResult:
 
 
 def task_seeds(
-    master_seed: int,
-    structure_index: int,
-    dim_index: int,
-    replication: int,
-    count: int = 6,
+    master_seed: int, structure_index: int, dim_index: int, replication: int
 ) -> list[int]:
-    """Derive ``count`` independent 63-bit seeds for one task.
+    """Derive the six independent 63-bit seeds of one task.
 
     The spawn key is ``(structure_index, dim_index, replication)``, so
     tasks get pairwise distinct streams (see :func:`spawn_seeds`).
     """
-    return spawn_seeds(master_seed, count, (structure_index, dim_index, replication))
+    return spawn_seeds(master_seed, 6, (structure_index, dim_index, replication))
 
 
-def _structure_spec(kind: str, dim: int, seed: int) -> StructureSpec:
-    return StructureSpec(kind, dim, seed=seed)
+def _tasks(cfg: ExperimentConfig) -> list[tuple]:
+    """Every (structure, dim, replication) task of a run, in output order."""
+    return [
+        (cfg, si, di, rep)
+        for si in range(len(cfg.structures))
+        for di in range(len(cfg.dims))
+        for rep in range(cfg.replications)
+    ]
 
 
-def _synthetic_task(args) -> dict:
-    cfg, si, structure, di, p, n, rep = args
-    s_struct, s_x1, s_x2, s_chain, _, _ = task_seeds(cfg.master_seed, si, di, rep)
-    pair = make_structure(_structure_spec(structure, p, s_struct))
-    x1 = sample_gaussian(pair.theta1, n, seed=s_x1)
-    x2 = sample_gaussian(pair.theta2, n, seed=s_x2)
+def _manifest_seeds(cfg: ExperimentConfig) -> list[list[int]]:
+    return [task_seeds(cfg.master_seed, si, di, rep) for _, si, di, rep in _tasks(cfg)]
+
+
+def _task_data(task):
+    """One task's seeds, model pair and the two samples drawn from it."""
+    cfg, si, di, rep = task
+    seeds = task_seeds(cfg.master_seed, si, di, rep)
+    n = cfg.sample_sizes[di]
+    pair = make_structure(StructureSpec(cfg.structures[si], cfg.dims[di], seed=seeds[0]))
+    x1 = sample_gaussian(pair.theta1, n, seed=seeds[1])
+    x2 = sample_gaussian(pair.theta2, n, seed=seeds[2])
+    return seeds, pair, x1, x2
+
+
+def _groups(cfg: ExperimentConfig, results: list):
+    """Yield (structure, p, n, per-replication results) in task order."""
+    reps = cfg.replications
+    k = 0
+    for structure in cfg.structures:
+        for p, n in zip(cfg.dims, cfg.sample_sizes):
+            yield structure, p, n, results[k : k + reps]
+            k += reps
+
+
+def _synthetic_task(task) -> dict:
+    cfg = task[0]
+    seeds, pair, x1, x2 = _task_data(task)
     out: dict[str, dict[str, float]] = {}
     for est in cfg.estimators:
         if est == "bnet":
             dn = estimate_bnet(
                 x1,
                 x2,
-                replace(cfg.gibbs, seed=s_chain),
+                replace(cfg.gibbs, seed=seeds[3]),
                 cfg.eta,
                 mode=cfg.dn_mode,
                 wishart_draws=cfg.wishart_draws,
@@ -279,15 +304,8 @@ def run_synthetic_experiment(cfg: ExperimentConfig, threads: int = 1) -> Results
     estimate against the true difference and the graph against the true
     support.  Medians and spreads aggregate over replications.
     """
-    argslist = []
-    seeds_used: list[list[int]] = []
-    for si, structure in enumerate(cfg.structures):
-        for di, (p, n) in enumerate(zip(cfg.dims, cfg.sample_sizes)):
-            for rep in range(cfg.replications):
-                argslist.append((cfg, si, structure, di, p, n, rep))
-                seeds_used.append(task_seeds(cfg.master_seed, si, di, rep))
     try:
-        results = _run_tasks(_synthetic_task, argslist, threads)
+        results = _run_tasks(_synthetic_task, _tasks(cfg), threads)
     except Exception as err:
         raise RuntimeError(f"synthetic experiment failed: {err}") from err
 
@@ -295,26 +313,18 @@ def run_synthetic_experiment(cfg: ExperimentConfig, threads: int = 1) -> Results
     boot_rng = np.random.default_rng(
         np.random.SeedSequence(entropy=cfg.master_seed, spawn_key=(0xB007,))
     )
-    for si, structure in enumerate(cfg.structures):
-        for di, (p, n) in enumerate(zip(cfg.dims, cfg.sample_sizes)):
-            base = (si * len(cfg.dims) + di) * cfg.replications
-            per_rep = results[base : base + cfg.replications]
-            for est in cfg.estimators:
-                for metric in LOSS_METRICS + SCORE_METRICS:
-                    values = np.array([r[est][metric] for r in per_rep], dtype=float)
-                    entries[(structure, p, est, metric)] = {
-                        "n": n,
-                        "values": values,
-                        "median": _median(values),
-                        "se_mad": _se_mad(values),
-                        "se_boot": _se_boot(values, boot_rng),
-                    }
-    return ResultsTable(
-        entries=entries,
-        replications=cfg.replications,
-        master_seed=cfg.master_seed,
-        seeds=seeds_used,
-    )
+    for structure, p, n, per_rep in _groups(cfg, results):
+        for est in cfg.estimators:
+            for metric in LOSS_METRICS + SCORE_METRICS:
+                values = np.array([r[est][metric] for r in per_rep], dtype=float)
+                entries[(structure, p, est, metric)] = {
+                    "n": n,
+                    "values": values,
+                    "median": _median(values),
+                    "se_mad": _se_mad(values),
+                    "se_boot": _se_boot(values, boot_rng),
+                }
+    return ResultsTable(entries=entries)
 
 
 def _ratio_difference_adjacency(rho1, rho2, eg1, eg2, eta, mode):
@@ -329,12 +339,10 @@ def _ratio_difference_adjacency(rho1, rho2, eg1, eg2, eta, mode):
     return a1 ^ a2 if mode == "xor" else a1 | a2
 
 
-def _study_task(args) -> dict:
-    cfg, si, structure, di, p, n, rep = args
-    s_struct, s_x1, s_x2, s_chain, s_w1, s_w2 = task_seeds(cfg.master_seed, si, di, rep)
-    pair = make_structure(_structure_spec(structure, p, s_struct))
-    x1 = sample_gaussian(pair.theta1, n, seed=s_x1)
-    x2 = sample_gaussian(pair.theta2, n, seed=s_x2)
+def _study_task(task) -> dict[str, ThresholdReport]:
+    cfg = task[0]
+    (_, _, _, s_chain, s_w1, s_w2), pair, x1, x2 = _task_data(task)
+    n = x1.shape[0]
     scatter1 = mirror_lower(x1.T @ x1)
     scatter2 = mirror_lower(x2.T @ x2)
     eh1 = posterior_partial_corr_mean(
@@ -366,15 +374,7 @@ def _study_task(args) -> dict:
             lambda eta: _ratio_difference_adjacency(rho1, rho2, eg1, eg2, eta, cfg.dn_mode),
             grid,
         )
-    return {
-        rule: {
-            "sparsity_error": rep_.sparsity_error,
-            "mcc": rep_.mcc,
-            "best_eta": rep_.best_eta,
-            "best_mcc": rep_.best_mcc,
-        }
-        for rule, rep_ in reports.items()
-    }
+    return reports
 
 
 def run_threshold_study(cfg: ExperimentConfig, threads: int = 1) -> list[StudyResult]:
@@ -385,38 +385,24 @@ def run_threshold_study(cfg: ExperimentConfig, threads: int = 1) -> list[StudyRe
     replication's individually best threshold.
     """
     grid = np.asarray(cfg.sweep_grid)
+    results = _run_tasks(_study_task, _tasks(cfg), threads)
     out: list[StudyResult] = []
-    for si, structure in enumerate(cfg.structures):
-        for di, (p, n) in enumerate(zip(cfg.dims, cfg.sample_sizes)):
-            argslist = [
-                (cfg, si, structure, di, p, n, rep) for rep in range(cfg.replications)
-            ]
-            results = _run_tasks(_study_task, argslist, threads)
-            rules: dict[str, RuleStudy] = {}
-            for rule in cfg.rules:
-                sp = np.vstack([r[rule]["sparsity_error"] for r in results])
-                mc = np.vstack([r[rule]["mcc"] for r in results])
-                med_sp = np.median(sp, axis=0)
-                with np.errstate(all="ignore"):
-                    med_mc = np.array(
-                        [_median(mc[:, k]) for k in range(grid.size)]
-                    )
-                best = None
-                for k in range(grid.size):
-                    if np.isnan(med_mc[k]):
-                        continue
-                    if best is None or med_mc[k] > med_mc[best]:
-                        best = k
-                rules[rule] = RuleStudy(
-                    median_sparsity_error=med_sp,
-                    median_mcc=med_mc,
-                    best_eta=float(grid[best]) if best is not None else float(grid[0]),
-                    best_mcc=float(med_mc[best]) if best is not None else float("nan"),
-                    per_rep_best_eta=[float(r[rule]["best_eta"]) for r in results],
-                )
-            out.append(
-                StudyResult(structure=structure, dim=p, sample_size=n, grid=grid, rules=rules)
+    for structure, p, n, per_rep in _groups(cfg, results):
+        rules: dict[str, RuleStudy] = {}
+        for rule in cfg.rules:
+            sp = np.vstack([r[rule].sparsity_error for r in per_rep])
+            mc = np.vstack([r[rule].mcc for r in per_rep])
+            with np.errstate(all="ignore"):
+                med_mc = np.array([_median(mc[:, k]) for k in range(grid.size)])
+            best_eta, best_mcc = best_threshold(grid, med_mc)
+            rules[rule] = RuleStudy(
+                median_sparsity_error=np.median(sp, axis=0),
+                median_mcc=med_mc,
+                best_eta=best_eta,
+                best_mcc=best_mcc,
+                per_rep_best_eta=[r[rule].best_eta for r in per_rep],
             )
+        out.append(StudyResult(structure=structure, dim=p, sample_size=n, grid=grid, rules=rules))
     return out
 
 
@@ -520,9 +506,12 @@ def config_to_dict(cfg) -> dict:
 def config_from_dict(d: dict, real: bool = False):
     """Rebuild an ExperimentConfig (or RealAnalysisConfig) from a dict."""
     d = dict(d)
-    if "gibbs" in d and isinstance(d["gibbs"], dict):
+    for section in ("gibbs", "ista"):
+        if section in d and not isinstance(d[section], dict):
+            raise ValueError(f"config section {section!r} must be an object")
+    if "gibbs" in d:
         d["gibbs"] = GibbsConfig(**d["gibbs"])
-    if "ista" in d and isinstance(d["ista"], dict):
+    if "ista" in d:
         grid = d["ista"].get("penalty_grid")
         if grid is not None:
             d["ista"]["penalty_grid"] = np.asarray(grid, dtype=float)
@@ -561,12 +550,11 @@ def write_manifest(outdir: str, config_dict: dict, seeds: list[list[int]]) -> st
     return digest
 
 
-def emit_results_table(table: ResultsTable, outdir: str) -> str:
-    import csv as _csv
-
-    path = os.path.join(outdir, "results.csv")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
+def emit_results_table(table: ResultsTable, cfg: ExperimentConfig, outdir: str) -> None:
+    """Write results.csv and the manifest (with every task's seeds) to ``outdir``."""
+    os.makedirs(outdir, exist_ok=True)
+    with open(os.path.join(outdir, "results.csv"), "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             ["structure", "p", "n", "estimator", "metric", "median", "se_mad", "se_boot"]
         )
@@ -585,10 +573,11 @@ def emit_results_table(table: ResultsTable, outdir: str) -> str:
                     _fmt(e["se_boot"]),
                 ]
             )
-    return path
+    write_manifest(outdir, config_to_dict(cfg), _manifest_seeds(cfg))
 
 
-def emit_study(studies: list[StudyResult], outdir: str) -> str:
+def emit_study(studies: list[StudyResult], cfg: ExperimentConfig, outdir: str) -> None:
+    """Write threshold_study.json and the manifest (with every task's seeds) to ``outdir``."""
     payload = []
     for st in studies:
         rules = {}
@@ -609,34 +598,25 @@ def emit_study(studies: list[StudyResult], outdir: str) -> str:
                 "rules": rules,
             }
         )
-    path = os.path.join(outdir, "threshold_study.json")
-    _dump_json(payload, path)
-    return path
+    os.makedirs(outdir, exist_ok=True)
+    _dump_json(payload, os.path.join(outdir, "threshold_study.json"))
+    write_manifest(outdir, config_to_dict(cfg), _manifest_seeds(cfg))
 
 
-def emit_real(result: RealAnalysisResult, outdir: str) -> list[str]:
+def emit_real(result: RealAnalysisResult, cfg: RealAnalysisConfig, outdir: str) -> None:
+    """Write the estimated matrices, the edge list, a summary and the manifest to ``outdir``."""
     net = result.network
     cols = result.columns
-    paths = []
-
-    def save(name, matrix):
-        path = os.path.join(outdir, name)
-        write_csv(path, cols, matrix)
-        paths.append(path)
-
-    save("delta_hat.csv", net.delta_hat)
-    save("component_mean_1.csv", net.component_means[0])
-    save("component_mean_2.csv", net.component_means[1])
-    save("adjacency.csv", net.adjacency.astype(float))
-
-    edge_path = os.path.join(outdir, "edges.txt")
-    with open(edge_path, "w", encoding="utf-8") as fh:
+    os.makedirs(outdir, exist_ok=True)
+    write_csv(os.path.join(outdir, "delta_hat.csv"), cols, net.delta_hat)
+    write_csv(os.path.join(outdir, "component_mean_1.csv"), cols, net.component_means[0])
+    write_csv(os.path.join(outdir, "component_mean_2.csv"), cols, net.component_means[1])
+    write_csv(os.path.join(outdir, "adjacency.csv"), cols, net.adjacency.astype(float))
+    with open(os.path.join(outdir, "edges.txt"), "w", encoding="utf-8") as fh:
         iu = np.triu_indices(len(cols), k=1)
         for i, j in zip(*iu):
             if net.adjacency[i, j]:
                 fh.write(f"{i} {j} {cols[i]} {cols[j]} {repr(float(net.delta_hat[i, j]))}\n")
-    paths.append(edge_path)
-
     _dump_json(
         {
             "groups": list(result.group_names),
@@ -649,41 +629,5 @@ def emit_real(result: RealAnalysisResult, outdir: str) -> list[str]:
         },
         os.path.join(outdir, "summary.json"),
     )
-    paths.append(os.path.join(outdir, "summary.json"))
-    return paths
-
-
-def _seeds_from_config_dict(config_dict: dict) -> list[list[int]]:
-    structures = config_dict.get("structures", [])
-    dims = config_dict.get("dims", [])
-    reps = config_dict.get("replications", 0)
-    master = config_dict.get("master_seed", 0)
-    return [
-        task_seeds(master, si, di, rep)
-        for si in range(len(structures))
-        for di in range(len(dims))
-        for rep in range(reps)
-    ]
-
-
-def emit_outputs(results, outdir: str, config_dict: dict | None = None) -> list[str]:
-    """Write whatever ``results`` is (table, study list, or real-analysis
-    result) plus a manifest, and return the written paths."""
-    os.makedirs(outdir, exist_ok=True)
-    paths: list[str] = []
-    seeds: list[list[int]] = []
-    if isinstance(results, ResultsTable):
-        paths.append(emit_results_table(results, outdir))
-        seeds = results.seeds
-    elif isinstance(results, RealAnalysisResult):
-        paths.extend(emit_real(results, outdir))
-    elif isinstance(results, list) and all(isinstance(r, StudyResult) for r in results):
-        paths.append(emit_study(results, outdir))
-        if config_dict is not None:
-            seeds = _seeds_from_config_dict(config_dict)
-    else:
-        raise TypeError(f"cannot emit results of type {type(results)}")
-    if config_dict is not None:
-        write_manifest(outdir, config_dict, seeds)
-        paths.append(os.path.join(outdir, "manifest.json"))
-    return paths
+    # the chain and reference seeds are spawned from cfg.master_seed, which the config holds
+    write_manifest(outdir, config_to_dict(cfg), [])

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .linalg import cholesky_pd, invert_pd, partial_correlation, require_symmetric
-from .metrics import classification_scores, confusion, is_na
+from .metrics import classification_scores, confusion
 
 __all__ = [
     "PRIOR_DOF",
@@ -32,6 +32,7 @@ __all__ = [
     "edge_rule_mean",
     "edge_rule_ratio",
     "threshold_sweep",
+    "best_threshold",
 ]
 
 # Degrees of freedom of the conjugate Wishart prior.
@@ -189,16 +190,20 @@ def threshold_sweep(
         c = confusion(est, truth)
         sparsity[k] = abs((c.tp + c.fp) - true_edges)
         mcc[k] = classification_scores(c).mcc
-    best = None
-    for k in range(grid.size):
-        if is_na(float(mcc[k])):
-            continue
-        if best is None or mcc[k] > mcc[best]:
-            best = k
-    if best is None:
-        best_eta, best_mcc = float(grid[0]), float("nan")
-    else:
-        best_eta, best_mcc = float(grid[best]), float(mcc[best])
+    best_eta, best_mcc = best_threshold(grid, mcc)
     return ThresholdReport(
         grid=grid, sparsity_error=sparsity, mcc=mcc, best_eta=best_eta, best_mcc=best_mcc
     )
+
+
+def best_threshold(grid: np.ndarray, mcc: np.ndarray) -> tuple[float, float]:
+    """The threshold of an increasing ``grid`` with the highest MCC, and that MCC.
+
+    NA MCCs never win and ties go to the smallest threshold; when every
+    MCC is NA the result is ``(grid[0], nan)``.
+    """
+    mcc = np.asarray(mcc, dtype=float)
+    if np.all(np.isnan(mcc)):
+        return float(grid[0]), float("nan")
+    best = int(np.nanargmax(mcc))
+    return float(grid[best]), float(mcc[best])

@@ -23,8 +23,8 @@ from bayesdn.diffnet import dn_adjacency
 from bayesdn.gibbs import GibbsConfig, chain_draws, initial_state, run_chain, update_hyperparameters
 from bayesdn.harness import (
     ExperimentConfig,
-    config_to_dict,
-    emit_outputs,
+    emit_results_table,
+    emit_study,
     run_synthetic_experiment,
     run_threshold_study,
 )
@@ -406,9 +406,9 @@ def test_criterion_10_determinism(tmp_path):
     for threads in (1, 2):
         out = tmp_path / f"t{threads}"
         table = run_synthetic_experiment(cfg, threads=threads)
-        emit_outputs(table, str(out), config_to_dict(cfg))
+        emit_results_table(table, cfg, str(out))
         studies = run_threshold_study(cfg, threads=threads)
-        emit_outputs(studies, str(out), config_to_dict(cfg))
+        emit_study(studies, cfg, str(out))
         digests.append(
             {
                 name: (out / name).read_bytes()

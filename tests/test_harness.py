@@ -13,7 +13,9 @@ from bayesdn.harness import (
     ResultsTable,
     config_from_dict,
     config_to_dict,
-    emit_outputs,
+    emit_real,
+    emit_results_table,
+    emit_study,
     run_real_analysis,
     run_synthetic_experiment,
     run_threshold_study,
@@ -202,8 +204,7 @@ class TestConfigSerialization:
 
 class TestEmit:
     def test_empty_table_header_only(self, tmp_path):
-        table = ResultsTable(entries={}, replications=0, master_seed=0, seeds=[])
-        emit_outputs(table, str(tmp_path), {"master_seed": 0})
+        emit_results_table(ResultsTable(entries={}), TINY, str(tmp_path))
         lines = (tmp_path / "results.csv").read_text().splitlines()
         assert lines == ["structure,p,n,estimator,metric,median,se_mad,se_boot"]
         assert (tmp_path / "manifest.json").exists()
@@ -227,7 +228,7 @@ class TestEmit:
             master_seed=4,
         )
         studies = run_threshold_study(cfg)
-        emit_outputs(studies, str(tmp_path), config_to_dict(cfg))
+        emit_study(studies, cfg, str(tmp_path))
         payload = json.loads((tmp_path / "threshold_study.json").read_text())
         st, rs = studies[0], studies[0].rules["mean"]
         got = payload[0]["rules"]["mean"]
@@ -245,9 +246,39 @@ class TestEmit:
         out1, out2 = tmp_path / "t1", tmp_path / "t2"
         for out, threads in ((out1, 1), (out2, 2)):
             table = run_synthetic_experiment(TINY, threads=threads)
-            emit_outputs(table, str(out), config_to_dict(TINY))
+            emit_results_table(table, TINY, str(out))
         for name in ("results.csv", "manifest.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_multi_group_byte_identical_across_thread_counts(self, tmp_path):
+        cfg = ExperimentConfig(
+            structures=("ar2", "cluster"),
+            dims=(5, 6),
+            sample_sizes=(40, 50),
+            replications=2,
+            gibbs=GibbsConfig(burn_in=10, retained=20),
+            wishart_draws=50,
+            master_seed=17,
+        )
+        names = ("results.csv", "threshold_study.json", "manifest.json")
+        outputs = []
+        for threads in (1, 2):
+            out = tmp_path / f"t{threads}"
+            emit_results_table(run_synthetic_experiment(cfg, threads=threads), cfg, str(out))
+            studies = run_threshold_study(cfg, threads=threads)
+            emit_study(studies, cfg, str(out))
+            assert [(st.structure, st.dim, st.sample_size) for st in studies] == [
+                ("ar2", 5, 40),
+                ("ar2", 6, 50),
+                ("cluster", 5, 40),
+                ("cluster", 6, 50),
+            ]
+            outputs.append({name: (out / name).read_bytes() for name in names})
+        assert outputs[0] == outputs[1]
+        seeds = json.loads(outputs[0]["manifest.json"])["seeds"]
+        assert seeds == [
+            task_seeds(17, si, di, rep) for si in range(2) for di in range(2) for rep in range(2)
+        ]
 
 
 def phase_csv(tmp_path, pair, n1=90, n2=110, identical=False):
@@ -336,7 +367,7 @@ class TestRealAnalysis:
         )
         result = run_real_analysis(cfg)
         outdir = tmp_path / "out"
-        emit_outputs(result, str(outdir), config_to_dict(cfg))
+        emit_real(result, cfg, str(outdir))
         back = read_csv(outdir / "delta_hat.csv")
         np.testing.assert_array_equal(back.rows, result.network.delta_hat)
         summary = json.loads((outdir / "summary.json").read_text())
@@ -386,9 +417,23 @@ class TestCli:
             cfg.write_text(bad)
             for command in ("synthetic", "real"):
                 assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        cfg.write_text('{"ista": 3}')
+        for command in ("synthetic", "sweep"):
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+            assert not out.exists()
         out = tmp_path / "o"
         rc = main(["synthetic", "--dims", "10,10", "--sizes", "100,200", "--out", str(out)])
         assert rc == 2 and not out.exists()
+
+    @pytest.mark.parametrize("flag", [["--eta", "0.9"], ["--estimators", "dnet"]])
+    def test_sweep_rejects_estimator_flags(self, tmp_path, flag):
+        from bayesdn.cli import main
+
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", *flag, "--out", str(out)])
+        assert exc.value.code == 2 and not out.exists()
 
     def test_sample_reads_gibbs_section_with_flags_on_top(self, tmp_path):
         from bayesdn.cli import main

@@ -8,6 +8,7 @@ from bayesdn.metrics import is_na
 from bayesdn.wishart import (
     DEFAULT_GRID,
     WishartSpec,
+    best_threshold,
     edge_rule_mean,
     edge_rule_ratio,
     posterior_partial_corr_mean,
@@ -216,6 +217,13 @@ class TestSweep:
         report = threshold_sweep(truth, lambda eta: empty, np.array([0.3, 0.5]))
         assert report.best_eta == 0.3
         assert is_na(report.best_mcc)
+
+    def test_best_threshold_skips_na_and_breaks_ties_low(self):
+        grid = np.array([0.2, 0.3, 0.4, 0.5])
+        assert best_threshold(grid, np.array([np.nan, 0.5, 0.7, 0.7])) == (0.4, 0.7)
+        assert best_threshold(grid, np.array([-0.1, np.nan, -0.3, np.nan])) == (0.2, -0.1)
+        eta, mcc = best_threshold(grid, np.full(4, np.nan))
+        assert eta == 0.2 and np.isnan(mcc)
 
     def test_sparsity_error_counts_edges(self):
         truth = np.zeros((4, 4), dtype=bool)
