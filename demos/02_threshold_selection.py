@@ -7,8 +7,6 @@ adjacency at each threshold, and prints the sparsity error and MCC
 curves that drive the selection.
 """
 
-import numpy as np
-
 from bayesdn.diffnet import dn_adjacency
 from bayesdn.linalg import mirror_lower
 from bayesdn.structures import StructureSpec, make_structure, sample_gaussian
@@ -19,10 +17,8 @@ pair = make_structure(StructureSpec("ar2", p))
 x1 = sample_gaussian(pair.theta1, n, seed=3)
 x2 = sample_gaussian(pair.theta2, n, seed=4)
 
-partials = []
-for k, x in enumerate((x1, x2)):
-    spec = posterior_spec(mirror_lower(x.T @ x), n)
-    partials.append(posterior_partial_corr_mean(spec, 1000, np.random.default_rng(10 + k)))
+specs = [posterior_spec(mirror_lower(x.T @ x), n) for x in (x1, x2)]
+partials = [posterior_partial_corr_mean(spec) for spec in specs]
 
 report = threshold_sweep(
     pair.true_adjacency,

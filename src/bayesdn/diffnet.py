@@ -72,14 +72,13 @@ def estimate_bnet(
     cfg: GibbsConfig,
     eta: float,
     mode: str = "difference",
-    wishart_draws: int = 1000,
     eps: float = EPSILON,
 ) -> DifferentialNetwork:
     """Estimate the differential network from two samples.
 
-    The two chains and the two per-sample Wishart references take four
-    seeds spawned from ``cfg.seed``, so one seed reproduces the whole
-    estimate and neighbouring seeds share no stream.
+    The two chains take two seeds spawned from ``cfg.seed``, so one seed
+    reproduces the whole estimate and neighbouring seeds share no stream.
+    The Wishart references are exact and need no seed.
     """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
@@ -87,16 +86,13 @@ def estimate_bnet(
         raise ValueError(f"samples must be 2-d with equal width, got {x1.shape} and {x2.shape}")
     if min(x1.shape[0], x2.shape[0]) < 2:
         raise ValueError("each sample needs at least 2 rows")
-    c1, c2, w1, w2 = spawn_seeds(cfg.seed, 4)
 
     means = []
     partials = []
-    for x, chain_seed, ref_seed in ((x1, c1, w1), (x2, c2, w2)):
+    for x, chain_seed in zip((x1, x2), spawn_seeds(cfg.seed, 2)):
         scatter = mirror_lower(x.T @ x)
         means.append(run_chain(scatter, x.shape[0], replace(cfg, seed=chain_seed)).theta_mean)
-        spec = posterior_spec(scatter, x.shape[0], eps=eps)
-        rng = np.random.default_rng(ref_seed)
-        partials.append(posterior_partial_corr_mean(spec, wishart_draws, rng))
+        partials.append(posterior_partial_corr_mean(posterior_spec(scatter, x.shape[0], eps=eps)))
 
     delta_hat = means[1] - means[0]
     adjacency = dn_adjacency((partials[0], partials[1]), eta, mode)

@@ -92,7 +92,6 @@ class ExperimentConfig:
     sweep_grid: tuple[float, ...] = tuple(float(x) for x in DEFAULT_GRID)
     rules: tuple[str, ...] = ("mean",)
     dn_mode: str = "union"
-    wishart_draws: int = 1000
     eps: float = 0.001
     master_seed: int = 0
 
@@ -105,6 +104,8 @@ class ExperimentConfig:
         if len(set(self.dims)) != len(self.dims):
             # results are keyed by (structure, p, ...), so a repeat would overwrite
             raise ValueError(f"repeated dimension in dims {self.dims}; run each (p, n) pair separately")
+        if any(v < 1 for v in (*self.dims, *self.sample_sizes)):
+            raise ValueError("dims and sample_sizes must be >= 1")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         for e in self.estimators:
@@ -136,7 +137,6 @@ class RealAnalysisConfig:
     gibbs: GibbsConfig = GibbsConfig()
     eta: float = 0.3
     dn_mode: str = "difference"
-    wishart_draws: int = 1000
     eps: float = 0.001
     master_seed: int = 0
 
@@ -191,12 +191,13 @@ class RealAnalysisResult:
 def task_seeds(
     master_seed: int, structure_index: int, dim_index: int, replication: int
 ) -> list[int]:
-    """Derive the six independent 63-bit seeds of one task.
+    """Derive the four independent 63-bit seeds of one task.
 
-    The spawn key is ``(structure_index, dim_index, replication)``, so
-    tasks get pairwise distinct streams (see :func:`spawn_seeds`).
+    They seed the model pair, the two samples and the chains.  The spawn
+    key is ``(structure_index, dim_index, replication)``, so tasks get
+    pairwise distinct streams (see :func:`spawn_seeds`).
     """
-    return spawn_seeds(master_seed, 6, (structure_index, dim_index, replication))
+    return spawn_seeds(master_seed, 4, (structure_index, dim_index, replication))
 
 
 def _tasks(cfg: ExperimentConfig) -> list[tuple]:
@@ -246,7 +247,6 @@ def _synthetic_task(task) -> dict:
                 replace(cfg.gibbs, seed=seeds[3]),
                 cfg.eta,
                 mode=cfg.dn_mode,
-                wishart_draws=cfg.wishart_draws,
                 eps=cfg.eps,
             )
             delta, adj = dn.delta_hat, dn.adjacency
@@ -341,16 +341,12 @@ def _ratio_difference_adjacency(rho1, rho2, eg1, eg2, eta, mode):
 
 def _study_task(task) -> dict[str, ThresholdReport]:
     cfg = task[0]
-    (_, _, _, s_chain, s_w1, s_w2), pair, x1, x2 = _task_data(task)
+    (_, _, _, s_chain), pair, x1, x2 = _task_data(task)
     n = x1.shape[0]
     scatter1 = mirror_lower(x1.T @ x1)
     scatter2 = mirror_lower(x2.T @ x2)
-    eh1 = posterior_partial_corr_mean(
-        posterior_spec(scatter1, n, cfg.eps), cfg.wishart_draws, np.random.default_rng(s_w1)
-    )
-    eh2 = posterior_partial_corr_mean(
-        posterior_spec(scatter2, n, cfg.eps), cfg.wishart_draws, np.random.default_rng(s_w2)
-    )
+    eh1 = posterior_partial_corr_mean(posterior_spec(scatter1, n, cfg.eps))
+    eh2 = posterior_partial_corr_mean(posterior_spec(scatter2, n, cfg.eps))
     grid = np.asarray(cfg.sweep_grid)
     reports: dict[str, ThresholdReport] = {}
     if "mean" in cfg.rules:
@@ -360,15 +356,11 @@ def _study_task(task) -> dict[str, ThresholdReport]:
             grid,
         )
     if "ratio" in cfg.rules:
-        c1, c2, g1, g2 = spawn_seeds(s_chain, 4)
+        c1, c2 = spawn_seeds(s_chain, 2)
         rho1 = run_chain(scatter1, n, replace(cfg.gibbs, seed=c1)).partial_mean
         rho2 = run_chain(scatter2, n, replace(cfg.gibbs, seed=c2)).partial_mean
-        eg1 = posterior_partial_corr_mean(
-            posterior_spec(scatter1, n, 1.0), cfg.wishart_draws, np.random.default_rng(g1)
-        )
-        eg2 = posterior_partial_corr_mean(
-            posterior_spec(scatter2, n, 1.0), cfg.wishart_draws, np.random.default_rng(g2)
-        )
+        eg1 = posterior_partial_corr_mean(posterior_spec(scatter1, n, 1.0))
+        eg2 = posterior_partial_corr_mean(posterior_spec(scatter2, n, 1.0))
         reports["ratio"] = threshold_sweep(
             pair.true_adjacency,
             lambda eta: _ratio_difference_adjacency(rho1, rho2, eg1, eg2, eta, cfg.dn_mode),
@@ -466,7 +458,6 @@ def run_real_analysis(cfg: RealAnalysisConfig) -> RealAnalysisResult:
         replace(cfg.gibbs, seed=cfg.master_seed),
         cfg.eta,
         mode=cfg.dn_mode,
-        wishart_draws=cfg.wishart_draws,
         eps=cfg.eps,
     )
     cov1 = mirror_lower((t1 - t1.mean(axis=0)).T @ (t1 - t1.mean(axis=0)) / (t1.shape[0] - 1))
@@ -629,5 +620,5 @@ def emit_real(result: RealAnalysisResult, cfg: RealAnalysisConfig, outdir: str) 
         },
         os.path.join(outdir, "summary.json"),
     )
-    # the chain and reference seeds are spawned from cfg.master_seed, which the config holds
+    # the chain seeds are spawned from cfg.master_seed, which the config holds
     write_manifest(outdir, config_to_dict(cfg), [])

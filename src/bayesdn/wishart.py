@@ -1,12 +1,16 @@
 """Wishart-calibrated edge thresholds for graph structure determination.
 
-A conjugate Wishart posterior over the precision matrix supplies Monte
-Carlo estimates of the posterior mean partial correlation matrix.  Edges
-are then declared either because that mean is large in absolute value
-(:func:`edge_rule_mean`) or because the sampler's own partial correlation
-estimate is large relative to the Wishart reference
-(:func:`edge_rule_ratio`).  :func:`threshold_sweep` scans a grid of
-thresholds and scores each candidate against a known truth.
+A conjugate Wishart posterior over the precision matrix is the reference
+for every Bayesian edge decision.  Its mean partial correlation matrix is
+computed exactly, with no sampling: each entry depends only on a 2x2
+principal block of the precision matrix, that block is itself Wishart
+(Muirhead 1982, Thm 3.2.10), and the mean of its correlation is a closed
+form (Olkin & Pratt 1958).  Edges are then declared either because that
+mean is large in absolute value (:func:`edge_rule_mean`) or because the
+sampler's own partial correlation estimate is large relative to the
+Wishart reference (:func:`edge_rule_ratio`).  :func:`threshold_sweep`
+scans a grid of thresholds and scores each candidate against a known
+truth.
 """
 
 from __future__ import annotations
@@ -15,8 +19,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.special import gammaln, hyp2f1
 
-from .linalg import cholesky_pd, invert_pd, partial_correlation, require_symmetric
+from .linalg import cholesky_pd, invert_pd, require_symmetric
 from .metrics import classification_scores, confusion
 
 __all__ = [
@@ -27,7 +32,6 @@ __all__ = [
     "WishartSpec",
     "ThresholdReport",
     "posterior_spec",
-    "sample_wishart",
     "posterior_partial_corr_mean",
     "edge_rule_mean",
     "edge_rule_ratio",
@@ -45,17 +49,21 @@ RATIO_FLOOR = 1e-8
 # Threshold candidates: 0.2 to 0.6 in steps of 0.02.
 DEFAULT_GRID = np.linspace(0.2, 0.6, 21)
 
-# Draws per block when a step over a draw stack is vectorized: the
-# Bartlett products ``lower @ a`` and the partial correlations of the
-# Wishart mean.  Each block is a small temporary next to the stack itself.
-# The mean still adds the block's matrices one at a time, in draw order,
-# so it is the same to the bit as a loop over single draws.
-_BLOCK = 32
+# From this third parameter c on, 2F1(1/2, 1/2; c; z) is summed as its
+# power series: each term is below (k + 1) / (c + k) times the last, so 30
+# terms reach double precision for every z in [0, 1].  scipy's hyp2f1
+# overflows there near z = 1 (inf or nan for c >= 100 and z > 0.9).
+_SERIES_MIN_C = 50.0
+_SERIES_TERMS = 30
 
 
 @dataclass(frozen=True)
 class WishartSpec:
-    """Degrees of freedom and scale matrix of a Wishart distribution."""
+    """Degrees of freedom and scale matrix of a Wishart distribution.
+
+    Only the 2x2 marginals are ever used, so any ``dof > 1`` is valid,
+    including ``dof`` below the dimension.
+    """
 
     dof: float
     scale: np.ndarray
@@ -63,8 +71,8 @@ class WishartSpec:
     def __post_init__(self):
         scale = require_symmetric(self.scale, "scale")
         object.__setattr__(self, "scale", scale)
-        if self.dof < scale.shape[0]:
-            raise ValueError(f"dof {self.dof} below dimension {scale.shape[0]}")
+        if not self.dof > 1:
+            raise ValueError(f"dof must exceed 1, got {self.dof}")
         cholesky_pd(scale)
 
     @property
@@ -97,41 +105,43 @@ def posterior_spec(scatter: np.ndarray, n: int, eps: float = EPSILON) -> Wishart
     return WishartSpec(dof=PRIOR_DOF + n, scale=invert_pd(scatter + eps * np.eye(p)))
 
 
-def sample_wishart(spec: WishartSpec, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``count`` Wishart matrices by the Bartlett decomposition.
+def _hyp2f1_half_half(c: float, z: np.ndarray) -> np.ndarray:
+    """2F1(1/2, 1/2; c; z) for c > 1 and every z in [0, 1]."""
+    if c < _SERIES_MIN_C:
+        return hyp2f1(0.5, 0.5, c, z)
+    term = np.ones_like(z)
+    total = np.ones_like(z)
+    for k in range(_SERIES_TERMS):
+        term *= z * ((k + 0.5) ** 2 / ((c + k) * (k + 1)))
+        total += term
+    return total
 
-    Returns an array of shape ``(count, p, p)``; every draw is symmetric
-    positive definite.  The products ``lower @ a`` are formed block by
-    block into the Bartlett factors' own storage, so at most two
-    ``(count, p, p)`` stacks are alive at once: the factors and the draws.
+
+def posterior_partial_corr_mean(spec: WishartSpec) -> np.ndarray:
+    """Exact entrywise mean of the partial correlation matrix under ``spec``.
+
+    For Theta ~ W_p(nu, Psi), rho_ij = -theta_ij / sqrt(theta_ii theta_jj)
+    depends only on the 2x2 block of (i, j), which is W_2(nu, Psi block).
+    Its mean is minus the mean of a sample correlation with population
+    value r = psi_ij / sqrt(psi_ii psi_jj) and nu degrees of freedom:
+
+        E[rho_ij] = -r G(nu) 2F1(1/2, 1/2; nu/2 + 1; r^2),
+        G(nu) = Gamma((nu + 1)/2)^2 / (Gamma(nu/2) Gamma(nu/2 + 1)).
+
+    The factor G 2F1 rises with r^2 to exactly 1 at |r| = 1; it is capped
+    there so that rounding never lifts |E[rho_ij]| above |r|.  The diagonal
+    is exactly 1 and is not evaluated.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    p = spec.dim
-    lower = cholesky_pd(spec.scale).lower
-    a = np.zeros((count, p, p))
-    tril = np.tril_indices(p, k=-1)
-    a[:, tril[0], tril[1]] = rng.standard_normal((count, p * (p - 1) // 2))
-    dof_seq = spec.dof - np.arange(p)
-    diag = np.sqrt(rng.chisquare(dof_seq, size=(count, p)))
-    idx = np.arange(p)
-    a[:, idx, idx] = diag
-    for start in range(0, count, _BLOCK):
-        a[start : start + _BLOCK] = lower @ a[start : start + _BLOCK]
-    return a @ np.transpose(a, (0, 2, 1))
-
-
-def posterior_partial_corr_mean(
-    spec: WishartSpec, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Entrywise mean of the partial correlation matrix over Wishart draws."""
-    draws = sample_wishart(spec, count, rng)
-    acc = np.zeros((spec.dim, spec.dim))
-    for start in range(0, count, _BLOCK):
-        for rho in partial_correlation(draws[start : start + _BLOCK]):
-            acc += rho
-    acc /= count
-    return acc
+    nu = spec.dof
+    d = np.sqrt(np.diag(spec.scale))
+    i, j = np.triu_indices(spec.dim, k=1)
+    r = np.clip(spec.scale[i, j] / (d[i] * d[j]), -1.0, 1.0)
+    log_g = 2.0 * gammaln((nu + 1.0) / 2.0) - gammaln(nu / 2.0) - gammaln(nu / 2.0 + 1.0)
+    shrink = np.minimum(np.exp(log_g) * _hyp2f1_half_half(nu / 2.0 + 1.0, r * r), 1.0)
+    out = np.eye(spec.dim)
+    out[i, j] = -r * shrink
+    out[j, i] = out[i, j]
+    return out
 
 
 def edge_rule_mean(eh: np.ndarray, eta: float) -> np.ndarray:

@@ -3,8 +3,9 @@
 Everything here recomputes expected values by routes disjoint from the
 library code under test: tensor quadrature for the 2x2 posterior,
 characteristic-polynomial root finding for eigenvalues, plain loops for
-matrix norms, and a Gibbs column update that factorizes and inverts the
-Theta block instead of reading the sampler's carried inverse.
+matrix norms, a Gibbs column update that factorizes and inverts the
+Theta block instead of reading the sampler's carried inverse, and
+Bartlett draws for the exact Wishart partial-correlation mean.
 """
 
 import numpy as np
@@ -76,6 +77,24 @@ def reference_update_column(state, col, rng):
     state.theta[col, rest] = beta
     state.theta[col, col] = gamma + beta @ inv11 @ beta
     return state
+
+
+def bartlett_wishart(dof, scale, count, rng):
+    """``count`` draws of W_p(dof, scale) by the Bartlett decomposition.
+
+    Each draw is L A A^T L^T, with L the lower Cholesky factor of ``scale``
+    and A lower triangular: standard normals below the diagonal and
+    sqrt(chi2(dof - i)) on it.  Needs dof > p - 1.  Returns an array of
+    shape ``(count, p, p)``.
+    """
+    p = scale.shape[0]
+    a = np.zeros((count, p, p))
+    tril = np.tril_indices(p, k=-1)
+    a[:, tril[0], tril[1]] = rng.standard_normal((count, p * (p - 1) // 2))
+    idx = np.arange(p)
+    a[:, idx, idx] = np.sqrt(rng.chisquare(dof - idx, size=(count, p)))
+    la = cholesky(scale, lower=True) @ a
+    return la @ np.transpose(la, (0, 2, 1))
 
 
 def charpoly_eigenvalues(m):

@@ -358,11 +358,9 @@ def test_criterion_9_null_model():
         x1 = sample_gaussian(np.eye(10), 200, seed=1000 + seed)
         x2 = sample_gaussian(np.eye(10), 200, seed=2000 + seed)
         partials = []
-        for k, x in enumerate((x1, x2)):
+        for x in (x1, x2):
             spec = posterior_spec(mirror_lower(x.T @ x), 200)
-            partials.append(
-                posterior_partial_corr_mean(spec, 1000, np.random.default_rng(3000 + 2 * seed + k))
-            )
+            partials.append(posterior_partial_corr_mean(spec))
         for mode in empty_hits:
             if not dn_adjacency((partials[0], partials[1]), 0.3, mode=mode).any():
                 empty_hits[mode] += 1
@@ -399,7 +397,6 @@ def test_criterion_10_determinism(tmp_path):
         sample_sizes=(40,),
         replications=2,
         gibbs=GibbsConfig(burn_in=40, retained=80),
-        wishart_draws=100,
         master_seed=99,
     )
     digests = []

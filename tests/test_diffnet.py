@@ -13,10 +13,10 @@ from bayesdn.wishart import posterior_partial_corr_mean, posterior_spec
 FAST = GibbsConfig(burn_in=150, retained=300, seed=0)
 
 
-def wishart_partials(x, seed, eps=0.001):
+def wishart_partials(x, eps=0.001):
     scatter = mirror_lower(x.T @ x)
     spec = posterior_spec(scatter, x.shape[0], eps=eps)
-    return posterior_partial_corr_mean(spec, 1000, np.random.default_rng(seed))
+    return posterior_partial_corr_mean(spec)
 
 
 class TestAdjacency:
@@ -71,8 +71,8 @@ class TestAdjacency:
         pair = make_structure(StructureSpec("cluster", 10))
         x1 = sample_gaussian(pair.theta1, 200, seed=2)
         x2 = sample_gaussian(pair.theta2, 200, seed=3)
-        eh1 = wishart_partials(x1, seed=4)
-        eh2 = wishart_partials(x2, seed=5)
+        eh1 = wishart_partials(x1)
+        eh2 = wishart_partials(x2)
         adj = dn_adjacency((eh1, eh2), 0.3, mode="difference")
         mcc = classification_scores(confusion(adj, pair.true_adjacency)).mcc
         assert mcc > 0.5
@@ -93,18 +93,14 @@ class TestEstimate:
         pair = make_structure(StructureSpec("ar2", 6))
         x1 = sample_gaussian(pair.theta1, 60, seed=7)
         x2 = sample_gaussian(pair.theta2, 60, seed=8)
-        dn = estimate_bnet(x1, x2, FAST, eta=0.3, wishart_draws=200)
-        c1, c2, w1, w2 = spawn_seeds(FAST.seed, 4)
-        for x, mean, partial, c, w in zip(
-            (x1, x2), dn.component_means, dn.component_partials, (c1, c2), (w1, w2)
-        ):
+        dn = estimate_bnet(x1, x2, FAST, eta=0.3)
+        c1, c2 = spawn_seeds(FAST.seed, 2)
+        for x, mean, partial, c in zip((x1, x2), dn.component_means, dn.component_partials, (c1, c2)):
             scatter = mirror_lower(x.T @ x)
             chain = run_chain(scatter, x.shape[0], replace(FAST, seed=c))
             np.testing.assert_array_equal(mean, chain.theta_mean)
             spec = posterior_spec(scatter, x.shape[0])
-            np.testing.assert_array_equal(
-                partial, posterior_partial_corr_mean(spec, 200, np.random.default_rng(w))
-            )
+            np.testing.assert_array_equal(partial, posterior_partial_corr_mean(spec))
 
     def test_component_means_consistency(self):
         pair = make_structure(StructureSpec("ar1", 5))
@@ -121,8 +117,8 @@ class TestEstimate:
         for seed in (20, 21):
             x1 = sample_gaussian(np.eye(8), 200, seed=seed)
             x2 = sample_gaussian(np.eye(8), 200, seed=seed + 100)
-            eh1 = wishart_partials(x1, seed=seed + 200)
-            eh2 = wishart_partials(x2, seed=seed + 300)
+            eh1 = wishart_partials(x1)
+            eh2 = wishart_partials(x2)
             for mode in ("difference", "union"):
                 assert not dn_adjacency((eh1, eh2), 0.3, mode=mode).any()
 

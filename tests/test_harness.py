@@ -30,7 +30,6 @@ TINY = ExperimentConfig(
     sample_sizes=(40,),
     replications=2,
     gibbs=GibbsConfig(burn_in=40, retained=80),
-    wishart_draws=100,
     master_seed=7,
 )
 
@@ -70,16 +69,16 @@ class TestSyntheticExperiment:
             assert e["values"].size == 2
             assert e["n"] == 40
 
-    def test_error_context(self):
-        bad = ExperimentConfig(
-            structures=("ar2",),
-            dims=(6,),
-            sample_sizes=(0,),
-            replications=1,
-            gibbs=GibbsConfig(burn_in=1, retained=1),
+    def test_error_context(self, monkeypatch):
+        def broken(x1, x2, cfg):
+            raise ValueError("solver broke down")
+
+        monkeypatch.setattr(harness, "estimate_dnet", broken)
+        cfg = ExperimentConfig(
+            structures=("ar2",), dims=(6,), sample_sizes=(40,), replications=1, estimators=("dnet",)
         )
-        with pytest.raises(RuntimeError):
-            run_synthetic_experiment(bad)
+        with pytest.raises(RuntimeError, match="synthetic experiment failed: solver broke down"):
+            run_synthetic_experiment(cfg)
 
     def test_mock_estimator_scores_perfectly(self, monkeypatch):
         cfg = TINY
@@ -148,7 +147,6 @@ class TestThresholdStudy:
             replications=2,
             estimators=("bnet",),
             gibbs=GibbsConfig(burn_in=10, retained=20),
-            wishart_draws=200,
             master_seed=1,
         )
         studies = run_threshold_study(cfg)
@@ -167,7 +165,6 @@ class TestThresholdStudy:
             replications=1,
             rules=("mean", "ratio"),
             gibbs=GibbsConfig(burn_in=30, retained=60),
-            wishart_draws=100,
             master_seed=2,
         )
         studies = run_threshold_study(cfg)
@@ -198,6 +195,9 @@ class TestConfigSerialization:
         with pytest.raises(ValueError, match="repeated"):
             # results are keyed by dimension, so a second n at p=10 would overwrite the first
             ExperimentConfig(dims=(10, 10), sample_sizes=(100, 200))
+        for dims, sizes in (((6,), (0,)), ((0,), (40,)), ((6, 8), (40, -1))):
+            with pytest.raises(ValueError, match=">= 1"):
+                ExperimentConfig(dims=dims, sample_sizes=sizes)
         with pytest.raises(ValueError):
             RealAnalysisConfig(csv_path="x.csv")  # neither split style
 
@@ -224,7 +224,6 @@ class TestEmit:
             sample_sizes=(60,),
             replications=1,
             gibbs=GibbsConfig(burn_in=10, retained=20),
-            wishart_draws=100,
             master_seed=4,
         )
         studies = run_threshold_study(cfg)
@@ -257,7 +256,6 @@ class TestEmit:
             sample_sizes=(40, 50),
             replications=2,
             gibbs=GibbsConfig(burn_in=10, retained=20),
-            wishart_draws=50,
             master_seed=17,
         )
         names = ("results.csv", "threshold_study.json", "manifest.json")
@@ -302,7 +300,6 @@ class TestRealAnalysis:
             date_column="date",
             boundaries=(boundary,),
             gibbs=GibbsConfig(burn_in=50, retained=100),
-            wishart_draws=500,
             dn_mode="difference",
             master_seed=9,
         )
@@ -346,7 +343,6 @@ class TestRealAnalysis:
             csv_path=str(path),
             class_column="label",
             gibbs=GibbsConfig(burn_in=40, retained=80),
-            wishart_draws=200,
             master_seed=12,
         )
         result = run_real_analysis(cfg)
@@ -362,7 +358,6 @@ class TestRealAnalysis:
             date_column="date",
             boundaries=(boundary,),
             gibbs=GibbsConfig(burn_in=30, retained=60),
-            wishart_draws=200,
             master_seed=11,
         )
         result = run_real_analysis(cfg)
@@ -425,6 +420,28 @@ class TestCli:
         out = tmp_path / "o"
         rc = main(["synthetic", "--dims", "10,10", "--sizes", "100,200", "--out", str(out)])
         assert rc == 2 and not out.exists()
+        for flags in (["--dims", "6", "--sizes", "0"], ["--dims", "0", "--sizes", "40"]):
+            for command in ("synthetic", "sweep"):
+                assert main([command, *flags, "--out", str(out)]) == 2 and not out.exists()
+
+    def test_synthetic_accepts_fewer_samples_than_dimensions(self, tmp_path):
+        import csv
+
+        from bayesdn.cli import main
+
+        out = tmp_path / "o"
+        rc = main(["synthetic", "--structures", "ar2", "--dims", "30", "--sizes", "20",
+                   "--replications", "1", "--estimators", "bnet", "--seed", "5",
+                   "--out", str(out), "--config", str(_tiny_cli_config(tmp_path))])
+        assert rc == 0
+        with open(out / "results.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {(r["p"], r["n"]) for r in rows} == {("30", "20")}
+        for r in rows:
+            if r["metric"] in harness.LOSS_METRICS:
+                assert np.isfinite(float(r["median"])), r
+            else:  # a score is NA only when its denominator class is empty
+                assert r["median"] == "NA" or np.isfinite(float(r["median"])), r
 
     @pytest.mark.parametrize("flag", [["--eta", "0.9"], ["--estimators", "dnet"]])
     def test_sweep_rejects_estimator_flags(self, tmp_path, flag):
@@ -469,7 +486,5 @@ def _tiny_cli_config(tmp_path):
     import json as _json
 
     path = tmp_path / "tiny.json"
-    path.write_text(
-        _json.dumps({"gibbs": {"burn_in": 20, "retained": 40}, "wishart_draws": 100})
-    )
+    path.write_text(_json.dumps({"gibbs": {"burn_in": 20, "retained": 40}}))
     return path

@@ -1,23 +1,34 @@
-import tracemalloc
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import hyp2f1
 
-from bayesdn.linalg import cholesky_pd, invert_pd, partial_correlation
+from bayesdn.linalg import cholesky_pd, invert_pd
 from bayesdn.metrics import is_na
 from bayesdn.wishart import (
     DEFAULT_GRID,
     WishartSpec,
+    _hyp2f1_half_half,
     best_threshold,
     edge_rule_mean,
     edge_rule_ratio,
     posterior_partial_corr_mean,
     posterior_spec,
-    sample_wishart,
     threshold_sweep,
 )
 
-from helpers import random_pd
+from helpers import bartlett_wishart, random_pd
+
+
+def oracle_partials(spec, count, seed):
+    """Partial correlation matrices of ``count`` Bartlett draws from ``spec``."""
+    draws = bartlett_wishart(spec.dof, spec.scale, count, np.random.default_rng(seed))
+    d = np.sqrt(np.diagonal(draws, axis1=1, axis2=2))
+    rho = -draws / (d[:, :, None] * d[:, None, :])
+    idx = np.arange(spec.dim)
+    rho[:, idx, idx] = 1.0
+    return rho
 
 
 class TestSpec:
@@ -30,9 +41,12 @@ class TestSpec:
             spec.scale, invert_pd(scatter + 0.001 * np.eye(4)), atol=1e-12
         )
 
-    def test_dof_below_dim_rejected(self):
-        with pytest.raises(ValueError):
-            WishartSpec(dof=2.0, scale=np.eye(3))
+    def test_dof_at_most_one_rejected(self):
+        for dof in (1.0, 0.5, -3.0, float("nan")):
+            with pytest.raises(ValueError):
+                WishartSpec(dof=dof, scale=np.eye(3))
+        # only the 2x2 marginals are used, so dof below the dimension is valid
+        assert WishartSpec(dof=2.0, scale=np.eye(3)).dim == 3
 
     def test_scale_must_be_pd(self):
         with pytest.raises(Exception):
@@ -40,9 +54,10 @@ class TestSpec:
 
 
 class TestSampling:
+    """The Bartlett oracle itself, so that agreeing with it means something."""
+
     def test_draws_pd(self):
-        spec = WishartSpec(dof=3.0, scale=np.eye(2))
-        draws = sample_wishart(spec, 50, np.random.default_rng(1))
+        draws = bartlett_wishart(3.0, np.eye(2), 50, np.random.default_rng(1))
         assert draws.shape == (50, 2, 2)
         for w in draws:
             cholesky_pd(np.tril(w) + np.tril(w, -1).T)
@@ -50,8 +65,7 @@ class TestSampling:
     def test_mean_matches_dof_times_scale(self):
         rng = np.random.default_rng(2)
         scale = random_pd(3, rng, jitter=4) / 4.0
-        spec = WishartSpec(dof=7.0, scale=scale)
-        draws = sample_wishart(spec, 100_000, rng)
+        draws = bartlett_wishart(7.0, scale, 100_000, rng)
         mean = draws.mean(axis=0)
         rel = np.linalg.norm(mean - 7.0 * scale, "fro") / np.linalg.norm(7.0 * scale, "fro")
         assert rel < 0.01
@@ -60,79 +74,97 @@ class TestSampling:
         rng = np.random.default_rng(3)
         scatter = random_pd(3, rng, jitter=60) * 10
         spec = posterior_spec(scatter, n=100)
-        draws = sample_wishart(spec, 60_000, rng)
+        draws = bartlett_wishart(spec.dof, spec.scale, 60_000, rng)
         expected = 103.0 * spec.scale
         rel = np.linalg.norm(draws.mean(axis=0) - expected, "fro") / np.linalg.norm(expected, "fro")
         assert rel < 0.02
 
-    def test_monte_carlo_error_shrinks(self):
-        rng = np.random.default_rng(4)
-        spec = WishartSpec(dof=5.0, scale=np.eye(3))
-        expected = 5.0 * np.eye(3)
 
-        def err(count, seed):
-            draws = sample_wishart(spec, count, np.random.default_rng(seed))
-            return np.linalg.norm(draws.mean(axis=0) - expected, "fro")
-
-        small = np.median([err(200, s) for s in range(5)])
-        large = np.median([err(20_000, s) for s in range(5)])
-        assert large < small
-
-    def test_blocked_products_match_bartlett_formula_bitwise(self):
-        # 70 draws span two full blocks and a partial one
-        rng = np.random.default_rng(4)
-        spec = WishartSpec(dof=9.0, scale=random_pd(5, rng, jitter=5) / 5.0)
-        got = sample_wishart(spec, 70, np.random.default_rng(5))
-        ref_rng = np.random.default_rng(5)
-        p, count = 5, 70
-        a = np.zeros((count, p, p))
-        tril = np.tril_indices(p, k=-1)
-        a[:, tril[0], tril[1]] = ref_rng.standard_normal((count, p * (p - 1) // 2))
-        a[:, np.arange(p), np.arange(p)] = np.sqrt(
-            ref_rng.chisquare(spec.dof - np.arange(p), size=(count, p))
-        )
-        la = cholesky_pd(spec.scale).lower @ a
-        np.testing.assert_array_equal(got, la @ np.transpose(la, (0, 2, 1)))
-
-    def test_peak_memory_below_two_and_a_half_stacks(self):
-        spec = WishartSpec(dof=40.0, scale=np.eye(30))
-        count = 300
-        stack_bytes = count * 30 * 30 * 8
-        tracemalloc.start()
-        try:
-            sample_wishart(spec, count, np.random.default_rng(6))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.5 * stack_bytes
-
-    def test_invalid_count(self):
-        with pytest.raises(ValueError):
-            sample_wishart(WishartSpec(3.0, np.eye(2)), 0, np.random.default_rng(0))
+def random_scale(p, split, jitter, seed):
+    """A PD scale that is block diagonal up to a permutation, so some entries are 0."""
+    rng = np.random.default_rng(seed)
+    scale = np.zeros((p, p))
+    scale[:split, :split] = random_pd(split, rng, jitter)
+    scale[split:, split:] = random_pd(p - split, rng, jitter)
+    perm = rng.permutation(p)
+    return scale[np.ix_(perm, perm)]
 
 
 class TestPartialCorrMean:
     def test_isotropic_off_diagonals_near_zero(self):
         spec = WishartSpec(dof=500.0, scale=np.eye(4) / 500.0)
-        m = posterior_partial_corr_mean(spec, 4000, np.random.default_rng(5))
+        m = posterior_partial_corr_mean(spec)
         off = ~np.eye(4, dtype=bool)
         assert np.abs(m[off]).max() < 0.05
         assert np.all(np.diag(m) == 1.0)
 
-    def test_single_draw_equals_partial_correlation(self):
-        spec = WishartSpec(dof=9.0, scale=np.eye(3))
-        draw = sample_wishart(spec, 1, np.random.default_rng(6))[0]
-        m = posterior_partial_corr_mean(spec, 1, np.random.default_rng(6))
-        sym = np.tril(draw) + np.tril(draw, -1).T
-        np.testing.assert_allclose(m, partial_correlation(sym), atol=1e-12)
-
     def test_self_consistency_across_counts(self):
+        # the oracle's mean converges to the exact mean as draws are added
         rng = np.random.default_rng(7)
         scatter = random_pd(5, rng, jitter=40) * 20
         spec = posterior_spec(scatter, n=200)
-        m_small = posterior_partial_corr_mean(spec, 1000, np.random.default_rng(8))
-        m_large = posterior_partial_corr_mean(spec, 10_000, np.random.default_rng(9))
-        assert np.abs(m_small - m_large).max() < 0.02
+        exact = posterior_partial_corr_mean(spec)
+        small = np.abs(oracle_partials(spec, 1000, 8).mean(axis=0) - exact).max()
+        large = np.abs(oracle_partials(spec, 10_000, 9).mean(axis=0) - exact).max()
+        assert large < small < 0.02
+
+    @pytest.mark.parametrize("case", ["p5-nu7", "p10-n100"])
+    def test_matches_bartlett_oracle(self, case):
+        rng = np.random.default_rng(11)
+        if case == "p5-nu7":
+            spec = WishartSpec(dof=7.0, scale=random_pd(5, rng, jitter=1.0) / 5.0)
+        else:
+            x = rng.standard_normal((100, 10)) @ random_pd(10, rng, jitter=2.0)
+            spec = posterior_spec(x.T @ x, n=100)
+        count = 40_000
+        rho = oracle_partials(spec, count, 12)
+        se = rho.std(axis=0, ddof=1) / np.sqrt(count)
+        exact = posterior_partial_corr_mean(spec)
+        off = ~np.eye(spec.dim, dtype=bool)
+        assert np.all(np.abs(exact - rho.mean(axis=0))[off] <= 5.0 * se[off])
+        # the entries are not all near 0, so the comparison has teeth
+        assert np.abs(exact[off]).max() > 0.2
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p=st.integers(2, 6),
+        split=st.integers(1, 5),
+        jitter=st.floats(1e-3, 10.0),
+        dof=st.floats(1.0, 500.0, exclude_min=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_exact_mean_properties(self, p, split, jitter, dof, seed):
+        scale = random_scale(p, min(split, p - 1), jitter, seed)
+        m = posterior_partial_corr_mean(WishartSpec(dof=dof, scale=scale))
+        d = np.sqrt(np.diag(scale))
+        r = scale / np.outer(d, d)
+        off = ~np.eye(p, dtype=bool)
+        assert np.all(np.isfinite(m))
+        np.testing.assert_array_equal(m, m.T)
+        assert np.all(np.diag(m) == 1.0)
+        assert np.all(np.sign(m[off]) == -np.sign(r[off]))
+        assert np.all(np.abs(m[off]) <= np.abs(r[off]))
+        assert np.all(m[off][scale[off] == 0.0] == 0.0)
+        # the mean approaches -r at rate 1/dof
+        for nu in (dof, 100.0 * dof):
+            m_nu = posterior_partial_corr_mean(WishartSpec(dof=nu, scale=scale))
+            assert np.all(np.abs(m_nu + r)[off] <= np.abs(r[off]) / nu + 1e-12)
+
+    def test_series_matches_scipy_where_scipy_is_stable(self):
+        z = np.linspace(0.0, 0.9, 91)
+        for dof in (97.0, 98.0, 150.0, 400.0):
+            c = dof / 2.0 + 1.0
+            np.testing.assert_allclose(
+                _hyp2f1_half_half(c, z), hyp2f1(0.5, 0.5, c, z), rtol=1e-14
+            )
+
+    def test_near_unit_correlation_at_large_dof(self):
+        # scipy's hyp2f1 gives inf or nan here (c >= 100, z > 0.9)
+        r = 0.999999
+        scale = np.array([[1.0, r], [r, 1.0]])
+        for dof in (300.0, 1503.0, 1e5):
+            m = posterior_partial_corr_mean(WishartSpec(dof=dof, scale=scale))
+            assert np.isfinite(m[0, 1]) and -r <= m[0, 1] < -r * (1.0 - 1.0 / dof)
 
 
 class TestEdgeRules:
