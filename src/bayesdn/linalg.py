@@ -151,7 +151,7 @@ def partial_correlation(theta: np.ndarray) -> np.ndarray:
     ``rho[i, j] = -theta[i, j] / sqrt(theta[i, i] * theta[j, j])`` off the
     diagonal, with unit diagonal.  A stack of shape ``(..., p, p)`` is
     handled matrix by matrix.  Positive definiteness is not re-checked:
-    callers pass sampler or Wishart draws, which are PD by construction.
+    callers pass sampler draws, which are PD by construction.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.ndim < 2 or theta.shape[-1] != theta.shape[-2]:

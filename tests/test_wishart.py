@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import hyp2f1
 
-from bayesdn.linalg import cholesky_pd, invert_pd
+from bayesdn.linalg import cholesky_pd, invert_pd, partial_correlation
 from bayesdn.metrics import is_na
 from bayesdn.wishart import (
     DEFAULT_GRID,
@@ -24,11 +24,7 @@ from helpers import bartlett_wishart, random_pd
 def oracle_partials(spec, count, seed):
     """Partial correlation matrices of ``count`` Bartlett draws from ``spec``."""
     draws = bartlett_wishart(spec.dof, spec.scale, count, np.random.default_rng(seed))
-    d = np.sqrt(np.diagonal(draws, axis1=1, axis2=2))
-    rho = -draws / (d[:, :, None] * d[:, None, :])
-    idx = np.arange(spec.dim)
-    rho[:, idx, idx] = 1.0
-    return rho
+    return partial_correlation(draws)
 
 
 class TestSpec:
