@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,71 @@ class TestSolver:
     def test_invalid_lambda(self):
         with pytest.raises(ValueError):
             ista_solve(np.eye(2), np.eye(2), 0.0)
+
+    def test_invalid_start(self):
+        with pytest.raises(ValueError):
+            ista_solve(np.eye(3), np.eye(3), 0.1, start=np.zeros((2, 2)))
+        with pytest.raises(ValueError):
+            ista_solve(np.eye(2), np.eye(2), 0.1, start=np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_start_at_solution_takes_no_iteration(self):
+        rng = np.random.default_rng(13)
+        s1, s2 = random_pd(5, rng), random_pd(5, rng)
+        res = ista_solve(s1, s2, 0.05)
+        again = ista_solve(s1, s2, 0.05, start=res.delta)
+        assert again.converged and again.iterations == 0
+        np.testing.assert_array_equal(again.delta, res.delta)
+
+
+def star_pair_covariances():
+    """The p = 30 star pair at n = 200, where cold-started plain ISTA
+    left 8 of the 20 default penalties at ``max_iters``."""
+    pair = make_structure(StructureSpec("star", 30, seed=1))
+    x1 = sample_gaussian(pair.theta1, 200, seed=101)
+    x2 = sample_gaussian(pair.theta2, 200, seed=201)
+    return mirror_lower(x1.T @ x1 / 200), mirror_lower(x2.T @ x2 / 200)
+
+
+class TestPath:
+    def test_star_pair_converges_and_matches_cold_starts(self):
+        s1, s2 = star_pair_covariances()
+        path = solve_path(s1, s2, 200, 200)
+        assert all(res.converged for res in path.results)
+        for k in (0, 7, 14):
+            cold = ista_solve(s1, s2, float(path.lambdas[k]))
+            assert path.results[k].objective == pytest.approx(cold.objective, rel=1e-8)
+
+    def test_carried_product(self):
+        # loss and gradient come from the carried S1 D S2; monotonicity
+        # rests on the accept rule, not on the step size
+        s1, s2 = star_pair_covariances()
+        for res in solve_path(s1, s2, 200, 200).results:
+            assert res.loss == pytest.approx(dnet_loss(res.delta, s1, s2), rel=1e-12)
+            assert np.all(np.diff(res.objective_history) <= 0)
+            np.testing.assert_array_equal(res.delta, res.delta.T)
+
+    def test_results_in_grid_order(self):
+        rng = np.random.default_rng(14)
+        s1, s2 = random_pd(4, rng), random_pd(4, rng)
+        grid = np.array([0.05, 0.5, 0.01, 0.2])
+        path = solve_path(s1, s2, 30, 30, IstaConfig(penalty_grid=grid))
+        for lam, res in zip(grid, path.results):
+            cold = ista_solve(s1, s2, float(lam))
+            assert res.objective == pytest.approx(cold.objective, rel=1e-8)
+
+    def test_unconverged_penalties_are_logged(self, caplog):
+        s1, s2 = star_pair_covariances()
+        grid = np.array([0.01, 0.02])
+        with caplog.at_level(logging.WARNING, logger="bayesdn.ista"):
+            path = solve_path(s1, s2, 200, 200, IstaConfig(max_iters=1, penalty_grid=grid))
+        assert not any(res.converged for res in path.results)
+        messages = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(messages) == 2
+        for lam, res, msg in zip(grid[::-1], path.results[::-1], messages):
+            kkt = kkt_residual(res.delta, s1, s2, float(lam))
+            assert f"penalty {lam:.6g}" in msg
+            assert "after 1 iterations" in msg
+            assert f"KKT residual {kkt:.3g}" in msg
 
 
 class TestSelection:
