@@ -131,6 +131,15 @@ class TestSolver:
         with pytest.raises(ValueError):
             ista_solve(np.eye(2), np.eye(2), 0.1, start=np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_stops_at_the_rounding_floor(self):
+        # a tol below double precision is never met, but the solve ends
+        # once a plain step no longer lowers the objective
+        rng = np.random.default_rng(15)
+        s1, s2 = random_pd(5, rng), random_pd(5, rng)
+        res = ista_solve(s1, s2, 0.05, IstaConfig(tol=1e-300, max_iters=100_000))
+        assert not res.converged and res.iterations < 10_000
+        assert kkt_residual(res.delta, s1, s2, 0.05) <= 1e-10
+
     def test_start_at_solution_takes_no_iteration(self):
         rng = np.random.default_rng(13)
         s1, s2 = random_pd(5, rng), random_pd(5, rng)
@@ -153,7 +162,9 @@ class TestPath:
     def test_star_pair_converges_and_matches_cold_starts(self):
         s1, s2 = star_pair_covariances()
         path = solve_path(s1, s2, 200, 200)
-        assert all(res.converged for res in path.results)
+        for lam, res in zip(path.lambdas, path.results):
+            assert res.converged
+            assert kkt_residual(res.delta, s1, s2, lam) <= IstaConfig().tol
         for k in (0, 7, 14):
             cold = ista_solve(s1, s2, float(path.lambdas[k]))
             assert path.results[k].objective == pytest.approx(cold.objective, rel=1e-8)
