@@ -157,15 +157,11 @@ def ista_solve(
     if lam <= 0:
         raise ValueError("lam must be > 0")
     if lipschitz is None:
-        s1 = require_symmetric(s1, "s1")
-        s2 = require_symmetric(s2, "s2")
-        if s1.shape != s2.shape:
-            raise ValueError("dimension mismatch")
+        s1, s2, lipschitz = _checked_pair(s1, s2)
         if start is not None:
             start = require_symmetric(start, "start")
             if start.shape != s1.shape:
                 raise ValueError("start must match the sample matrices")
-        lipschitz = _lipschitz(s1, s2)
     step = 1.0 / lipschitz
     thr = lam * step
     c = s1 - s2
@@ -219,11 +215,16 @@ def ista_solve(
     )
 
 
-def _lipschitz(s1, s2):
+def _checked_pair(s1, s2):
+    """Validate the sample matrices; return them and ``L = eigmax(S1) * eigmax(S2)``."""
+    s1 = require_symmetric(s1, "s1")
+    s2 = require_symmetric(s2, "s2")
+    if s1.shape != s2.shape:
+        raise ValueError("dimension mismatch")
     lip = float(np.linalg.eigvalsh(s1)[-1] * np.linalg.eigvalsh(s2)[-1])
     if lip <= 0:
         raise ValueError("sample matrices must have positive largest eigenvalues")
-    return lip
+    return s1, s2, lip
 
 
 def default_penalty_grid(s1: np.ndarray, s2: np.ndarray, size: int = 20) -> np.ndarray:
@@ -243,11 +244,7 @@ def solve_path(
     starting from the solution of the one before; ``results`` keeps grid
     order.  Every penalty that ends unconverged is logged as a warning.
     """
-    s1 = require_symmetric(s1, "s1")
-    s2 = require_symmetric(s2, "s2")
-    if s1.shape != s2.shape:
-        raise ValueError("dimension mismatch")
-    lip = _lipschitz(s1, s2)
+    s1, s2, lip = _checked_pair(s1, s2)
     grid = cfg.penalty_grid
     if grid is None:
         grid = default_penalty_grid(s1, s2)
