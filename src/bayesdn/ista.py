@@ -135,8 +135,6 @@ def ista_solve(
     lam: float,
     cfg: IstaConfig = IstaConfig(),
     start: np.ndarray | None = None,
-    *,
-    lipschitz: float | None = None,
 ) -> IstaResult:
     """Monotone FISTA with adaptive restart from ``start`` (default the origin).
 
@@ -144,24 +142,26 @@ def ista_solve(
     gradient's Lipschitz constant.  A step is kept only if the penalized
     objective does not rise, so ``objective_history`` never increases.  A
     rejected step restarts the momentum, and so does an accepted one that
-    moves against the momentum (the gradient test of O'Donoghue & Candes);
-    a rejected step from a point without momentum cannot be improved on,
-    so the solve stops there.  The solve converges once the L1 KKT residual
-    of the accepted iterate is at most ``cfg.tol``; a result with
-    ``converged=False`` carries the last accepted iterate.
-
-    ``lipschitz`` is for callers that solve many penalties on one pair, as
-    :func:`solve_path` does: it passes ``L`` and has already checked
-    ``s1``, ``s2`` and ``start``, so those checks are skipped.
+    moves against the momentum (the gradient test of O'Donoghue & Candes).
+    A step that is rejected or does not move counts as a stall; a stall at
+    a point without momentum cannot be improved on, so the solve stops
+    there.  The solve converges once the L1 KKT residual of the accepted
+    iterate is at most ``cfg.tol``; a result with ``converged=False``
+    carries the last accepted iterate.
     """
     if lam <= 0:
         raise ValueError("lam must be > 0")
-    if lipschitz is None:
-        s1, s2, lipschitz = _checked_pair(s1, s2)
-        if start is not None:
-            start = require_symmetric(start, "start")
-            if start.shape != s1.shape:
-                raise ValueError("start must match the sample matrices")
+    s1 = require_symmetric(s1, "s1")
+    s2 = require_symmetric(s2, "s2")
+    if s1.shape != s2.shape:
+        raise ValueError("dimension mismatch")
+    if start is not None:
+        start = require_symmetric(start, "start")
+        if start.shape != s1.shape:
+            raise ValueError("start must match the sample matrices")
+    lipschitz = float(np.linalg.eigvalsh(s1)[-1] * np.linalg.eigvalsh(s2)[-1])
+    if lipschitz <= 0:
+        raise ValueError("sample matrices must have positive largest eigenvalues")
     step = 1.0 / lipschitz
     thr = lam * step
     c = s1 - s2
@@ -185,7 +185,7 @@ def ista_solve(
         # the objective's change, exact for a quadratic loss and summed
         # from small terms, so it keeps its sign near the optimum
         change = 0.5 * float(np.vdot(move, z_grad + g)) + lam * float((abs_z - abs_x).sum())
-        if change <= 0:
+        if change <= 0 and move.any():
             restart = float(np.vdot(y - z, move)) > 0
             x_prev, g_prev = x, g
             x, g, abs_x = z, z_grad, abs_z
@@ -202,7 +202,7 @@ def ista_solve(
         else:
             history.append(history[-1])
             if y is x:
-                break  # a plain step from x failed: nothing left to gain
+                break  # a plain step from x stalled: nothing left to gain
             y, gy, momentum = x, g, 1.0
     loss = 0.5 * float(np.vdot(x, g - c))
     return IstaResult(
@@ -213,18 +213,6 @@ def ista_solve(
         converged=converged,
         objective_history=np.asarray(history),
     )
-
-
-def _checked_pair(s1, s2):
-    """Validate the sample matrices; return them and ``L = eigmax(S1) * eigmax(S2)``."""
-    s1 = require_symmetric(s1, "s1")
-    s2 = require_symmetric(s2, "s2")
-    if s1.shape != s2.shape:
-        raise ValueError("dimension mismatch")
-    lip = float(np.linalg.eigvalsh(s1)[-1] * np.linalg.eigvalsh(s2)[-1])
-    if lip <= 0:
-        raise ValueError("sample matrices must have positive largest eigenvalues")
-    return s1, s2, lip
 
 
 def default_penalty_grid(s1: np.ndarray, s2: np.ndarray, size: int = 20) -> np.ndarray:
@@ -244,7 +232,6 @@ def solve_path(
     starting from the solution of the one before; ``results`` keeps grid
     order.  Every penalty that ends unconverged is logged as a warning.
     """
-    s1, s2, lip = _checked_pair(s1, s2)
     grid = cfg.penalty_grid
     if grid is None:
         grid = default_penalty_grid(s1, s2)
@@ -252,7 +239,7 @@ def solve_path(
     start = None
     for k in np.argsort(-grid, kind="stable"):
         lam = float(grid[k])
-        res = ista_solve(s1, s2, lam, cfg, start, lipschitz=lip)
+        res = ista_solve(s1, s2, lam, cfg, start)
         if not res.converged:
             kkt = _kkt_residual(res.delta, dnet_gradient(res.delta, s1, s2), lam)
             log.warning(

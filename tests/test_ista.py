@@ -133,12 +133,18 @@ class TestSolver:
 
     def test_stops_at_the_rounding_floor(self):
         # a tol below double precision is never met, but the solve ends
-        # once a plain step no longer lowers the objective
-        rng = np.random.default_rng(15)
-        s1, s2 = random_pd(5, rng), random_pd(5, rng)
-        res = ista_solve(s1, s2, 0.05, IstaConfig(tol=1e-300, max_iters=100_000))
-        assert not res.converged and res.iterations < 10_000
-        assert kkt_residual(res.delta, s1, s2, 0.05) <= 1e-10
+        # once a plain step no longer lowers the objective: for seed 15 the
+        # last step is rejected, for seed 11 it does not move
+        cfg = IstaConfig(tol=1e-300, max_iters=100_000)
+        for seed in (15, 11):
+            rng = np.random.default_rng(seed)
+            s1, s2 = random_pd(5, rng), random_pd(5, rng)
+            res = ista_solve(s1, s2, 0.05, cfg)
+            assert not res.converged and res.iterations < 10_000
+            assert kkt_residual(res.delta, s1, s2, 0.05) <= 1e-10
+            # restarted at that numerical fixed point, it stops at once
+            again = ista_solve(s1, s2, 0.05, cfg, start=res.delta)
+            assert again.iterations <= 2
 
     def test_start_at_solution_takes_no_iteration(self):
         rng = np.random.default_rng(13)

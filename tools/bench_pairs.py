@@ -6,9 +6,9 @@ Usage, from the root of a checkout whose change is committed::
         --pairs desk_p10=10,dnet_p30=10,real_p60=3,sweep_p30=3
 
 For each workload and each of its seeds (``--first-seed`` on), it runs
-``python3 perfbench/run.py --trace 0`` once on a temporary clone of
-``--parent`` and once on the working tree; the side that goes first
-alternates from seed to seed.  One traced pair at the first seed follows.
+``python3 perfbench/run.py --trace 0`` for ``BENCHMARK.json``'s
+``run_seconds``, once on a temporary clone of ``--parent`` and once on
+the working tree; the side that goes first alternates from seed to seed.  One traced pair at the first seed follows.
 The ``environment`` line and the final JSON line of every run are written
 to ``BENCH_<short HEAD sha>.json`` at the root, in the order they ran,
 after each run.  The clone goes under ``$TMPDIR`` and is removed at the
@@ -51,7 +51,6 @@ def main() -> int:
     parser.add_argument("--parent", required=True, help="git revision to compare against")
     parser.add_argument("--first-seed", type=int, required=True)
     parser.add_argument("--pairs", required=True, help="workload=count,... untraced pairs")
-    parser.add_argument("--seconds", type=float, default=run_seconds)
     args = parser.parse_args()
     pairs = {name: int(n) for name, n in (kv.split("=") for kv in args.pairs.split(","))}
 
@@ -62,12 +61,12 @@ def main() -> int:
     record = {
         "description": (
             "perfbench/run.py final JSON line and environment block of every run, parent and "
-            f"change, alternating order per seed; {args.seconds:g} s per run; untraced seeds "
+            f"change, alternating order per seed; {run_seconds:g} s per run; untraced seeds "
             f"{', '.join(f'{k} {v}' for k, v in seeds.items())}, and one traced run at seed "
             f"{args.first_seed} per workload and side"
         ),
         "command": f"python3 perfbench/run.py --workload <name> --seed <seed> "
-                   f"--seconds {args.seconds:g} --trace <0|1>",
+                   f"--seconds {run_seconds:g} --trace <0|1>",
         "parent": parent,
         "change": change,
         "runs": [],
@@ -82,7 +81,7 @@ def main() -> int:
             jobs = [(args.first_seed + k, 0) for k in range(n)] + [(args.first_seed, 1)]
             for k, (seed, trace) in enumerate(jobs):
                 for side in ("parent", "change")[:: 1 if k % 2 == 0 else -1]:
-                    run = bench(trees[side], name, seed, trace, args.seconds)
+                    run = bench(trees[side], name, seed, trace, run_seconds)
                     record["runs"].append({"side": side, **run})
                     with open(out, "w", encoding="utf-8") as fh:
                         json.dump(record, fh, indent=1)
