@@ -16,11 +16,15 @@ inherited sweep after sweep.
 Following Wang (2012), the state also carries Sigma = Theta^{-1}.  A column
 update reads Theta11^{-1} = Sigma11 - sigma12 sigma12' / sigma22 from it in
 O(p^2), factors the conditional precision once (one Cholesky per column),
-and refreshes Sigma in O(p^2) from the same block-inverse identity, so a
-sweep costs O(p^3) instead of O(p^4).  Once per sweep :func:`chain_draws`
-re-derives Sigma from Theta with a checked Cholesky inversion, which bounds
-the rounding drift and re-checks that the whole of Theta is positive
-definite.
+and refreshes Sigma in O(p^2) from the same block-inverse identity.  It
+does so at full width: the updated row and column are zeroed and given a
+unit pivot, which decouples them, so every step is a whole-array operation
+or a slice view and no (p-1)x(p-1) block is gathered.  A sweep is p
+Cholesky factorizations of order p - 1, so it costs O(p^4) flops; carrying
+Sigma saves the inversion of the block per column, a constant factor.
+Once per sweep :func:`chain_draws` re-derives Sigma from Theta with a
+checked Cholesky inversion, which bounds the rounding drift and re-checks
+that the whole of Theta is positive definite.
 """
 
 from __future__ import annotations
@@ -161,22 +165,14 @@ def initial_state(scatter: np.ndarray, n: int, config: GibbsConfig) -> SamplerSt
 
 
 class _SweepWorkspace:
-    """Per-chain cache of index arrays so sweeps avoid re-allocating them."""
+    """Per-chain cache of the triangle indices the hyperparameter update writes."""
 
     def __init__(self, p: int):
-        self.rest = [np.r_[0:c, c + 1 : p] for c in range(p)]
-        self.block = [np.ix_(r, r) for r in self.rest]
-        self.diag = np.arange(p - 1)
         self.upper = np.triu_indices(p, k=1)
         self.lower = (self.upper[1], self.upper[0])
 
 
-def update_column(
-    state: SamplerState,
-    col: int,
-    rng: np.random.Generator,
-    _work: _SweepWorkspace | None = None,
-) -> SamplerState:
+def update_column(state: SamplerState, col: int, rng: np.random.Generator) -> SamplerState:
     """Resample row/column ``col`` of Theta from its conditional.
 
     With the column permuted last, the conditional factorizes as
@@ -185,17 +181,18 @@ def update_column(
     C = ((s22 + lam_ii) * Theta11^{-1} + Dtau^{-1})^{-1}.  Theta11^{-1} is
     read from the carried Sigma, and Sigma is refreshed to the new
     Theta^{-1}.  The state is modified in place and returned.
+
+    Every array stays p x p: row and column ``col`` of Theta11^{-1} are
+    zeroed and C^{-1} gets a unit pivot there, so that row decouples and
+    the factor, the solves and the refreshes need no gather of the
+    (p-1)x(p-1) block.  The decoupled entries of beta and u come out
+    exactly zero.
     """
     p = state.dim
     if not 0 <= col < p:
         raise IndexError(f"column {col} out of range for dimension {p}")
-    work = _work if _work is not None else _SweepWorkspace(p)
-    rest = work.rest[col]
-    block = work.block[col]
     sigma = state.sigma
-    s12 = state.scatter[rest, col]
     s22 = float(state.scatter[col, col])
-    tau12 = state.tau[rest, col]
     lam_ii = float(state.lam[col, col])
 
     sigma22 = float(sigma[col, col])
@@ -203,40 +200,48 @@ def update_column(
         raise NotPositiveDefiniteError(
             f"Theta block excluding column {col} lost positive definiteness"
         )
-    w = sigma[rest, col] / math.sqrt(sigma22)
-    inv11 = sigma[block] - np.outer(w, w)
+    w = sigma[:, col] / math.sqrt(sigma22)
+    inv11 = sigma - np.outer(w, w)
+    inv11[col] = 0.0
+    inv11[:, col] = 0.0
 
     # C^{-1} mixes the data scale with 1/tau entries that grow without
     # bound as an entry is shrunk to zero, so it is factored raw: the sum
     # of a PSD matrix and a positive diagonal cannot fail to be PD.  It is
     # symmetric, so its transpose is handed to LAPACK in Fortran order.
     c_inv = (s22 + lam_ii) * inv11
-    c_inv[work.diag, work.diag] += 1.0 / tau12
+    tau12 = state.tau[:, col].copy()
+    tau12[col] = 1.0  # tau's diagonal is zero; 1/1 on a zeroed row is the unit pivot
+    c_diag = c_inv.reshape(-1)[:: p + 1]
+    c_diag += 1.0 / tau12
     lower_c, info = dpotrf(c_inv.T, lower=1, clean=0, overwrite_a=1)
     if info != 0:
         raise NotPositiveDefiniteError(
             f"conditional covariance for column {col} broke down"
         )
+    s12 = state.scatter[:, col].copy()
+    s12[col] = 0.0
     c_s12, _ = dpotrs(lower_c, s12, lower=1)
     z = rng.standard_normal(p - 1)
-    noise, _ = dtrtrs(lower_c, z, lower=1, trans=1)
+    noise, _ = dtrtrs(lower_c, np.concatenate((z[:col], (0.0,), z[col:])), lower=1, trans=1)
     beta = noise - c_s12
 
     gamma = sample_gamma_variate(state.n / 2.0 + 1.0, (s22 + lam_ii) / 2.0, rng)
 
     u = inv11 @ beta
     theta = state.theta
-    theta[rest, col] = beta
-    theta[col, rest] = beta
+    theta[:, col] = beta
+    theta[col] = beta
     theta[col, col] = gamma + float(beta @ u)
 
     # block inverse of the new Theta: its Schur complement is gamma
     root = math.sqrt(gamma)
     v = u / root
-    sigma[block] = inv11 + np.outer(v, v)
+    np.outer(v, v, out=sigma)
+    sigma += inv11
     v /= -root
-    sigma[rest, col] = v
-    sigma[col, rest] = v
+    sigma[:, col] = v
+    sigma[col] = v
     sigma[col, col] = 1.0 / gamma
     return state
 
@@ -293,7 +298,7 @@ def chain_draws(scatter: np.ndarray, n: int, config: GibbsConfig) -> Iterator[np
     for sweep in range(config.burn_in + config.retained):
         try:
             for col in range(p):
-                update_column(state, col, rng, _work=work)
+                update_column(state, col, rng)
             state.sigma = invert_pd(state.theta)
             update_hyperparameters(state, rng, _work=work)
         except NotPositiveDefiniteError as err:

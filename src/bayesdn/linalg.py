@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, get_lapack_funcs
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 __all__ = [
     "NotPositiveDefiniteError",
@@ -77,8 +77,9 @@ def mirror_lower(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    out = np.tril(m)
-    out = out + np.tril(m, -1).T
+    idx = np.arange(m.shape[0])
+    out = np.where(idx[:, None] >= idx, m, m.T)
+    out += 0.0  # -0.0 becomes 0.0, as in tril(m) + tril(m, -1).T
     return out
 
 
@@ -93,6 +94,30 @@ def require_symmetric(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     if not np.array_equal(m, m.T):
         raise ValueError(f"{name} is not symmetric")
     return m
+
+
+def _factor_pd(m: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of ``m``, checked against the pivot floor.
+
+    ``m`` must already be a float array that is exactly symmetric.  The
+    strict upper triangle of the result is zero.
+    """
+    c, info = dpotrf(m, lower=1, clean=1)
+    if info > 0:
+        raise NotPositiveDefiniteError(
+            f"leading minor of order {info} is not positive definite", minor=int(info)
+        )
+    if info < 0:
+        raise ValueError(f"illegal argument {-info} passed to potrf")
+    d = c.diagonal()
+    pivots = d * d
+    floor = PIVOT_RTOL * float(m.diagonal().max())
+    if pivots.min() <= floor:
+        k = int(np.argmax(pivots <= floor))
+        raise NotPositiveDefiniteError(
+            f"pivot {k + 1} ({pivots[k]:.3e}) at or below floor {floor:.3e}", minor=k + 1
+        )
+    return c
 
 
 def cholesky_pd(m: np.ndarray) -> PDFactor:
@@ -113,35 +138,22 @@ def cholesky_pd(m: np.ndarray) -> PDFactor:
         If the factorization breaks down or any pivot falls at or below
         ``PIVOT_RTOL * max(diag(m))``.
     """
-    m = require_symmetric(m)
-    (potrf,) = get_lapack_funcs(("potrf",), (m,))
-    c, info = potrf(m, lower=True, overwrite_a=False, clean=True)
-    if info > 0:
-        raise NotPositiveDefiniteError(
-            f"leading minor of order {info} is not positive definite", minor=int(info)
-        )
-    if info < 0:
-        raise ValueError(f"illegal argument {-info} passed to potrf")
-    d = np.diag(c)
-    floor = PIVOT_RTOL * float(np.max(np.diag(m)))
-    pivots = d * d
-    bad = np.nonzero(pivots <= floor)[0]
-    if bad.size:
-        k = int(bad[0]) + 1
-        raise NotPositiveDefiniteError(
-            f"pivot {k} ({pivots[bad[0]]:.3e}) at or below floor {floor:.3e}", minor=k
-        )
-    logdet = 2.0 * float(np.sum(np.log(d)))
+    c = _factor_pd(require_symmetric(m))
+    logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
     return PDFactor(lower=c, logdet=logdet)
 
 
 def invert_pd(m: np.ndarray) -> np.ndarray:
     """Invert a symmetric positive-definite matrix via its Cholesky factor.
 
-    The result is exactly symmetric (lower triangle mirrored).
+    Checks ``m`` as :func:`cholesky_pd` does, then solves against the
+    identity with LAPACK ``potrs``.  The result is exactly symmetric
+    (lower triangle mirrored).
     """
-    fac = cholesky_pd(m)
-    inv = cho_solve((fac.lower, True), np.eye(m.shape[0]))
+    c = _factor_pd(require_symmetric(m))
+    inv, info = dpotrs(c, np.eye(c.shape[0]), lower=1, overwrite_b=1)
+    if info != 0:
+        raise ValueError(f"illegal argument {-info} passed to potrs")
     return mirror_lower(inv)
 
 

@@ -3,9 +3,11 @@
 Everything here recomputes expected values by routes disjoint from the
 library code under test: tensor quadrature for the 2x2 posterior,
 characteristic-polynomial root finding for eigenvalues, plain loops for
-matrix norms, a Gibbs column update that factorizes and inverts the
-Theta block instead of reading the sampler's carried inverse, and
-Bartlett draws for the exact Wishart partial-correlation mean.
+matrix norms, scipy's checked Cholesky wrappers for the inverse of a
+positive-definite matrix, a Gibbs column update that factorizes and
+inverts the Theta block instead of reading the sampler's carried
+inverse, and Bartlett draws for the exact Wishart partial-correlation
+mean.
 """
 
 import numpy as np
@@ -51,6 +53,18 @@ def random_pd(p, rng, jitter=None):
     a = rng.standard_normal((p, p))
     m = a @ a.T + (jitter if jitter is not None else p) * np.eye(p)
     return np.tril(m) + np.tril(m, -1).T
+
+
+def reference_inverse(m):
+    """Inverse of a positive-definite matrix through scipy's checked wrappers.
+
+    ``cholesky`` and ``cho_solve`` against the identity make the same
+    LAPACK ``potrf``/``potrs`` calls as ``linalg.invert_pd``, so the two
+    agree bit for bit; the lower triangle is mirrored as
+    ``tril(x) + tril(x, -1).T``.
+    """
+    inv = cho_solve((cholesky(m, lower=True), True), np.eye(m.shape[0]))
+    return np.tril(inv) + np.tril(inv, -1).T
 
 
 def reference_update_column(state, col, rng):

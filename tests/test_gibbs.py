@@ -149,14 +149,49 @@ class TestCarriedInverse:
         with pytest.raises(NotPositiveDefiniteError, match="excluding column 2 lost"):
             update_column(state, 2, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("other", [0, 3])
+    def test_unit_pivot_does_not_hide_a_breakdown(self, other):
+        # a negative tau makes C^{-1} indefinite in a row the decoupled
+        # pivot of column 2 does not touch; the state must stay as it was
+        scatter, n = ar1_scatter(p=4, n=50)
+        state = initial_state(scatter, n, GibbsConfig(burn_in=1, retained=1))
+        rng = np.random.default_rng(17)
+        for col in range(4):
+            update_column(state, col, rng)
+        state.tau[other, 2] = state.tau[2, other] = -1e-3
+        theta, sigma = state.theta.copy(), state.sigma.copy()
+        with pytest.raises(NotPositiveDefiniteError, match="for column 2 broke down"):
+            update_column(state, 2, rng)
+        np.testing.assert_array_equal(state.theta, theta)
+        np.testing.assert_array_equal(state.sigma, sigma)
+
+    @pytest.mark.parametrize("p,col", [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
+    def test_small_dimensions_match_reference(self, p, col):
+        theta = 2.0 * np.eye(p) + 0.8 * (np.eye(p, k=1) + np.eye(p, k=-1))
+        x = sample_gaussian(theta, 40, seed=7)
+        scatter, n = mirror_lower(x.T @ x), 40
+        cfg = GibbsConfig(burn_in=1, retained=1)
+        state = initial_state(scatter, n, cfg)
+        rng = np.random.default_rng(18)
+        for _ in range(3):
+            for c in range(p):
+                update_column(state, c, rng)
+            update_hyperparameters(state, rng)
+        ref = initial_state(scatter, n, cfg)
+        ref.theta, ref.tau, ref.lam = state.theta.copy(), state.tau.copy(), state.lam.copy()
+        update_column(state, col, np.random.default_rng(19))
+        reference_update_column(ref, col, np.random.default_rng(19))
+        np.testing.assert_allclose(state.theta, ref.theta, rtol=1e-12)
+        np.testing.assert_allclose(state.sigma @ state.theta, np.eye(p), atol=1e-12)
+
     def test_resync_failure_names_sweep(self, monkeypatch):
         # break Theta after the last column of sweep 2: the per-sweep
         # re-derivation of Sigma must catch it and name the sweep
         scatter, n = ar1_scatter(p=4, n=50)
         calls = []
 
-        def corrupting_update(state, col, rng, _work=None):
-            update_column(state, col, rng, _work=_work)
+        def corrupting_update(state, col, rng):
+            update_column(state, col, rng)
             calls.append(col)
             if len(calls) == 3 * 4:
                 big = 10.0 * np.sqrt(state.theta[0, 0] * state.theta[1, 1])

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bayesdn.linalg import (
+    PIVOT_RTOL,
     NotPositiveDefiniteError,
     cholesky_pd,
     invert_pd,
@@ -12,7 +13,7 @@ from bayesdn.linalg import (
     require_symmetric,
 )
 
-from helpers import random_pd
+from helpers import random_pd, reference_inverse
 
 
 class TestCholesky:
@@ -66,6 +67,39 @@ class TestInvert:
         np.testing.assert_array_equal(inv, inv.T)
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p=st.integers(1, 12),
+        jitter=st.floats(1e-3, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_scipy_reference_bitwise(self, p, jitter, seed):
+        m = random_pd(p, np.random.default_rng(seed), jitter=jitter)
+        inv = invert_pd(m)
+        np.testing.assert_array_equal(inv, reference_inverse(m))
+        np.testing.assert_array_equal(inv, inv.T)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        p=st.integers(2, 12),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_failures_name_the_minor(self, p, data, seed):
+        # decoupling row k - 1 makes its pivot exactly its diagonal entry:
+        # negative breaks the factorization, tiny positive hits the floor
+        k = data.draw(st.integers(1, p))
+        m = random_pd(p, np.random.default_rng(seed))
+        m[k - 1, :] = m[:, k - 1] = 0.0
+        floor = PIVOT_RTOL * np.max(np.diag(m))
+        for pivot in (-1.0, 1e-3 * floor):
+            m[k - 1, k - 1] = pivot
+            for fn in (invert_pd, cholesky_pd):
+                with pytest.raises(NotPositiveDefiniteError) as exc:
+                    fn(m)
+                assert exc.value.minor == k
+
+
 class TestPartialCorrelation:
     def test_identity(self):
         np.testing.assert_array_equal(partial_correlation(np.eye(3)), np.eye(3))
@@ -117,6 +151,14 @@ class TestSymmetryHelpers:
         m = mirror_lower(a)
         np.testing.assert_array_equal(m, m.T)
         np.testing.assert_array_equal(np.tril(m), np.tril(a))
+
+    def test_mirror_lower_adds_zero_like_tril_sum(self):
+        # signed zeros come out as tril(a) + tril(a, -1).T leaves them
+        a = np.array([[-0.0, 1.0, -0.0], [-0.0, 2.0, 3.0], [-1.0, -0.0, np.nan]])
+        got = mirror_lower(a)
+        expected = np.tril(a) + np.tril(a, -1).T
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
+        np.testing.assert_array_equal(got, expected)
 
     def test_require_symmetric_rejects_rectangular(self):
         with pytest.raises(ValueError):
