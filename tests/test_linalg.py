@@ -66,7 +66,6 @@ class TestInvert:
         inv = invert_pd(random_pd(6, rng))
         np.testing.assert_array_equal(inv, inv.T)
 
-
     @settings(max_examples=60, deadline=None)
     @given(
         p=st.integers(1, 12),
