@@ -16,12 +16,16 @@ inherited sweep after sweep.
 Following Wang (2012), the state also carries Sigma = Theta^{-1}.  A column
 update reads Theta11^{-1} = Sigma11 - sigma12 sigma12' / sigma22 from it in
 O(p^2), factors the conditional precision once (one Cholesky per column),
-and refreshes Sigma in O(p^2) from the same block-inverse identity.  It
-does so at full width: the updated row and column are zeroed and given a
-unit pivot, which decouples them, so every step is a whole-array operation
-or a slice view and no (p-1)x(p-1) block is gathered.  A sweep is p
-Cholesky factorizations of order p - 1, so it costs O(p^4) flops; carrying
-Sigma saves the inversion of the block per column, a constant factor.
+draws the off-diagonal column with two triangular solves against that
+factor, and refreshes Sigma in place with two BLAS rank-one updates from
+the same block-inverse identity.  It does so at full width: the updated
+row and column are zeroed and given a unit pivot, which decouples them, so
+every step is a whole-array operation or a slice view and no (p-1)x(p-1)
+block is gathered.  Each sweep draws its p x p normals in one call and its
+p Schur-complement gammas in another (:func:`sweep_draws`), then hands
+each column its share.  A sweep is p Cholesky factorizations of order
+p - 1, so it costs O(p^4) flops; carrying Sigma saves the inversion of
+the block per column, a constant factor.
 Once per sweep :func:`chain_draws` re-derives Sigma from Theta with a
 checked Cholesky inversion, which bounds the rounding drift and re-checks
 that the whole of Theta is positive definite.
@@ -34,7 +38,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
+from scipy.linalg.blas import dger
+from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from .linalg import NotPositiveDefiniteError, invert_pd, partial_correlation, require_symmetric
 
@@ -43,8 +48,8 @@ __all__ = [
     "SamplerState",
     "ChainSummary",
     "spawn_seeds",
-    "sample_gamma_variate",
     "initial_state",
+    "sweep_draws",
     "update_column",
     "update_hyperparameters",
     "chain_draws",
@@ -129,17 +134,6 @@ def spawn_seeds(entropy: int, count: int, key: tuple[int, ...] = ()) -> list[int
     return [int(x >> 1) for x in ss.generate_state(count, np.uint64)]
 
 
-def sample_gamma_variate(shape: float, rate: float, rng: np.random.Generator) -> float:
-    """One gamma draw in the shape-rate parameterization.
-
-    Density proportional to ``x**(shape-1) * exp(-rate*x)``; mean is
-    ``shape/rate``.
-    """
-    if shape <= 0 or rate <= 0:
-        raise ValueError(f"gamma parameters must be positive, got ({shape}, {rate})")
-    return float(rng.gamma(shape, 1.0 / rate))
-
-
 def initial_state(scatter: np.ndarray, n: int, config: GibbsConfig) -> SamplerState:
     """Diffuse start: Theta = I, unit latent scales, unit penalties."""
     scatter = require_symmetric(scatter, "scatter")
@@ -172,45 +166,70 @@ class _SweepWorkspace:
         self.lower = (self.upper[1], self.upper[0])
 
 
-def update_column(state: SamplerState, col: int, rng: np.random.Generator) -> SamplerState:
+def sweep_draws(state: SamplerState, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The normals and Schur-complement gammas of one sweep, in that order.
+
+    Row ``col`` of the ``(p, p)`` normals feeds column ``col``; its entry
+    ``col`` is zeroed, leaving the p - 1 standard normals of the Gaussian
+    draw in place.  Entry ``col`` of the gammas is that column's
+    GA(n/2 + 1, rate (s_ii + lam_ii)/2) Schur complement.  The rate does
+    not depend on Theta or on the off-diagonal penalties, so all p can be
+    drawn before the sweep starts.
+    """
+    p = state.dim
+    z = rng.standard_normal((p, p))
+    z.reshape(-1)[:: p + 1] = 0.0
+    scale = 2.0 / (np.diagonal(state.scatter) + np.diagonal(state.lam))
+    gamma = rng.gamma(state.n / 2.0 + 1.0, scale, size=p)
+    return z, gamma
+
+
+def update_column(state: SamplerState, col: int, z: np.ndarray, gamma: float) -> SamplerState:
     """Resample row/column ``col`` of Theta from its conditional.
 
     With the column permuted last, the conditional factorizes as
     gamma ~ GA(n/2 + 1, (s22 + lam_ii)/2) for the Schur complement and
     beta ~ N(-C s21, C) for the off-diagonal block, where
-    C = ((s22 + lam_ii) * Theta11^{-1} + Dtau^{-1})^{-1}.  Theta11^{-1} is
-    read from the carried Sigma, and Sigma is refreshed to the new
-    Theta^{-1}.  The state is modified in place and returned.
+    C = ((s22 + lam_ii) * Theta11^{-1} + Dtau^{-1})^{-1}.  ``z`` (length
+    p, zero at ``col``) and ``gamma`` are this column's draws from
+    :func:`sweep_draws`.  Theta11^{-1} is read from the carried Sigma, and
+    Sigma is refreshed to the new Theta^{-1}.  The state is modified in
+    place and returned; if a check raises, Theta and Sigma are untouched.
 
-    Every array stays p x p: row and column ``col`` of Theta11^{-1} are
-    zeroed and C^{-1} gets a unit pivot there, so that row decouples and
-    the factor, the solves and the refreshes need no gather of the
-    (p-1)x(p-1) block.  The decoupled entries of beta and u come out
-    exactly zero.
+    Every array stays p x p: row and column ``col`` of C^{-1} are zeroed
+    and given a unit pivot, so that row decouples and the factor and the
+    solves need no gather of the (p-1)x(p-1) block.  The decoupled entry
+    of beta comes out exactly zero.  beta is L^{-T}(z - L^{-1} s21), with
+    L the Cholesky factor of C^{-1}: two triangular solves.  C^{-1} is a
+    scaled copy of Sigma less one rank-one term, and Sigma is refreshed in
+    place by the rank-one updates -w w' and +v v' (BLAS ``dger``); a unit
+    coefficient on a vector with itself keeps Sigma exactly symmetric.
     """
     p = state.dim
     if not 0 <= col < p:
         raise IndexError(f"column {col} out of range for dimension {p}")
     sigma = state.sigma
-    s22 = float(state.scatter[col, col])
-    lam_ii = float(state.lam[col, col])
+    scale = float(state.scatter[col, col] + state.lam[col, col])
 
     sigma22 = float(sigma[col, col])
     if not (sigma22 > 0.0 and math.isfinite(sigma22)):
         raise NotPositiveDefiniteError(
             f"Theta block excluding column {col} lost positive definiteness"
         )
-    w = sigma[:, col] / math.sqrt(sigma22)
-    inv11 = sigma - np.outer(w, w)
-    inv11[col] = 0.0
-    inv11[:, col] = 0.0
+    # Sigma, the scatter and tau are exactly symmetric, so their
+    # contiguous rows stand in for the columns
+    w = sigma[col] / math.sqrt(sigma22)
 
     # C^{-1} mixes the data scale with 1/tau entries that grow without
     # bound as an entry is shrunk to zero, so it is factored raw: the sum
     # of a PSD matrix and a positive diagonal cannot fail to be PD.  It is
-    # symmetric, so its transpose is handed to LAPACK in Fortran order.
-    c_inv = (s22 + lam_ii) * inv11
-    tau12 = state.tau[:, col].copy()
+    # built on a new array, so Sigma is untouched if the factor fails, and
+    # LAPACK reads one triangle of it in Fortran order.
+    c_inv = sigma * scale
+    dger(-scale, w, w, a=c_inv.T, overwrite_a=1)
+    c_inv[col] = 0.0
+    c_inv[:, col] = 0.0
+    tau12 = state.tau[col].copy()
     tau12[col] = 1.0  # tau's diagonal is zero; 1/1 on a zeroed row is the unit pivot
     c_diag = c_inv.reshape(-1)[:: p + 1]
     c_diag += 1.0 / tau12
@@ -219,16 +238,15 @@ def update_column(state: SamplerState, col: int, rng: np.random.Generator) -> Sa
         raise NotPositiveDefiniteError(
             f"conditional covariance for column {col} broke down"
         )
-    s12 = state.scatter[:, col].copy()
+    s12 = state.scatter[col].copy()
     s12[col] = 0.0
-    c_s12, _ = dpotrs(lower_c, s12, lower=1)
-    z = rng.standard_normal(p - 1)
-    noise, _ = dtrtrs(lower_c, np.concatenate((z[:col], (0.0,), z[col:])), lower=1, trans=1)
-    beta = noise - c_s12
+    y, _ = dtrtrs(lower_c, s12, lower=1, overwrite_b=1)
+    np.subtract(z, y, out=y)
+    beta, _ = dtrtrs(lower_c, y, lower=1, trans=1, overwrite_b=1)
 
-    gamma = sample_gamma_variate(state.n / 2.0 + 1.0, (s22 + lam_ii) / 2.0, rng)
-
-    u = inv11 @ beta
+    # u = Theta11^{-1} beta = Sigma beta - w (w' beta); beta[col] is zero
+    u = sigma @ beta
+    u -= float(w @ beta) * w
     theta = state.theta
     theta[:, col] = beta
     theta[col] = beta
@@ -237,8 +255,8 @@ def update_column(state: SamplerState, col: int, rng: np.random.Generator) -> Sa
     # block inverse of the new Theta: its Schur complement is gamma
     root = math.sqrt(gamma)
     v = u / root
-    np.outer(v, v, out=sigma)
-    sigma += inv11
+    sigma_t = dger(-1.0, w, w, a=sigma.T, overwrite_a=1)
+    sigma = state.sigma = dger(1.0, v, v, a=sigma_t, overwrite_a=1).T
     v /= -root
     sigma[:, col] = v
     sigma[col] = v
@@ -285,9 +303,10 @@ def update_hyperparameters(
 def chain_draws(scatter: np.ndarray, n: int, config: GibbsConfig) -> Iterator[np.ndarray]:
     """Run ``burn_in + retained`` full sweeps, yielding Theta after each retained one.
 
-    A full sweep updates every column in order 0..p-1, re-derives Sigma
-    from Theta (checking that Theta is positive definite) and then updates
-    the hyperparameters.  The yielded array is the live state, overwritten
+    A full sweep takes its draws from :func:`sweep_draws`, updates every
+    column in order 0..p-1, re-derives Sigma from Theta (checking that
+    Theta is positive definite) and then updates the hyperparameters.  The
+    Generator is read in that order: normals, gammas, hyperparameters.  The yielded array is the live state, overwritten
     by the next sweep, so copy it to keep it.  Deterministic given
     ``config.seed``.
     """
@@ -297,8 +316,9 @@ def chain_draws(scatter: np.ndarray, n: int, config: GibbsConfig) -> Iterator[np
     work = _SweepWorkspace(p)
     for sweep in range(config.burn_in + config.retained):
         try:
+            z, gamma = sweep_draws(state, rng)
             for col in range(p):
-                update_column(state, col, rng)
+                update_column(state, col, z[col], gamma[col])
             state.sigma = invert_pd(state.theta)
             update_hyperparameters(state, rng, _work=work)
         except NotPositiveDefiniteError as err:

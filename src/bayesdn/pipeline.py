@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import datetime
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -67,8 +68,8 @@ def read_csv(path, date_column: str | None = None) -> Dataset:
     """Parse a headed CSV of numeric columns.
 
     Rows containing any blank cell are dropped and counted.  A non-blank
-    cell that does not parse as a number is an error, as is a row with the
-    wrong number of fields.
+    cell that does not parse as a finite number is an error (``nan`` and
+    ``inf`` included), as is a row with the wrong number of fields.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -101,11 +102,16 @@ def read_csv(path, date_column: str | None = None) -> Dataset:
             for k in value_idx:
                 cell = record[k].strip()
                 try:
-                    values.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise ValueError(
                         f"{path}:{ln}: non-numeric value {cell!r} in column {header[k]!r}"
                     ) from None
+                if not math.isfinite(value):
+                    raise ValueError(
+                        f"{path}:{ln}: non-finite value {cell!r} in column {header[k]!r}"
+                    )
+                values.append(value)
             if date_idx is not None:
                 cell = record[date_idx].strip()
                 try:

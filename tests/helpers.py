@@ -67,13 +67,14 @@ def reference_inverse(m):
     return np.tril(inv) + np.tril(inv, -1).T
 
 
-def reference_update_column(state, col, rng):
+def reference_update_column(state, col, z, gamma):
     """Gibbs column update computed from Theta alone.
 
     Factorizes Theta11, inverts it against the identity and factorizes
-    C^{-1}, drawing from ``rng`` in the sampler's order (the p - 1 normals,
-    then the gamma), so at a common seed it matches ``update_column`` to
-    rounding.  Reads and writes ``state.theta`` only.
+    C^{-1}.  ``z`` (length p; entry ``col`` is ignored) and ``gamma`` are
+    the column's draws, as :func:`bayesdn.gibbs.sweep_draws` hands them to
+    ``update_column``, so with the same draws the two agree to rounding.
+    Reads and writes ``state.theta`` only.
     """
     p = state.theta.shape[0]
     rest = np.r_[0:col, col + 1 : p]
@@ -85,8 +86,7 @@ def reference_update_column(state, col, rng):
     c_inv = (s22 + lam_ii) * inv11 + np.diag(1.0 / state.tau[rest, col])
     lower_c = cholesky(c_inv, lower=True)
     mean = -cho_solve((lower_c, True), s12)
-    beta = mean + solve_triangular(lower_c.T, rng.standard_normal(p - 1), lower=False)
-    gamma = rng.gamma(state.n / 2.0 + 1.0, 1.0 / ((s22 + lam_ii) / 2.0))
+    beta = mean + solve_triangular(lower_c.T, z[rest], lower=False)
     state.theta[rest, col] = beta
     state.theta[col, rest] = beta
     state.theta[col, col] = gamma + beta @ inv11 @ beta

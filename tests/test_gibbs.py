@@ -7,7 +7,7 @@ from bayesdn.gibbs import (
     chain_draws,
     initial_state,
     run_chain,
-    sample_gamma_variate,
+    sweep_draws,
     update_column,
     update_hyperparameters,
 )
@@ -32,19 +32,29 @@ def ar1_scatter(p=10, n=200, seed=7):
     return mirror_lower(x.T @ x), n
 
 
+def column_draws(state, col, rng):
+    """The draws of column ``col``, cut from one sweep's draws."""
+    z, gamma = sweep_draws(state, rng)
+    return z[col], gamma[col]
+
+
 class TestVariates:
     def test_gamma_moments(self):
+        # n = 4, s_ii + lam_ii = 4: every Schur gamma is GA(3, rate 2)
+        state = initial_state(3.0 * np.eye(100), 4, GibbsConfig(burn_in=1, retained=1))
         rng = np.random.default_rng(0)
-        draws = np.array([sample_gamma_variate(3.0, 2.0, rng) for _ in range(200_000)])
+        draws = np.concatenate([sweep_draws(state, rng)[1] for _ in range(2000)])
+        assert draws.size == 200_000
         assert draws.mean() == pytest.approx(1.5, abs=0.01)
         assert draws.var() == pytest.approx(0.75, abs=0.02)
 
-    def test_gamma_invalid(self):
-        rng = np.random.default_rng(1)
-        with pytest.raises(ValueError):
-            sample_gamma_variate(0.0, 1.0, rng)
-        with pytest.raises(ValueError):
-            sample_gamma_variate(1.0, -2.0, rng)
+    def test_sweep_normals_skip_the_diagonal(self):
+        # column col reads row col of the normals; its entry col is no draw
+        state = initial_state(np.eye(6), 10, GibbsConfig(burn_in=1, retained=1))
+        z, gamma = sweep_draws(state, np.random.default_rng(2))
+        assert z.shape == (6, 6) and gamma.shape == (6,)
+        assert np.all(np.diag(z) == 0.0)
+        assert np.count_nonzero(z) == 30
 
 
 class TestColumnUpdate:
@@ -62,7 +72,7 @@ class TestColumnUpdate:
         gammas = []
         for _ in range(20_000):
             state = self.frozen_state()
-            update_column(state, 1, rng)
+            update_column(state, 1, *column_draws(state, 1, rng))
             betas.append(state.theta[0, 1])
             gammas.append(state.theta[1, 1] - state.theta[0, 1] ** 2)
         betas = np.asarray(betas)
@@ -79,7 +89,7 @@ class TestColumnUpdate:
         gammas = []
         for _ in range(20_000):
             state = self.frozen_state(s22=1.2)
-            update_column(state, 1, rng)
+            update_column(state, 1, *column_draws(state, 1, rng))
             gammas.append(state.theta[1, 1] - state.theta[0, 1] ** 2)
         gammas = np.asarray(gammas)
         assert gammas.mean() == pytest.approx(26.0 / 1.1, abs=0.15)
@@ -90,9 +100,9 @@ class TestColumnUpdate:
         state = initial_state(scatter, n, GibbsConfig(burn_in=1, retained=1))
         rng = np.random.default_rng(5)
         for _ in range(3):
-            update_column(state, 2, rng)
+            update_column(state, 2, *column_draws(state, 2, rng))
         before = state.theta.copy()
-        update_column(state, 4, rng)
+        update_column(state, 4, *column_draws(state, 4, rng))
         mask = np.ones((6, 6), dtype=bool)
         mask[4, :] = mask[:, 4] = False
         np.testing.assert_array_equal(state.theta[mask], before[mask])
@@ -102,8 +112,9 @@ class TestColumnUpdate:
         state = initial_state(scatter, n, GibbsConfig(burn_in=1, retained=1))
         rng = np.random.default_rng(6)
         for sweep in range(200):
+            z, gamma = sweep_draws(state, rng)
             for col in range(5):
-                update_column(state, col, rng)
+                update_column(state, col, z[col], gamma[col])
             update_hyperparameters(state, rng)
             cholesky_pd(state.theta)
 
@@ -111,7 +122,7 @@ class TestColumnUpdate:
         scatter, n = ar1_scatter(p=4, n=50)
         state = initial_state(scatter, n, GibbsConfig(burn_in=1, retained=1))
         with pytest.raises(IndexError):
-            update_column(state, 4, np.random.default_rng(0))
+            update_column(state, 4, np.zeros(4), 1.0)
 
 
 class TestCarriedInverse:
@@ -122,8 +133,9 @@ class TestCarriedInverse:
         rng = np.random.default_rng(15)
         worst = 0.0
         for sweep in range(50):
+            z, gamma = sweep_draws(state, rng)
             for col in range(6):
-                update_column(state, col, rng)
+                update_column(state, col, z[col], gamma[col])
                 worst = max(worst, np.abs(state.sigma @ state.theta - np.eye(6)).max())
                 np.testing.assert_array_equal(state.sigma, state.sigma.T)
             update_hyperparameters(state, rng)
@@ -136,8 +148,9 @@ class TestCarriedInverse:
         state = initial_state(scatter, n, cfg)
         rng = np.random.default_rng(cfg.seed)
         for theta in got:
+            z, gamma = sweep_draws(state, rng)
             for col in range(6):
-                reference_update_column(state, col, rng)
+                reference_update_column(state, col, z[col], gamma[col])
             update_hyperparameters(state, rng)
             np.testing.assert_allclose(theta, state.theta, rtol=1e-9)
 
@@ -147,7 +160,7 @@ class TestCarriedInverse:
         state = initial_state(scatter, n, GibbsConfig(burn_in=1, retained=1))
         state.sigma[2, 2] = sigma22
         with pytest.raises(NotPositiveDefiniteError, match="excluding column 2 lost"):
-            update_column(state, 2, np.random.default_rng(0))
+            update_column(state, 2, *column_draws(state, 2, np.random.default_rng(0)))
 
     @pytest.mark.parametrize("other", [0, 3])
     def test_unit_pivot_does_not_hide_a_breakdown(self, other):
@@ -156,12 +169,13 @@ class TestCarriedInverse:
         scatter, n = ar1_scatter(p=4, n=50)
         state = initial_state(scatter, n, GibbsConfig(burn_in=1, retained=1))
         rng = np.random.default_rng(17)
+        z, gamma = sweep_draws(state, rng)
         for col in range(4):
-            update_column(state, col, rng)
+            update_column(state, col, z[col], gamma[col])
         state.tau[other, 2] = state.tau[2, other] = -1e-3
         theta, sigma = state.theta.copy(), state.sigma.copy()
         with pytest.raises(NotPositiveDefiniteError, match="for column 2 broke down"):
-            update_column(state, 2, rng)
+            update_column(state, 2, *column_draws(state, 2, rng))
         np.testing.assert_array_equal(state.theta, theta)
         np.testing.assert_array_equal(state.sigma, sigma)
 
@@ -174,15 +188,38 @@ class TestCarriedInverse:
         state = initial_state(scatter, n, cfg)
         rng = np.random.default_rng(18)
         for _ in range(3):
+            z, gamma = sweep_draws(state, rng)
             for c in range(p):
-                update_column(state, c, rng)
+                update_column(state, c, z[c], gamma[c])
             update_hyperparameters(state, rng)
         ref = initial_state(scatter, n, cfg)
         ref.theta, ref.tau, ref.lam = state.theta.copy(), state.tau.copy(), state.lam.copy()
-        update_column(state, col, np.random.default_rng(19))
-        reference_update_column(ref, col, np.random.default_rng(19))
+        update_column(state, col, *column_draws(state, col, np.random.default_rng(19)))
+        reference_update_column(ref, col, *column_draws(ref, col, np.random.default_rng(19)))
         np.testing.assert_allclose(state.theta, ref.theta, rtol=1e-12)
         np.testing.assert_allclose(state.sigma @ state.theta, np.eye(p), atol=1e-12)
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("p", range(2, 13))
+    def test_same_draws_match_reference(self, p, where):
+        col = {"first": 0, "middle": p // 2, "last": p - 1}[where]
+        theta = 2.0 * np.eye(p) + 0.8 * (np.eye(p, k=1) + np.eye(p, k=-1))
+        x = sample_gaussian(theta, 40, seed=20 + p)
+        scatter, n = mirror_lower(x.T @ x), 40
+        cfg = GibbsConfig(burn_in=1, retained=1)
+        state = initial_state(scatter, n, cfg)
+        rng = np.random.default_rng(21)
+        for _ in range(2):
+            z, gamma = sweep_draws(state, rng)
+            for c in range(p):
+                update_column(state, c, z[c], gamma[c])
+            update_hyperparameters(state, rng)
+        ref = initial_state(scatter, n, cfg)
+        ref.theta, ref.tau, ref.lam = state.theta.copy(), state.tau.copy(), state.lam.copy()
+        z, gamma = sweep_draws(state, rng)
+        update_column(state, col, z[col], gamma[col])
+        reference_update_column(ref, col, z[col], gamma[col])
+        np.testing.assert_allclose(state.theta, ref.theta, rtol=1e-12)
 
     def test_resync_failure_names_sweep(self, monkeypatch):
         # break Theta after the last column of sweep 2: the per-sweep
@@ -190,8 +227,8 @@ class TestCarriedInverse:
         scatter, n = ar1_scatter(p=4, n=50)
         calls = []
 
-        def corrupting_update(state, col, rng):
-            update_column(state, col, rng)
+        def corrupting_update(state, col, z, gamma):
+            update_column(state, col, z, gamma)
             calls.append(col)
             if len(calls) == 3 * 4:
                 big = 10.0 * np.sqrt(state.theta[0, 0] * state.theta[1, 1])
@@ -244,8 +281,9 @@ class TestHyperparameters:
         thetas, lams = [], []
         iu = np.triu_indices(6, k=1)
         for sweep in range(300):
+            z, gamma = sweep_draws(state, rng)
             for col in range(6):
-                update_column(state, col, rng)
+                update_column(state, col, z[col], gamma[col])
             update_hyperparameters(state, rng)
             if sweep >= 50:
                 thetas.append(np.abs(state.theta[iu]))
@@ -269,6 +307,28 @@ class TestChain:
         d2 = [theta.copy() for theta in chain_draws(scatter, n, cfg)]
         assert len(d1) == 60
         np.testing.assert_array_equal(np.stack(d1), np.stack(d2))
+
+    def test_generator_order(self):
+        # sweeps 0 and 1 rebuilt by hand from the chain's Generator: per
+        # sweep, the (p, p) normals, then the p Schur gammas, then the
+        # penalties and the latent scales of the upper triangle
+        scatter, n = ar1_scatter(p=5, n=50)
+        cfg = GibbsConfig(burn_in=0, retained=2, seed=22)
+        got = [theta.copy() for theta in chain_draws(scatter, n, cfg)]
+        state = initial_state(scatter, n, cfg)
+        rng = np.random.default_rng(cfg.seed)
+        iu = np.triu_indices(5, k=1)
+        for theta in got:
+            z = rng.standard_normal((5, 5))
+            gamma = rng.gamma(n / 2 + 1, 2.0 / (np.diag(scatter) + cfg.lambda_diag), size=5)
+            for col in range(5):
+                reference_update_column(state, col, z[col], gamma[col])
+            np.testing.assert_allclose(theta, state.theta, rtol=1e-9)
+            abs_theta = np.abs(state.theta[iu])
+            lam = rng.gamma(1.0 + cfg.r, 1.0 / (abs_theta + cfg.s))
+            delta = rng.wald(lam / np.maximum(abs_theta, cfg.theta_floor), lam**2)
+            state.lam[iu] = state.lam.T[iu] = lam
+            state.tau[iu] = state.tau.T[iu] = 1.0 / delta
 
     def test_retained_draws_pd(self):
         scatter, n = ar1_scatter(p=5, n=50)

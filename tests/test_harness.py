@@ -401,6 +401,17 @@ class TestCli:
         rc = main(["sample", "--csv", str(tmp_path / "absent.csv"), "--out", str(tmp_path)])
         assert rc == 3
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_csv_cell_exit_code(self, tmp_path, capsys, cell):
+        from bayesdn.cli import main
+
+        csv_path = tmp_path / "x.csv"
+        csv_path.write_text(f"a,b,c\n1,2,3\n4,{cell},6\n7,8,9\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["sample", "--csv", str(csv_path), "--out", str(out)]) == 2
+        assert f"x.csv:3: non-finite value '{cell}' in column 'b'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_config_exit_code(self, tmp_path):
         from bayesdn.cli import main
 

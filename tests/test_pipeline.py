@@ -51,6 +51,12 @@ class TestReadCsv:
         with pytest.raises(ValueError, match="non-numeric"):
             read_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell(self, tmp_path, cell):
+        path = make_csv(tmp_path, f"a,b\n1,2\n3,{cell}\n")
+        with pytest.raises(ValueError, match=rf"data.csv:3: non-finite value '{cell}' in column 'b'"):
+            read_csv(path)
+
     def test_ragged_row(self, tmp_path):
         path = make_csv(tmp_path, "a,b\n1,2,3\n")
         with pytest.raises(ValueError, match="fields"):
