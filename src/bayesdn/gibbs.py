@@ -305,10 +305,10 @@ def chain_draws(scatter: np.ndarray, n: int, config: GibbsConfig) -> Iterator[np
 
     A full sweep takes its draws from :func:`sweep_draws`, updates every
     column in order 0..p-1, re-derives Sigma from Theta (checking that
-    Theta is positive definite) and then updates the hyperparameters.  The
-    Generator is read in that order: normals, gammas, hyperparameters.  The yielded array is the live state, overwritten
-    by the next sweep, so copy it to keep it.  Deterministic given
-    ``config.seed``.
+    Theta is positive definite) and then updates the hyperparameters, so
+    the Generator is read for normals, gammas, then hyperparameters.  The
+    yielded array is the live state, overwritten by the next sweep, so
+    copy it to keep it.  Deterministic given ``config.seed``.
     """
     state = initial_state(scatter, n, config)
     rng = np.random.default_rng(config.seed)
