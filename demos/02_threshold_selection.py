@@ -10,19 +10,18 @@ curves that drive the selection.
 from bayesdn.diffnet import dn_adjacency
 from bayesdn.linalg import mirror_lower
 from bayesdn.structures import StructureSpec, make_structure, sample_gaussian
-from bayesdn.wishart import DEFAULT_GRID, posterior_partial_corr_mean, posterior_spec, threshold_sweep
+from bayesdn.wishart import DEFAULT_GRID, posterior_partial_corr_mean, threshold_sweep
 
 p, n = 10, 100
 pair = make_structure(StructureSpec("ar2", p))
 x1 = sample_gaussian(pair.theta1, n, seed=3)
 x2 = sample_gaussian(pair.theta2, n, seed=4)
 
-specs = [posterior_spec(mirror_lower(x.T @ x), n) for x in (x1, x2)]
-partials = [posterior_partial_corr_mean(spec) for spec in specs]
+partials = tuple(posterior_partial_corr_mean(mirror_lower(x.T @ x), n) for x in (x1, x2))
 
 report = threshold_sweep(
     pair.true_adjacency,
-    lambda eta: dn_adjacency((partials[0], partials[1]), eta, mode="union"),
+    lambda eta: dn_adjacency(partials, eta, mode="union"),
     DEFAULT_GRID,
 )
 
@@ -33,5 +32,5 @@ for eta, err, mcc in zip(report.grid, report.sparsity_error, report.mcc):
 
 print(f"\nbest threshold {report.best_eta:.2f} with MCC {report.best_mcc:.3f}")
 print("true edge count:", int(pair.true_adjacency.sum() // 2))
-adj = dn_adjacency((partials[0], partials[1]), report.best_eta, mode="union")
+adj = dn_adjacency(partials, report.best_eta, mode="union")
 print("edges at the best threshold:", int(adj.sum() // 2))

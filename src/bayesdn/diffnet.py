@@ -1,20 +1,25 @@
-"""Two-sample differential network assembly.
+"""Two-sample differential network assembly and the Bayesian edge rules.
 
 Runs one Gibbs chain per sample, takes the difference of the posterior
 mean precision matrices as the point estimate, and thresholds the
 Wishart-reference partial correlations of the two samples into a graph.
 
-Three combination modes turn the per-sample evidence into one edge set:
+:func:`dn_adjacency` is the one place an edge is decided.  Its per-sample
+score is ``|e|`` under the mean rule, or ``|e| / max(|ref|, RATIO_FLOOR)``
+under the ratio rule, where ``ref`` is the wide (eps = 1) Wishart
+reference.  Three combination modes turn the two samples' values into
+one edge set:
 
 ``difference``
-    Edge where the two posterior mean partial correlations differ by more
-    than ``eta``.  Vanishes when the samples carry identical conditional
-    structure, including under the null.
+    Edge where the score of the two samples' difference (``e2 - e1``,
+    over ``ref2 - ref1`` for the ratio rule) exceeds ``eta``.  Vanishes
+    when the samples carry identical conditional structure, including
+    under the null.
 ``xor``
-    Edge where exactly one sample's mean rule fires at ``eta``.
+    Edge where exactly one sample's score exceeds ``eta``.
 ``union``
-    Edge where either sample's mean rule fires at ``eta``.  This tracks
-    the support of the precision difference in designs where both samples
+    Edge where either sample's score exceeds ``eta``.  This tracks the
+    support of the precision difference in designs where both samples
     share a sparsity pattern with unequal magnitudes, which is how the
     synthetic benchmark structures are built.
 """
@@ -27,11 +32,13 @@ import numpy as np
 
 from .gibbs import GibbsConfig, run_chain, spawn_seeds
 from .linalg import mirror_lower
-from .wishart import EPSILON, edge_rule_mean, posterior_partial_corr_mean, posterior_spec
+from .wishart import EPSILON, posterior_partial_corr_mean
 
-__all__ = ["DN_MODES", "DifferentialNetwork", "dn_adjacency", "estimate_bnet"]
+__all__ = ["DN_MODES", "RATIO_FLOOR", "DifferentialNetwork", "dn_adjacency", "estimate_bnet"]
 
 DN_MODES = ("difference", "xor", "union")
+# Denominator floor for the ratio rule.
+RATIO_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -47,22 +54,35 @@ class DifferentialNetwork:
 
 
 def dn_adjacency(
-    component_partials: tuple[np.ndarray, np.ndarray],
+    partials: tuple[np.ndarray, np.ndarray],
     eta: float,
     mode: str = "difference",
+    reference: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Combine two partial-correlation summaries into one edge set."""
+    """Combine two samples' partial correlations into one edge set.
+
+    Without ``reference`` this is the mean rule; with the two samples'
+    wide Wishart references it is the ratio rule.  The diagonal is never
+    an edge.
+    """
     if mode not in DN_MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {DN_MODES}")
-    eh1, eh2 = component_partials
-    if eh1.shape != eh2.shape:
-        raise ValueError("component partials must share dimensions")
-    if mode == "difference":
-        adj = np.abs(eh2 - eh1) > eta
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+    if len({a.shape for a in (*partials, *(reference or ()))}) != 1:
+        raise ValueError("partials and references must share dimensions")
+    e1, e2 = partials
+    ref1, ref2 = (None, None) if reference is None else reference
+
+    def fires(e, ref):
+        score = np.abs(e) if ref is None else np.abs(e) / np.maximum(np.abs(ref), RATIO_FLOOR)
+        adj = score > eta
         np.fill_diagonal(adj, False)
         return adj
-    a1 = edge_rule_mean(eh1, eta)
-    a2 = edge_rule_mean(eh2, eta)
+
+    if mode == "difference":
+        return fires(e2 - e1, None if reference is None else ref2 - ref1)
+    a1, a2 = fires(e1, ref1), fires(e2, ref2)
     return a1 ^ a2 if mode == "xor" else a1 | a2
 
 
@@ -92,10 +112,10 @@ def estimate_bnet(
     for x, chain_seed in zip((x1, x2), spawn_seeds(cfg.seed, 2)):
         scatter = mirror_lower(x.T @ x)
         means.append(run_chain(scatter, x.shape[0], replace(cfg, seed=chain_seed)).theta_mean)
-        partials.append(posterior_partial_corr_mean(posterior_spec(scatter, x.shape[0], eps=eps)))
+        partials.append(posterior_partial_corr_mean(scatter, x.shape[0], eps))
 
     delta_hat = means[1] - means[0]
-    adjacency = dn_adjacency((partials[0], partials[1]), eta, mode)
+    adjacency = dn_adjacency(tuple(partials), eta, mode)
     return DifferentialNetwork(
         delta_hat=delta_hat,
         component_means=(means[0], means[1]),

@@ -139,6 +139,8 @@ def initial_state(scatter: np.ndarray, n: int, config: GibbsConfig) -> SamplerSt
     scatter = require_symmetric(scatter, "scatter")
     if n < 1:
         raise ValueError("n must be >= 1")
+    if not np.all(np.isfinite(scatter)):
+        raise ValueError("scatter is not finite; rescale the data so x.T @ x does not overflow")
     p = scatter.shape[0]
     eigmin = float(np.linalg.eigvalsh(scatter)[0])
     if eigmin < -1e-8 * max(1.0, float(np.max(np.abs(scatter)))):

@@ -37,12 +37,9 @@ from .pipeline import (
 from .structures import KINDS, StructureSpec, make_structure, sample_gaussian
 from .wishart import (
     DEFAULT_GRID,
-    RATIO_FLOOR,
     ThresholdReport,
     best_threshold,
-    edge_rule_ratio,
     posterior_partial_corr_mean,
-    posterior_spec,
     threshold_sweep,
 )
 
@@ -116,6 +113,11 @@ class ExperimentConfig:
                 raise ValueError(f"unknown rule {r!r}")
         if self.dn_mode not in DN_MODES:
             raise ValueError(f"unknown dn_mode {self.dn_mode!r}")
+        if not 0.0 <= self.eta <= 1.0:
+            raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
+        grid = np.asarray(self.sweep_grid, dtype=float)
+        if grid.size == 0 or np.any(np.diff(grid) <= 0) or not np.all((grid >= 0) & (grid <= 1)):
+            raise ValueError("sweep_grid must be non-empty, strictly increasing and within [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -145,6 +147,8 @@ class RealAnalysisConfig:
             raise ValueError("configure exactly one of class_column or boundaries")
         if self.dn_mode not in DN_MODES:
             raise ValueError(f"unknown dn_mode {self.dn_mode!r}")
+        if not 0.0 <= self.eta <= 1.0:
+            raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
 
 
 @dataclass(frozen=True)
@@ -327,44 +331,24 @@ def run_synthetic_experiment(cfg: ExperimentConfig, threads: int = 1) -> Results
     return ResultsTable(entries=entries)
 
 
-def _ratio_difference_adjacency(rho1, rho2, eg1, eg2, eta, mode):
-    if mode == "difference":
-        num = np.abs(rho2 - rho1)
-        den = np.maximum(np.abs(eg2 - eg1), RATIO_FLOOR)
-        adj = num / den > eta
-        np.fill_diagonal(adj, False)
-        return adj
-    a1 = edge_rule_ratio(rho1, eg1, eta)
-    a2 = edge_rule_ratio(rho2, eg2, eta)
-    return a1 ^ a2 if mode == "xor" else a1 | a2
-
-
 def _study_task(task) -> dict[str, ThresholdReport]:
     cfg = task[0]
     (_, _, _, s_chain), pair, x1, x2 = _task_data(task)
     n = x1.shape[0]
-    scatter1 = mirror_lower(x1.T @ x1)
-    scatter2 = mirror_lower(x2.T @ x2)
-    eh1 = posterior_partial_corr_mean(posterior_spec(scatter1, n, cfg.eps))
-    eh2 = posterior_partial_corr_mean(posterior_spec(scatter2, n, cfg.eps))
+    scatters = (mirror_lower(x1.T @ x1), mirror_lower(x2.T @ x2))
     grid = np.asarray(cfg.sweep_grid)
     reports: dict[str, ThresholdReport] = {}
     if "mean" in cfg.rules:
+        eh = tuple(posterior_partial_corr_mean(s, n, cfg.eps) for s in scatters)
         reports["mean"] = threshold_sweep(
-            pair.true_adjacency,
-            lambda eta: dn_adjacency((eh1, eh2), eta, cfg.dn_mode),
-            grid,
+            pair.true_adjacency, lambda eta: dn_adjacency(eh, eta, cfg.dn_mode), grid
         )
     if "ratio" in cfg.rules:
-        c1, c2 = spawn_seeds(s_chain, 2)
-        rho1 = run_chain(scatter1, n, replace(cfg.gibbs, seed=c1)).partial_mean
-        rho2 = run_chain(scatter2, n, replace(cfg.gibbs, seed=c2)).partial_mean
-        eg1 = posterior_partial_corr_mean(posterior_spec(scatter1, n, 1.0))
-        eg2 = posterior_partial_corr_mean(posterior_spec(scatter2, n, 1.0))
+        chains = zip(scatters, spawn_seeds(s_chain, 2))
+        rho = tuple(run_chain(s, n, replace(cfg.gibbs, seed=c)).partial_mean for s, c in chains)
+        eg = tuple(posterior_partial_corr_mean(s, n, 1.0) for s in scatters)
         reports["ratio"] = threshold_sweep(
-            pair.true_adjacency,
-            lambda eta: _ratio_difference_adjacency(rho1, rho2, eg1, eg2, eta, cfg.dn_mode),
-            grid,
+            pair.true_adjacency, lambda eta: dn_adjacency(rho, eta, cfg.dn_mode, eg), grid
         )
     return reports
 

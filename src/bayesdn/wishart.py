@@ -1,16 +1,15 @@
-"""Wishart-calibrated edge thresholds for graph structure determination.
+"""Wishart reference for Bayesian edge decisions and the threshold scan.
 
 A conjugate Wishart posterior over the precision matrix is the reference
-for every Bayesian edge decision.  Its mean partial correlation matrix is
-computed exactly, with no sampling: each entry depends only on a 2x2
-principal block of the precision matrix, that block is itself Wishart
-(Muirhead 1982, Thm 3.2.10), and the mean of its correlation is a closed
-form (Olkin & Pratt 1958).  Edges are then declared either because that
-mean is large in absolute value (:func:`edge_rule_mean`) or because the
-sampler's own partial correlation estimate is large relative to the
-Wishart reference (:func:`edge_rule_ratio`).  :func:`threshold_sweep`
-scans a grid of thresholds and scores each candidate against a known
-truth.
+for every Bayesian edge decision.  :func:`posterior_partial_corr_mean`
+takes a sample's scatter matrix and returns the mean partial correlation
+matrix under that posterior, computed exactly with no sampling: each
+entry depends only on a 2x2 principal block of the precision matrix, that
+block is itself Wishart (Muirhead 1982, Thm 3.2.10), and the mean of its
+correlation is a closed form (Olkin & Pratt 1958).  The edge rules that
+threshold these means live in :func:`bayesdn.diffnet.dn_adjacency`;
+:func:`threshold_sweep` scans a grid of thresholds and scores each
+candidate against a known truth.
 """
 
 from __future__ import annotations
@@ -21,20 +20,15 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import gammaln, hyp2f1
 
-from .linalg import cholesky_pd, invert_pd, require_symmetric
+from .linalg import invert_pd, require_symmetric
 from .metrics import classification_scores, confusion
 
 __all__ = [
     "PRIOR_DOF",
     "EPSILON",
-    "RATIO_FLOOR",
     "DEFAULT_GRID",
-    "WishartSpec",
     "ThresholdReport",
-    "posterior_spec",
     "posterior_partial_corr_mean",
-    "edge_rule_mean",
-    "edge_rule_ratio",
     "threshold_sweep",
     "best_threshold",
 ]
@@ -43,8 +37,6 @@ __all__ = [
 PRIOR_DOF = 3.0
 # Prior scale is EPSILON * I for the tight reference; 1.0 * I for the wide one.
 EPSILON = 0.001
-# Denominator floor for the ratio rule.
-RATIO_FLOOR = 1e-8
 
 # Threshold candidates: 0.2 to 0.6 in steps of 0.02.
 DEFAULT_GRID = np.linspace(0.2, 0.6, 21)
@@ -58,29 +50,6 @@ _SERIES_TERMS = 30
 
 
 @dataclass(frozen=True)
-class WishartSpec:
-    """Degrees of freedom and scale matrix of a Wishart distribution.
-
-    Only the 2x2 marginals are ever used, so any ``dof > 1`` is valid,
-    including ``dof`` below the dimension.
-    """
-
-    dof: float
-    scale: np.ndarray
-
-    def __post_init__(self):
-        scale = require_symmetric(self.scale, "scale")
-        object.__setattr__(self, "scale", scale)
-        if not self.dof > 1:
-            raise ValueError(f"dof must exceed 1, got {self.dof}")
-        cholesky_pd(scale)
-
-    @property
-    def dim(self) -> int:
-        return self.scale.shape[0]
-
-
-@dataclass(frozen=True)
 class ThresholdReport:
     """Per-threshold sparsity errors and MCCs, plus the best candidate."""
 
@@ -89,20 +58,6 @@ class ThresholdReport:
     mcc: np.ndarray
     best_eta: float
     best_mcc: float
-
-
-def posterior_spec(scatter: np.ndarray, n: int, eps: float = EPSILON) -> WishartSpec:
-    """Wishart posterior over the precision matrix given a scatter matrix.
-
-    The conjugate prior regularizes the scatter by ``eps * I``: the
-    posterior has ``PRIOR_DOF + n`` degrees of freedom and scale
-    ``inv(scatter + eps * I)``.  ``eps=EPSILON`` gives the tight reference
-    used by the mean rule; ``eps=1.0`` gives the wide reference used as
-    the denominator of the ratio rule.
-    """
-    scatter = require_symmetric(scatter, "scatter")
-    p = scatter.shape[0]
-    return WishartSpec(dof=PRIOR_DOF + n, scale=invert_pd(scatter + eps * np.eye(p)))
 
 
 def _hyp2f1_half_half(c: float, z: np.ndarray) -> np.ndarray:
@@ -117,13 +72,31 @@ def _hyp2f1_half_half(c: float, z: np.ndarray) -> np.ndarray:
     return total
 
 
-def posterior_partial_corr_mean(spec: WishartSpec) -> np.ndarray:
-    """Exact entrywise mean of the partial correlation matrix under ``spec``.
+def posterior_partial_corr_mean(scatter: np.ndarray, n: int, eps: float = EPSILON) -> np.ndarray:
+    """Mean partial correlation matrix under the Wishart posterior of a sample.
 
-    For Theta ~ W_p(nu, Psi), rho_ij = -theta_ij / sqrt(theta_ii theta_jj)
-    depends only on the 2x2 block of (i, j), which is W_2(nu, Psi block).
-    Its mean is minus the mean of a sample correlation with population
-    value r = psi_ij / sqrt(psi_ii psi_jj) and nu degrees of freedom:
+    The conjugate prior regularizes ``scatter`` by ``eps * I``: the
+    posterior has ``PRIOR_DOF + n`` degrees of freedom and scale
+    ``inv(scatter + eps * I)``.  ``eps=EPSILON`` gives the tight reference
+    of the mean rule; ``eps=1.0`` gives the wide reference that divides
+    the ratio rule.
+    """
+    scatter = require_symmetric(scatter, "scatter")
+    if not n >= 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    psi = invert_pd(scatter + eps * np.eye(scatter.shape[0]))
+    return _partial_corr_mean(PRIOR_DOF + n, psi)
+
+
+def _partial_corr_mean(nu: float, psi: np.ndarray) -> np.ndarray:
+    """Exact entrywise mean of the partial correlations of Theta ~ W_p(nu, psi).
+
+    ``nu > 1``; ``psi`` is symmetric positive definite.  rho_ij =
+    -theta_ij / sqrt(theta_ii theta_jj) depends only on the 2x2 block of
+    (i, j), which is W_2(nu, psi block), so any ``nu > 1`` is valid, even
+    below the dimension.  Its mean is minus the mean of a sample
+    correlation with population value r = psi_ij / sqrt(psi_ii psi_jj) and
+    nu degrees of freedom:
 
         E[rho_ij] = -r G(nu) 2F1(1/2, 1/2; nu/2 + 1; r^2),
         G(nu) = Gamma((nu + 1)/2)^2 / (Gamma(nu/2) Gamma(nu/2 + 1)).
@@ -132,46 +105,16 @@ def posterior_partial_corr_mean(spec: WishartSpec) -> np.ndarray:
     there so that rounding never lifts |E[rho_ij]| above |r|.  The diagonal
     is exactly 1 and is not evaluated.
     """
-    nu = spec.dof
-    d = np.sqrt(np.diag(spec.scale))
-    i, j = np.triu_indices(spec.dim, k=1)
-    r = np.clip(spec.scale[i, j] / (d[i] * d[j]), -1.0, 1.0)
+    p = psi.shape[0]
+    d = np.sqrt(np.diag(psi))
+    i, j = np.triu_indices(p, k=1)
+    r = np.clip(psi[i, j] / (d[i] * d[j]), -1.0, 1.0)
     log_g = 2.0 * gammaln((nu + 1.0) / 2.0) - gammaln(nu / 2.0) - gammaln(nu / 2.0 + 1.0)
     shrink = np.minimum(np.exp(log_g) * _hyp2f1_half_half(nu / 2.0 + 1.0, r * r), 1.0)
-    out = np.eye(spec.dim)
+    out = np.eye(p)
     out[i, j] = -r * shrink
     out[j, i] = out[i, j]
     return out
-
-
-def edge_rule_mean(eh: np.ndarray, eta: float) -> np.ndarray:
-    """Edge wherever the posterior mean partial correlation exceeds eta.
-
-    ``edge[i, j] = |eh[i, j]| > eta`` for i != j; the diagonal is never an
-    edge.
-    """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("eta must lie in [0, 1]")
-    eh = require_symmetric(eh, "eh")
-    adj = np.abs(eh) > eta
-    np.fill_diagonal(adj, False)
-    return adj
-
-
-def edge_rule_ratio(rho_tilde: np.ndarray, eg: np.ndarray, eta: float) -> np.ndarray:
-    """Edge wherever |rho_tilde| / |eg| exceeds eta.
-
-    The denominator is floored at ``RATIO_FLOOR``; both sides enter in
-    absolute value so the rule is direction-free.
-    """
-    rho_tilde = require_symmetric(rho_tilde, "rho_tilde")
-    eg = require_symmetric(eg, "eg")
-    if rho_tilde.shape != eg.shape:
-        raise ValueError("matrices must share dimensions")
-    ratio = np.abs(rho_tilde) / np.maximum(np.abs(eg), RATIO_FLOOR)
-    adj = ratio > eta
-    np.fill_diagonal(adj, False)
-    return adj
 
 
 def threshold_sweep(

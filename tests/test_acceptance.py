@@ -33,7 +33,7 @@ from bayesdn.linalg import cholesky_pd, mirror_lower
 from bayesdn.metrics import ConfusionCounts, classification_scores, confusion, eigen_losses, is_na, matrix_losses
 from bayesdn.pipeline import boxs_m_test
 from bayesdn.structures import StructureSpec, raw_components, sample_gaussian
-from bayesdn.wishart import posterior_partial_corr_mean, posterior_spec
+from bayesdn.wishart import posterior_partial_corr_mean
 
 from helpers import (
     charpoly_eigenvalues,
@@ -357,12 +357,9 @@ def test_criterion_9_null_model():
     for seed in range(runs):
         x1 = sample_gaussian(np.eye(10), 200, seed=1000 + seed)
         x2 = sample_gaussian(np.eye(10), 200, seed=2000 + seed)
-        partials = []
-        for x in (x1, x2):
-            spec = posterior_spec(mirror_lower(x.T @ x), 200)
-            partials.append(posterior_partial_corr_mean(spec))
+        partials = tuple(posterior_partial_corr_mean(mirror_lower(x.T @ x), 200) for x in (x1, x2))
         for mode in empty_hits:
-            if not dn_adjacency((partials[0], partials[1]), 0.3, mode=mode).any():
+            if not dn_adjacency(partials, 0.3, mode=mode).any():
                 empty_hits[mode] += 1
 
     box_hits = 0

@@ -8,15 +8,13 @@ from bayesdn.gibbs import GibbsConfig, run_chain, spawn_seeds
 from bayesdn.linalg import mirror_lower
 from bayesdn.metrics import classification_scores, confusion
 from bayesdn.structures import StructureSpec, make_structure, sample_gaussian
-from bayesdn.wishart import posterior_partial_corr_mean, posterior_spec
+from bayesdn.wishart import posterior_partial_corr_mean
 
 FAST = GibbsConfig(burn_in=150, retained=300, seed=0)
 
 
 def wishart_partials(x, eps=0.001):
-    scatter = mirror_lower(x.T @ x)
-    spec = posterior_spec(scatter, x.shape[0], eps=eps)
-    return posterior_partial_corr_mean(spec)
+    return posterior_partial_corr_mean(mirror_lower(x.T @ x), x.shape[0], eps)
 
 
 class TestAdjacency:
@@ -99,8 +97,7 @@ class TestEstimate:
             scatter = mirror_lower(x.T @ x)
             chain = run_chain(scatter, x.shape[0], replace(FAST, seed=c))
             np.testing.assert_array_equal(mean, chain.theta_mean)
-            spec = posterior_spec(scatter, x.shape[0])
-            np.testing.assert_array_equal(partial, posterior_partial_corr_mean(spec))
+            np.testing.assert_array_equal(partial, posterior_partial_corr_mean(scatter, x.shape[0]))
 
     def test_component_means_consistency(self):
         pair = make_structure(StructureSpec("ar1", 5))

@@ -400,6 +400,13 @@ class TestChain:
         with pytest.raises(ValueError):
             run_chain(np.array([[1.0, 2.0], [2.0, 1.0]]) * -1, 10, GibbsConfig(burn_in=1, retained=1))
 
+    def test_non_finite_scatter_rejected(self):
+        # eigvalsh of an inf scatter is nan, which the PSD bound does not catch
+        scatter = np.eye(3)
+        scatter[1, 1] = np.inf
+        with pytest.raises(ValueError, match="scatter is not finite"):
+            initial_state(scatter, 10, GibbsConfig(burn_in=1, retained=1))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             GibbsConfig(burn_in=-1)

@@ -200,6 +200,15 @@ class TestConfigSerialization:
                 ExperimentConfig(dims=dims, sample_sizes=sizes)
         with pytest.raises(ValueError):
             RealAnalysisConfig(csv_path="x.csv")  # neither split style
+        for eta in (1.5, -0.5, float("nan")):
+            with pytest.raises(ValueError, match=r"eta must lie in \[0, 1\]"):
+                ExperimentConfig(eta=eta)
+            with pytest.raises(ValueError, match=r"eta must lie in \[0, 1\]"):
+                RealAnalysisConfig(csv_path="x.csv", class_column="label", eta=eta)
+        for grid in ((), (0.3, 0.2), (0.3, 0.3), (0.5, 1.5), (-0.1, 0.2), (0.2, float("nan"))):
+            with pytest.raises(ValueError, match="sweep_grid"):
+                ExperimentConfig(sweep_grid=grid)
+        assert ExperimentConfig(eta=0.0, sweep_grid=(0.0, 1.0)).eta == 0.0
 
 
 class TestEmit:
@@ -434,6 +443,57 @@ class TestCli:
         for flags in (["--dims", "6", "--sizes", "0"], ["--dims", "0", "--sizes", "40"]):
             for command in ("synthetic", "sweep"):
                 assert main([command, *flags, "--out", str(out)]) == 2 and not out.exists()
+
+    @pytest.mark.parametrize("mode", ["difference", "union"])
+    def test_synthetic_eta_out_of_range_exit_code(self, tmp_path, capsys, mode):
+        # before the config checked eta, difference mode wrote an empty graph
+        # and union mode failed only after its chains had run
+        from bayesdn.cli import main
+
+        out = tmp_path / "o"
+        rc = main(["synthetic", "--structures", "ar2", "--dims", "6", "--sizes", "40",
+                   "--replications", "1", "--estimators", "bnet", "--mode", mode,
+                   "--eta", "1.5", "--out", str(out), "--config", str(_tiny_cli_config(tmp_path))])
+        assert rc == 2 and not out.exists()
+        assert "config error: eta must lie in [0, 1], got 1.5" in capsys.readouterr().err
+
+    def test_real_eta_out_of_range_exit_code(self, tmp_path, capsys):
+        # before the config checked eta, -0.5 gave a complete graph
+        from bayesdn.cli import main
+
+        pair = make_structure(StructureSpec("ar1", 4))
+        path, boundary = phase_csv(tmp_path, pair, n1=40, n2=40)
+        cfg = tmp_path / "real.json"
+        cfg.write_text(json.dumps({"csv_path": str(path), "date_column": "date",
+                                   "boundaries": [boundary], "eta": -0.5}))
+        out = tmp_path / "o"
+        assert main(["real", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "config error: eta must lie in [0, 1], got -0.5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", [[], [0.4, 0.3], [0.5, 1.5]])
+    def test_sweep_grid_exit_code(self, tmp_path, capsys, grid):
+        # a ratio-rule grid above 1 is refused like any other
+        from bayesdn.cli import main
+
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({"sweep_grid": grid, "rules": ["mean", "ratio"]}))
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "config error: sweep_grid must be" in capsys.readouterr().err
+
+    def test_sample_overflowing_scatter_exit_code(self, tmp_path, capsys):
+        # 1e200 is finite, but its square overflows the scatter to inf
+        from bayesdn.cli import main
+
+        csv_path = tmp_path / "x.csv"
+        csv_path.write_text("a,b,c\n1,2,3\n4,1e200,6\n7,8,9\n5,3,1\n", encoding="utf-8")
+        out = tmp_path / "o"
+        with np.errstate(over="ignore"):
+            rc = main(["sample", "--csv", str(csv_path), "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        assert "config error: scatter is not finite" in capsys.readouterr().err
 
     def test_synthetic_accepts_fewer_samples_than_dimensions(self, tmp_path):
         import csv

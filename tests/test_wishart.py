@@ -4,49 +4,64 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import hyp2f1
 
-from bayesdn.linalg import cholesky_pd, invert_pd, partial_correlation
+from bayesdn.diffnet import DN_MODES, RATIO_FLOOR, dn_adjacency
+from bayesdn.linalg import (
+    NotPositiveDefiniteError,
+    cholesky_pd,
+    invert_pd,
+    mirror_lower,
+    partial_correlation,
+)
 from bayesdn.metrics import is_na
 from bayesdn.wishart import (
     DEFAULT_GRID,
-    WishartSpec,
+    EPSILON,
+    PRIOR_DOF,
     _hyp2f1_half_half,
+    _partial_corr_mean,
     best_threshold,
-    edge_rule_mean,
-    edge_rule_ratio,
     posterior_partial_corr_mean,
-    posterior_spec,
     threshold_sweep,
 )
 
 from helpers import bartlett_wishart, random_pd
 
 
-def oracle_partials(spec, count, seed):
-    """Partial correlation matrices of ``count`` Bartlett draws from ``spec``."""
-    draws = bartlett_wishart(spec.dof, spec.scale, count, np.random.default_rng(seed))
+def oracle_partials(nu, psi, count, seed):
+    """Partial correlation matrices of ``count`` Bartlett draws from W(nu, psi)."""
+    draws = bartlett_wishart(nu, psi, count, np.random.default_rng(seed))
     return partial_correlation(draws)
+
+
+def posterior_params(scatter, n, eps=EPSILON):
+    """Degrees of freedom and scale of the conjugate Wishart posterior."""
+    return PRIOR_DOF + n, invert_pd(scatter + eps * np.eye(scatter.shape[0]))
 
 
 class TestSpec:
     def test_posterior_construction(self):
         rng = np.random.default_rng(0)
         scatter = random_pd(4, rng, jitter=8)
-        spec = posterior_spec(scatter, n=100, eps=0.001)
-        assert spec.dof == 103.0
-        np.testing.assert_allclose(
-            spec.scale, invert_pd(scatter + 0.001 * np.eye(4)), atol=1e-12
+        for eps in (0.001, 1.0):
+            expected = _partial_corr_mean(103.0, invert_pd(scatter + eps * np.eye(4)))
+            np.testing.assert_array_equal(posterior_partial_corr_mean(scatter, 100, eps), expected)
+        np.testing.assert_array_equal(
+            posterior_partial_corr_mean(scatter, 100),
+            posterior_partial_corr_mean(scatter, 100, 0.001),
         )
 
-    def test_dof_at_most_one_rejected(self):
-        for dof in (1.0, 0.5, -3.0, float("nan")):
-            with pytest.raises(ValueError):
-                WishartSpec(dof=dof, scale=np.eye(3))
+    def test_n_below_one_rejected(self):
+        for n in (0, -3, float("nan")):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                posterior_partial_corr_mean(np.eye(3), n)
         # only the 2x2 marginals are used, so dof below the dimension is valid
-        assert WishartSpec(dof=2.0, scale=np.eye(3)).dim == 3
+        assert posterior_partial_corr_mean(np.eye(5), 1).shape == (5, 5)
 
-    def test_scale_must_be_pd(self):
-        with pytest.raises(Exception):
-            WishartSpec(dof=5.0, scale=np.array([[1.0, 2.0], [2.0, 1.0]]))
+    def test_regularized_scatter_must_be_pd(self):
+        with pytest.raises(NotPositiveDefiniteError):
+            posterior_partial_corr_mean(np.array([[1.0, 2.0], [2.0, 1.0]]), 5)
+        with pytest.raises(ValueError, match="not symmetric"):
+            posterior_partial_corr_mean(np.array([[2.0, 0.5], [0.4, 2.0]]), 5)
 
 
 class TestSampling:
@@ -69,9 +84,9 @@ class TestSampling:
     def test_posterior_mean_analytic(self):
         rng = np.random.default_rng(3)
         scatter = random_pd(3, rng, jitter=60) * 10
-        spec = posterior_spec(scatter, n=100)
-        draws = bartlett_wishart(spec.dof, spec.scale, 60_000, rng)
-        expected = 103.0 * spec.scale
+        nu, psi = posterior_params(scatter, 100)
+        draws = bartlett_wishart(nu, psi, 60_000, rng)
+        expected = 103.0 * psi
         rel = np.linalg.norm(draws.mean(axis=0) - expected, "fro") / np.linalg.norm(expected, "fro")
         assert rel < 0.02
 
@@ -88,8 +103,7 @@ def random_scale(p, split, jitter, seed):
 
 class TestPartialCorrMean:
     def test_isotropic_off_diagonals_near_zero(self):
-        spec = WishartSpec(dof=500.0, scale=np.eye(4) / 500.0)
-        m = posterior_partial_corr_mean(spec)
+        m = _partial_corr_mean(500.0, np.eye(4) / 500.0)
         off = ~np.eye(4, dtype=bool)
         assert np.abs(m[off]).max() < 0.05
         assert np.all(np.diag(m) == 1.0)
@@ -98,25 +112,25 @@ class TestPartialCorrMean:
         # the oracle's mean converges to the exact mean as draws are added
         rng = np.random.default_rng(7)
         scatter = random_pd(5, rng, jitter=40) * 20
-        spec = posterior_spec(scatter, n=200)
-        exact = posterior_partial_corr_mean(spec)
-        small = np.abs(oracle_partials(spec, 1000, 8).mean(axis=0) - exact).max()
-        large = np.abs(oracle_partials(spec, 10_000, 9).mean(axis=0) - exact).max()
+        nu, psi = posterior_params(scatter, 200)
+        exact = posterior_partial_corr_mean(scatter, 200)
+        small = np.abs(oracle_partials(nu, psi, 1000, 8).mean(axis=0) - exact).max()
+        large = np.abs(oracle_partials(nu, psi, 10_000, 9).mean(axis=0) - exact).max()
         assert large < small < 0.02
 
     @pytest.mark.parametrize("case", ["p5-nu7", "p10-n100"])
     def test_matches_bartlett_oracle(self, case):
         rng = np.random.default_rng(11)
         if case == "p5-nu7":
-            spec = WishartSpec(dof=7.0, scale=random_pd(5, rng, jitter=1.0) / 5.0)
+            nu, psi = 7.0, random_pd(5, rng, jitter=1.0) / 5.0
         else:
             x = rng.standard_normal((100, 10)) @ random_pd(10, rng, jitter=2.0)
-            spec = posterior_spec(x.T @ x, n=100)
+            nu, psi = posterior_params(x.T @ x, 100)
         count = 40_000
-        rho = oracle_partials(spec, count, 12)
+        rho = oracle_partials(nu, psi, count, 12)
         se = rho.std(axis=0, ddof=1) / np.sqrt(count)
-        exact = posterior_partial_corr_mean(spec)
-        off = ~np.eye(spec.dim, dtype=bool)
+        exact = _partial_corr_mean(nu, psi)
+        off = ~np.eye(psi.shape[0], dtype=bool)
         assert np.all(np.abs(exact - rho.mean(axis=0))[off] <= 5.0 * se[off])
         # the entries are not all near 0, so the comparison has teeth
         assert np.abs(exact[off]).max() > 0.2
@@ -131,7 +145,7 @@ class TestPartialCorrMean:
     )
     def test_exact_mean_properties(self, p, split, jitter, dof, seed):
         scale = random_scale(p, min(split, p - 1), jitter, seed)
-        m = posterior_partial_corr_mean(WishartSpec(dof=dof, scale=scale))
+        m = _partial_corr_mean(dof, scale)
         d = np.sqrt(np.diag(scale))
         r = scale / np.outer(d, d)
         off = ~np.eye(p, dtype=bool)
@@ -143,7 +157,7 @@ class TestPartialCorrMean:
         assert np.all(m[off][scale[off] == 0.0] == 0.0)
         # the mean approaches -r at rate 1/dof
         for nu in (dof, 100.0 * dof):
-            m_nu = posterior_partial_corr_mean(WishartSpec(dof=nu, scale=scale))
+            m_nu = _partial_corr_mean(nu, scale)
             assert np.all(np.abs(m_nu + r)[off] <= np.abs(r[off]) / nu + 1e-12)
 
     def test_series_matches_scipy_where_scipy_is_stable(self):
@@ -159,54 +173,135 @@ class TestPartialCorrMean:
         r = 0.999999
         scale = np.array([[1.0, r], [r, 1.0]])
         for dof in (300.0, 1503.0, 1e5):
-            m = posterior_partial_corr_mean(WishartSpec(dof=dof, scale=scale))
+            m = _partial_corr_mean(dof, scale)
             assert np.isfinite(m[0, 1]) and -r <= m[0, 1] < -r * (1.0 - 1.0 / dof)
 
 
 class TestEdgeRules:
+    """The mean and ratio rules of ``dn_adjacency`` on Wishart-reference means.
+
+    One sample's rule is the union of that sample with itself.
+    """
+
+    @staticmethod
+    def one_sample(e, eta, ref=None):
+        return dn_adjacency((e, e), eta, "union", None if ref is None else (ref, ref))
+
+    @staticmethod
+    def scaled_pd(p, seed):
+        eh = random_pd(p, np.random.default_rng(seed))
+        return eh / np.abs(eh).max()
+
     def test_mean_rule_bounds(self):
         eh = np.array([[1.0, 0.35, -0.1], [0.35, 1.0, 0.2], [-0.1, 0.2, 1.0]])
-        full = edge_rule_mean(eh, 0.0)
+        full = self.one_sample(eh, 0.0)
         assert full.sum() == 6  # complete graph, diagonal excluded
-        assert edge_rule_mean(eh, 1.0).sum() == 0
+        assert self.one_sample(eh, 1.0).sum() == 0
 
     def test_mean_rule_comparison(self):
         eh = np.array([[1.0, 0.35, 0.1], [0.35, 1.0, 0.0], [0.1, 0.0, 1.0]])
-        adj = edge_rule_mean(eh, 0.2)
+        adj = self.one_sample(eh, 0.2)
         assert adj[0, 1] and not adj[0, 2]
 
     def test_mean_rule_sign_invariant(self):
-        rng = np.random.default_rng(10)
-        eh = random_pd(4, rng)
-        eh = eh / np.abs(eh).max()
-        np.testing.assert_array_equal(edge_rule_mean(eh, 0.3), edge_rule_mean(-eh, 0.3))
+        eh = self.scaled_pd(4, 10)
+        for mode in DN_MODES:
+            np.testing.assert_array_equal(
+                dn_adjacency((eh, 0.5 * eh), 0.3, mode), dn_adjacency((-eh, -0.5 * eh), 0.3, mode)
+            )
 
     def test_mean_rule_monotone_in_eta(self):
-        rng = np.random.default_rng(11)
-        eh = random_pd(5, rng)
-        eh = eh / np.abs(eh).max()
-        counts = [edge_rule_mean(eh, eta).sum() for eta in np.linspace(0, 1, 11)]
+        eh = self.scaled_pd(5, 11)
+        counts = [self.one_sample(eh, eta).sum() for eta in np.linspace(0, 1, 11)]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
     def test_ratio_rule_cases(self):
         eg = np.array([[1.0, 0.5], [0.5, 1.0]])
-        assert edge_rule_ratio(eg, eg, 0.5).sum() == 2  # all ratios exactly 1
+        assert self.one_sample(eg, 0.5, eg).sum() == 2  # all ratios exactly 1
         zero = np.eye(2)
-        assert edge_rule_ratio(zero, eg, 0.5).sum() == 0
+        assert self.one_sample(zero, 0.5, eg).sum() == 0
         rho = np.array([[1.0, 0.3], [0.3, 1.0]])
-        assert edge_rule_ratio(rho, eg, 0.5)[0, 1]  # 0.6 > 0.5
+        assert self.one_sample(rho, 0.5, eg)[0, 1]  # 0.6 > 0.5
+        # a zero reference is floored, so any nonzero entry fires
+        assert self.one_sample(rho, 1.0, zero)[0, 1]
+
+    def test_ratio_rule_sign_invariant_and_monotone_in_eta(self):
+        rho, eg = self.scaled_pd(4, 13), self.scaled_pd(4, 14)
+        for mode in DN_MODES:
+            np.testing.assert_array_equal(
+                dn_adjacency((rho, 0.5 * rho), 0.3, mode, (eg, 0.8 * eg)),
+                dn_adjacency((-rho, -0.5 * rho), 0.3, mode, (-eg, -0.8 * eg)),
+            )
+        counts = [self.one_sample(rho, eta, eg).sum() for eta in np.linspace(0, 1, 11)]
+        assert all(a >= b for a, b in zip(counts, counts[1:]))
 
     def test_rules_symmetric_zero_diag(self):
-        rng = np.random.default_rng(12)
-        eh = random_pd(4, rng)
-        eh = eh / np.abs(eh).max()
-        for adj in (edge_rule_mean(eh, 0.2), edge_rule_ratio(eh, eh + 0.5 * np.eye(4), 0.5)):
-            np.testing.assert_array_equal(adj, adj.T)
-            assert not adj.diagonal().any()
+        eh = self.scaled_pd(4, 12)
+        for mode in DN_MODES:
+            for ref in (None, (eh + 0.5 * np.eye(4), eh)):
+                adj = dn_adjacency((eh, 0.5 * eh), 0.2, mode, ref)
+                np.testing.assert_array_equal(adj, adj.T)
+                assert not adj.diagonal().any()
 
     def test_eta_out_of_range(self):
+        for mode in DN_MODES:
+            for ref in (None, (np.eye(2), np.eye(2))):
+                for eta in (1.5, -0.1, float("nan")):
+                    with pytest.raises(ValueError, match=r"eta must lie in \[0, 1\]"):
+                        dn_adjacency((np.eye(2), np.eye(2)), eta, mode, ref)
+
+    def test_shapes_must_agree(self):
         with pytest.raises(ValueError):
-            edge_rule_mean(np.eye(2), 1.5)
+            dn_adjacency((np.eye(2), np.eye(3)), 0.3)
+        with pytest.raises(ValueError):
+            dn_adjacency((np.eye(2), np.eye(2)), 0.3, "union", (np.eye(2), np.eye(3)))
+
+    def test_bit_identical_to_the_separate_rules(self):
+        # the two rules and their combinations as they were written before
+        # dn_adjacency took both: per-sample rules, then the mode
+        def mean_rule(eh, eta):
+            adj = np.abs(eh) > eta
+            np.fill_diagonal(adj, False)
+            return adj
+
+        def ratio_rule(rho, eg, eta):
+            adj = np.abs(rho) / np.maximum(np.abs(eg), RATIO_FLOOR) > eta
+            np.fill_diagonal(adj, False)
+            return adj
+
+        def mean_combined(eh1, eh2, eta, mode):
+            if mode == "difference":
+                return mean_rule(eh2 - eh1, eta)
+            a1, a2 = mean_rule(eh1, eta), mean_rule(eh2, eta)
+            return a1 ^ a2 if mode == "xor" else a1 | a2
+
+        def ratio_combined(rho1, rho2, eg1, eg2, eta, mode):
+            if mode == "difference":
+                adj = np.abs(rho2 - rho1) / np.maximum(np.abs(eg2 - eg1), RATIO_FLOOR) > eta
+                np.fill_diagonal(adj, False)
+                return adj
+            a1, a2 = ratio_rule(rho1, eg1, eta), ratio_rule(rho2, eg2, eta)
+            return a1 ^ a2 if mode == "xor" else a1 | a2
+
+        rng = np.random.default_rng(15)
+        x1 = rng.standard_normal((60, 8)) @ random_pd(8, rng, jitter=1.0)
+        x2 = rng.standard_normal((60, 8)) @ random_pd(8, rng, jitter=1.0)
+        s1, s2 = mirror_lower(x1.T @ x1), mirror_lower(x2.T @ x2)
+        eh1, eh2 = posterior_partial_corr_mean(s1, 60), posterior_partial_corr_mean(s2, 60)
+        eg1, eg2 = posterior_partial_corr_mean(s1, 60, 1.0), posterior_partial_corr_mean(s2, 60, 1.0)
+        # chain-like partials: the tight means moved off the wide ones
+        rho1, rho2 = mirror_lower(0.9 * eh1 + 0.05), mirror_lower(1.1 * eh2 - 0.02)
+        hits = {"mean": 0, "ratio": 0}
+        for mode in DN_MODES:
+            for eta in np.linspace(0.0, 1.0, 51):
+                old = mean_combined(eh1, eh2, eta, mode)
+                np.testing.assert_array_equal(dn_adjacency((eh1, eh2), eta, mode), old)
+                hits["mean"] += int(old.any())
+                old = ratio_combined(rho1, rho2, eg1, eg2, eta, mode)
+                np.testing.assert_array_equal(dn_adjacency((rho1, rho2), eta, mode, (eg1, eg2)), old)
+                hits["ratio"] += int(old.any())
+        # both rules produce edges over much of the grid, so the match has teeth
+        assert min(hits.values()) > 50
 
 
 class TestSweep:
