@@ -9,7 +9,8 @@ Subcommands::
 
 Settings come from an optional JSON config file (same field names as the
 config dataclasses, nested sections "gibbs" and "ista") with flag
-overrides on top.  Desk-scale defaults (10 replications, 1000 burn-in,
+overrides on top; :func:`bayesdn.config.decode` checks every field before
+any work.  Desk-scale defaults (10 replications, 1000 burn-in,
 2000 retained draws) keep runs in minutes; ``--paper-scale`` switches to
 40 replications and 5000/10000 sweeps.
 """
@@ -21,6 +22,7 @@ import json
 import os
 import sys
 
+from .config import FieldError, decode
 from .gibbs import GibbsConfig, run_chain
 from .harness import (
     ExperimentConfig,
@@ -71,7 +73,7 @@ def _gibbs_section(d: dict, args) -> dict:
     """The config's "gibbs" section, with the run scale's sweep counts as defaults."""
     gibbs = d.get("gibbs", {})
     if not isinstance(gibbs, dict):
-        raise ValueError("config section 'gibbs' must be an object")
+        raise FieldError("gibbs", f"must be an object, got {gibbs!r}")
     scale = _scale(args)
     gibbs.setdefault("burn_in", scale["burn_in"])
     gibbs.setdefault("retained", scale["retained"])
@@ -153,7 +155,7 @@ def _cmd_sample(args) -> int:
     for name in ("burn_in", "retained", "seed"):
         if getattr(args, name) is not None:
             gibbs[name] = getattr(args, name)
-    cfg = GibbsConfig(**gibbs)
+    cfg = decode(GibbsConfig, gibbs, "gibbs")
     ds = read_csv(args.csv, date_column=args.date_column)
     x = ds.rows
     if args.nonparanormal:

@@ -41,6 +41,7 @@ import numpy as np
 from scipy.linalg.blas import dger
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
+from .config import bound, check_fields
 from .linalg import NotPositiveDefiniteError, invert_pd, partial_correlation, require_symmetric
 
 __all__ = [
@@ -69,24 +70,18 @@ class GibbsConfig:
     cross-checks integrate against.
     """
 
-    burn_in: int = 5000
-    retained: int = 10000
-    r: float = 1e-2
-    s: float = 1e-6
-    lambda_diag: float = 1.0
-    seed: int = 0
-    theta_floor: float = 1e-12
+    burn_in: int = bound(5000, ge=0)
+    retained: int = bound(10000, ge=1)
+    r: float = bound(1e-2, gt=0)
+    s: float = bound(1e-6, gt=0)
+    lambda_diag: float = bound(1.0, gt=0)
+    seed: int = bound(0, ge=0)
+    theta_floor: float = bound(1e-12, gt=0)
     adapt_lambda: bool = True
-    lambda_init: float = 1.0
+    lambda_init: float = bound(1.0, gt=0)
 
     def __post_init__(self):
-        if self.burn_in < 0:
-            raise ValueError("burn_in must be >= 0")
-        if self.retained < 1:
-            raise ValueError("retained must be >= 1")
-        for name in ("r", "s", "lambda_diag", "theta_floor", "lambda_init"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+        check_fields(self)
 
 
 @dataclass

@@ -18,9 +18,11 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from typing import Literal
 
 import numpy as np
 
+from .config import bound, check_fields, decode
 from .diffnet import DN_MODES, dn_adjacency, estimate_bnet
 from .gibbs import GibbsConfig, run_chain, spawn_seeds
 from .ista import IstaConfig, estimate_dnet
@@ -34,7 +36,7 @@ from .pipeline import (
     split_phases,
     write_csv,
 )
-from .structures import KINDS, StructureSpec, make_structure, sample_gaussian
+from .structures import KINDS, MIN_DIM, StructureSpec, make_structure, sample_gaussian
 from .wishart import (
     DEFAULT_GRID,
     ThresholdReport,
@@ -78,46 +80,31 @@ class ExperimentConfig:
     needs chains, so it is much slower).
     """
 
-    structures: tuple[str, ...] = ("ar2",)
-    dims: tuple[int, ...] = (10, 30, 100)
-    sample_sizes: tuple[int, ...] = (50, 100, 200)
-    replications: int = 40
-    estimators: tuple[str, ...] = ("bnet", "dnet")
+    structures: tuple[Literal[KINDS], ...] = ("ar2",)
+    dims: tuple[int, ...] = bound((10, 30, 100), ge=MIN_DIM)
+    # estimate_bnet needs two rows per sample
+    sample_sizes: tuple[int, ...] = bound((50, 100, 200), ge=2)
+    replications: int = bound(40, ge=1)
+    estimators: tuple[Literal["bnet", "dnet"], ...] = ("bnet", "dnet")
     gibbs: GibbsConfig = GibbsConfig()
     ista: IstaConfig = IstaConfig()
-    eta: float = 0.3
-    sweep_grid: tuple[float, ...] = tuple(float(x) for x in DEFAULT_GRID)
-    rules: tuple[str, ...] = ("mean",)
-    dn_mode: str = "union"
-    eps: float = 0.001
-    master_seed: int = 0
+    eta: float = bound(0.3, ge=0, le=1)
+    sweep_grid: tuple[float, ...] = bound(tuple(float(x) for x in DEFAULT_GRID), ge=0, le=1)
+    rules: tuple[Literal["mean", "ratio"], ...] = ("mean",)
+    dn_mode: Literal[DN_MODES] = "union"
+    eps: float = bound(0.001, gt=0)
+    master_seed: int = bound(0, ge=0)
 
     def __post_init__(self):
-        for s in self.structures:
-            if s not in KINDS:
-                raise ValueError(f"unknown structure {s!r}")
+        check_fields(self)
         if len(self.dims) != len(self.sample_sizes):
             raise ValueError("dims and sample_sizes must pair up")
         if len(set(self.dims)) != len(self.dims):
             # results are keyed by (structure, p, ...), so a repeat would overwrite
             raise ValueError(f"repeated dimension in dims {self.dims}; run each (p, n) pair separately")
-        if any(v < 1 for v in (*self.dims, *self.sample_sizes)):
-            raise ValueError("dims and sample_sizes must be >= 1")
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
-        for e in self.estimators:
-            if e not in ("bnet", "dnet"):
-                raise ValueError(f"unknown estimator {e!r}")
-        for r in self.rules:
-            if r not in ("mean", "ratio"):
-                raise ValueError(f"unknown rule {r!r}")
-        if self.dn_mode not in DN_MODES:
-            raise ValueError(f"unknown dn_mode {self.dn_mode!r}")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
-        grid = np.asarray(self.sweep_grid, dtype=float)
-        if grid.size == 0 or np.any(np.diff(grid) <= 0) or not np.all((grid >= 0) & (grid <= 1)):
-            raise ValueError("sweep_grid must be non-empty, strictly increasing and within [0, 1]")
+        grid = self.sweep_grid
+        if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
+            raise ValueError("sweep_grid must be non-empty and strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -126,7 +113,9 @@ class RealAnalysisConfig:
 
     Either ``class_column`` (a column whose two values define the groups)
     or ``boundaries`` (ISO dates cutting the date-ordered rows into named
-    phases, two of which are compared) must be given.
+    phases, two of which are compared) must be given.  ``compare`` names
+    the two groups: class values (numbers, or strings that parse as
+    numbers) or phase names.
     """
 
     csv_path: str
@@ -134,21 +123,18 @@ class RealAnalysisConfig:
     class_column: str | None = None
     boundaries: tuple[str, ...] = ()
     phase_names: tuple[str, ...] | None = None
-    compare: tuple[str, str] | None = None
-    moving_average_window: int = 1
+    compare: tuple[str | float, str | float] | None = None
+    moving_average_window: int = bound(1, ge=1)
     gibbs: GibbsConfig = GibbsConfig()
-    eta: float = 0.3
-    dn_mode: str = "difference"
-    eps: float = 0.001
-    master_seed: int = 0
+    eta: float = bound(0.3, ge=0, le=1)
+    dn_mode: Literal[DN_MODES] = "difference"
+    eps: float = bound(0.001, gt=0)
+    master_seed: int = bound(0, ge=0)
 
     def __post_init__(self):
+        check_fields(self)
         if (self.class_column is None) == (len(self.boundaries) == 0):
             raise ValueError("configure exactly one of class_column or boundaries")
-        if self.dn_mode not in DN_MODES:
-            raise ValueError(f"unknown dn_mode {self.dn_mode!r}")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
 
 
 @dataclass(frozen=True)
@@ -463,39 +449,13 @@ def run_real_analysis(cfg: RealAnalysisConfig) -> RealAnalysisResult:
 
 
 def config_to_dict(cfg) -> dict:
-    """Nested plain-dict form of a config dataclass (JSON-ready)."""
-    out = {}
-    for f in dataclasses.fields(cfg):
-        v = getattr(cfg, f.name)
-        if dataclasses.is_dataclass(v):
-            out[f.name] = config_to_dict(v)
-        elif isinstance(v, tuple):
-            out[f.name] = list(v)
-        elif isinstance(v, np.ndarray):
-            out[f.name] = [float(x) for x in v]
-        else:
-            out[f.name] = v
-    return out
+    """Nested plain-dict form of a config dataclass (JSON writes its tuples as lists)."""
+    return dataclasses.asdict(cfg)
 
 
 def config_from_dict(d: dict, real: bool = False):
-    """Rebuild an ExperimentConfig (or RealAnalysisConfig) from a dict."""
-    d = dict(d)
-    for section in ("gibbs", "ista"):
-        if section in d and not isinstance(d[section], dict):
-            raise ValueError(f"config section {section!r} must be an object")
-    if "gibbs" in d:
-        d["gibbs"] = GibbsConfig(**d["gibbs"])
-    if "ista" in d:
-        grid = d["ista"].get("penalty_grid")
-        if grid is not None:
-            d["ista"]["penalty_grid"] = np.asarray(grid, dtype=float)
-        d["ista"] = IstaConfig(**d["ista"])
-    cls = RealAnalysisConfig if real else ExperimentConfig
-    for f in dataclasses.fields(cls):
-        if f.name in d and isinstance(d[f.name], list):
-            d[f.name] = tuple(d[f.name])
-    return cls(**d)
+    """Rebuild an ExperimentConfig (or RealAnalysisConfig) from a parsed JSON object."""
+    return decode(RealAnalysisConfig if real else ExperimentConfig, d)
 
 
 def _json_default(obj):

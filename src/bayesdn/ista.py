@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import bound, check_fields
 from .linalg import mirror_lower, require_symmetric
 
 log = logging.getLogger(__name__)
@@ -52,20 +53,14 @@ class IstaConfig:
     converged; ``max_iters`` caps the iterations of each penalty.
     """
 
-    max_iters: int = 5000
-    tol: float = 1e-6
-    penalty_grid: np.ndarray | None = None
+    max_iters: int = bound(5000, ge=1)
+    tol: float = bound(1e-6, gt=0)
+    penalty_grid: tuple[float, ...] | None = bound(None, gt=0)
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be > 0")
-        if self.penalty_grid is not None:
-            grid = np.asarray(self.penalty_grid, dtype=float)
-            if grid.size == 0 or np.any(grid <= 0):
-                raise ValueError("penalty grid must be non-empty and strictly positive")
-            object.__setattr__(self, "penalty_grid", grid)
+        check_fields(self)
+        if self.penalty_grid == ():
+            raise ValueError("penalty_grid must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -232,9 +227,10 @@ def solve_path(
     starting from the solution of the one before; ``results`` keeps grid
     order.  Every penalty that ends unconverged is logged as a warning.
     """
-    grid = cfg.penalty_grid
-    if grid is None:
+    if cfg.penalty_grid is None:
         grid = default_penalty_grid(s1, s2)
+    else:
+        grid = np.asarray(cfg.penalty_grid, dtype=float)
     results = [None] * len(grid)
     start = None
     for k in np.argsort(-grid, kind="stable"):

@@ -11,13 +11,16 @@ computed from the repaired pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
+from .config import bound, check_fields
 from .linalg import cholesky_pd, invert_pd, require_symmetric
 
 __all__ = [
     "KINDS",
+    "MIN_DIM",
     "REPAIR_MARGIN",
     "SUPPORT_TOL",
     "StructureSpec",
@@ -40,6 +43,8 @@ KINDS = (
     "circle",
 )
 
+# The smallest dimension every design is defined at.
+MIN_DIM = 4
 # Raw structures are shifted so the smallest eigenvalue is at least this.
 REPAIR_MARGIN = 0.05
 # Entries of the true difference larger than this count as support.
@@ -56,15 +61,12 @@ class StructureSpec:
     scale_free) and ignored by the deterministic ones.
     """
 
-    kind: str
-    dim: int
-    seed: int | None = None
+    kind: Literal[KINDS]
+    dim: int = bound(ge=MIN_DIM)
+    seed: int | None = bound(None, ge=0)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown structure kind {self.kind!r}; expected one of {KINDS}")
-        if self.dim < 4:
-            raise ValueError("dim must be >= 4")
+        check_fields(self)
         if self.kind in _RANDOM_KINDS and self.seed is None:
             raise ValueError(f"structure {self.kind!r} requires a seed")
 

@@ -1,5 +1,6 @@
 import datetime
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from bayesdn.harness import (
     run_threshold_study,
     task_seeds,
 )
+from bayesdn.ista import IstaConfig
 from bayesdn.pipeline import read_csv, write_csv
 from bayesdn.structures import StructureSpec, make_structure, sample_gaussian
 
@@ -177,6 +179,11 @@ class TestConfigSerialization:
         back = config_from_dict(d)
         assert back == TINY
 
+    def test_round_trip_with_penalty_grid(self):
+        cfg = replace(TINY, ista=IstaConfig(max_iters=50, penalty_grid=(0.05, 0.1, 0.2)))
+        back = config_from_dict(json.loads(json.dumps(config_to_dict(cfg))))
+        assert back == cfg and hash(back) == hash(cfg)
+
     def test_real_config_round_trip(self):
         cfg = RealAnalysisConfig(
             csv_path="x.csv",
@@ -195,8 +202,14 @@ class TestConfigSerialization:
         with pytest.raises(ValueError, match="repeated"):
             # results are keyed by dimension, so a second n at p=10 would overwrite the first
             ExperimentConfig(dims=(10, 10), sample_sizes=(100, 200))
-        for dims, sizes in (((6,), (0,)), ((0,), (40,)), ((6, 8), (40, -1))):
-            with pytest.raises(ValueError, match=">= 1"):
+        # the bounds are what the estimators need: MIN_DIM for the designs,
+        # two rows per sample for estimate_bnet
+        for dims, sizes, match in (
+            ((6,), (0,), "sample_sizes .* >= 2"),
+            ((0,), (40,), "dims .* >= 4"),
+            ((6, 8), (40, -1), "sample_sizes .* >= 2"),
+        ):
+            with pytest.raises(ValueError, match=match):
                 ExperimentConfig(dims=dims, sample_sizes=sizes)
         with pytest.raises(ValueError):
             RealAnalysisConfig(csv_path="x.csv")  # neither split style
@@ -440,7 +453,9 @@ class TestCli:
         out = tmp_path / "o"
         rc = main(["synthetic", "--dims", "10,10", "--sizes", "100,200", "--out", str(out)])
         assert rc == 2 and not out.exists()
-        for flags in (["--dims", "6", "--sizes", "0"], ["--dims", "0", "--sizes", "40"]):
+        # dims below MIN_DIM and fewer than two rows per sample are refused too
+        for flags in (["--dims", "6", "--sizes", "0"], ["--dims", "0", "--sizes", "40"],
+                      ["--dims", "2", "--sizes", "40"], ["--dims", "6", "--sizes", "1"]):
             for command in ("synthetic", "sweep"):
                 assert main([command, *flags, "--out", str(out)]) == 2 and not out.exists()
 

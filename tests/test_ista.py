@@ -187,7 +187,7 @@ class TestPath:
     def test_results_in_grid_order(self):
         rng = np.random.default_rng(14)
         s1, s2 = random_pd(4, rng), random_pd(4, rng)
-        grid = np.array([0.05, 0.5, 0.01, 0.2])
+        grid = (0.05, 0.5, 0.01, 0.2)
         path = solve_path(s1, s2, 30, 30, IstaConfig(penalty_grid=grid))
         for lam, res in zip(grid, path.results):
             cold = ista_solve(s1, s2, float(lam))
@@ -195,7 +195,7 @@ class TestPath:
 
     def test_unconverged_penalties_are_logged(self, caplog):
         s1, s2 = star_pair_covariances()
-        grid = np.array([0.01, 0.02])
+        grid = (0.01, 0.02)
         with caplog.at_level(logging.WARNING, logger="bayesdn.ista"):
             path = solve_path(s1, s2, 200, 200, IstaConfig(max_iters=1, penalty_grid=grid))
         assert not any(res.converged for res in path.results)
