@@ -43,7 +43,7 @@ KINDS = (
     "circle",
 )
 
-# The smallest dimension every design is defined at.
+# The smallest dimension of a synthetic design.
 MIN_DIM = 4
 # Raw structures are shifted so the smallest eigenvalue is at least this.
 REPAIR_MARGIN = 0.05
