@@ -111,7 +111,8 @@ def estimate_bnet(
     partials = []
     for x, chain_seed in zip((x1, x2), spawn_seeds(cfg.seed, 2)):
         scatter = mirror_lower(x.T @ x)
-        means.append(run_chain(scatter, x.shape[0], replace(cfg, seed=chain_seed)).theta_mean)
+        chain = run_chain(scatter, x.shape[0], replace(cfg, seed=chain_seed), partials=False)
+        means.append(chain.theta_mean)
         partials.append(posterior_partial_corr_mean(scatter, x.shape[0], eps))
 
     delta_hat = means[1] - means[0]

@@ -29,12 +29,25 @@ the block per column, a constant factor.
 Once per sweep :func:`chain_draws` re-derives Sigma from Theta with a
 checked Cholesky inversion, which bounds the rounding drift and re-checks
 that the whole of Theta is positive definite.
+
+At the sizes the package runs (p <= 100) a sweep is bound by per-call
+overhead more than by flops, so it makes no call the arithmetic does not
+need; its outputs are those of the plain formulas bit for bit.  Once per
+chain the state derives the column scales s_ii + lam_ii and the scatter
+with a zero diagonal, and tau carries a unit diagonal, so row ``col`` of
+1/tau already holds the decoupled row's pivot.  Every gamma is drawn as
+``standard_gamma(k, size=m) * scale``: numpy computes
+``Generator.gamma(k, scale)`` with an array ``scale`` as
+``scale * standard_gamma(k)`` entry by entry, so this reads the same
+numbers and gives the same bits without the per-entry broadcast path.
+The hyperparameter update reads and writes the two triangles through
+flat ``take``/``put`` indices cached once per chain.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -43,6 +56,13 @@ from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from .config import bound, check_fields
 from .linalg import NotPositiveDefiniteError, invert_pd, partial_correlation, require_symmetric
+
+# The BLAS and LAPACK wrappers below are called with positional arguments:
+# f2py parses keywords on every call, which costs about a tenth of a column
+# update at p = 10.  The argument orders are
+#   dger(alpha, x, y, incx, incy, a, overwrite_x, overwrite_y, overwrite_a)
+#   dpotrf(a, lower, clean, overwrite_a)
+#   dtrtrs(a, b, lower, trans, unitdiag, lda, overwrite_b)
 
 __all__ = [
     "GibbsConfig",
@@ -88,7 +108,13 @@ class GibbsConfig:
 class SamplerState:
     """Mutable state of one chain: current Theta, its inverse, latents, and the data.
 
-    ``sigma`` is Theta^{-1}, kept in step by :func:`update_column`.
+    ``sigma`` is Theta^{-1}, kept in step by :func:`update_column`.  The
+    latent scales ``tau`` live off the diagonal; its diagonal holds 1, the
+    unit pivot of the row a column update decouples.  ``col_scale``
+    (s_ii + lam_ii per column) and ``scatter_off`` (the scatter with a
+    zero diagonal, whose row ``col`` is s12 with its decoupled entry
+    zeroed) are derived from the data and the fixed diagonal penalty when
+    the state is made, once per chain.
     """
 
     theta: np.ndarray
@@ -98,6 +124,13 @@ class SamplerState:
     scatter: np.ndarray
     n: int
     config: GibbsConfig
+    col_scale: np.ndarray = field(init=False, repr=False)
+    scatter_off: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.col_scale = np.diagonal(self.scatter) + np.diagonal(self.lam)
+        self.scatter_off = self.scatter.copy()
+        np.fill_diagonal(self.scatter_off, 0.0)
 
     @property
     def dim(self) -> int:
@@ -109,11 +142,12 @@ class ChainSummary:
     """Posterior means over the retained draws of one chain.
 
     ``theta_mean`` averages Theta and ``partial_mean`` averages the
-    partial correlation matrix of each draw (unit diagonal).
+    partial correlation matrix of each draw (unit diagonal), or is None
+    when the chain was run without it.
     """
 
     theta_mean: np.ndarray
-    partial_mean: np.ndarray
+    partial_mean: np.ndarray | None
     config: GibbsConfig
 
 
@@ -141,7 +175,6 @@ def initial_state(scatter: np.ndarray, n: int, config: GibbsConfig) -> SamplerSt
     if eigmin < -1e-8 * max(1.0, float(np.max(np.abs(scatter)))):
         raise ValueError(f"scatter is not positive semidefinite (min eigenvalue {eigmin:.3e})")
     tau = np.ones((p, p))
-    np.fill_diagonal(tau, 0.0)
     lam = np.full((p, p), config.lambda_init)
     np.fill_diagonal(lam, config.lambda_diag)
     return SamplerState(
@@ -155,12 +188,16 @@ def initial_state(scatter: np.ndarray, n: int, config: GibbsConfig) -> SamplerSt
     )
 
 
+_TINY = np.finfo(float).tiny
+
+
 class _SweepWorkspace:
-    """Per-chain cache of the triangle indices the hyperparameter update writes."""
+    """Per-chain cache of the flat triangle indices the hyperparameter update reads and writes."""
 
     def __init__(self, p: int):
-        self.upper = np.triu_indices(p, k=1)
-        self.lower = (self.upper[1], self.upper[0])
+        rows, cols = np.triu_indices(p, k=1)
+        self.upper = rows * p + cols
+        self.lower = cols * p + rows
 
 
 def sweep_draws(state: SamplerState, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -171,13 +208,14 @@ def sweep_draws(state: SamplerState, rng: np.random.Generator) -> tuple[np.ndarr
     draw in place.  Entry ``col`` of the gammas is that column's
     GA(n/2 + 1, rate (s_ii + lam_ii)/2) Schur complement.  The rate does
     not depend on Theta or on the off-diagonal penalties, so all p can be
-    drawn before the sweep starts.
+    drawn before the sweep starts, as scaled standard gammas (see the
+    module docstring).
     """
     p = state.dim
     z = rng.standard_normal((p, p))
     z.reshape(-1)[:: p + 1] = 0.0
-    scale = 2.0 / (np.diagonal(state.scatter) + np.diagonal(state.lam))
-    gamma = rng.gamma(state.n / 2.0 + 1.0, scale, size=p)
+    gamma = rng.standard_gamma(state.n / 2.0 + 1.0, size=p)
+    gamma *= 2.0 / state.col_scale
     return z, gamma
 
 
@@ -206,7 +244,7 @@ def update_column(state: SamplerState, col: int, z: np.ndarray, gamma: float) ->
     if not 0 <= col < p:
         raise IndexError(f"column {col} out of range for dimension {p}")
     sigma = state.sigma
-    scale = float(state.scatter[col, col] + state.lam[col, col])
+    scale = float(state.col_scale[col])
 
     sigma22 = float(sigma[col, col])
     if not (sigma22 > 0.0 and math.isfinite(sigma22)):
@@ -223,23 +261,19 @@ def update_column(state: SamplerState, col: int, z: np.ndarray, gamma: float) ->
     # built on a new array, so Sigma is untouched if the factor fails, and
     # LAPACK reads one triangle of it in Fortran order.
     c_inv = sigma * scale
-    dger(-scale, w, w, a=c_inv.T, overwrite_a=1)
+    dger(-scale, w, w, 1, 1, c_inv.T, 0, 0, 1)
     c_inv[col] = 0.0
     c_inv[:, col] = 0.0
-    tau12 = state.tau[col].copy()
-    tau12[col] = 1.0  # tau's diagonal is zero; 1/1 on a zeroed row is the unit pivot
     c_diag = c_inv.reshape(-1)[:: p + 1]
-    c_diag += 1.0 / tau12
-    lower_c, info = dpotrf(c_inv.T, lower=1, clean=0, overwrite_a=1)
+    c_diag += 1.0 / state.tau[col]  # tau's unit diagonal is the pivot of the zeroed row
+    lower_c, info = dpotrf(c_inv.T, 1, 0, 1)
     if info != 0:
         raise NotPositiveDefiniteError(
             f"conditional covariance for column {col} broke down"
         )
-    s12 = state.scatter[col].copy()
-    s12[col] = 0.0
-    y, _ = dtrtrs(lower_c, s12, lower=1, overwrite_b=1)
+    y, _ = dtrtrs(lower_c, state.scatter_off[col], 1)  # solves on a copy of the row
     np.subtract(z, y, out=y)
-    beta, _ = dtrtrs(lower_c, y, lower=1, trans=1, overwrite_b=1)
+    beta, _ = dtrtrs(lower_c, y, 1, 1, 0, None, 1)
 
     # u = Theta11^{-1} beta = Sigma beta - w (w' beta); beta[col] is zero
     u = sigma @ beta
@@ -252,8 +286,8 @@ def update_column(state: SamplerState, col: int, z: np.ndarray, gamma: float) ->
     # block inverse of the new Theta: its Schur complement is gamma
     root = math.sqrt(gamma)
     v = u / root
-    sigma_t = dger(-1.0, w, w, a=sigma.T, overwrite_a=1)
-    sigma = state.sigma = dger(1.0, v, v, a=sigma_t, overwrite_a=1).T
+    sigma_t = dger(-1.0, w, w, 1, 1, sigma.T, 0, 0, 1)
+    sigma = state.sigma = dger(1.0, v, v, 1, 1, sigma_t, 0, 0, 1).T
     v /= -root
     sigma[:, col] = v
     sigma[col] = v
@@ -276,24 +310,26 @@ def update_hyperparameters(
     """
     cfg = state.config
     work = _work if _work is not None else _SweepWorkspace(state.dim)
-    iu = work.upper
-    abs_theta = np.abs(state.theta[iu])
+    upper, lower = work.upper, work.lower
+    abs_theta = np.abs(state.theta.take(upper))
 
     if cfg.adapt_lambda:
-        lam_off = rng.gamma(1.0 + cfg.r, 1.0 / (abs_theta + cfg.s))
-        state.lam[iu] = lam_off
-        state.lam[work.lower] = lam_off
+        # the same draws as rng.gamma(1 + r, 1 / (|theta| + s)); see the module docstring
+        lam_off = rng.standard_gamma(1.0 + cfg.r, size=abs_theta.size)
+        lam_off *= 1.0 / (abs_theta + cfg.s)
+        state.lam.put(upper, lam_off)
+        state.lam.put(lower, lam_off)
     else:
-        lam_off = state.lam[iu]
+        lam_off = state.lam.take(upper)
 
     floored = np.maximum(abs_theta, cfg.theta_floor)
     mu = lam_off / floored
     delta = rng.wald(mu, lam_off**2)
     # the transformation method can underflow to 0 at extreme mu; keep tau finite
-    delta = np.maximum(delta, np.finfo(float).tiny)
+    np.maximum(delta, _TINY, out=delta)
     tau_off = 1.0 / delta
-    state.tau[iu] = tau_off
-    state.tau[work.lower] = tau_off
+    state.tau.put(upper, tau_off)
+    state.tau.put(lower, tau_off)
     return state
 
 
@@ -309,13 +345,12 @@ def chain_draws(scatter: np.ndarray, n: int, config: GibbsConfig) -> Iterator[np
     """
     state = initial_state(scatter, n, config)
     rng = np.random.default_rng(config.seed)
-    p = state.dim
-    work = _SweepWorkspace(p)
+    work = _SweepWorkspace(state.dim)
     for sweep in range(config.burn_in + config.retained):
         try:
             z, gamma = sweep_draws(state, rng)
-            for col in range(p):
-                update_column(state, col, z[col], gamma[col])
+            for col, (z_col, gamma_col) in enumerate(zip(z, gamma.tolist())):
+                update_column(state, col, z_col, gamma_col)
             state.sigma = invert_pd(state.theta)
             update_hyperparameters(state, rng, _work=work)
         except NotPositiveDefiniteError as err:
@@ -326,13 +361,21 @@ def chain_draws(scatter: np.ndarray, n: int, config: GibbsConfig) -> Iterator[np
             yield state.theta
 
 
-def run_chain(scatter: np.ndarray, n: int, config: GibbsConfig) -> ChainSummary:
-    """Run one chain and average Theta and its partial correlations over the retained draws."""
+def run_chain(
+    scatter: np.ndarray, n: int, config: GibbsConfig, partials: bool = True
+) -> ChainSummary:
+    """Run one chain and average Theta over the retained draws.
+
+    With ``partials`` the partial correlations of each draw are averaged
+    too; without, ``partial_mean`` is None and the chain is the same.
+    """
     theta_sum = np.zeros_like(scatter, dtype=float)
-    partial_sum = np.zeros_like(scatter, dtype=float)
+    partial_sum = np.zeros_like(scatter, dtype=float) if partials else None
     for theta in chain_draws(scatter, n, config):
         theta_sum += theta
-        partial_sum += partial_correlation(theta)
+        if partials:
+            partial_sum += partial_correlation(theta)
     theta_sum /= config.retained
-    partial_sum /= config.retained
+    if partials:
+        partial_sum /= config.retained
     return ChainSummary(theta_mean=theta_sum, partial_mean=partial_sum, config=config)

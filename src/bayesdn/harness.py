@@ -15,6 +15,7 @@ import dataclasses
 import datetime
 import hashlib
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -22,7 +23,7 @@ from typing import Literal
 
 import numpy as np
 
-from .config import bound, check_fields, decode
+from .config import FieldError, bound, check_fields, decode
 from .diffnet import DN_MODES, dn_adjacency, estimate_bnet
 from .gibbs import GibbsConfig, run_chain, spawn_seeds
 from .ista import IstaConfig, estimate_dnet
@@ -107,6 +108,13 @@ class ExperimentConfig:
             raise ValueError("sweep_grid must be non-empty and strictly increasing")
 
 
+def _is_number(value) -> bool:
+    try:
+        return math.isfinite(float(value))
+    except ValueError:
+        return False
+
+
 @dataclass(frozen=True)
 class RealAnalysisConfig:
     """Where the data lives and how to split it into the two groups.
@@ -115,7 +123,8 @@ class RealAnalysisConfig:
     or ``boundaries`` (ISO dates cutting the date-ordered rows into named
     phases, two of which are compared) must be given.  ``compare`` names
     the two groups: class values (numbers, or strings that parse as
-    numbers) or phase names.
+    numbers) or phase names.  All of this is checked when the config is
+    made, before any data is read.
     """
 
     csv_path: str
@@ -135,6 +144,46 @@ class RealAnalysisConfig:
         check_fields(self)
         if (self.class_column is None) == (len(self.boundaries) == 0):
             raise ValueError("configure exactly one of class_column or boundaries")
+        if self.class_column is not None:
+            if not all(map(_is_number, self.compare or ())):
+                raise FieldError(
+                    "compare", f"must be numbers or numeric strings, got {list(self.compare)}"
+                )
+            return
+        try:
+            dates = self.boundary_dates
+        except ValueError as err:
+            raise FieldError("boundaries", f"must be ISO dates (YYYY-MM-DD): {err}") from None
+        if dates != sorted(dates):
+            raise FieldError("boundaries", f"must be in date order, got {list(self.boundaries)}")
+        phases = self.phases
+        if len(phases) != len(dates) + 1:
+            raise FieldError(
+                "phase_names",
+                f"must name {len(dates) + 1} phases for {len(dates)} boundaries, got {len(phases)}",
+            )
+        if len(set(phases)) != len(phases):
+            raise FieldError("phase_names", f"must be distinct, got {list(phases)}")
+        for name in self.compare or ():
+            if name not in phases:
+                raise FieldError("compare", f"must name phases among {list(phases)}, got {name!r}")
+
+    @property
+    def class_values(self) -> tuple[float, ...]:
+        """The ``compare`` class values as numbers (empty without ``compare``)."""
+        return tuple(float(v) for v in self.compare or ())
+
+    @property
+    def boundary_dates(self) -> list[datetime.date]:
+        """``boundaries`` as dates."""
+        return [datetime.date.fromisoformat(b) for b in self.boundaries]
+
+    @property
+    def phases(self) -> tuple[str, ...]:
+        """The phase names: ``phase_names``, or phase1, phase2, ... by default."""
+        if self.phase_names is not None:
+            return self.phase_names
+        return tuple(f"phase{k + 1}" for k in range(len(self.boundaries) + 1))
 
 
 @dataclass(frozen=True)
@@ -379,7 +428,7 @@ def _two_groups(cfg: RealAnalysisConfig) -> tuple[list[str], tuple[str, str], np
         columns = [ds.columns[k] for k in feature_idx]
         uniq = sorted(set(labels.tolist()))
         if cfg.compare is not None:
-            wanted = [float(v) for v in cfg.compare]
+            wanted = list(cfg.class_values)
         else:
             if len(uniq) != 2:
                 raise ValueError(f"class column has {len(uniq)} values; pass compare=(a, b)")
@@ -388,18 +437,8 @@ def _two_groups(cfg: RealAnalysisConfig) -> tuple[list[str], tuple[str, str], np
         g2 = ds.rows[np.isclose(labels, wanted[1])][:, feature_idx]
         names = (str(wanted[0]), str(wanted[1]))
     else:
-        boundaries = [datetime.date.fromisoformat(b) for b in cfg.boundaries]
-        split = split_phases(ds, boundaries, list(cfg.phase_names) if cfg.phase_names else None)
-        names_all = list(split.phases)
-        if cfg.compare is not None:
-            names = (cfg.compare[0], cfg.compare[1])
-            for nm in names:
-                if nm not in split.phases:
-                    raise ValueError(f"phase {nm!r} not among {names_all}")
-        else:
-            if len(names_all) < 2:
-                raise ValueError("need at least two phases")
-            names = (names_all[0], names_all[1])
+        split = split_phases(ds, cfg.boundary_dates, list(cfg.phases))
+        names = (cfg.compare or cfg.phases)[:2]
         columns = ds.columns
         g1 = split.rows(ds, names[0])
         g2 = split.rows(ds, names[1])

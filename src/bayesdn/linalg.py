@@ -91,7 +91,7 @@ def require_symmetric(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
-    if not np.array_equal(m, m.T):
+    if not (m == m.T).all():  # a NaN is unequal to itself, as in np.array_equal
         raise ValueError(f"{name} is not symmetric")
     return m
 
@@ -110,9 +110,11 @@ def _factor_pd(m: np.ndarray) -> np.ndarray:
     if info < 0:
         raise ValueError(f"illegal argument {-info} passed to potrf")
     d = c.diagonal()
-    pivots = d * d
     floor = PIVOT_RTOL * float(m.diagonal().max())
-    if pivots.min() <= floor:
+    d_min = float(d.min())
+    # the factor's diagonal is >= 0, so the least pivot is the square of its least entry
+    if d_min * d_min <= floor:
+        pivots = d * d
         k = int(np.argmax(pivots <= floor))
         raise NotPositiveDefiniteError(
             f"pivot {k + 1} ({pivots[k]:.3e}) at or below floor {floor:.3e}", minor=k + 1
@@ -161,15 +163,13 @@ def partial_correlation(theta: np.ndarray) -> np.ndarray:
     """Partial correlation matrix of a positive-definite precision matrix.
 
     ``rho[i, j] = -theta[i, j] / sqrt(theta[i, i] * theta[j, j])`` off the
-    diagonal, with unit diagonal.  A stack of shape ``(..., p, p)`` is
-    handled matrix by matrix.  Positive definiteness is not re-checked:
+    diagonal, with unit diagonal.  Positive definiteness is not re-checked:
     callers pass sampler draws, which are PD by construction.
     """
     theta = np.asarray(theta, dtype=float)
-    if theta.ndim < 2 or theta.shape[-1] != theta.shape[-2]:
-        raise ValueError(f"expected square matrices, got shape {theta.shape}")
-    d = np.sqrt(np.diagonal(theta, axis1=-2, axis2=-1))
-    rho = -theta / (d[..., :, None] * d[..., None, :])
-    idx = np.arange(theta.shape[-1])
-    rho[..., idx, idx] = 1.0
+    if theta.ndim != 2 or theta.shape[0] != theta.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {theta.shape}")
+    d = np.sqrt(theta.diagonal())
+    rho = -theta / np.multiply.outer(d, d)
+    rho.reshape(-1)[:: theta.shape[0] + 1] = 1.0
     return rho

@@ -138,6 +138,34 @@ class TestRealConfig:
         assert rc == 2 and not out.exists()
         assert "config error: moving_average_window must be >= 1, got 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "split, text",
+        [
+            ({"boundaries": ["2020-13-45"]}, "boundaries must be ISO dates (YYYY-MM-DD)"),
+            ({"boundaries": ["2020-06-01", "2020-03-01"]}, "boundaries must be in date order"),
+            ({"boundaries": ["2020-06-01"], "phase_names": ["a", "b", "c"]},
+             "phase_names must name 2 phases for 1 boundaries, got 3"),
+            ({"boundaries": ["2020-06-01"], "phase_names": ["a", "a"]}, "phase_names must be distinct"),
+            ({"boundaries": ["2020-06-01"], "compare": ["phase1", "phase3"]},
+             "compare must name phases among ['phase1', 'phase2'], got 'phase3'"),
+            ({"class_column": "label", "compare": ["a", "b"]}, "compare must be numbers or numeric strings"),
+            ({"class_column": "label", "compare": ["1", "nan"]}, "compare must be numbers or numeric strings"),
+        ],
+    )
+    def test_split_refused_before_the_csv_is_read(self, tmp_path, capsys, split, text):
+        # the CSV does not exist, so reading it before the check would exit 3
+        config = {"csv_path": str(tmp_path / "missing.csv"), "date_column": "date", **split}
+        rc, out = _run(tmp_path, ["real"], config)
+        assert rc == 2 and not out.exists()
+        assert f"config error: {text}" in capsys.readouterr().err
+
+    def test_numeric_string_compare_accepted(self, tmp_path):
+        config = {"csv_path": _labeled_csv(tmp_path), "class_column": "label", "compare": ["0", "1e0"],
+                  "gibbs": {"burn_in": 5, "retained": 10}}
+        rc, out = _run(tmp_path, ["real"], config)
+        assert rc == 0
+        assert json.loads((out / "summary.json").read_text())["groups"] == ["0.0", "1.0"]
+
     def test_numeric_compare_accepted(self, tmp_path):
         # class values are compared as numbers, so JSON numbers name them
         config = {"csv_path": _labeled_csv(tmp_path), "class_column": "label", "compare": [1, 0],

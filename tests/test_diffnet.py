@@ -88,6 +88,8 @@ class TestEstimate:
                 assert not np.array_equal(ma, mb)
 
     def test_components_follow_spawned_seeds(self):
+        # the estimate runs its chains without the partial fold; the means
+        # must still be those of the default run_chain, bit for bit
         pair = make_structure(StructureSpec("ar2", 6))
         x1 = sample_gaussian(pair.theta1, 60, seed=7)
         x2 = sample_gaussian(pair.theta2, 60, seed=8)

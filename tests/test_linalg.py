@@ -126,21 +126,20 @@ class TestPartialCorrelation:
     )
     def test_invariant_under_diagonal_rescaling(self, p, jitter, seed):
         rng = np.random.default_rng(seed)
-        thetas = np.stack([random_pd(p, rng, jitter=jitter) for _ in range(3)])
-        rho = partial_correlation(thetas[0])
+        theta = random_pd(p, rng, jitter=jitter)
+        rho = partial_correlation(theta)
         np.testing.assert_array_equal(np.diag(rho), np.ones(p))
         np.testing.assert_array_equal(rho, rho.T)
         assert np.all(np.abs(rho[~np.eye(p, dtype=bool)]) < 1.0)
         d = np.diag(rng.uniform(0.5, 3.0, size=p))
-        scaled = mirror_lower(d @ thetas[0] @ d)
+        scaled = mirror_lower(d @ theta @ d)
         np.testing.assert_allclose(partial_correlation(scaled), rho, atol=1e-10)
-        stacked = partial_correlation(thetas)
-        for k in range(3):
-            np.testing.assert_array_equal(stacked[k], partial_correlation(thetas[k]))
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             partial_correlation(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="square matrix"):
+            partial_correlation(np.stack([np.eye(2), np.eye(2)]))
 
 
 class TestSymmetryHelpers:

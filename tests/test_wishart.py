@@ -30,7 +30,7 @@ from helpers import bartlett_wishart, random_pd
 def oracle_partials(nu, psi, count, seed):
     """Partial correlation matrices of ``count`` Bartlett draws from W(nu, psi)."""
     draws = bartlett_wishart(nu, psi, count, np.random.default_rng(seed))
-    return partial_correlation(draws)
+    return np.stack([partial_correlation(draw) for draw in draws])
 
 
 def posterior_params(scatter, n, eps=EPSILON):
