@@ -6,9 +6,11 @@ Usage, from the root of a checkout::
 
 A sweep here is one step of ``gibbs.chain_draws``: the sweep's draws,
 the p column updates, the checked resync of Sigma and the hyperparameter
-update.  Each measurement runs a fresh process with one BLAS thread on
-ar2 data with n = 200, skips the chain's first sweep and times the next
-ones.  The working tree and a temporary clone of ``--parent`` (checked
+update.  Each run is a fresh process with one BLAS thread on ar2 data
+with n = 200.  At each p it skips the chain's first sweep and times
+short blocks of the next ones, keeping the fastest block, so a burst of
+load from other processes on the host spoils one block rather than the
+run.  The working tree and a temporary clone of ``--parent`` (checked
 out as ``tools/bench_pairs.py`` does, under ``$TMPDIR`` and removed at
 the end) take turns, ``--runs`` times each, and the minimum over the
 runs is printed in ms per sweep for p = 10, 30, 60 and 100.  It only
@@ -25,8 +27,9 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-# sweeps timed per run: about 0.1-0.2 s of work at each p
-SWEEPS = {10: 400, 30: 150, 60: 60, 100: 25}
+# (blocks, sweeps per block) at each p: blocks of about 5-15 ms, about
+# 0.15 s of sweeps per p and run
+SWEEPS = {10: (30, 16), 30: (20, 8), 60: (12, 4), 100: (10, 2)}
 
 # Runs in the measured tree with that tree's ``src`` on the path; prints
 # {p: seconds per sweep} as JSON.
@@ -37,15 +40,19 @@ from bayesdn.linalg import mirror_lower
 from bayesdn.structures import StructureSpec, raw_components, sample_gaussian
 
 out = {}
-for p, sweeps in json.loads(sys.argv[1]).items():
+for p, (blocks, sweeps) in json.loads(sys.argv[1]).items():
     theta, _ = raw_components(StructureSpec("ar2", int(p)))
     x = sample_gaussian(theta, 200, seed=int(p))
-    draws = chain_draws(mirror_lower(x.T @ x), 200, GibbsConfig(burn_in=0, retained=sweeps + 1, seed=1))
+    cfg = GibbsConfig(burn_in=0, retained=blocks * sweeps + 1, seed=1)
+    draws = chain_draws(mirror_lower(x.T @ x), 200, cfg)
     next(draws)
-    start = time.perf_counter()
-    for _ in draws:
-        pass
-    out[p] = (time.perf_counter() - start) / sweeps
+    best = float("inf")
+    for _ in range(blocks):
+        start = time.perf_counter()
+        for _ in range(sweeps):
+            next(draws)
+        best = min(best, (time.perf_counter() - start) / sweeps)
+    out[p] = best
 print(json.dumps(out))
 """
 
