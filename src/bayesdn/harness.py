@@ -180,8 +180,8 @@ class RealAnalysisConfig:
 
     @property
     def phases(self) -> tuple[str, ...]:
-        """The phase names: ``phase_names``, or phase1, phase2, ... by default."""
-        if self.phase_names is not None:
+        """The phase names: ``phase_names``, or phase1, phase2, ... when it is empty or None."""
+        if self.phase_names:
             return self.phase_names
         return tuple(f"phase{k + 1}" for k in range(len(self.boundaries) + 1))
 

@@ -159,6 +159,13 @@ class TestRealConfig:
         assert rc == 2 and not out.exists()
         assert f"config error: {text}" in capsys.readouterr().err
 
+    def test_empty_phase_names_take_the_default_names(self):
+        cfg = config_from_dict(
+            {"csv_path": "x.csv", "boundaries": ["2020-06-01"], "phase_names": [], "compare": ["phase2", "phase1"]},
+            real=True,
+        )
+        assert cfg.phases == ("phase1", "phase2")
+
     def test_numeric_string_compare_accepted(self, tmp_path):
         config = {"csv_path": _labeled_csv(tmp_path), "class_column": "label", "compare": ["0", "1e0"],
                   "gibbs": {"burn_in": 5, "retained": 10}}
