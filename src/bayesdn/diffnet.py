@@ -3,6 +3,11 @@
 Runs one Gibbs chain per sample, takes the difference of the posterior
 mean precision matrices as the point estimate, and thresholds the
 Wishart-reference partial correlations of the two samples into a graph.
+:func:`estimate_bnet` does all of it for one pair of samples.  A run of
+many estimates splits it in two around one call of
+``gibbs.run_chains`` over every estimate's chains: :func:`bnet_requests`
+names the two chains of one estimate, and :func:`bnet_network` turns
+their posterior means into the estimate.
 
 :func:`dn_adjacency` is the one place an edge is decided.  Its per-sample
 score is ``|e|`` under the mean rule, or ``|e| / max(|ref|, RATIO_FLOOR)``
@@ -30,11 +35,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gibbs import GibbsConfig, run_chain, spawn_seeds
+from .gibbs import ChainRequest, ChainSummary, GibbsConfig, run_chains, spawn_seeds
 from .linalg import mirror_lower
 from .wishart import EPSILON, posterior_partial_corr_mean
 
-__all__ = ["DN_MODES", "RATIO_FLOOR", "DifferentialNetwork", "dn_adjacency", "estimate_bnet"]
+__all__ = [
+    "DN_MODES",
+    "RATIO_FLOOR",
+    "DifferentialNetwork",
+    "dn_adjacency",
+    "bnet_requests",
+    "bnet_network",
+    "estimate_bnet",
+]
 
 DN_MODES = ("difference", "xor", "union")
 # Denominator floor for the ratio rule.
@@ -86,6 +99,57 @@ def dn_adjacency(
     return a1 ^ a2 if mode == "xor" else a1 | a2
 
 
+def bnet_requests(
+    x1: np.ndarray,
+    x2: np.ndarray,
+    cfg: GibbsConfig,
+    labels: tuple[str, str] = ("sample 1", "sample 2"),
+) -> list[ChainRequest]:
+    """The two chains of one estimate, one per sample, without the partial-correlation fold.
+
+    They take two seeds spawned from ``cfg.seed``, so one seed reproduces
+    the whole estimate and neighbouring seeds share no stream.  ``labels``
+    name the chains in error messages.
+    """
+    x1 = np.asarray(x1, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    if x1.ndim != 2 or x2.ndim != 2 or x1.shape[1] != x2.shape[1]:
+        raise ValueError(f"samples must be 2-d with equal width, got {x1.shape} and {x2.shape}")
+    if min(x1.shape[0], x2.shape[0]) < 2:
+        raise ValueError("each sample needs at least 2 rows")
+    return [
+        ChainRequest(
+            mirror_lower(x.T @ x), x.shape[0], replace(cfg, seed=seed), partials=False, label=label
+        )
+        for x, seed, label in zip((x1, x2), spawn_seeds(cfg.seed, 2), labels)
+    ]
+
+
+def bnet_network(
+    requests: list[ChainRequest],
+    chains: list[ChainSummary],
+    eta: float,
+    mode: str = "difference",
+    eps: float = EPSILON,
+) -> DifferentialNetwork:
+    """The estimate from the two chains of :func:`bnet_requests` and their summaries.
+
+    The point estimate is the difference of the chains' posterior means;
+    the graph thresholds the exact Wishart references of the two scatters,
+    which need no seed.
+    """
+    means = [chain.theta_mean for chain in chains]
+    partials = [posterior_partial_corr_mean(req.scatter, req.n, eps) for req in requests]
+    return DifferentialNetwork(
+        delta_hat=means[1] - means[0],
+        component_means=(means[0], means[1]),
+        component_partials=(partials[0], partials[1]),
+        adjacency=dn_adjacency(tuple(partials), eta, mode),
+        eta=float(eta),
+        mode=mode,
+    )
+
+
 def estimate_bnet(
     x1: np.ndarray,
     x2: np.ndarray,
@@ -96,32 +160,8 @@ def estimate_bnet(
 ) -> DifferentialNetwork:
     """Estimate the differential network from two samples.
 
-    The two chains take two seeds spawned from ``cfg.seed``, so one seed
-    reproduces the whole estimate and neighbouring seeds share no stream.
-    The Wishart references are exact and need no seed.
+    :func:`bnet_requests`, ``gibbs.run_chains`` and :func:`bnet_network`
+    in turn; see there.
     """
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    if x1.ndim != 2 or x2.ndim != 2 or x1.shape[1] != x2.shape[1]:
-        raise ValueError(f"samples must be 2-d with equal width, got {x1.shape} and {x2.shape}")
-    if min(x1.shape[0], x2.shape[0]) < 2:
-        raise ValueError("each sample needs at least 2 rows")
-
-    means = []
-    partials = []
-    for x, chain_seed in zip((x1, x2), spawn_seeds(cfg.seed, 2)):
-        scatter = mirror_lower(x.T @ x)
-        chain = run_chain(scatter, x.shape[0], replace(cfg, seed=chain_seed), partials=False)
-        means.append(chain.theta_mean)
-        partials.append(posterior_partial_corr_mean(scatter, x.shape[0], eps))
-
-    delta_hat = means[1] - means[0]
-    adjacency = dn_adjacency(tuple(partials), eta, mode)
-    return DifferentialNetwork(
-        delta_hat=delta_hat,
-        component_means=(means[0], means[1]),
-        component_partials=(partials[0], partials[1]),
-        adjacency=adjacency,
-        eta=float(eta),
-        mode=mode,
-    )
+    requests = bnet_requests(x1, x2, cfg)
+    return bnet_network(requests, run_chains(requests), eta, mode, eps)

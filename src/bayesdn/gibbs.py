@@ -42,13 +42,37 @@ with a zero diagonal, and tau carries a unit diagonal, so row ``col`` of
 numbers and gives the same bits without the per-entry broadcast path.
 The hyperparameter update reads and writes the two triangles through
 flat ``take``/``put`` indices cached once per chain.
+
+:func:`run_chains` is the one entry point that runs chains to their
+posterior means; :func:`run_chain` and ``diffnet.estimate_bnet`` call it.
+It has two routes to the same numbers.  The per-chain route steps one
+chain at a time through :func:`chain_draws`.  The stacked route steps K
+chains of one p together: the elementwise work of a column update, the
+draws' scaling and the hyperparameter update run on ``(K, p, p)`` and
+``(K, m)`` arrays, while ``dger``, ``dpotrf``, ``dtrtrs``, the Generator
+calls and the checked resync stay per chain, in place on each chain's
+slice of the stack.  The matrix-vector product and the two dot products
+of a column update are ``np.matmul`` on stacks with trailing unit axes,
+which numpy hands to the same BLAS ``gemv`` and ``ddot`` calls as the
+per-chain ``@``; every other operation is the per-chain one entry by
+entry.  Each chain reads its own Generator in the per-chain order
+(normals, Schur gammas, penalty gammas, Wald draws), so every chain's
+draws, and every output, equal those of the per-chain route bit for bit
+(tests pin this, and that a chain's numbers do not depend on the stack
+it runs in).  The stack saves per-call overhead only when it is tall
+enough: the size rule (:func:`stacked_dims`) stacks the chains of one p
+when a run holds at least ``STACK_MIN_CHAINS`` of them and p is at most
+``STACK_MAX_DIM``.  The rule is applied to a run's whole list of chains,
+before any split across worker processes, and since both routes give the
+same bits it changes only the time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterator
+from collections import Counter
+from dataclasses import dataclass, field, replace
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.linalg.blas import dger
@@ -68,14 +92,23 @@ __all__ = [
     "GibbsConfig",
     "SamplerState",
     "ChainSummary",
+    "ChainRequest",
     "spawn_seeds",
     "initial_state",
     "sweep_draws",
     "update_column",
     "update_hyperparameters",
     "chain_draws",
+    "stacked_dims",
+    "run_chains",
     "run_chain",
 ]
+
+# The size rule of run_chains: a run's chains of one p take the stacked
+# route when there are at least STACK_MIN_CHAINS of them and p is at most
+# STACK_MAX_DIM (from ``tools/sweep_timing.py --chains``; see the README).
+STACK_MIN_CHAINS = 4
+STACK_MAX_DIM = 60
 
 
 @dataclass(frozen=True)
@@ -149,6 +182,27 @@ class ChainSummary:
     theta_mean: np.ndarray
     partial_mean: np.ndarray | None
     config: GibbsConfig
+
+
+@dataclass(frozen=True)
+class ChainRequest:
+    """One chain for :func:`run_chains`: its data, its settings (seed included) and its label.
+
+    With ``partials`` the chain also averages the partial correlations of
+    its draws (see :func:`run_chain`).  ``label`` names the chain in
+    error messages; the harness passes its structure, p, replication and
+    sample.
+    """
+
+    scatter: np.ndarray
+    n: int
+    config: GibbsConfig
+    partials: bool = True
+    label: str = ""
+
+    @property
+    def dim(self) -> int:
+        return int(np.shape(self.scatter)[0]) if np.ndim(self.scatter) else 0
 
 
 def spawn_seeds(entropy: int, count: int, key: tuple[int, ...] = ()) -> list[int]:
@@ -361,6 +415,258 @@ def chain_draws(scatter: np.ndarray, n: int, config: GibbsConfig) -> Iterator[np
             yield state.theta
 
 
+def _named(err: Exception, label: str) -> Exception:
+    """``err`` with ``label`` in front of its message, of the same type."""
+    if not label:
+        return err
+    if isinstance(err, NotPositiveDefiniteError):
+        return NotPositiveDefiniteError(f"{label}: {err}", minor=err.minor)
+    return type(err)(f"{label}: {err}")
+
+
+def _chain_summary(request: ChainRequest) -> ChainSummary:
+    """The per-chain route: fold the draws of :func:`chain_draws` into means."""
+    cfg = request.config
+    theta_sum = np.zeros_like(request.scatter, dtype=float)
+    partial_sum = np.zeros_like(request.scatter, dtype=float) if request.partials else None
+    try:
+        for theta in chain_draws(request.scatter, request.n, cfg):
+            theta_sum += theta
+            if request.partials:
+                partial_sum += partial_correlation(theta)
+    except (NotPositiveDefiniteError, ValueError) as err:
+        raise _named(err, request.label) from err
+    theta_sum /= cfg.retained
+    if request.partials:
+        partial_sum /= cfg.retained
+    return ChainSummary(theta_mean=theta_sum, partial_mean=partial_sum, config=cfg)
+
+
+class _ChainFailure(Exception):
+    """Chain ``chain`` of a stack failed a check with ``error``."""
+
+    def __init__(self, chain: int, error: NotPositiveDefiniteError):
+        super().__init__(chain, error)
+        self.chain, self.error = chain, error
+
+
+class _Stack:
+    """K chains of one p and one config, seeds aside, stepped together.
+
+    The arrays hold the chains' states along a leading axis.  Every chain's
+    slice is C-contiguous, so its transpose is the Fortran-order view that
+    ``dger`` and ``dpotrf`` update in place, and its rows of the (K, p)
+    work arrays are the contiguous vectors ``dtrtrs`` solves in place, as
+    on the per-chain route.  The per-chain views are made once per stack.
+    """
+
+    def __init__(self, requests: Sequence[ChainRequest]):
+        states = []
+        for req in requests:
+            try:
+                states.append(initial_state(req.scatter, req.n, req.config))
+            except ValueError as err:
+                raise _named(err, req.label) from err
+        self.labels = [req.label for req in requests]
+        self.config = requests[0].config
+        self.rngs = [np.random.default_rng(req.config.seed) for req in requests]
+        self.gamma_shapes = [s.n / 2.0 + 1.0 for s in states]
+        k, p = len(states), states[0].dim
+        self.k, self.p = k, p
+        self.theta = np.stack([s.theta for s in states])
+        self.sigma = np.stack([s.sigma for s in states])
+        self.tau = np.stack([s.tau for s in states])
+        self.lam = np.stack([s.lam for s in states])
+        self.scatter_off = np.stack([s.scatter_off for s in states])
+        self.col_scale = np.stack([s.col_scale for s in states])
+        self.neg_scales = (-self.col_scale).T.tolist()  # [col][chain], Python floats
+        self.c_inv = np.empty((k, p, p))
+        self.z = np.empty((k, p, p))
+        self.gamma = np.empty((k, p))
+        self.w, self.y, self.v = np.empty((3, k, p))
+        self.c_t = [m.T for m in self.c_inv]
+        self.sigma_t = [m.T for m in self.sigma]
+        self.w_rows, self.y_rows, self.v_rows = list(self.w), list(self.y), list(self.v)
+        diagonal = slice(None, None, p + 1)
+        self.theta_diag = self.theta.reshape(k, -1)[:, diagonal]
+        self.sigma_diag = self.sigma.reshape(k, -1)[:, diagonal]
+        self.c_diag = self.c_inv.reshape(k, -1)[:, diagonal]
+        self.z_diag = self.z.reshape(k, -1)[:, diagonal]
+        work = _SweepWorkspace(p)
+        self.upper, self.lower = work.upper, work.lower
+
+    def draw(self) -> None:
+        """Each chain's normals and Schur gammas of one sweep, as :func:`sweep_draws`."""
+        z, gamma = self.z, self.gamma
+        for rng, z_k, gamma_k, shape in zip(self.rngs, z, gamma, self.gamma_shapes):
+            rng.standard_normal(out=z_k)
+            rng.standard_gamma(shape, out=gamma_k)
+        self.z_diag[...] = 0.0
+        gamma *= 2.0 / self.col_scale
+
+    def update_column(self, col: int) -> None:
+        """:func:`update_column` for every chain; see there for the algebra."""
+        sigma, theta, c_inv, w, y, v = self.sigma, self.theta, self.c_inv, self.w, self.y, self.v
+        sigma22 = sigma[:, col, col]
+        if not (sigma22.min() > 0.0 and sigma22.max() < math.inf):
+            bad = next(k for k, s in enumerate(sigma22.tolist()) if not 0.0 < s < math.inf)
+            raise _ChainFailure(bad, NotPositiveDefiniteError(
+                f"Theta block excluding column {col} lost positive definiteness"
+            ))
+        np.divide(sigma[:, col], np.sqrt(sigma22)[:, None], out=w)
+
+        np.multiply(sigma, self.col_scale[:, col, None, None], out=c_inv)
+        for c_t, w_k, neg_scale in zip(self.c_t, self.w_rows, self.neg_scales[col]):
+            dger(neg_scale, w_k, w_k, 1, 1, c_t, 0, 0, 1)
+        c_inv[:, col] = 0.0
+        c_inv[:, :, col] = 0.0
+        self.c_diag += 1.0 / self.tau[:, col]
+        y[...] = self.scatter_off[:, col]
+        lowers = []
+        for k, (c_t, y_k) in enumerate(zip(self.c_t, self.y_rows)):
+            lower_c, info = dpotrf(c_t, 1, 0, 1)
+            if info != 0:
+                raise _ChainFailure(k, NotPositiveDefiniteError(
+                    f"conditional covariance for column {col} broke down"
+                ))
+            dtrtrs(lower_c, y_k, 1, 0, 0, None, 1)
+            lowers.append(lower_c)
+        np.subtract(self.z[:, col], y, out=y)
+        for lower_c, y_k in zip(lowers, self.y_rows):
+            dtrtrs(lower_c, y_k, 1, 1, 0, None, 1)
+        beta = y
+
+        u = np.matmul(sigma, beta[:, :, None])
+        u2 = u[:, :, 0]
+        u2 -= np.matmul(w[:, None, :], beta[:, :, None])[:, 0] * w
+        theta[:, :, col] = beta
+        theta[:, col] = beta
+        gamma = self.gamma[:, col]
+        self.theta_diag[:, col] = gamma + np.matmul(beta[:, None, :], u)[:, 0, 0]
+
+        root = np.sqrt(gamma)[:, None]
+        np.divide(u2, root, out=v)
+        for sigma_t, w_k, v_k in zip(self.sigma_t, self.w_rows, self.v_rows):
+            dger(-1.0, w_k, w_k, 1, 1, sigma_t, 0, 0, 1)
+            dger(1.0, v_k, v_k, 1, 1, sigma_t, 0, 0, 1)
+        v /= -root
+        sigma[:, :, col] = v
+        sigma[:, col] = v
+        self.sigma_diag[:, col] = 1.0 / gamma
+
+    def resync(self) -> None:
+        """Re-derive each chain's Sigma from its Theta with the checked inversion."""
+        for k, theta in enumerate(self.theta):
+            try:
+                self.sigma[k] = invert_pd(theta)
+            except NotPositiveDefiniteError as err:
+                raise _ChainFailure(k, err) from err
+
+    def update_hyperparameters(self) -> None:
+        """:func:`update_hyperparameters` for every chain, each reading its own Generator."""
+        cfg, k = self.config, self.k
+        upper, lower = self.upper, self.lower
+        flat_lam = self.lam.reshape(k, -1)
+        flat_tau = self.tau.reshape(k, -1)
+        abs_theta = np.abs(self.theta.reshape(k, -1)[:, upper])
+        if cfg.adapt_lambda:
+            lam_off = np.empty(abs_theta.shape)
+            for rng, lam_k in zip(self.rngs, lam_off):
+                rng.standard_gamma(1.0 + cfg.r, out=lam_k)
+            lam_off *= 1.0 / (abs_theta + cfg.s)
+            flat_lam[:, upper] = lam_off
+            flat_lam[:, lower] = lam_off
+        else:
+            lam_off = flat_lam[:, upper]
+        floored = np.maximum(abs_theta, cfg.theta_floor)
+        mu = lam_off / floored
+        shape = lam_off**2
+        delta = np.empty_like(mu)
+        for rng, delta_k, mu_k, shape_k in zip(self.rngs, delta, mu, shape):
+            delta_k[...] = rng.wald(mu_k, shape_k)
+        np.maximum(delta, _TINY, out=delta)
+        tau_off = 1.0 / delta
+        flat_tau[:, upper] = tau_off
+        flat_tau[:, lower] = tau_off
+
+
+def _stack_summaries(requests: Sequence[ChainRequest]) -> list[ChainSummary]:
+    """The stacked route: run chains of one p and one config (seeds aside) together."""
+    stack = _Stack(requests)
+    cfg, partials = stack.config, requests[0].partials
+    theta_sum = np.zeros_like(stack.theta)
+    partial_sum = np.zeros_like(stack.theta) if partials else None
+    for sweep in range(cfg.burn_in + cfg.retained):
+        try:
+            stack.draw()
+            for col in range(stack.p):
+                stack.update_column(col)
+            stack.resync()
+            stack.update_hyperparameters()
+        except _ChainFailure as failure:
+            err = failure.error
+            named = NotPositiveDefiniteError(f"sweep {sweep}: {err}", minor=err.minor)
+            raise _named(named, stack.labels[failure.chain]) from err
+        if sweep >= cfg.burn_in:
+            theta_sum += stack.theta
+            if partials:
+                for acc, theta in zip(partial_sum, stack.theta):
+                    acc += partial_correlation(theta)
+    theta_sum /= cfg.retained
+    if partials:
+        partial_sum /= cfg.retained
+    return [
+        ChainSummary(
+            theta_mean=theta_sum[k].copy(),
+            partial_mean=partial_sum[k].copy() if partials else None,
+            config=req.config,
+        )
+        for k, req in enumerate(requests)
+    ]
+
+
+def stacked_dims(requests: Sequence[ChainRequest]) -> frozenset[int]:
+    """The dimensions whose chains the size rule sends to the stacked route.
+
+    A dimension qualifies when ``requests`` hold at least
+    ``STACK_MIN_CHAINS`` chains of it and it is at most ``STACK_MAX_DIM``.
+    Apply it to a run's whole list of chains, before splitting the list.
+    """
+    counts = Counter(req.dim for req in requests)
+    return frozenset(
+        p for p, k in counts.items() if k >= STACK_MIN_CHAINS and 0 < p <= STACK_MAX_DIM
+    )
+
+
+def run_chains(
+    requests: Sequence[ChainRequest], stacked: frozenset[int] | None = None
+) -> list[ChainSummary]:
+    """Run every requested chain to its posterior means, in request order.
+
+    Chains whose dimension is in ``stacked`` (by default the size rule's
+    choice for ``requests``, see :func:`stacked_dims`) run on the stacked
+    route, grouped by dimension, sampler settings other than the seed and
+    ``partials``; the rest run one at a time through :func:`chain_draws`.
+    Both routes give the same numbers bit for bit.  An error names the
+    failing chain's label and, past the start, the sweep.
+    """
+    requests = list(requests)
+    if stacked is None:
+        stacked = stacked_dims(requests)
+    out: list[ChainSummary | None] = [None] * len(requests)
+    groups: dict[tuple, list[int]] = {}
+    for i, req in enumerate(requests):
+        if req.dim in stacked:
+            key = (req.dim, replace(req.config, seed=0), req.partials)
+            groups.setdefault(key, []).append(i)
+        else:
+            out[i] = _chain_summary(req)
+    for members in groups.values():
+        for i, summary in zip(members, _stack_summaries([requests[i] for i in members])):
+            out[i] = summary
+    return out
+
+
 def run_chain(
     scatter: np.ndarray, n: int, config: GibbsConfig, partials: bool = True
 ) -> ChainSummary:
@@ -369,13 +675,4 @@ def run_chain(
     With ``partials`` the partial correlations of each draw are averaged
     too; without, ``partial_mean`` is None and the chain is the same.
     """
-    theta_sum = np.zeros_like(scatter, dtype=float)
-    partial_sum = np.zeros_like(scatter, dtype=float) if partials else None
-    for theta in chain_draws(scatter, n, config):
-        theta_sum += theta
-        if partials:
-            partial_sum += partial_correlation(theta)
-    theta_sum /= config.retained
-    if partials:
-        partial_sum /= config.retained
-    return ChainSummary(theta_mean=theta_sum, partial_mean=partial_sum, config=config)
+    return run_chains([ChainRequest(scatter, n, config, partials)])[0]

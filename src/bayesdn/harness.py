@@ -6,6 +6,16 @@ index, replication index), aggregation happens after a deterministic sort
 of the collected results, and files are written with round-tripping float
 formatting.  The emitted bytes therefore do not depend on how many worker
 processes executed the tasks.
+
+The synthetic benchmark and the threshold study run their tasks in three
+stages.  The data stage makes each task's model pair and samples and
+names the Gibbs chains it needs (a :class:`~bayesdn.gibbs.ChainRequest`
+per sample).  The chain stage runs the requests of all tasks through
+``gibbs.run_chains``, so chains of different tasks can share a stack; the
+size rule sees the whole list before ``threads`` cuts it into contiguous
+slices, one per worker.  The scoring stage runs the comparator, turns the
+chains into estimates and scores them.  Each stage keeps task order, and
+a chain's numbers do not depend on its stack or slice.
 """
 
 from __future__ import annotations
@@ -18,14 +28,16 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Literal
 
 import numpy as np
 
 from .config import FieldError, bound, check_fields, decode
-from .diffnet import DN_MODES, dn_adjacency, estimate_bnet
-from .gibbs import GibbsConfig, run_chain, spawn_seeds
+from .diffnet import DN_MODES, bnet_network, bnet_requests, dn_adjacency, estimate_bnet
+from .gibbs import ChainRequest, GibbsConfig, run_chains, spawn_seeds, stacked_dims
 from .ista import IstaConfig, estimate_dnet
 from .linalg import mirror_lower
 from .metrics import classification_scores, confusion, loss_report
@@ -264,6 +276,13 @@ def _task_data(task):
     return seeds, pair, x1, x2
 
 
+def _chain_labels(task) -> tuple[str, str]:
+    """How error messages name a task's two chains."""
+    cfg, si, di, rep = task
+    where = f"{cfg.structures[si]} p={cfg.dims[di]} replication {rep}"
+    return f"{where} sample 1", f"{where} sample 2"
+
+
 def _groups(cfg: ExperimentConfig, results: list):
     """Yield (structure, p, n, per-replication results) in task order."""
     reps = cfg.replications
@@ -274,20 +293,53 @@ def _groups(cfg: ExperimentConfig, results: list):
             k += reps
 
 
-def _synthetic_task(task) -> dict:
+@contextmanager
+def _mapper(threads: int):
+    """A ``map(fn, items) -> list`` in this process, or over a pool of ``threads`` workers."""
+    if threads <= 1:
+        yield lambda fn, items: [fn(item) for item in items]
+        return
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        yield lambda fn, items: list(pool.map(fn, items))
+
+
+def _run_staged(data_fn, score_fn, cfg: ExperimentConfig, threads: int) -> list:
+    """Run every task of ``cfg`` through the data, chain and scoring stages.
+
+    ``data_fn(task)`` returns the task's data with its chain requests
+    last; ``score_fn((task, data, chains))`` gets the summaries of those
+    requests, in order.  The size rule is applied to the requests of all
+    tasks before they are cut into one contiguous slice per worker.
+    """
+    tasks = _tasks(cfg)
+    with _mapper(threads) as run:
+        data = run(data_fn, tasks)
+        requests = [req for d in data for req in d[-1]]
+        size = max(1, -(-len(requests) // max(threads, 1)))
+        slices = [requests[k : k + size] for k in range(0, len(requests), size)]
+        stage = partial(run_chains, stacked=stacked_dims(requests))
+        chains = iter([chain for part in run(stage, slices) for chain in part])
+        per_task = [[next(chains) for _ in d[-1]] for d in data]
+        return run(score_fn, list(zip(tasks, data, per_task)))
+
+
+def _synthetic_data(task):
     cfg = task[0]
     seeds, pair, x1, x2 = _task_data(task)
+    requests = []
+    if "bnet" in cfg.estimators:
+        chain_cfg = replace(cfg.gibbs, seed=seeds[3])
+        requests = bnet_requests(x1, x2, chain_cfg, labels=_chain_labels(task))
+    return pair, x1, x2, requests
+
+
+def _synthetic_score(item) -> dict:
+    task, (pair, x1, x2, requests), chains = item
+    cfg = task[0]
     out: dict[str, dict[str, float]] = {}
     for est in cfg.estimators:
         if est == "bnet":
-            dn = estimate_bnet(
-                x1,
-                x2,
-                replace(cfg.gibbs, seed=seeds[3]),
-                cfg.eta,
-                mode=cfg.dn_mode,
-                eps=cfg.eps,
-            )
+            dn = bnet_network(requests, chains, cfg.eta, mode=cfg.dn_mode, eps=cfg.eps)
             delta, adj = dn.delta_hat, dn.adjacency
         else:
             delta, adj, _ = estimate_dnet(x1, x2, cfg.ista)
@@ -302,13 +354,6 @@ def _synthetic_task(task) -> dict:
             "mcc": scores.mcc,
         }
     return out
-
-
-def _run_tasks(fn, argslist, threads: int):
-    if threads <= 1:
-        return [fn(a) for a in argslist]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, argslist))
 
 
 def _median(values: np.ndarray) -> float:
@@ -341,10 +386,11 @@ def run_synthetic_experiment(cfg: ExperimentConfig, threads: int = 1) -> Results
     For every (structure, dim, replication) triple: generate the model
     pair, sample the two datasets, run the estimators, score the point
     estimate against the true difference and the graph against the true
-    support.  Medians and spreads aggregate over replications.
+    support.  Medians and spreads aggregate over replications.  A failing
+    chain's error names its structure, p, replication and sample.
     """
     try:
-        results = _run_tasks(_synthetic_task, _tasks(cfg), threads)
+        results = _run_staged(_synthetic_data, _synthetic_score, cfg, threads)
     except Exception as err:
         raise RuntimeError(f"synthetic experiment failed: {err}") from err
 
@@ -366,11 +412,23 @@ def run_synthetic_experiment(cfg: ExperimentConfig, threads: int = 1) -> Results
     return ResultsTable(entries=entries)
 
 
-def _study_task(task) -> dict[str, ThresholdReport]:
+def _study_data(task):
     cfg = task[0]
     (_, _, _, s_chain), pair, x1, x2 = _task_data(task)
     n = x1.shape[0]
     scatters = (mirror_lower(x1.T @ x1), mirror_lower(x2.T @ x2))
+    requests = []
+    if "ratio" in cfg.rules:
+        requests = [
+            ChainRequest(s, n, replace(cfg.gibbs, seed=c), label=label)
+            for s, c, label in zip(scatters, spawn_seeds(s_chain, 2), _chain_labels(task))
+        ]
+    return pair, n, scatters, requests
+
+
+def _study_score(item) -> dict[str, ThresholdReport]:
+    task, (pair, n, scatters, _), chains = item
+    cfg = task[0]
     grid = np.asarray(cfg.sweep_grid)
     reports: dict[str, ThresholdReport] = {}
     if "mean" in cfg.rules:
@@ -379,8 +437,7 @@ def _study_task(task) -> dict[str, ThresholdReport]:
             pair.true_adjacency, lambda eta: dn_adjacency(eh, eta, cfg.dn_mode), grid
         )
     if "ratio" in cfg.rules:
-        chains = zip(scatters, spawn_seeds(s_chain, 2))
-        rho = tuple(run_chain(s, n, replace(cfg.gibbs, seed=c)).partial_mean for s, c in chains)
+        rho = tuple(chain.partial_mean for chain in chains)
         eg = tuple(posterior_partial_corr_mean(s, n, 1.0) for s in scatters)
         reports["ratio"] = threshold_sweep(
             pair.true_adjacency, lambda eta: dn_adjacency(rho, eta, cfg.dn_mode, eg), grid
@@ -396,7 +453,7 @@ def run_threshold_study(cfg: ExperimentConfig, threads: int = 1) -> list[StudyRe
     replication's individually best threshold.
     """
     grid = np.asarray(cfg.sweep_grid)
-    results = _run_tasks(_study_task, _tasks(cfg), threads)
+    results = _run_staged(_study_data, _study_score, cfg, threads)
     out: list[StudyResult] = []
     for structure, p, n, per_rep in _groups(cfg, results):
         rules: dict[str, RuleStudy] = {}

@@ -1,12 +1,20 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import bayesdn.gibbs as gibbs
 from bayesdn.gibbs import (
+    STACK_MAX_DIM,
+    STACK_MIN_CHAINS,
+    ChainRequest,
     GibbsConfig,
     chain_draws,
     initial_state,
     run_chain,
+    run_chains,
+    stacked_dims,
     sweep_draws,
     update_column,
     update_hyperparameters,
@@ -14,6 +22,7 @@ from bayesdn.gibbs import (
 from bayesdn.linalg import (
     NotPositiveDefiniteError,
     cholesky_pd,
+    invert_pd,
     mirror_lower,
     partial_correlation,
 )
@@ -451,3 +460,143 @@ class TestChain:
             GibbsConfig(retained=0)
         with pytest.raises(ValueError):
             GibbsConfig(r=0.0)
+
+
+def chain_requests(p, k, cfg, partials=False):
+    """``k`` chains at dimension ``p`` with unequal n, distinct seeds and labels."""
+    theta = 2.0 * np.eye(p) + 0.6 * (np.eye(p, k=1) + np.eye(p, k=-1))
+    requests = []
+    for j in range(k):
+        n = 20 + 9 * j
+        x = sample_gaussian(theta, n, seed=40 + j)
+        requests.append(
+            ChainRequest(
+                mirror_lower(x.T @ x), n, replace(cfg, seed=70 + j), partials, label=f"chain {j}"
+            )
+        )
+    return requests
+
+
+def folded_draws(request):
+    """The oracle: a chain's means folded by hand from ``chain_draws``."""
+    cfg = request.config
+    theta_sum = np.zeros((request.dim, request.dim))
+    partial_sum = np.zeros_like(theta_sum)
+    for theta in chain_draws(request.scatter, request.n, cfg):
+        theta_sum += theta
+        partial_sum += partial_correlation(theta)
+    return theta_sum / cfg.retained, partial_sum / cfg.retained
+
+
+STACK_CONFIGS = {
+    "adaptive": (GibbsConfig(burn_in=4, retained=12), False),
+    "frozen_with_partials": (
+        GibbsConfig(burn_in=4, retained=12, adapt_lambda=False, lambda_init=0.5),
+        True,
+    ),
+}
+
+
+class TestStackedRoute:
+    @pytest.mark.parametrize("setting", sorted(STACK_CONFIGS))
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    @pytest.mark.parametrize("p", [2, 3, 10, 30])
+    def test_stack_equals_chain_draws(self, p, k, setting):
+        cfg, partials = STACK_CONFIGS[setting]
+        requests = chain_requests(p, k, cfg, partials)
+        got = run_chains(requests, stacked=frozenset({p}))
+        for request, summary in zip(requests, got):
+            theta_mean, partial_mean = folded_draws(request)
+            np.testing.assert_array_equal(summary.theta_mean, theta_mean)
+            if partials:
+                np.testing.assert_array_equal(summary.partial_mean, partial_mean)
+            else:
+                assert summary.partial_mean is None
+            assert summary.config == request.config
+
+    @pytest.mark.parametrize("p", [3, 10])
+    def test_chain_alone_equals_chain_in_a_batch_of_7(self, p):
+        requests = chain_requests(p, 7, GibbsConfig(burn_in=5, retained=15), partials=True)
+        batch = run_chains(requests, stacked=frozenset({p}))
+        for j in (0, 3, 6):
+            alone = run_chains([requests[j]], stacked=frozenset({p}))[0]
+            np.testing.assert_array_equal(alone.theta_mean, batch[j].theta_mean)
+            np.testing.assert_array_equal(alone.partial_mean, batch[j].partial_mean)
+
+    @pytest.mark.parametrize("k", [1, 3, 7, 20])
+    @pytest.mark.parametrize("p", [2, 3, 10, 30, 60])
+    def test_stacked_matmul_equals_per_item_products(self, p, k):
+        # the stack's matrix-vector and dot products must be the per-chain
+        # `@` bit for bit; a numpy or BLAS release that changes this fails here
+        rng = np.random.default_rng(p * 100 + k)
+        sigma = rng.standard_normal((k, p, p))
+        beta, w = rng.standard_normal((2, k, p))
+        u = np.matmul(sigma, beta[:, :, None])
+        wb = np.matmul(w[:, None, :], beta[:, :, None])
+        bu = np.matmul(beta[:, None, :], u)
+        for j in range(k):
+            np.testing.assert_array_equal(u[j, :, 0], sigma[j] @ beta[j])
+            assert wb[j, 0, 0] == float(w[j] @ beta[j])
+            assert bu[j, 0, 0] == float(beta[j] @ (sigma[j] @ beta[j]))
+
+    def test_size_rule(self):
+        cfg = GibbsConfig(burn_in=1, retained=1)
+        small = chain_requests(4, STACK_MIN_CHAINS, cfg)
+        assert stacked_dims(small) == {4}
+        assert stacked_dims(small[:-1]) == frozenset()
+        wide = chain_requests(STACK_MAX_DIM + 1, STACK_MIN_CHAINS, cfg)
+        assert stacked_dims(small + wide) == {4}
+        assert stacked_dims(chain_requests(STACK_MAX_DIM, STACK_MIN_CHAINS, cfg)) == {STACK_MAX_DIM}
+
+    def test_default_route_gives_the_same_numbers(self):
+        requests = chain_requests(5, STACK_MIN_CHAINS + 1, GibbsConfig(burn_in=3, retained=6))
+        assert stacked_dims(requests) == {5}
+        by_rule = run_chains(requests)
+        per_chain = run_chains(requests, stacked=frozenset())
+        for a, b in zip(by_rule, per_chain):
+            np.testing.assert_array_equal(a.theta_mean, b.theta_mean)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("blow_up", [1e180, 1e250])
+    def test_failing_chain_of_a_stack_is_named(self, blow_up):
+        # chain 1 of a stack of 3 overflows in its first sweep (here 1e180
+        # trips the factor's check and 1e250 the Schur complement's); the
+        # error names that chain and the sweep, as the per-chain route does
+        requests = chain_requests(6, 3, GibbsConfig(burn_in=2, retained=2))
+        requests[1] = replace(requests[1], scatter=requests[1].scatter * blow_up)
+        messages = []
+        for route in (frozenset({6}), frozenset()):
+            with pytest.raises(NotPositiveDefiniteError) as err:
+                run_chains(requests, stacked=route)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert re.fullmatch(
+            r"chain 1: sweep 0: (conditional covariance for column \d broke down"
+            r"|Theta block excluding column \d lost positive definiteness)",
+            messages[0],
+        )
+
+    def test_failing_resync_of_a_stack_names_chain_and_sweep(self, monkeypatch):
+        # the stack re-derives each chain's Sigma in chain order once per
+        # sweep; break chain 1's at sweep 2 of a stack of 3
+        calls = []
+
+        def breaking_invert_pd(theta):
+            calls.append(len(calls))
+            return invert_pd(-theta if len(calls) == 2 * 3 + 2 else theta)
+
+        monkeypatch.setattr(gibbs, "invert_pd", breaking_invert_pd)
+        requests = chain_requests(4, 3, GibbsConfig(burn_in=2, retained=3))
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            run_chains(requests, stacked=frozenset({4}))
+        assert str(err.value) == (
+            "chain 1: sweep 2: leading minor of order 1 is not positive definite"
+        )
+        assert err.value.minor == 1
+
+    def test_bad_scatter_names_the_chain(self):
+        requests = chain_requests(3, 3, GibbsConfig(burn_in=1, retained=1))
+        requests[2] = replace(requests[2], scatter=-requests[2].scatter)
+        for route in (frozenset({3}), frozenset()):
+            with pytest.raises(ValueError, match="^chain 2: scatter is not positive semidefinite"):
+                run_chains(requests, stacked=route)

@@ -7,7 +7,7 @@ import pytest
 
 import bayesdn.harness as harness
 from bayesdn.diffnet import DifferentialNetwork
-from bayesdn.gibbs import GibbsConfig
+from bayesdn.gibbs import STACK_MIN_CHAINS, GibbsConfig
 from bayesdn.harness import (
     ExperimentConfig,
     RealAnalysisConfig,
@@ -82,12 +82,41 @@ class TestSyntheticExperiment:
         with pytest.raises(RuntimeError, match="synthetic experiment failed: solver broke down"):
             run_synthetic_experiment(cfg)
 
-    def test_mock_estimator_scores_perfectly(self, monkeypatch):
-        cfg = TINY
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_failing_chain_names_its_task(self, tmp_path, monkeypatch, capsys):
+        # one chain of a stacked run overflows in its first sweep: the
+        # error names its structure, p, replication, sample and sweep, and
+        # the command exits 1
+        from bayesdn.cli import main
 
-        def perfect(x1, x2, gibbs_cfg, eta, **kwargs):
-            pair = make_structure(StructureSpec("ar2", x1.shape[1]))
-            eh = np.eye(x1.shape[1])
+        build = harness.bnet_requests
+        broken = "ar2 p=6 replication 1 sample 2"
+
+        def breaking_requests(x1, x2, cfg, labels):
+            return [
+                replace(req, scatter=req.scatter * 1e250) if req.label == broken else req
+                for req in build(x1, x2, cfg, labels)
+            ]
+
+        monkeypatch.setattr(harness, "bnet_requests", breaking_requests)
+        replications = max(2, -(-STACK_MIN_CHAINS // 2))
+        rc = main(
+            ["synthetic", "--structures", "ar2", "--dims", "6", "--sizes", "40",
+             "--replications", str(replications), "--estimators", "bnet",
+             "--out", str(tmp_path / "o"), "--config", str(_tiny_cli_config(tmp_path))]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: synthetic experiment failed: {broken}: sweep 0: ")
+
+    def test_mock_estimator_scores_perfectly(self, monkeypatch):
+        # the Bayesian estimate is assembled from its two chains in the
+        # scoring stage, so that is where a perfect estimator is put in
+        def perfect(requests, chains, eta, **kwargs):
+            assert len(requests) == len(chains) == 2
+            p = requests[0].scatter.shape[0]
+            pair = make_structure(StructureSpec("ar2", p))
+            eh = np.eye(p)
             return DifferentialNetwork(
                 delta_hat=pair.true_delta,
                 component_means=(pair.theta1, pair.theta2),
@@ -97,7 +126,7 @@ class TestSyntheticExperiment:
                 mode="union",
             )
 
-        monkeypatch.setattr(harness, "estimate_bnet", perfect)
+        monkeypatch.setattr(harness, "bnet_network", perfect)
         table = run_synthetic_experiment(
             ExperimentConfig(
                 structures=("ar2",),
@@ -270,6 +299,29 @@ class TestEmit:
             emit_results_table(table, TINY, str(out))
         for name in ("results.csv", "manifest.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_byte_identical_when_slices_fall_below_the_stack_size(self, tmp_path):
+        # the run's chains are stacked (the size rule sees all of them), but
+        # 2 and 3 workers get slices shorter than STACK_MIN_CHAINS
+        tasks = -(-STACK_MIN_CHAINS // 2)
+        cfg = ExperimentConfig(
+            structures=("ar2",),
+            dims=(6,),
+            sample_sizes=(40,),
+            replications=tasks,
+            rules=("mean", "ratio"),
+            gibbs=GibbsConfig(burn_in=10, retained=20),
+            master_seed=23,
+        )
+        assert 2 * tasks >= STACK_MIN_CHAINS > -(-2 * tasks // 2)
+        names = ("results.csv", "threshold_study.json", "manifest.json")
+        outputs = []
+        for threads in (1, 2, 3):
+            out = tmp_path / f"t{threads}"
+            emit_results_table(run_synthetic_experiment(cfg, threads=threads), cfg, str(out))
+            emit_study(run_threshold_study(cfg, threads=threads), cfg, str(out))
+            outputs.append({name: (out / name).read_bytes() for name in names})
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_multi_group_byte_identical_across_thread_counts(self, tmp_path):
         cfg = ExperimentConfig(

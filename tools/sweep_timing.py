@@ -1,20 +1,38 @@
-"""Time whole Gibbs sweeps of the working tree against a parent revision.
+"""Time whole Gibbs sweeps: the working tree against a parent revision, or
+the stacked route against the per-chain route.
 
 Usage, from the root of a checkout::
 
     python3 tools/sweep_timing.py --parent <rev>
+    python3 tools/sweep_timing.py --chains
 
-A sweep here is one step of ``gibbs.chain_draws``: the sweep's draws,
-the p column updates, the checked resync of Sigma and the hyperparameter
-update.  Each run is a fresh process with one BLAS thread on ar2 data
-with n = 200.  At each p it skips the chain's first sweep and times
-short blocks of the next ones, keeping the fastest block, so a burst of
-load from other processes on the host spoils one block rather than the
-run.  The working tree and a temporary clone of ``--parent`` (checked
-out as ``tools/bench_pairs.py`` does, under ``$TMPDIR`` and removed at
-the end) take turns, ``--runs`` times each, and the minimum over the
-runs is printed in ms per sweep for p = 10, 30, 60 and 100.  It only
-reports; it gates nothing.  Standard library and numpy only.
+A sweep here is one step of a chain: the sweep's draws, the p column
+updates, the checked resync of Sigma and the hyperparameter update.  Each
+run is a fresh process with one BLAS thread on ar2 data with n = 200, and
+every timed interval goes through ``Calibration.measure`` of this
+checkout's ``perfbench/run.py`` (imported, not changed), which rescales
+raw seconds by a reference kernel timed before, during and after the
+interval.  Times are printed in reference milliseconds, so a host that
+slows down under other tenants' load does not read as a slower sweep.
+
+``--parent`` times ``gibbs.chain_draws`` at p = 10, 30, 60 and 100.  At
+each p it skips the chain's first sweep and times short blocks of the
+next ones inside one calibrated interval, keeping the fastest block
+(scaled by the interval's reference factor), so a burst of load spoils
+one block rather than the run.  The working tree and a temporary clone of
+``--parent`` (checked out as ``tools/bench_pairs.py`` does, under
+``$TMPDIR`` and removed at the end) take turns, ``--runs`` times each,
+and the minimum over the runs is printed in ms per sweep.
+
+``--chains`` times ``gibbs.run_chains`` on the working tree alone: K
+chains of one p (distinct seeds and sample sizes) on the stacked route
+against the same chains on the per-chain route, at p = 10, 30, 60 and 100
+and K = 1, 2, 4, 6 and 20.  Within a run the two routes alternate which
+goes first; the table gives the median over ``--runs`` runs of ms per
+chain and sweep, and the median of the per-run ratios.  The size rule's
+``STACK_MIN_CHAINS`` and ``STACK_MAX_DIM`` are read off this table.
+
+It only reports; it gates nothing.  Standard library and numpy only.
 """
 
 from __future__ import annotations
@@ -22,37 +40,85 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH_RUN = os.path.join(ROOT, "perfbench", "run.py")
 # (blocks, sweeps per block) at each p: blocks of about 5-15 ms, about
 # 0.15 s of sweeps per p and run
 SWEEPS = {10: (30, 16), 30: (20, 8), 60: (12, 4), 100: (10, 2)}
+CHAIN_DIMS = (10, 30, 60, 100)
+CHAIN_COUNTS = (1, 2, 4, 6, 20)
+# seconds of per-chain sweeps per timed interval in --chains (at least 3 sweeps)
+CHAIN_INTERVAL_S = 0.15
 
-# Runs in the measured tree with that tree's ``src`` on the path; prints
-# {p: seconds per sweep} as JSON.
-PROBE = """
-import json, sys, time
-from bayesdn.gibbs import GibbsConfig, chain_draws
+# Imports the reference kernel of perfbench/run.py (its path is argv[1]),
+# which pins BLAS to one thread before numpy loads.
+PROBE_HEAD = """
+import importlib.util, json, sys, time
+spec = importlib.util.spec_from_file_location("perfbench_run", sys.argv[1])
+perfbench_run = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(perfbench_run)
+import numpy as np
 from bayesdn.linalg import mirror_lower
 from bayesdn.structures import StructureSpec, raw_components, sample_gaussian
+calibration = perfbench_run.Calibration(np)
+"""
 
-out = {}
-for p, (blocks, sweeps) in json.loads(sys.argv[1]).items():
-    theta, _ = raw_components(StructureSpec("ar2", int(p)))
-    x = sample_gaussian(theta, 200, seed=int(p))
-    cfg = GibbsConfig(burn_in=0, retained=blocks * sweeps + 1, seed=1)
-    draws = chain_draws(mirror_lower(x.T @ x), 200, cfg)
-    next(draws)
+# Runs in the measured tree with that tree's ``src`` on the path; prints
+# {p: reference seconds per sweep} as JSON.
+PROBE_PARENT = PROBE_HEAD + """
+from bayesdn.gibbs import GibbsConfig, chain_draws
+
+def blocks_of(draws, blocks, sweeps):
     best = float("inf")
     for _ in range(blocks):
         start = time.perf_counter()
         for _ in range(sweeps):
             next(draws)
         best = min(best, (time.perf_counter() - start) / sweeps)
-    out[p] = best
+    return best
+
+out = {}
+for p, (blocks, sweeps) in json.loads(sys.argv[2]).items():
+    theta, _ = raw_components(StructureSpec("ar2", int(p)))
+    x = sample_gaussian(theta, 200, seed=int(p))
+    cfg = GibbsConfig(burn_in=0, retained=blocks * sweeps + 1, seed=1)
+    draws = chain_draws(mirror_lower(x.T @ x), 200, cfg)
+    next(draws)
+    best, raw, ref = calibration.measure(lambda: blocks_of(draws, blocks, sweeps))
+    out[p] = best * ref / raw
+print(json.dumps(out))
+"""
+
+# Runs in the working tree; prints [[p, K, stacked s, per-chain s], ...] in
+# reference seconds per chain and sweep.
+PROBE_CHAINS = PROBE_HEAD + """
+from bayesdn.gibbs import ChainRequest, GibbsConfig, run_chains
+
+dims, counts, interval = json.loads(sys.argv[2])
+t_sweep = {10: 2.3e-4, 30: 7.8e-4, 60: 2.5e-3, 100: 7.1e-3}  # rough per-chain cost
+out = []
+for p in dims:
+    theta, _ = raw_components(StructureSpec("ar2", p))
+    for k in counts:
+        sweeps = max(3, round(interval / (k * t_sweep.get(p, 1e-2))))
+        requests = []
+        for j in range(k):
+            n = 200 + j
+            x = sample_gaussian(theta, n, seed=1000 * p + j)
+            cfg = GibbsConfig(burn_in=0, retained=sweeps, seed=j + 1)
+            requests.append(ChainRequest(mirror_lower(x.T @ x), n, cfg, partials=False))
+        routes = {"stacked": frozenset({p}), "per_chain": frozenset()}
+        order = ("stacked", "per_chain") if k % 2 else ("per_chain", "stacked")
+        seconds = {}
+        for route in order:
+            _, _, ref = calibration.measure(lambda: run_chains(requests, routes[route]))
+            seconds[route] = ref / (k * sweeps)
+        out.append([p, k, seconds["stacked"], seconds["per_chain"]])
 print(json.dumps(out))
 """
 
@@ -62,12 +128,12 @@ def git(*args: str, cwd: str = ROOT) -> str:
     return proc.stdout.strip()
 
 
-def probe(tree: str) -> dict[str, float]:
+def probe(tree: str, script: str, arg) -> object:
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(SWEEPS)],
+        [sys.executable, "-c", script, PERFBENCH_RUN, json.dumps(arg)],
         cwd=tree, env=env, capture_output=True, text=True,
     )
     if proc.returncode != 0:
@@ -75,27 +141,57 @@ def probe(tree: str) -> dict[str, float]:
     return json.loads(proc.stdout)
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True, help="git revision to compare against")
-    parser.add_argument("--runs", type=int, default=7, help="interleaved runs per side")
-    args = parser.parse_args()
-    parent = git("rev-parse", "--short", args.parent)
+def compare_parent(rev: str, runs: int) -> None:
+    parent = git("rev-parse", "--short", rev)
     best = {"change": {}, "parent": {}}
     with tempfile.TemporaryDirectory(prefix="sweep_parent_") as tmp:
         clone = os.path.join(tmp, "parent")
         git("clone", "--quiet", "--no-checkout", ROOT, clone)
         git("checkout", "--quiet", "--detach", parent, cwd=clone)
         trees = {"parent": clone, "change": ROOT}
-        for k in range(args.runs):
+        for k in range(runs):
             for side in ("parent", "change")[:: 1 if k % 2 == 0 else -1]:
-                for p, s in probe(trees[side]).items():
+                for p, s in probe(trees[side], PROBE_PARENT, SWEEPS).items():
                     best[side][p] = min(s, best[side].get(p, float("inf")))
-    print(f"ms per sweep, min of {args.runs} interleaved runs, one BLAS thread, ar2, n = 200")
+    print(f"reference ms per sweep, min of {runs} interleaved runs, one BLAS thread, ar2, n = 200")
     print(f"{'p':>5} {'parent ' + parent:>16} {'working tree':>14} {'ratio':>7}")
     for p in map(str, SWEEPS):
         old, new = best["parent"][p] * 1e3, best["change"][p] * 1e3
         print(f"{p:>5} {old:>16.3f} {new:>14.3f} {new / old:>7.2f}")
+
+
+def compare_routes(runs: int) -> None:
+    rows: dict[tuple[int, int], list[tuple[float, float]]] = {}
+    for _ in range(runs):
+        for p, k, stacked, per_chain in probe(
+            ROOT, PROBE_CHAINS, [CHAIN_DIMS, CHAIN_COUNTS, CHAIN_INTERVAL_S]
+        ):
+            rows.setdefault((p, k), []).append((stacked, per_chain))
+    print(
+        f"reference ms per chain and sweep, median of {runs} runs, one BLAS thread, "
+        "ar2, n = 200 + chain index"
+    )
+    print(f"{'p':>5} {'K':>4} {'per-chain':>10} {'stacked':>9} {'ratio':>7}")
+    for (p, k), pairs in rows.items():
+        stacked = statistics.median(s for s, _ in pairs) * 1e3
+        per_chain = statistics.median(c for _, c in pairs) * 1e3
+        ratio = statistics.median(s / c for s, c in pairs)
+        print(f"{p:>5} {k:>4} {per_chain:>10.3f} {stacked:>9.3f} {ratio:>7.2f}")
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--parent", help="git revision to compare the working tree against")
+    mode.add_argument(
+        "--chains", action="store_true", help="compare the stacked and per-chain routes"
+    )
+    parser.add_argument("--runs", type=int, default=7, help="runs (per side with --parent)")
+    args = parser.parse_args()
+    if args.chains:
+        compare_routes(args.runs)
+    else:
+        compare_parent(args.parent, args.runs)
     return 0
 
 
