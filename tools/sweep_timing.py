@@ -15,14 +15,13 @@ raw seconds by a reference kernel timed before, during and after the
 interval.  Times are printed in reference milliseconds, so a host that
 slows down under other tenants' load does not read as a slower sweep.
 
-``--parent`` times ``gibbs.chain_draws`` at p = 10, 30, 60 and 100.  At
-each p it skips the chain's first sweep and times short blocks of the
-next ones inside one calibrated interval, keeping the fastest block
-(scaled by the interval's reference factor), so a burst of load spoils
-one block rather than the run.  The working tree and a temporary clone of
+``--parent`` times ``gibbs.chain_draws`` at p = 10, 30, 60 and 100: at
+each p it skips the chain's first sweep and times the next ones in one
+calibrated interval.  The working tree and a temporary clone of
 ``--parent`` (checked out as ``tools/bench_pairs.py`` does, under
-``$TMPDIR`` and removed at the end) take turns, ``--runs`` times each,
-and the minimum over the runs is printed in ms per sweep.
+``$TMPDIR`` and removed at the end) take turns, ``--runs`` times each;
+the table gives each side's median ms per sweep and the median of the
+per-run ratios.
 
 ``--chains`` times ``gibbs.run_chains`` on the working tree alone: K
 chains of one p (distinct seeds and sample sizes) on the stacked route
@@ -47,9 +46,8 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH_RUN = os.path.join(ROOT, "perfbench", "run.py")
-# (blocks, sweeps per block) at each p: blocks of about 5-15 ms, about
-# 0.15 s of sweeps per p and run
-SWEEPS = {10: (30, 16), 30: (20, 8), 60: (12, 4), 100: (10, 2)}
+# sweeps timed at each p: about 0.15 s per p and run
+SWEEPS = {10: 480, 30: 160, 60: 48, 100: 20}
 CHAIN_DIMS = (10, 30, 60, 100)
 CHAIN_COUNTS = (1, 2, 4, 6, 20)
 # seconds of per-chain sweeps per timed interval in --chains (at least 3 sweeps)
@@ -58,7 +56,7 @@ CHAIN_INTERVAL_S = 0.15
 # Imports the reference kernel of perfbench/run.py (its path is argv[1]),
 # which pins BLAS to one thread before numpy loads.
 PROBE_HEAD = """
-import importlib.util, json, sys, time
+import importlib.util, json, sys
 spec = importlib.util.spec_from_file_location("perfbench_run", sys.argv[1])
 perfbench_run = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(perfbench_run)
@@ -73,24 +71,15 @@ calibration = perfbench_run.Calibration(np)
 PROBE_PARENT = PROBE_HEAD + """
 from bayesdn.gibbs import GibbsConfig, chain_draws
 
-def blocks_of(draws, blocks, sweeps):
-    best = float("inf")
-    for _ in range(blocks):
-        start = time.perf_counter()
-        for _ in range(sweeps):
-            next(draws)
-        best = min(best, (time.perf_counter() - start) / sweeps)
-    return best
-
 out = {}
-for p, (blocks, sweeps) in json.loads(sys.argv[2]).items():
+for p, sweeps in json.loads(sys.argv[2]).items():
     theta, _ = raw_components(StructureSpec("ar2", int(p)))
     x = sample_gaussian(theta, 200, seed=int(p))
-    cfg = GibbsConfig(burn_in=0, retained=blocks * sweeps + 1, seed=1)
+    cfg = GibbsConfig(burn_in=0, retained=sweeps + 1, seed=1)
     draws = chain_draws(mirror_lower(x.T @ x), 200, cfg)
     next(draws)
-    best, raw, ref = calibration.measure(lambda: blocks_of(draws, blocks, sweeps))
-    out[p] = best * ref / raw
+    _, _, ref = calibration.measure(lambda: [next(draws) for _ in range(sweeps)])
+    out[p] = ref / sweeps
 print(json.dumps(out))
 """
 
@@ -143,7 +132,7 @@ def probe(tree: str, script: str, arg) -> object:
 
 def compare_parent(rev: str, runs: int) -> None:
     parent = git("rev-parse", "--short", rev)
-    best = {"change": {}, "parent": {}}
+    runs_of = {"change": [], "parent": []}
     with tempfile.TemporaryDirectory(prefix="sweep_parent_") as tmp:
         clone = os.path.join(tmp, "parent")
         git("clone", "--quiet", "--no-checkout", ROOT, clone)
@@ -151,13 +140,17 @@ def compare_parent(rev: str, runs: int) -> None:
         trees = {"parent": clone, "change": ROOT}
         for k in range(runs):
             for side in ("parent", "change")[:: 1 if k % 2 == 0 else -1]:
-                for p, s in probe(trees[side], PROBE_PARENT, SWEEPS).items():
-                    best[side][p] = min(s, best[side].get(p, float("inf")))
-    print(f"reference ms per sweep, min of {runs} interleaved runs, one BLAS thread, ar2, n = 200")
+                runs_of[side].append(probe(trees[side], PROBE_PARENT, SWEEPS))
+    print(f"reference ms per sweep, median of {runs} interleaved runs, one BLAS thread, ar2, n = 200")
     print(f"{'p':>5} {'parent ' + parent:>16} {'working tree':>14} {'ratio':>7}")
     for p in map(str, SWEEPS):
-        old, new = best["parent"][p] * 1e3, best["change"][p] * 1e3
-        print(f"{p:>5} {old:>16.3f} {new:>14.3f} {new / old:>7.2f}")
+        old = [run[p] for run in runs_of["parent"]]
+        new = [run[p] for run in runs_of["change"]]
+        ratio = statistics.median(b / a for a, b in zip(old, new))
+        print(
+            f"{p:>5} {statistics.median(old) * 1e3:>16.3f} "
+            f"{statistics.median(new) * 1e3:>14.3f} {ratio:>7.2f}"
+        )
 
 
 def compare_routes(runs: int) -> None:
