@@ -303,24 +303,37 @@ def _mapper(threads: int):
         yield lambda fn, items: list(pool.map(fn, items))
 
 
+def _data_or_scores(stages, task):
+    """``(data, None)`` for a task that requests chains, else ``(None, scores)``."""
+    data_fn, score_fn = stages
+    data = data_fn(task)
+    if data[-1]:
+        return data, None
+    return None, score_fn((task, data, []))
+
+
 def _run_staged(data_fn, score_fn, cfg: ExperimentConfig, threads: int) -> list:
     """Run every task of ``cfg`` through the data, chain and scoring stages.
 
     ``data_fn(task)`` returns the task's data with its chain requests
     last; ``score_fn((task, data, chains))`` gets the summaries of those
-    requests, in order.  The size rule is applied to the requests of all
-    tasks before they are cut into one contiguous slice per worker.
+    requests, in order.  A task that requests no chains is scored as soon
+    as its data is made, so only the tasks waiting for chains hold data.
+    The size rule is applied to the requests of all tasks before they are
+    cut into one contiguous slice per worker.
     """
     tasks = _tasks(cfg)
     with _mapper(threads) as run:
-        data = run(data_fn, tasks)
-        requests = [req for d in data for req in d[-1]]
+        first = run(partial(_data_or_scores, (data_fn, score_fn)), tasks)
+        waiting = [(task, data) for task, (data, _) in zip(tasks, first) if data is not None]
+        requests = [req for _, data in waiting for req in data[-1]]
         size = max(1, -(-len(requests) // max(threads, 1)))
         slices = [requests[k : k + size] for k in range(0, len(requests), size)]
         stage = partial(run_chains, stacked=stacked_dims(requests))
         chains = iter([chain for part in run(stage, slices) for chain in part])
-        per_task = [[next(chains) for _ in d[-1]] for d in data]
-        return run(score_fn, list(zip(tasks, data, per_task)))
+        pending = [(task, data, [next(chains) for _ in data[-1]]) for task, data in waiting]
+        scored = iter(run(score_fn, pending))
+        return [scores if data is None else next(scored) for data, scores in first]
 
 
 def _synthetic_data(task):
@@ -330,11 +343,12 @@ def _synthetic_data(task):
     if "bnet" in cfg.estimators:
         chain_cfg = replace(cfg.gibbs, seed=seeds[3])
         requests = bnet_requests(x1, x2, chain_cfg, labels=_chain_labels(task))
-    return pair, x1, x2, requests
+    samples = (x1, x2) if "dnet" in cfg.estimators else None
+    return (pair.true_delta, pair.true_adjacency), samples, requests
 
 
 def _synthetic_score(item) -> dict:
-    task, (pair, x1, x2, requests), chains = item
+    task, ((true_delta, true_adjacency), samples, requests), chains = item
     cfg = task[0]
     out: dict[str, dict[str, float]] = {}
     for est in cfg.estimators:
@@ -342,9 +356,9 @@ def _synthetic_score(item) -> dict:
             dn = bnet_network(requests, chains, cfg.eta, mode=cfg.dn_mode, eps=cfg.eps)
             delta, adj = dn.delta_hat, dn.adjacency
         else:
-            delta, adj, _ = estimate_dnet(x1, x2, cfg.ista)
-        losses = loss_report(delta, pair.true_delta)
-        scores = classification_scores(confusion(adj, pair.true_adjacency))
+            delta, adj, _ = estimate_dnet(*samples, cfg.ista)
+        losses = loss_report(delta, true_delta)
+        scores = classification_scores(confusion(adj, true_adjacency))
         out[est] = {
             **losses.as_dict(),
             "sp": scores.sp,
@@ -423,24 +437,24 @@ def _study_data(task):
             ChainRequest(s, n, replace(cfg.gibbs, seed=c), label=label)
             for s, c, label in zip(scatters, spawn_seeds(s_chain, 2), _chain_labels(task))
         ]
-    return pair, n, scatters, requests
+    return pair.true_adjacency, n, scatters, requests
 
 
 def _study_score(item) -> dict[str, ThresholdReport]:
-    task, (pair, n, scatters, _), chains = item
+    task, (true_adjacency, n, scatters, _), chains = item
     cfg = task[0]
     grid = np.asarray(cfg.sweep_grid)
     reports: dict[str, ThresholdReport] = {}
     if "mean" in cfg.rules:
         eh = tuple(posterior_partial_corr_mean(s, n, cfg.eps) for s in scatters)
         reports["mean"] = threshold_sweep(
-            pair.true_adjacency, lambda eta: dn_adjacency(eh, eta, cfg.dn_mode), grid
+            true_adjacency, lambda eta: dn_adjacency(eh, eta, cfg.dn_mode), grid
         )
     if "ratio" in cfg.rules:
         rho = tuple(chain.partial_mean for chain in chains)
         eg = tuple(posterior_partial_corr_mean(s, n, 1.0) for s in scatters)
         reports["ratio"] = threshold_sweep(
-            pair.true_adjacency, lambda eta: dn_adjacency(rho, eta, cfg.dn_mode, eg), grid
+            true_adjacency, lambda eta: dn_adjacency(rho, eta, cfg.dn_mode, eg), grid
         )
     return reports
 
