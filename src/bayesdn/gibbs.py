@@ -60,17 +60,18 @@ entry.  Each chain reads its own Generator in the per-chain order
 draws, and every output, equal those of the per-chain route bit for bit
 (tests pin this, and that a chain's numbers do not depend on the stack
 it runs in).  The stack saves per-call overhead only when it is tall
-enough: the size rule (:func:`stacked_dims`) stacks the chains of one p
-when a run holds at least ``STACK_MIN_CHAINS`` of them and p is at most
-``STACK_MAX_DIM``.  The rule is applied to a run's whole list of chains,
-before any split across worker processes, and since both routes give the
+enough: the size rule (:func:`chain_batches`) stacks a run's chains of
+one p and one config (seeds aside) when there are at least
+``STACK_MIN_CHAINS`` of them, in stacks of at most ``STACK_MAX_CHAINS``.
+The rule is applied to a run's whole list of chains; where a group is
+tall enough it cuts it into a multiple of the number of worker processes,
+so each worker gets a share of every p, and since both routes give the
 same bits it changes only the time.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Sequence
 
@@ -99,16 +100,17 @@ __all__ = [
     "update_column",
     "update_hyperparameters",
     "chain_draws",
-    "stacked_dims",
+    "chain_batches",
     "run_chains",
     "run_chain",
 ]
 
-# The size rule of run_chains: a run's chains of one p take the stacked
-# route when there are at least STACK_MIN_CHAINS of them and p is at most
-# STACK_MAX_DIM (from ``tools/sweep_timing.py --chains``; see the README).
+# The size rule of run_chains (see chain_batches), read off the table of
+# ``tools/sweep_timing.py --chains`` in the README: a stack of 2 loses at
+# every p up to 100 and one of 4 gains at every p; past 40 chains no p
+# gains more, and 240 chains of p = 100 lose (their arrays leave the cache).
 STACK_MIN_CHAINS = 4
-STACK_MAX_DIM = 60
+STACK_MAX_CHAINS = 40
 
 
 @dataclass(frozen=True)
@@ -202,7 +204,7 @@ class ChainRequest:
 
     @property
     def dim(self) -> int:
-        return int(np.shape(self.scatter)[0]) if np.ndim(self.scatter) else 0
+        return self.scatter.shape[0]
 
 
 def spawn_seeds(entropy: int, count: int, key: tuple[int, ...] = ()) -> list[int]:
@@ -625,44 +627,75 @@ def _stack_summaries(requests: Sequence[ChainRequest]) -> list[ChainSummary]:
     ]
 
 
-def stacked_dims(requests: Sequence[ChainRequest]) -> frozenset[int]:
-    """The dimensions whose chains the size rule sends to the stacked route.
+def _groups(requests: Sequence[ChainRequest]) -> list[list[int]]:
+    """The indices of requests that may share a stack.
 
-    A dimension qualifies when ``requests`` hold at least
-    ``STACK_MIN_CHAINS`` chains of it and it is at most ``STACK_MAX_DIM``.
-    Apply it to a run's whole list of chains, before splitting the list.
+    They share p, the config (seeds aside) and ``partials``.
     """
-    counts = Counter(req.dim for req in requests)
-    return frozenset(
-        p for p, k in counts.items() if k >= STACK_MIN_CHAINS and 0 < p <= STACK_MAX_DIM
-    )
+    groups: dict[tuple, list[int]] = {}
+    for i, req in enumerate(requests):
+        key = (req.dim, replace(req.config, seed=0), req.partials)
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
+def chain_batches(requests: Sequence[ChainRequest], workers: int = 1) -> list[list[int]]:
+    """The size rule: cut ``requests`` into batches of indices, each run as one unit.
+
+    A group of chains that may share a stack is stacked when it holds at
+    least ``STACK_MIN_CHAINS`` chains.  It is cut into stacks of
+    ``STACK_MIN_CHAINS`` to ``STACK_MAX_CHAINS`` chains whose sizes differ
+    by at most one; where the group is tall enough, the number of stacks
+    is a multiple of ``workers``, so every worker of a pool gets its
+    share.  Every other chain is a batch of its own.  The batches come
+    largest first (chains x p^2 x sweeps), so a pool that hands them out
+    one at a time keeps its workers busy to the end.
+    """
+    batches = []
+    for members in _groups(requests):
+        k = len(members)
+        if k < STACK_MIN_CHAINS:
+            batches.extend([i] for i in members)
+            continue
+        count = -(-k // STACK_MAX_CHAINS)
+        count = min(-(-count // workers) * workers, k // STACK_MIN_CHAINS)
+        batches.extend(part.tolist() for part in np.array_split(members, count))
+
+    def cost(batch: list[int]) -> int:
+        req = requests[batch[0]]
+        return len(batch) * req.dim**2 * (req.config.burn_in + req.config.retained)
+
+    return sorted(batches, key=cost, reverse=True)
 
 
 def run_chains(
-    requests: Sequence[ChainRequest], stacked: frozenset[int] | None = None
+    requests: Sequence[ChainRequest], stacked: bool | None = None
 ) -> list[ChainSummary]:
     """Run every requested chain to its posterior means, in request order.
 
-    Chains whose dimension is in ``stacked`` (by default the size rule's
-    choice for ``requests``, see :func:`stacked_dims`) run on the stacked
-    route, grouped by dimension, sampler settings other than the seed and
-    ``partials``; the rest run one at a time through :func:`chain_draws`.
-    Both routes give the same numbers bit for bit.  An error names the
-    failing chain's label and, past the start, the sweep.
+    By default the size rule (:func:`chain_batches`) picks each chain's
+    route; ``stacked=True`` runs every group that may share a stack as one
+    stack, whatever its size, and ``stacked=False`` runs every chain
+    alone through :func:`chain_draws`.  Both routes give the same numbers
+    bit for bit.  An error names the failing chain's label and, past the
+    start, the sweep.  When more than one chain fails, it names the first
+    failure found: a stack finds its failures in (sweep, column) order and
+    the batches run one after another, so which chain is named can depend
+    on how the chains were batched.
     """
     requests = list(requests)
     if stacked is None:
-        stacked = stacked_dims(requests)
+        batches = chain_batches(requests)
+    else:
+        batches = _groups(requests) if stacked else [[i] for i in range(len(requests))]
     out: list[ChainSummary | None] = [None] * len(requests)
-    groups: dict[tuple, list[int]] = {}
-    for i, req in enumerate(requests):
-        if req.dim in stacked:
-            key = (req.dim, replace(req.config, seed=0), req.partials)
-            groups.setdefault(key, []).append(i)
+    for batch in batches:
+        members = [requests[i] for i in batch]
+        if stacked or len(batch) > 1:
+            summaries = _stack_summaries(members)
         else:
-            out[i] = _chain_summary(req)
-    for members in groups.values():
-        for i, summary in zip(members, _stack_summaries([requests[i] for i in members])):
+            summaries = [_chain_summary(members[0])]
+        for i, summary in zip(batch, summaries):
             out[i] = summary
     return out
 

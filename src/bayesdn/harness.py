@@ -11,11 +11,12 @@ The synthetic benchmark and the threshold study run their tasks in three
 stages.  The data stage makes each task's model pair and samples and
 names the Gibbs chains it needs (a :class:`~bayesdn.gibbs.ChainRequest`
 per sample).  The chain stage runs the requests of all tasks through
-``gibbs.run_chains``, so chains of different tasks can share a stack; the
-size rule sees the whole list before ``threads`` cuts it into contiguous
-slices, one per worker.  The scoring stage runs the comparator, turns the
-chains into estimates and scores them.  Each stage keeps task order, and
-a chain's numbers do not depend on its stack or slice.
+``gibbs``, so chains of different tasks can share a stack: the size rule
+(``gibbs.chain_batches``) sees the whole list and cuts it into batches,
+lone chains and stacks, which the workers take one at a time.  The
+scoring stage runs the comparator, turns the chains into estimates and
+scores them.  Each stage keeps task order, and a chain's numbers do not
+depend on its batch.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 
 from .config import FieldError, bound, check_fields, decode
 from .diffnet import DN_MODES, bnet_network, bnet_requests, dn_adjacency, estimate_bnet
-from .gibbs import ChainRequest, GibbsConfig, run_chains, spawn_seeds, stacked_dims
+from .gibbs import ChainRequest, GibbsConfig, chain_batches, run_chains, spawn_seeds
 from .ista import IstaConfig, estimate_dnet
 from .linalg import mirror_lower
 from .metrics import classification_scores, confusion, loss_report
@@ -312,6 +313,11 @@ def _data_or_scores(stages, task):
     return None, score_fn((task, data, []))
 
 
+def _run_batch(batch: list[ChainRequest]) -> list:
+    """One batch of ``gibbs.chain_batches``: a stack, or a lone chain."""
+    return run_chains(batch, stacked=len(batch) > 1)
+
+
 def _run_staged(data_fn, score_fn, cfg: ExperimentConfig, threads: int) -> list:
     """Run every task of ``cfg`` through the data, chain and scoring stages.
 
@@ -319,18 +325,21 @@ def _run_staged(data_fn, score_fn, cfg: ExperimentConfig, threads: int) -> list:
     last; ``score_fn((task, data, chains))`` gets the summaries of those
     requests, in order.  A task that requests no chains is scored as soon
     as its data is made, so only the tasks waiting for chains hold data.
-    The size rule is applied to the requests of all tasks before they are
-    cut into one contiguous slice per worker.
+    The size rule cuts the requests of all tasks into batches, largest
+    first, which the workers take one at a time.
     """
     tasks = _tasks(cfg)
     with _mapper(threads) as run:
         first = run(partial(_data_or_scores, (data_fn, score_fn)), tasks)
         waiting = [(task, data) for task, (data, _) in zip(tasks, first) if data is not None]
         requests = [req for _, data in waiting for req in data[-1]]
-        size = max(1, -(-len(requests) // max(threads, 1)))
-        slices = [requests[k : k + size] for k in range(0, len(requests), size)]
-        stage = partial(run_chains, stacked=stacked_dims(requests))
-        chains = iter([chain for part in run(stage, slices) for chain in part])
+        batches = chain_batches(requests, max(threads, 1))
+        parts = run(_run_batch, [[requests[i] for i in batch] for batch in batches])
+        summaries = [None] * len(requests)
+        for batch, part in zip(batches, parts):
+            for i, summary in zip(batch, part):
+                summaries[i] = summary
+        chains = iter(summaries)
         pending = [(task, data, [next(chains) for _ in data[-1]]) for task, data in waiting]
         scored = iter(run(score_fn, pending))
         return [scores if data is None else next(scored) for data, scores in first]

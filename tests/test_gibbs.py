@@ -6,15 +6,15 @@ import pytest
 
 import bayesdn.gibbs as gibbs
 from bayesdn.gibbs import (
-    STACK_MAX_DIM,
+    STACK_MAX_CHAINS,
     STACK_MIN_CHAINS,
     ChainRequest,
     GibbsConfig,
+    chain_batches,
     chain_draws,
     initial_state,
     run_chain,
     run_chains,
-    stacked_dims,
     sweep_draws,
     update_column,
     update_hyperparameters,
@@ -504,7 +504,7 @@ class TestStackedRoute:
     def test_stack_equals_chain_draws(self, p, k, setting):
         cfg, partials = STACK_CONFIGS[setting]
         requests = chain_requests(p, k, cfg, partials)
-        got = run_chains(requests, stacked=frozenset({p}))
+        got = run_chains(requests, stacked=True)
         for request, summary in zip(requests, got):
             theta_mean, partial_mean = folded_draws(request)
             np.testing.assert_array_equal(summary.theta_mean, theta_mean)
@@ -517,9 +517,9 @@ class TestStackedRoute:
     @pytest.mark.parametrize("p", [3, 10])
     def test_chain_alone_equals_chain_in_a_batch_of_7(self, p):
         requests = chain_requests(p, 7, GibbsConfig(burn_in=5, retained=15), partials=True)
-        batch = run_chains(requests, stacked=frozenset({p}))
+        batch = run_chains(requests, stacked=True)
         for j in (0, 3, 6):
-            alone = run_chains([requests[j]], stacked=frozenset({p}))[0]
+            alone = run_chains([requests[j]], stacked=True)[0]
             np.testing.assert_array_equal(alone.theta_mean, batch[j].theta_mean)
             np.testing.assert_array_equal(alone.partial_mean, batch[j].partial_mean)
 
@@ -541,18 +541,71 @@ class TestStackedRoute:
 
     def test_size_rule(self):
         cfg = GibbsConfig(burn_in=1, retained=1)
-        small = chain_requests(4, STACK_MIN_CHAINS, cfg)
-        assert stacked_dims(small) == {4}
-        assert stacked_dims(small[:-1]) == frozenset()
-        wide = chain_requests(STACK_MAX_DIM + 1, STACK_MIN_CHAINS, cfg)
-        assert stacked_dims(small + wide) == {4}
-        assert stacked_dims(chain_requests(STACK_MAX_DIM, STACK_MIN_CHAINS, cfg)) == {STACK_MAX_DIM}
+        few = chain_requests(4, STACK_MIN_CHAINS - 1, cfg)
+        assert chain_batches(few) == [[i] for i in range(len(few))]
+        # no cut on p: a group of any p is stacked once it is tall enough
+        for p in (4, 61, 100):
+            assert chain_batches(chain_requests(p, STACK_MIN_CHAINS, cfg)) == [
+                list(range(STACK_MIN_CHAINS))
+            ]
+        # a frozen-lambda chain of the same p cannot share the stack
+        frozen = replace(cfg, adapt_lambda=False)
+        mixed = chain_requests(4, STACK_MIN_CHAINS, cfg) + chain_requests(4, 1, frozen)
+        assert chain_batches(mixed) == [list(range(STACK_MIN_CHAINS)), [STACK_MIN_CHAINS]]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "k",
+        [STACK_MIN_CHAINS, 2 * STACK_MIN_CHAINS + 1, STACK_MAX_CHAINS + 1, 5 * STACK_MAX_CHAINS],
+    )
+    def test_size_rule_cuts_tall_groups_into_even_stacks(self, k, workers):
+        # every stack holds STACK_MIN_CHAINS to STACK_MAX_CHAINS chains, the
+        # sizes differ by at most one, and a group tall enough for it gives
+        # every worker the same number of stacks
+        requests = [ChainRequest(np.eye(3), 10, GibbsConfig(seed=j)) for j in range(k)]
+        batches = chain_batches(requests, workers)
+        assert sorted(i for batch in batches for i in batch) == list(range(k))
+        sizes = [len(batch) for batch in batches]
+        assert STACK_MIN_CHAINS <= min(sizes) and max(sizes) <= STACK_MAX_CHAINS
+        assert max(sizes) - min(sizes) <= 1
+        if k >= workers * STACK_MIN_CHAINS:
+            assert len(batches) % workers == 0
+        else:
+            assert len(batches) == max(1, k // STACK_MIN_CHAINS)
+
+    def test_batches_come_largest_first(self):
+        # the cost of a batch is chains x p^2 x sweeps; a pool hands out
+        # the most expensive first so that its workers finish together
+        cfg = GibbsConfig(burn_in=1, retained=1)
+        requests = (
+            chain_requests(3, STACK_MIN_CHAINS, cfg)
+            + chain_requests(10, 1, cfg)
+            + chain_requests(30, STACK_MIN_CHAINS, cfg)
+            + chain_requests(30, 1, replace(cfg, retained=2))
+        )
+        m = STACK_MIN_CHAINS
+        assert chain_batches(requests) == [
+            list(range(m + 1, 2 * m + 1)), [2 * m + 1], [m], list(range(m))
+        ]
+
+    def test_two_workers_get_a_share_of_every_p(self):
+        # chains of two sizes at 2 workers: each p is cut into two stacks,
+        # and the pool hands out both large ones before the small ones
+        cfg = GibbsConfig(burn_in=1, retained=1)
+        m = STACK_MIN_CHAINS
+        requests = chain_requests(30, 2 * m, cfg) + chain_requests(100, 2 * m, cfg)
+        assert chain_batches(requests, workers=2) == [
+            list(range(2 * m, 3 * m)),
+            list(range(3 * m, 4 * m)),
+            list(range(m)),
+            list(range(m, 2 * m)),
+        ]
 
     def test_default_route_gives_the_same_numbers(self):
         requests = chain_requests(5, STACK_MIN_CHAINS + 1, GibbsConfig(burn_in=3, retained=6))
-        assert stacked_dims(requests) == {5}
+        assert chain_batches(requests) == [list(range(STACK_MIN_CHAINS + 1))]
         by_rule = run_chains(requests)
-        per_chain = run_chains(requests, stacked=frozenset())
+        per_chain = run_chains(requests, stacked=False)
         for a, b in zip(by_rule, per_chain):
             np.testing.assert_array_equal(a.theta_mean, b.theta_mean)
 
@@ -565,7 +618,7 @@ class TestStackedRoute:
         requests = chain_requests(6, 3, GibbsConfig(burn_in=2, retained=2))
         requests[1] = replace(requests[1], scatter=requests[1].scatter * blow_up)
         messages = []
-        for route in (frozenset({6}), frozenset()):
+        for route in (True, False):
             with pytest.raises(NotPositiveDefiniteError) as err:
                 run_chains(requests, stacked=route)
             messages.append(str(err.value))
@@ -575,6 +628,26 @@ class TestStackedRoute:
             r"|Theta block excluding column \d lost positive definiteness)",
             messages[0],
         )
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_two_failing_chains_name_the_first_failure_found(self):
+        # the per-chain route names the first failing chain in list order;
+        # the stack names the chain that fails first in (sweep, column)
+        # order, which is one of the two
+        requests = chain_requests(6, 3, GibbsConfig(burn_in=2, retained=2))
+        for j, blow_up in ((1, 1e180), (2, 1e250)):
+            requests[j] = replace(requests[j], scatter=requests[j].scatter * blow_up)
+        alone = []
+        for j in (1, 2):
+            with pytest.raises(NotPositiveDefiniteError) as err:
+                run_chains([requests[j]], stacked=False)
+            alone.append(str(err.value))
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            run_chains(requests, stacked=False)
+        assert str(err.value) == alone[0]
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            run_chains(requests, stacked=True)
+        assert str(err.value) in alone
 
     def test_failing_resync_of_a_stack_names_chain_and_sweep(self, monkeypatch):
         # the stack re-derives each chain's Sigma in chain order once per
@@ -588,7 +661,7 @@ class TestStackedRoute:
         monkeypatch.setattr(gibbs, "invert_pd", breaking_invert_pd)
         requests = chain_requests(4, 3, GibbsConfig(burn_in=2, retained=3))
         with pytest.raises(NotPositiveDefiniteError) as err:
-            run_chains(requests, stacked=frozenset({4}))
+            run_chains(requests, stacked=True)
         assert str(err.value) == (
             "chain 1: sweep 2: leading minor of order 1 is not positive definite"
         )
@@ -597,6 +670,6 @@ class TestStackedRoute:
     def test_bad_scatter_names_the_chain(self):
         requests = chain_requests(3, 3, GibbsConfig(burn_in=1, retained=1))
         requests[2] = replace(requests[2], scatter=-requests[2].scatter)
-        for route in (frozenset({3}), frozenset()):
+        for route in (True, False):
             with pytest.raises(ValueError, match="^chain 2: scatter is not positive semidefinite"):
                 run_chains(requests, stacked=route)

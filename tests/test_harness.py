@@ -300,10 +300,12 @@ class TestEmit:
         for name in ("results.csv", "manifest.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_byte_identical_when_slices_fall_below_the_stack_size(self, tmp_path):
-        # the run's chains are stacked (the size rule sees all of them), but
-        # 2 and 3 workers get slices shorter than STACK_MIN_CHAINS
-        tasks = -(-STACK_MIN_CHAINS // 2)
+    @pytest.mark.parametrize("tasks", [-(-STACK_MIN_CHAINS // 2), STACK_MIN_CHAINS + 1])
+    def test_byte_identical_however_the_workers_cut_the_stacks(self, tmp_path, tasks):
+        # the run's chains are stacked (the size rule sees all of them); with
+        # few tasks the group stays one stack at 2 and 3 workers, whose
+        # shares would fall below STACK_MIN_CHAINS, and with more it is cut
+        # into two stacks at 2 and 3 workers
         cfg = ExperimentConfig(
             structures=("ar2",),
             dims=(6,),
@@ -313,7 +315,7 @@ class TestEmit:
             gibbs=GibbsConfig(burn_in=10, retained=20),
             master_seed=23,
         )
-        assert 2 * tasks >= STACK_MIN_CHAINS > -(-2 * tasks // 2)
+        assert 2 * tasks >= STACK_MIN_CHAINS
         names = ("results.csv", "threshold_study.json", "manifest.json")
         outputs = []
         for threads in (1, 2, 3):

@@ -26,10 +26,11 @@ per-run ratios.
 ``--chains`` times ``gibbs.run_chains`` on the working tree alone: K
 chains of one p (distinct seeds and sample sizes) on the stacked route
 against the same chains on the per-chain route, at p = 10, 30, 60 and 100
-and K = 1, 2, 4, 6 and 20.  Within a run the two routes alternate which
+and K = 1, 2, 4, 6, 20, 40, 80 and 240 (a run at the paper's scale holds
+80 to 240 chains of one p).  Within a run the two routes alternate which
 goes first; the table gives the median over ``--runs`` runs of ms per
 chain and sweep, and the median of the per-run ratios.  The size rule's
-``STACK_MIN_CHAINS`` and ``STACK_MAX_DIM`` are read off this table.
+``STACK_MIN_CHAINS`` and ``STACK_MAX_CHAINS`` are read off this table.
 
 It only reports; it gates nothing.  Standard library and numpy only.
 """
@@ -49,7 +50,7 @@ PERFBENCH_RUN = os.path.join(ROOT, "perfbench", "run.py")
 # sweeps timed at each p: about 0.15 s per p and run
 SWEEPS = {10: 480, 30: 160, 60: 48, 100: 20}
 CHAIN_DIMS = (10, 30, 60, 100)
-CHAIN_COUNTS = (1, 2, 4, 6, 20)
+CHAIN_COUNTS = (1, 2, 4, 6, 20, 40, 80, 240)
 # seconds of per-chain sweeps per timed interval in --chains (at least 3 sweeps)
 CHAIN_INTERVAL_S = 0.15
 
@@ -101,7 +102,7 @@ for p in dims:
             x = sample_gaussian(theta, n, seed=1000 * p + j)
             cfg = GibbsConfig(burn_in=0, retained=sweeps, seed=j + 1)
             requests.append(ChainRequest(mirror_lower(x.T @ x), n, cfg, partials=False))
-        routes = {"stacked": frozenset({p}), "per_chain": frozenset()}
+        routes = {"stacked": True, "per_chain": False}
         order = ("stacked", "per_chain") if k % 2 else ("per_chain", "stacked")
         seconds = {}
         for route in order:
