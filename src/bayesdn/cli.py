@@ -43,11 +43,21 @@ DESK_SCALE = {"replications": 10, "burn_in": 1000, "retained": 2000}
 PAPER_SCALE = {"replications": 40, "burn_in": 5000, "retained": 10000}
 
 
+def _worker_count(text: str) -> int:
+    try:
+        threads = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if threads < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {threads}")
+    return threads
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--seed", type=int, help="master seed override")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--threads", type=int, default=1, help="worker processes")
+    parser.add_argument("--threads", type=_worker_count, default=1, help="worker processes")
     parser.add_argument(
         "--paper-scale",
         action="store_true",

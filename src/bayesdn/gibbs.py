@@ -22,13 +22,13 @@ the same block-inverse identity.  It does so at full width: the updated
 row and column are zeroed and given a unit pivot, which decouples them, so
 every step is a whole-array operation or a slice view and no (p-1)x(p-1)
 block is gathered.  Each sweep draws its p x p normals in one call and its
-p Schur-complement gammas in another (:func:`sweep_draws`), then hands
+p Schur-complement gammas in another (:meth:`ChainStack.draw`), then hands
 each column its share.  A sweep is p Cholesky factorizations of order
 p - 1, so it costs O(p^4) flops; carrying Sigma saves the inversion of
-the block per column, a constant factor.
-Once per sweep :func:`chain_draws` re-derives Sigma from Theta with a
-checked Cholesky inversion, which bounds the rounding drift and re-checks
-that the whole of Theta is positive definite.
+the block per column, a constant factor.  Once per sweep the state
+re-derives Sigma from Theta with a checked Cholesky inversion, which
+bounds the rounding drift and re-checks that the whole of Theta is
+positive definite.
 
 At the sizes the package runs (p <= 100) a sweep is bound by per-call
 overhead more than by flops, so it makes no call the arithmetic does not
@@ -41,39 +41,37 @@ with a zero diagonal, and tau carries a unit diagonal, so row ``col`` of
 ``scale * standard_gamma(k)`` entry by entry, so this reads the same
 numbers and gives the same bits without the per-entry broadcast path.
 The hyperparameter update reads and writes the two triangles through
-flat ``take``/``put`` indices cached once per chain.
+flat ``take``/``put`` indices cached once per state.
 
-:func:`run_chains` is the one entry point that runs chains to their
-posterior means; :func:`run_chain` and ``diffnet.estimate_bnet`` call it.
-It has two routes to the same numbers.  The per-chain route steps one
-chain at a time through :func:`chain_draws`.  The stacked route steps K
-chains of one p together: the elementwise work of a column update, the
-draws' scaling and the hyperparameter update run on ``(K, p, p)`` and
-``(K, m)`` arrays, while ``dger``, ``dpotrf``, ``dtrtrs``, the Generator
-calls and the checked resync stay per chain, in place on each chain's
-slice of the stack.  The matrix-vector product and the two dot products
-of a column update are ``np.matmul`` on stacks with trailing unit axes,
-which numpy hands to the same BLAS ``gemv`` and ``ddot`` calls as the
-per-chain ``@``; every other operation is the per-chain one entry by
-entry.  Each chain reads its own Generator in the per-chain order
-(normals, Schur gammas, penalty gammas, Wald draws), so every chain's
-draws, and every output, equal those of the per-chain route bit for bit
-(tests pin this, and that a chain's numbers do not depend on the stack
-it runs in).  The stack saves per-call overhead only when it is tall
+There is one sweep driver, over a :class:`ChainStack`: K chains of one p
+and one config (seeds aside) whose arrays lie along a leading axis, a lone
+chain being a stack of one.  The draws, the checked resync, the
+hyperparameter update, the sweep loop, the fold into posterior means and
+the naming of a failing chain exist once, for any K.  Only the column
+update has two kernels, chosen by the height of the stack.  A lone chain
+runs :func:`update_column` on its chain's views.  A taller stack runs one
+kernel for all its chains: the elementwise work on ``(K, p, p)`` and
+``(K, p)`` arrays, the matrix-vector product and the two dot products as
+``np.matmul`` on stacks with trailing unit axes (which numpy hands to the
+same BLAS ``gemv`` and ``ddot`` calls as the per-chain ``@``), and
+``dger``, ``dpotrf`` and ``dtrtrs`` per chain, in place on each chain's
+slice.  Each chain reads its own Generator in the per-chain order
+(normals, Schur gammas, penalty gammas, Wald draws), so a chain's draws,
+and every output, do not depend on the stack it runs in (tests pin this
+bit for bit).  A stack saves per-call overhead only when it is tall
 enough: the size rule (:func:`chain_batches`) stacks a run's chains of
-one p and one config (seeds aside) when there are at least
-``STACK_MIN_CHAINS`` of them, in stacks of at most ``STACK_MAX_CHAINS``.
-The rule is applied to a run's whole list of chains; where a group is
-tall enough it cuts it into a multiple of the number of worker processes,
-so each worker gets a share of every p, and since both routes give the
-same bits it changes only the time.
+one p and one config when there are at least ``STACK_MIN_CHAINS`` of
+them, in stacks of at most ``STACK_MAX_CHAINS``, and runs every other
+chain alone.  :func:`run_chains` runs each batch through
+:func:`run_batch`; since both kernels give the same bits, the batching
+changes only the time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.linalg.blas import dger
@@ -92,15 +90,16 @@ from .linalg import NotPositiveDefiniteError, invert_pd, partial_correlation, re
 __all__ = [
     "GibbsConfig",
     "SamplerState",
+    "ChainStack",
     "ChainSummary",
     "ChainRequest",
     "spawn_seeds",
     "initial_state",
-    "sweep_draws",
     "update_column",
     "update_hyperparameters",
     "chain_draws",
     "chain_batches",
+    "run_batch",
     "run_chains",
     "run_chain",
 ]
@@ -143,13 +142,14 @@ class GibbsConfig:
 class SamplerState:
     """Mutable state of one chain: current Theta, its inverse, latents, and the data.
 
-    ``sigma`` is Theta^{-1}, kept in step by :func:`update_column`.  The
-    latent scales ``tau`` live off the diagonal; its diagonal holds 1, the
-    unit pivot of the row a column update decouples.  ``col_scale``
-    (s_ii + lam_ii per column) and ``scatter_off`` (the scatter with a
-    zero diagonal, whose row ``col`` is s12 with its decoupled entry
-    zeroed) are derived from the data and the fixed diagonal penalty when
-    the state is made, once per chain.
+    ``sigma`` is Theta^{-1}, refreshed in place by :func:`update_column`,
+    so it must stay C-contiguous.  The latent scales ``tau`` live off the
+    diagonal; its diagonal holds 1, the unit pivot of the row a column
+    update decouples.  ``col_scale`` (s_ii + lam_ii per column) and
+    ``scatter_off`` (the scatter with a zero diagonal, whose row ``col`` is
+    s12 with its decoupled entry zeroed) are derived from the data and the
+    fixed diagonal penalty when the state is made, once per chain.  In a
+    :class:`ChainStack` the arrays are views of the stack's.
     """
 
     theta: np.ndarray
@@ -245,47 +245,107 @@ def initial_state(scatter: np.ndarray, n: int, config: GibbsConfig) -> SamplerSt
 
 
 _TINY = np.finfo(float).tiny
+# the arrays of a chain that a ChainStack holds along its leading axis
+_STACKED = ("theta", "sigma", "tau", "lam", "scatter_off", "col_scale")
 
 
-class _SweepWorkspace:
-    """Per-chain cache of the flat triangle indices the hyperparameter update reads and writes."""
+class _ChainFailure(Exception):
+    """Chain ``chain`` of a stack failed a check with ``error``."""
 
-    def __init__(self, p: int):
-        rows, cols = np.triu_indices(p, k=1)
-        self.upper = rows * p + cols
-        self.lower = cols * p + rows
+    def __init__(self, chain: int, error: NotPositiveDefiniteError):
+        super().__init__(chain, error)
+        self.chain, self.error = chain, error
 
 
-def sweep_draws(state: SamplerState, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """The normals and Schur-complement gammas of one sweep, in that order.
+class ChainStack:
+    """K chains of one p and one config, seeds aside, stepped together; a lone chain is K = 1.
 
-    Row ``col`` of the ``(p, p)`` normals feeds column ``col``; its entry
-    ``col`` is zeroed, leaving the p - 1 standard normals of the Gaussian
-    draw in place.  Entry ``col`` of the gammas is that column's
-    GA(n/2 + 1, rate (s_ii + lam_ii)/2) Schur complement.  The rate does
-    not depend on Theta or on the off-diagonal penalties, so all p can be
-    drawn before the sweep starts, as scaled standard gammas (see the
-    module docstring).
+    ``states`` are the chains' starting states (see :func:`initial_state`),
+    ``rngs`` their Generators and ``labels`` how errors name them.  The
+    stack copies each state's arrays along a leading axis and makes the
+    state's arrays views of its slice, so :func:`update_column` on a state
+    steps that chain in the stack.  Every slice is C-contiguous, so its
+    transpose is the Fortran-order view that ``dger`` and ``dpotrf``
+    update in place, and its rows of the (K, p) work arrays are the
+    contiguous vectors ``dtrtrs`` solves in place.  The per-chain views
+    and the flat triangle indices are made once per stack.
     """
-    p = state.dim
-    z = rng.standard_normal((p, p))
-    z.reshape(-1)[:: p + 1] = 0.0
-    gamma = rng.standard_gamma(state.n / 2.0 + 1.0, size=p)
-    gamma *= 2.0 / state.col_scale
-    return z, gamma
+
+    def __init__(
+        self,
+        states: Sequence[SamplerState],
+        rngs: Sequence[np.random.Generator],
+        labels: Sequence[str] = (),
+    ):
+        k, p = len(states), states[0].dim
+        self.k, self.p = k, p
+        self.states = list(states)
+        self.rngs = list(rngs)
+        self.labels = list(labels) or [""] * k
+        self.config = states[0].config
+        self.gamma_shapes = [s.n / 2.0 + 1.0 for s in states]
+        for name in _STACKED:
+            stack = np.stack([getattr(s, name) for s in states])
+            setattr(self, name, stack)
+            for s, view in zip(states, stack):
+                setattr(s, name, view)
+        self.neg_scales = (-self.col_scale).T.tolist()  # [col][chain], Python floats
+        self.c_inv = np.empty((k, p, p))
+        self.z = np.empty((k, p, p))
+        self.gamma = np.empty((k, p))
+        self.w, self.y, self.v = np.empty((3, k, p))
+        self.c_t = [m.T for m in self.c_inv]
+        self.sigma_t = [m.T for m in self.sigma]
+        self.w_rows, self.y_rows, self.v_rows = list(self.w), list(self.y), list(self.v)
+        diagonal = slice(None, None, p + 1)
+        self.theta_diag = self.theta.reshape(k, -1)[:, diagonal]
+        self.sigma_diag = self.sigma.reshape(k, -1)[:, diagonal]
+        self.c_diag = self.c_inv.reshape(k, -1)[:, diagonal]
+        self.z_diag = self.z.reshape(k, -1)[:, diagonal]
+        rows, cols = np.triu_indices(p, k=1)
+        offsets = np.arange(k)[:, None] * (p * p)
+        self.upper = offsets + (rows * p + cols)
+        self.lower = offsets + (cols * p + rows)
+
+    def draw(self) -> None:
+        """Each chain's normals and Schur-complement gammas of one sweep, in that order.
+
+        Row ``col`` of a chain's ``(p, p)`` normals in ``z`` feeds column
+        ``col``; its entry ``col`` is zeroed, leaving the p - 1 standard
+        normals of the Gaussian draw in place.  Entry ``col`` of a chain's
+        ``gamma`` is that column's GA(n/2 + 1, rate (s_ii + lam_ii)/2)
+        Schur complement.  The rate does not depend on Theta or on the
+        off-diagonal penalties, so all p can be drawn before the sweep
+        starts, as scaled standard gammas (see the module docstring).
+        """
+        z, gamma = self.z, self.gamma
+        for rng, z_k, gamma_k, shape in zip(self.rngs, z, gamma, self.gamma_shapes):
+            rng.standard_normal(out=z_k)
+            rng.standard_gamma(shape, out=gamma_k)
+        self.z_diag[...] = 0.0
+        gamma *= 2.0 / self.col_scale
+
+    def resync(self) -> None:
+        """Re-derive each chain's Sigma from its Theta with the checked inversion."""
+        for k, theta in enumerate(self.theta):
+            try:
+                self.sigma[k] = invert_pd(theta)
+            except NotPositiveDefiniteError as err:
+                raise _ChainFailure(k, err) from err
 
 
 def update_column(state: SamplerState, col: int, z: np.ndarray, gamma: float) -> SamplerState:
-    """Resample row/column ``col`` of Theta from its conditional.
+    """Resample row/column ``col`` of Theta from its conditional: the lone-chain kernel.
 
     With the column permuted last, the conditional factorizes as
     gamma ~ GA(n/2 + 1, (s22 + lam_ii)/2) for the Schur complement and
     beta ~ N(-C s21, C) for the off-diagonal block, where
     C = ((s22 + lam_ii) * Theta11^{-1} + Dtau^{-1})^{-1}.  ``z`` (length
     p, zero at ``col``) and ``gamma`` are this column's draws from
-    :func:`sweep_draws`.  Theta11^{-1} is read from the carried Sigma, and
-    Sigma is refreshed to the new Theta^{-1}.  The state is modified in
-    place and returned; if a check raises, Theta and Sigma are untouched.
+    :meth:`ChainStack.draw`.  Theta11^{-1} is read from the carried Sigma,
+    and Sigma is refreshed in place to the new Theta^{-1}.  The state is
+    modified in place and returned; if a check raises, Theta and Sigma are
+    untouched.
 
     Every array stays p x p: row and column ``col`` of C^{-1} are zeroed
     and given a unit pivot, so that row decouples and the factor and the
@@ -342,8 +402,9 @@ def update_column(state: SamplerState, col: int, z: np.ndarray, gamma: float) ->
     # block inverse of the new Theta: its Schur complement is gamma
     root = math.sqrt(gamma)
     v = u / root
-    sigma_t = dger(-1.0, w, w, 1, 1, sigma.T, 0, 0, 1)
-    sigma = state.sigma = dger(1.0, v, v, 1, 1, sigma_t, 0, 0, 1).T
+    sigma_t = sigma.T
+    dger(-1.0, w, w, 1, 1, sigma_t, 0, 0, 1)
+    dger(1.0, v, v, 1, 1, sigma_t, 0, 0, 1)
     v /= -root
     sigma[:, col] = v
     sigma[col] = v
@@ -351,299 +412,175 @@ def update_column(state: SamplerState, col: int, z: np.ndarray, gamma: float) ->
     return state
 
 
-def update_hyperparameters(
-    state: SamplerState,
-    rng: np.random.Generator,
-    _work: _SweepWorkspace | None = None,
-) -> SamplerState:
-    """Refresh the latent scales and (if adapting) the per-entry penalties.
+def _update_stacked_column(stack: ChainStack, col: int) -> None:
+    """:func:`update_column` for every chain of a stack at once; see there for the algebra."""
+    sigma, theta, c_inv, w, y, v = stack.sigma, stack.theta, stack.c_inv, stack.w, stack.y, stack.v
+    sigma22 = sigma[:, col, col]
+    if not (sigma22.min() > 0.0 and sigma22.max() < math.inf):
+        bad = next(k for k, s in enumerate(sigma22.tolist()) if not 0.0 < s < math.inf)
+        raise _ChainFailure(bad, NotPositiveDefiniteError(
+            f"Theta block excluding column {col} lost positive definiteness"
+        ))
+    np.divide(sigma[:, col], np.sqrt(sigma22)[:, None], out=w)
+
+    np.multiply(sigma, stack.col_scale[:, col, None, None], out=c_inv)
+    for c_t, w_k, neg_scale in zip(stack.c_t, stack.w_rows, stack.neg_scales[col]):
+        dger(neg_scale, w_k, w_k, 1, 1, c_t, 0, 0, 1)
+    c_inv[:, col] = 0.0
+    c_inv[:, :, col] = 0.0
+    stack.c_diag += 1.0 / stack.tau[:, col]
+    y[...] = stack.scatter_off[:, col]
+    lowers = []
+    for k, (c_t, y_k) in enumerate(zip(stack.c_t, stack.y_rows)):
+        lower_c, info = dpotrf(c_t, 1, 0, 1)
+        if info != 0:
+            raise _ChainFailure(k, NotPositiveDefiniteError(
+                f"conditional covariance for column {col} broke down"
+            ))
+        dtrtrs(lower_c, y_k, 1, 0, 0, None, 1)
+        lowers.append(lower_c)
+    np.subtract(stack.z[:, col], y, out=y)
+    for lower_c, y_k in zip(lowers, stack.y_rows):
+        dtrtrs(lower_c, y_k, 1, 1, 0, None, 1)
+    beta = y
+
+    u = np.matmul(sigma, beta[:, :, None])
+    u2 = u[:, :, 0]
+    u2 -= np.matmul(w[:, None, :], beta[:, :, None])[:, 0] * w
+    theta[:, :, col] = beta
+    theta[:, col] = beta
+    gamma = stack.gamma[:, col]
+    stack.theta_diag[:, col] = gamma + np.matmul(beta[:, None, :], u)[:, 0, 0]
+
+    root = np.sqrt(gamma)[:, None]
+    np.divide(u2, root, out=v)
+    for sigma_t, w_k, v_k in zip(stack.sigma_t, stack.w_rows, stack.v_rows):
+        dger(-1.0, w_k, w_k, 1, 1, sigma_t, 0, 0, 1)
+        dger(1.0, v_k, v_k, 1, 1, sigma_t, 0, 0, 1)
+    v /= -root
+    sigma[:, :, col] = v
+    sigma[:, col] = v
+    stack.sigma_diag[:, col] = 1.0 / gamma
+
+
+def _columns_alone(stack: ChainStack) -> None:
+    """One sweep's column updates of a lone chain, through :func:`update_column`."""
+    state = stack.states[0]
+    try:
+        for col, (z_col, gamma_col) in enumerate(zip(stack.z[0], stack.gamma[0].tolist())):
+            update_column(state, col, z_col, gamma_col)
+    except NotPositiveDefiniteError as err:
+        raise _ChainFailure(0, err) from err
+
+
+def _columns_stacked(stack: ChainStack) -> None:
+    """One sweep's column updates of every chain of a stack, one column at a time."""
+    for col in range(stack.p):
+        _update_stacked_column(stack, col)
+
+
+def update_hyperparameters(stack: ChainStack) -> ChainStack:
+    """Refresh every chain's latent scales and (if adapting) per-entry penalties.
 
     For each i < j, draws lam[i, j] ~ GA(1 + r, |theta[i, j]| + s) when
     ``adapt_lambda`` is on, then tau[i, j] = 1/delta with
-    delta ~ InverseGaussian(lam[i, j]/|theta[i, j]|, lam[i, j]**2).
-    |theta[i, j]| is floored at ``theta_floor`` so an exact zero cannot
-    fault; the floor only caps the already-divergent mean.
+    delta ~ InverseGaussian(lam[i, j]/|theta[i, j]|, lam[i, j]**2), each
+    chain from its own Generator.  |theta[i, j]| is floored at
+    ``theta_floor`` so an exact zero cannot fault; the floor only caps the
+    already-divergent mean.
     """
-    cfg = state.config
-    work = _work if _work is not None else _SweepWorkspace(state.dim)
-    upper, lower = work.upper, work.lower
-    abs_theta = np.abs(state.theta.take(upper))
+    cfg = stack.config
+    upper, lower = stack.upper, stack.lower
+    abs_theta = np.abs(stack.theta.take(upper))
 
     if cfg.adapt_lambda:
         # the same draws as rng.gamma(1 + r, 1 / (|theta| + s)); see the module docstring
-        lam_off = rng.standard_gamma(1.0 + cfg.r, size=abs_theta.size)
+        lam_off = np.empty(abs_theta.shape)
+        for rng, lam_k in zip(stack.rngs, lam_off):
+            rng.standard_gamma(1.0 + cfg.r, out=lam_k)
         lam_off *= 1.0 / (abs_theta + cfg.s)
-        state.lam.put(upper, lam_off)
-        state.lam.put(lower, lam_off)
+        stack.lam.put(upper, lam_off)
+        stack.lam.put(lower, lam_off)
     else:
-        lam_off = state.lam.take(upper)
+        lam_off = stack.lam.take(upper)
 
     floored = np.maximum(abs_theta, cfg.theta_floor)
     mu = lam_off / floored
-    delta = rng.wald(mu, lam_off**2)
+    shape = lam_off**2
+    delta = np.empty_like(mu)
+    for rng, delta_k, mu_k, shape_k in zip(stack.rngs, delta, mu, shape):
+        delta_k[...] = rng.wald(mu_k, shape_k)
     # the transformation method can underflow to 0 at extreme mu; keep tau finite
     np.maximum(delta, _TINY, out=delta)
     tau_off = 1.0 / delta
-    state.tau.put(upper, tau_off)
-    state.tau.put(lower, tau_off)
-    return state
+    stack.tau.put(upper, tau_off)
+    stack.tau.put(lower, tau_off)
+    return stack
 
 
-def chain_draws(scatter: np.ndarray, n: int, config: GibbsConfig) -> Iterator[np.ndarray]:
-    """Run ``burn_in + retained`` full sweeps, yielding Theta after each retained one.
+def _named(label: str, message: str) -> str:
+    """An error message that names its chain, when the chain has a label."""
+    return f"{label}: {message}" if label else message
 
-    A full sweep takes its draws from :func:`sweep_draws`, updates every
-    column in order 0..p-1, re-derives Sigma from Theta (checking that
-    Theta is positive definite) and then updates the hyperparameters, so
-    the Generator is read for normals, gammas, then hyperparameters.  The
-    yielded array is the live state, overwritten by the next sweep, so
-    copy it to keep it.  Deterministic given ``config.seed``.
-    """
-    state = initial_state(scatter, n, config)
-    rng = np.random.default_rng(config.seed)
-    work = _SweepWorkspace(state.dim)
-    for sweep in range(config.burn_in + config.retained):
+
+def _start(requests: Sequence[ChainRequest]) -> ChainStack:
+    """The stack of the requested chains at their diffuse starts."""
+    states = []
+    for req in requests:
         try:
-            z, gamma = sweep_draws(state, rng)
-            for col, (z_col, gamma_col) in enumerate(zip(z, gamma.tolist())):
-                update_column(state, col, z_col, gamma_col)
-            state.sigma = invert_pd(state.theta)
-            update_hyperparameters(state, rng, _work=work)
-        except NotPositiveDefiniteError as err:
-            raise NotPositiveDefiniteError(
-                f"sweep {sweep}: {err}", minor=err.minor
-            ) from err
-        if sweep >= config.burn_in:
-            yield state.theta
+            states.append(initial_state(req.scatter, req.n, req.config))
+        except ValueError as err:
+            raise ValueError(_named(req.label, str(err))) from err
+    rngs = [np.random.default_rng(req.config.seed) for req in requests]
+    return ChainStack(states, rngs, [req.label for req in requests])
 
 
-def _named(err: Exception, label: str) -> Exception:
-    """``err`` with ``label`` in front of its message, of the same type."""
-    if not label:
-        return err
-    if isinstance(err, NotPositiveDefiniteError):
-        return NotPositiveDefiniteError(f"{label}: {err}", minor=err.minor)
-    return type(err)(f"{label}: {err}")
+def _sweeps(stack: ChainStack) -> Iterator[None]:
+    """The sweep loop: run ``burn_in + retained`` sweeps, yielding after each retained one.
 
-
-def _chain_summary(request: ChainRequest) -> ChainSummary:
-    """The per-chain route: fold the draws of :func:`chain_draws` into means."""
-    cfg = request.config
-    theta_sum = np.zeros_like(request.scatter, dtype=float)
-    partial_sum = np.zeros_like(request.scatter, dtype=float) if request.partials else None
-    try:
-        for theta in chain_draws(request.scatter, request.n, cfg):
-            theta_sum += theta
-            if request.partials:
-                partial_sum += partial_correlation(theta)
-    except (NotPositiveDefiniteError, ValueError) as err:
-        raise _named(err, request.label) from err
-    theta_sum /= cfg.retained
-    if request.partials:
-        partial_sum /= cfg.retained
-    return ChainSummary(theta_mean=theta_sum, partial_mean=partial_sum, config=cfg)
-
-
-class _ChainFailure(Exception):
-    """Chain ``chain`` of a stack failed a check with ``error``."""
-
-    def __init__(self, chain: int, error: NotPositiveDefiniteError):
-        super().__init__(chain, error)
-        self.chain, self.error = chain, error
-
-
-class _Stack:
-    """K chains of one p and one config, seeds aside, stepped together.
-
-    The arrays hold the chains' states along a leading axis.  Every chain's
-    slice is C-contiguous, so its transpose is the Fortran-order view that
-    ``dger`` and ``dpotrf`` update in place, and its rows of the (K, p)
-    work arrays are the contiguous vectors ``dtrtrs`` solves in place, as
-    on the per-chain route.  The per-chain views are made once per stack.
+    A sweep takes every chain's draws, updates every column in order
+    0..p-1 (the lone-chain kernel for a stack of one, the stacked kernel
+    otherwise), re-derives Sigma from Theta (checking that Theta is
+    positive definite) and then updates the hyperparameters, so each
+    Generator is read for normals, gammas, then hyperparameters.  A failed
+    check names the chain's label and the sweep.
     """
-
-    def __init__(self, requests: Sequence[ChainRequest]):
-        states = []
-        for req in requests:
-            try:
-                states.append(initial_state(req.scatter, req.n, req.config))
-            except ValueError as err:
-                raise _named(err, req.label) from err
-        self.labels = [req.label for req in requests]
-        self.config = requests[0].config
-        self.rngs = [np.random.default_rng(req.config.seed) for req in requests]
-        self.gamma_shapes = [s.n / 2.0 + 1.0 for s in states]
-        k, p = len(states), states[0].dim
-        self.k, self.p = k, p
-        self.theta = np.stack([s.theta for s in states])
-        self.sigma = np.stack([s.sigma for s in states])
-        self.tau = np.stack([s.tau for s in states])
-        self.lam = np.stack([s.lam for s in states])
-        self.scatter_off = np.stack([s.scatter_off for s in states])
-        self.col_scale = np.stack([s.col_scale for s in states])
-        self.neg_scales = (-self.col_scale).T.tolist()  # [col][chain], Python floats
-        self.c_inv = np.empty((k, p, p))
-        self.z = np.empty((k, p, p))
-        self.gamma = np.empty((k, p))
-        self.w, self.y, self.v = np.empty((3, k, p))
-        self.c_t = [m.T for m in self.c_inv]
-        self.sigma_t = [m.T for m in self.sigma]
-        self.w_rows, self.y_rows, self.v_rows = list(self.w), list(self.y), list(self.v)
-        diagonal = slice(None, None, p + 1)
-        self.theta_diag = self.theta.reshape(k, -1)[:, diagonal]
-        self.sigma_diag = self.sigma.reshape(k, -1)[:, diagonal]
-        self.c_diag = self.c_inv.reshape(k, -1)[:, diagonal]
-        self.z_diag = self.z.reshape(k, -1)[:, diagonal]
-        work = _SweepWorkspace(p)
-        self.upper, self.lower = work.upper, work.lower
-
-    def draw(self) -> None:
-        """Each chain's normals and Schur gammas of one sweep, as :func:`sweep_draws`."""
-        z, gamma = self.z, self.gamma
-        for rng, z_k, gamma_k, shape in zip(self.rngs, z, gamma, self.gamma_shapes):
-            rng.standard_normal(out=z_k)
-            rng.standard_gamma(shape, out=gamma_k)
-        self.z_diag[...] = 0.0
-        gamma *= 2.0 / self.col_scale
-
-    def update_column(self, col: int) -> None:
-        """:func:`update_column` for every chain; see there for the algebra."""
-        sigma, theta, c_inv, w, y, v = self.sigma, self.theta, self.c_inv, self.w, self.y, self.v
-        sigma22 = sigma[:, col, col]
-        if not (sigma22.min() > 0.0 and sigma22.max() < math.inf):
-            bad = next(k for k, s in enumerate(sigma22.tolist()) if not 0.0 < s < math.inf)
-            raise _ChainFailure(bad, NotPositiveDefiniteError(
-                f"Theta block excluding column {col} lost positive definiteness"
-            ))
-        np.divide(sigma[:, col], np.sqrt(sigma22)[:, None], out=w)
-
-        np.multiply(sigma, self.col_scale[:, col, None, None], out=c_inv)
-        for c_t, w_k, neg_scale in zip(self.c_t, self.w_rows, self.neg_scales[col]):
-            dger(neg_scale, w_k, w_k, 1, 1, c_t, 0, 0, 1)
-        c_inv[:, col] = 0.0
-        c_inv[:, :, col] = 0.0
-        self.c_diag += 1.0 / self.tau[:, col]
-        y[...] = self.scatter_off[:, col]
-        lowers = []
-        for k, (c_t, y_k) in enumerate(zip(self.c_t, self.y_rows)):
-            lower_c, info = dpotrf(c_t, 1, 0, 1)
-            if info != 0:
-                raise _ChainFailure(k, NotPositiveDefiniteError(
-                    f"conditional covariance for column {col} broke down"
-                ))
-            dtrtrs(lower_c, y_k, 1, 0, 0, None, 1)
-            lowers.append(lower_c)
-        np.subtract(self.z[:, col], y, out=y)
-        for lower_c, y_k in zip(lowers, self.y_rows):
-            dtrtrs(lower_c, y_k, 1, 1, 0, None, 1)
-        beta = y
-
-        u = np.matmul(sigma, beta[:, :, None])
-        u2 = u[:, :, 0]
-        u2 -= np.matmul(w[:, None, :], beta[:, :, None])[:, 0] * w
-        theta[:, :, col] = beta
-        theta[:, col] = beta
-        gamma = self.gamma[:, col]
-        self.theta_diag[:, col] = gamma + np.matmul(beta[:, None, :], u)[:, 0, 0]
-
-        root = np.sqrt(gamma)[:, None]
-        np.divide(u2, root, out=v)
-        for sigma_t, w_k, v_k in zip(self.sigma_t, self.w_rows, self.v_rows):
-            dger(-1.0, w_k, w_k, 1, 1, sigma_t, 0, 0, 1)
-            dger(1.0, v_k, v_k, 1, 1, sigma_t, 0, 0, 1)
-        v /= -root
-        sigma[:, :, col] = v
-        sigma[:, col] = v
-        self.sigma_diag[:, col] = 1.0 / gamma
-
-    def resync(self) -> None:
-        """Re-derive each chain's Sigma from its Theta with the checked inversion."""
-        for k, theta in enumerate(self.theta):
-            try:
-                self.sigma[k] = invert_pd(theta)
-            except NotPositiveDefiniteError as err:
-                raise _ChainFailure(k, err) from err
-
-    def update_hyperparameters(self) -> None:
-        """:func:`update_hyperparameters` for every chain, each reading its own Generator."""
-        cfg, k = self.config, self.k
-        upper, lower = self.upper, self.lower
-        flat_lam = self.lam.reshape(k, -1)
-        flat_tau = self.tau.reshape(k, -1)
-        abs_theta = np.abs(self.theta.reshape(k, -1)[:, upper])
-        if cfg.adapt_lambda:
-            lam_off = np.empty(abs_theta.shape)
-            for rng, lam_k in zip(self.rngs, lam_off):
-                rng.standard_gamma(1.0 + cfg.r, out=lam_k)
-            lam_off *= 1.0 / (abs_theta + cfg.s)
-            flat_lam[:, upper] = lam_off
-            flat_lam[:, lower] = lam_off
-        else:
-            lam_off = flat_lam[:, upper]
-        floored = np.maximum(abs_theta, cfg.theta_floor)
-        mu = lam_off / floored
-        shape = lam_off**2
-        delta = np.empty_like(mu)
-        for rng, delta_k, mu_k, shape_k in zip(self.rngs, delta, mu, shape):
-            delta_k[...] = rng.wald(mu_k, shape_k)
-        np.maximum(delta, _TINY, out=delta)
-        tau_off = 1.0 / delta
-        flat_tau[:, upper] = tau_off
-        flat_tau[:, lower] = tau_off
-
-
-def _stack_summaries(requests: Sequence[ChainRequest]) -> list[ChainSummary]:
-    """The stacked route: run chains of one p and one config (seeds aside) together."""
-    stack = _Stack(requests)
-    cfg, partials = stack.config, requests[0].partials
-    theta_sum = np.zeros_like(stack.theta)
-    partial_sum = np.zeros_like(stack.theta) if partials else None
+    cfg = stack.config
+    columns = _columns_alone if stack.k == 1 else _columns_stacked
     for sweep in range(cfg.burn_in + cfg.retained):
         try:
             stack.draw()
-            for col in range(stack.p):
-                stack.update_column(col)
+            columns(stack)
             stack.resync()
-            stack.update_hyperparameters()
+            update_hyperparameters(stack)
         except _ChainFailure as failure:
             err = failure.error
-            named = NotPositiveDefiniteError(f"sweep {sweep}: {err}", minor=err.minor)
-            raise _named(named, stack.labels[failure.chain]) from err
+            message = _named(stack.labels[failure.chain], f"sweep {sweep}: {err}")
+            raise NotPositiveDefiniteError(message, minor=err.minor) from err
         if sweep >= cfg.burn_in:
-            theta_sum += stack.theta
-            if partials:
-                for acc, theta in zip(partial_sum, stack.theta):
-                    acc += partial_correlation(theta)
-    theta_sum /= cfg.retained
-    if partials:
-        partial_sum /= cfg.retained
-    return [
-        ChainSummary(
-            theta_mean=theta_sum[k].copy(),
-            partial_mean=partial_sum[k].copy() if partials else None,
-            config=req.config,
-        )
-        for k, req in enumerate(requests)
-    ]
+            yield
 
 
-def _groups(requests: Sequence[ChainRequest]) -> list[list[int]]:
-    """The indices of requests that may share a stack.
+def chain_draws(scatter: np.ndarray, n: int, config: GibbsConfig) -> Iterator[np.ndarray]:
+    """Run ``burn_in + retained`` full sweeps of one chain, yielding Theta after each retained one.
 
-    They share p, the config (seeds aside) and ``partials``.
+    The chain is a stack of one through the sweep loop, so a sweep reads
+    the Generator for normals, gammas, then hyperparameters.  The yielded
+    array is the live state, overwritten by the next sweep, so copy it to
+    keep it.  Deterministic given ``config.seed``.
     """
-    groups: dict[tuple, list[int]] = {}
-    for i, req in enumerate(requests):
-        key = (req.dim, replace(req.config, seed=0), req.partials)
-        groups.setdefault(key, []).append(i)
-    return list(groups.values())
+    stack = _start([ChainRequest(scatter, n, config, partials=False)])
+    theta = stack.states[0].theta
+    for _ in _sweeps(stack):
+        yield theta
 
 
 def chain_batches(requests: Sequence[ChainRequest], workers: int = 1) -> list[list[int]]:
     """The size rule: cut ``requests`` into batches of indices, each run as one unit.
 
-    A group of chains that may share a stack is stacked when it holds at
-    least ``STACK_MIN_CHAINS`` chains.  It is cut into stacks of
+    Chains may share a stack when they share p, the config (seeds aside)
+    and ``partials``.  Such a group is stacked when it holds at least
+    ``STACK_MIN_CHAINS`` chains.  It is cut into stacks of
     ``STACK_MIN_CHAINS`` to ``STACK_MAX_CHAINS`` chains whose sizes differ
     by at most one; where the group is tall enough, the number of stacks
     is a multiple of ``workers``, so every worker of a pool gets its
@@ -651,8 +588,12 @@ def chain_batches(requests: Sequence[ChainRequest], workers: int = 1) -> list[li
     largest first (chains x p^2 x sweeps), so a pool that hands them out
     one at a time keeps its workers busy to the end.
     """
+    groups: dict[tuple, list[int]] = {}
+    for i, req in enumerate(requests):
+        key = (req.dim, replace(req.config, seed=0), req.partials)
+        groups.setdefault(key, []).append(i)
     batches = []
-    for members in _groups(requests):
+    for members in groups.values():
         k = len(members)
         if k < STACK_MIN_CHAINS:
             batches.extend([i] for i in members)
@@ -668,34 +609,58 @@ def chain_batches(requests: Sequence[ChainRequest], workers: int = 1) -> list[li
     return sorted(batches, key=cost, reverse=True)
 
 
+def run_batch(requests: Sequence[ChainRequest]) -> list[ChainSummary]:
+    """Run chains of one p and one config (seeds aside) as one stack to their posterior means.
+
+    A lone chain runs on the lone-chain kernel, a taller stack on the
+    stacked kernel; either way each chain's means are the same bits.  The
+    requests must share ``partials``.
+    """
+    stack = _start(requests)
+    cfg, partials = stack.config, requests[0].partials
+    theta_sum = np.zeros_like(stack.theta)
+    partial_sum = np.zeros_like(stack.theta) if partials else None
+    for _ in _sweeps(stack):
+        theta_sum += stack.theta
+        if partials:
+            for acc, theta in zip(partial_sum, stack.theta):
+                acc += partial_correlation(theta)
+    theta_sum /= cfg.retained
+    if partials:
+        partial_sum /= cfg.retained
+    return [
+        ChainSummary(
+            theta_mean=theta_sum[k].copy(),
+            partial_mean=partial_sum[k].copy() if partials else None,
+            config=req.config,
+        )
+        for k, req in enumerate(requests)
+    ]
+
+
 def run_chains(
-    requests: Sequence[ChainRequest], stacked: bool | None = None
+    requests: Sequence[ChainRequest],
+    mapper: Callable = map,
+    workers: int = 1,
 ) -> list[ChainSummary]:
     """Run every requested chain to its posterior means, in request order.
 
-    By default the size rule (:func:`chain_batches`) picks each chain's
-    route; ``stacked=True`` runs every group that may share a stack as one
-    stack, whatever its size, and ``stacked=False`` runs every chain
-    alone through :func:`chain_draws`.  Both routes give the same numbers
-    bit for bit.  An error names the failing chain's label and, past the
-    start, the sweep.  When more than one chain fails, it names the first
-    failure found: a stack finds its failures in (sweep, column) order and
-    the batches run one after another, so which chain is named can depend
-    on how the chains were batched.
+    The size rule (:func:`chain_batches`, for ``workers`` workers) cuts
+    the requests into batches, and ``mapper(run_batch, batches)`` runs
+    them: the builtin ``map`` in this process, or a pool's.  Every chain
+    gives the same numbers bit for bit whatever its batch.  An error names
+    the failing chain's label and, past the start, the sweep.  When more
+    than one chain fails, it names the first failure found: a stack finds
+    its failures in (sweep, column) order and the batches run one after
+    another, so which chain is named can depend on how the chains were
+    batched.
     """
     requests = list(requests)
-    if stacked is None:
-        batches = chain_batches(requests)
-    else:
-        batches = _groups(requests) if stacked else [[i] for i in range(len(requests))]
+    batches = chain_batches(requests, workers)
+    parts = mapper(run_batch, [[requests[i] for i in batch] for batch in batches])
     out: list[ChainSummary | None] = [None] * len(requests)
-    for batch in batches:
-        members = [requests[i] for i in batch]
-        if stacked or len(batch) > 1:
-            summaries = _stack_summaries(members)
-        else:
-            summaries = [_chain_summary(members[0])]
-        for i, summary in zip(batch, summaries):
+    for batch, part in zip(batches, parts):
+        for i, summary in zip(batch, part):
             out[i] = summary
     return out
 

@@ -11,12 +11,12 @@ The synthetic benchmark and the threshold study run their tasks in three
 stages.  The data stage makes each task's model pair and samples and
 names the Gibbs chains it needs (a :class:`~bayesdn.gibbs.ChainRequest`
 per sample).  The chain stage runs the requests of all tasks through
-``gibbs``, so chains of different tasks can share a stack: the size rule
-(``gibbs.chain_batches``) sees the whole list and cuts it into batches,
-lone chains and stacks, which the workers take one at a time.  The
-scoring stage runs the comparator, turns the chains into estimates and
-scores them.  Each stage keeps task order, and a chain's numbers do not
-depend on its batch.
+``gibbs.run_chains``, so chains of different tasks can share a stack: the
+size rule (``gibbs.chain_batches``) sees the whole list and cuts it into
+batches, lone chains and stacks, which the workers take one at a time.
+The scoring stage runs the comparator, turns the chains into estimates
+and scores them.  Each stage keeps task order, and a chain's numbers do
+not depend on its batch.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 
 from .config import FieldError, bound, check_fields, decode
 from .diffnet import DN_MODES, bnet_network, bnet_requests, dn_adjacency, estimate_bnet
-from .gibbs import ChainRequest, GibbsConfig, chain_batches, run_chains, spawn_seeds
+from .gibbs import ChainRequest, GibbsConfig, run_chains, spawn_seeds
 from .ista import IstaConfig, estimate_dnet
 from .linalg import mirror_lower
 from .metrics import classification_scores, confusion, loss_report
@@ -296,8 +296,11 @@ def _groups(cfg: ExperimentConfig, results: list):
 
 @contextmanager
 def _mapper(threads: int):
-    """A ``map(fn, items) -> list`` in this process, or over a pool of ``threads`` workers."""
-    if threads <= 1:
+    """A ``map(fn, items) -> list`` in this process, or over a pool of ``threads`` workers.
+
+    The pool refuses a count below 1.
+    """
+    if threads == 1:
         yield lambda fn, items: [fn(item) for item in items]
         return
     with ProcessPoolExecutor(max_workers=threads) as pool:
@@ -313,11 +316,6 @@ def _data_or_scores(stages, task):
     return None, score_fn((task, data, []))
 
 
-def _run_batch(batch: list[ChainRequest]) -> list:
-    """One batch of ``gibbs.chain_batches``: a stack, or a lone chain."""
-    return run_chains(batch, stacked=len(batch) > 1)
-
-
 def _run_staged(data_fn, score_fn, cfg: ExperimentConfig, threads: int) -> list:
     """Run every task of ``cfg`` through the data, chain and scoring stages.
 
@@ -325,21 +323,15 @@ def _run_staged(data_fn, score_fn, cfg: ExperimentConfig, threads: int) -> list:
     last; ``score_fn((task, data, chains))`` gets the summaries of those
     requests, in order.  A task that requests no chains is scored as soon
     as its data is made, so only the tasks waiting for chains hold data.
-    The size rule cuts the requests of all tasks into batches, largest
-    first, which the workers take one at a time.
+    ``gibbs.run_chains`` cuts the requests of all tasks into batches,
+    largest first, which the workers take one at a time.
     """
     tasks = _tasks(cfg)
     with _mapper(threads) as run:
         first = run(partial(_data_or_scores, (data_fn, score_fn)), tasks)
         waiting = [(task, data) for task, (data, _) in zip(tasks, first) if data is not None]
         requests = [req for _, data in waiting for req in data[-1]]
-        batches = chain_batches(requests, max(threads, 1))
-        parts = run(_run_batch, [[requests[i] for i in batch] for batch in batches])
-        summaries = [None] * len(requests)
-        for batch, part in zip(batches, parts):
-            for i, summary in zip(batch, part):
-                summaries[i] = summary
-        chains = iter(summaries)
+        chains = iter(run_chains(requests, run, threads))
         pending = [(task, data, [next(chains) for _ in data[-1]]) for task, data in waiting]
         scored = iter(run(score_fn, pending))
         return [scores if data is None else next(scored) for data, scores in first]

@@ -72,7 +72,7 @@ def reference_update_column(state, col, z, gamma):
 
     Factorizes Theta11, inverts it against the identity and factorizes
     C^{-1}.  ``z`` (length p; entry ``col`` is ignored) and ``gamma`` are
-    the column's draws, as :func:`bayesdn.gibbs.sweep_draws` hands them to
+    the column's draws, as :meth:`bayesdn.gibbs.ChainStack.draw` hands them to
     ``update_column``, so with the same draws the two agree to rounding.
     Reads and writes ``state.theta`` only.
     """

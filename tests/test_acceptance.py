@@ -20,7 +20,14 @@ from scipy.stats import gamma as gamma_dist
 from scipy.stats import invgauss, kstest
 
 from bayesdn.diffnet import dn_adjacency
-from bayesdn.gibbs import GibbsConfig, chain_draws, initial_state, run_chain, update_hyperparameters
+from bayesdn.gibbs import (
+    ChainStack,
+    GibbsConfig,
+    chain_draws,
+    initial_state,
+    run_chain,
+    update_hyperparameters,
+)
 from bayesdn.harness import (
     ExperimentConfig,
     emit_results_table,
@@ -114,10 +121,10 @@ def test_criterion_3_conditional_laws():
     off = ~np.eye(p, dtype=bool)
     state.theta[off] = theta_val
     iu = np.triu_indices(p, k=1)
-    rng = np.random.default_rng(0)
+    stack = ChainStack([state], [np.random.default_rng(0)])
     lam_draws = np.empty(calls * n_off)
     for k in range(calls):
-        update_hyperparameters(state, rng)
+        update_hyperparameters(stack)
         lam_draws[k * n_off : (k + 1) * n_off] = state.lam[iu]
         state.theta[off] = theta_val
     ks_lam = kstest(lam_draws, gamma_dist(a=1.01, scale=1.0 / (theta_val + 1e-6)).cdf).statistic
@@ -126,10 +133,10 @@ def test_criterion_3_conditional_laws():
     cfg2 = GibbsConfig(burn_in=1, retained=1, adapt_lambda=False, lambda_init=lam_fixed)
     state2 = initial_state(np.eye(p), 20, cfg2)
     state2.theta[off] = theta_val
-    rng2 = np.random.default_rng(1)
+    stack2 = ChainStack([state2], [np.random.default_rng(1)])
     inv_tau = np.empty(calls * n_off)
     for k in range(calls):
-        update_hyperparameters(state2, rng2)
+        update_hyperparameters(stack2)
         inv_tau[k * n_off : (k + 1) * n_off] = 1.0 / state2.tau[iu]
     mu = lam_fixed / theta_val          # 4.0
     shape = lam_fixed ** 2              # 4.0

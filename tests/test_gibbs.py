@@ -9,13 +9,14 @@ from bayesdn.gibbs import (
     STACK_MAX_CHAINS,
     STACK_MIN_CHAINS,
     ChainRequest,
+    ChainStack,
     GibbsConfig,
     chain_batches,
     chain_draws,
     initial_state,
+    run_batch,
     run_chain,
     run_chains,
-    sweep_draws,
     update_column,
     update_hyperparameters,
 )
@@ -41,9 +42,20 @@ def ar1_scatter(p=10, n=200, seed=7):
     return mirror_lower(x.T @ x), n
 
 
+def lone(state, rng):
+    """A stack of one over ``state``, reading ``rng``; ``state`` steps the stack's chain."""
+    return ChainStack([state], [rng])
+
+
+def sweep_draws(stack):
+    """One sweep's normals and Schur gammas of a stack of one."""
+    stack.draw()
+    return stack.z[0], stack.gamma[0]
+
+
 def column_draws(state, col, rng):
     """The draws of column ``col``, cut from one sweep's draws."""
-    z, gamma = sweep_draws(state, rng)
+    z, gamma = sweep_draws(lone(state, rng))
     return z[col], gamma[col]
 
 
@@ -51,8 +63,8 @@ class TestVariates:
     def test_gamma_moments(self):
         # n = 4, s_ii + lam_ii = 4: every Schur gamma is GA(3, rate 2)
         state = initial_state(3.0 * np.eye(100), 4, GibbsConfig(burn_in=1, retained=1))
-        rng = np.random.default_rng(0)
-        draws = np.concatenate([sweep_draws(state, rng)[1] for _ in range(2000)])
+        stack = lone(state, np.random.default_rng(0))
+        draws = np.concatenate([sweep_draws(stack)[1].copy() for _ in range(2000)])
         assert draws.size == 200_000
         assert draws.mean() == pytest.approx(1.5, abs=0.01)
         assert draws.var() == pytest.approx(0.75, abs=0.02)
@@ -60,7 +72,7 @@ class TestVariates:
     def test_sweep_normals_skip_the_diagonal(self):
         # column col reads row col of the normals; its entry col is no draw
         state = initial_state(np.eye(6), 10, GibbsConfig(burn_in=1, retained=1))
-        z, gamma = sweep_draws(state, np.random.default_rng(2))
+        z, gamma = sweep_draws(lone(state, np.random.default_rng(2)))
         assert z.shape == (6, 6) and gamma.shape == (6,)
         assert np.all(np.diag(z) == 0.0)
         assert np.count_nonzero(z) == 30
@@ -119,12 +131,12 @@ class TestColumnUpdate:
     def test_pd_by_construction(self):
         scatter, n = ar1_scatter(p=5, n=80)
         state = initial_state(scatter, n, GibbsConfig(burn_in=1, retained=1))
-        rng = np.random.default_rng(6)
+        stack = lone(state, np.random.default_rng(6))
         for sweep in range(200):
-            z, gamma = sweep_draws(state, rng)
+            z, gamma = sweep_draws(stack)
             for col in range(5):
                 update_column(state, col, z[col], gamma[col])
-            update_hyperparameters(state, rng)
+            update_hyperparameters(stack)
             cholesky_pd(state.theta)
 
     def test_column_out_of_range(self):
@@ -139,15 +151,15 @@ class TestCarriedInverse:
         # no resync here: the rank-one refreshes alone keep Sigma in step
         scatter, n = ar1_scatter(p=6, n=50)
         state = initial_state(scatter, n, GibbsConfig(burn_in=1, retained=1))
-        rng = np.random.default_rng(15)
+        stack = lone(state, np.random.default_rng(15))
         worst = 0.0
         for sweep in range(50):
-            z, gamma = sweep_draws(state, rng)
+            z, gamma = sweep_draws(stack)
             for col in range(6):
                 update_column(state, col, z[col], gamma[col])
                 worst = max(worst, np.abs(state.sigma @ state.theta - np.eye(6)).max())
                 np.testing.assert_array_equal(state.sigma, state.sigma.T)
-            update_hyperparameters(state, rng)
+            update_hyperparameters(stack)
         assert worst <= 1e-12
 
     def test_matches_factorize_and_invert_reference(self):
@@ -155,12 +167,12 @@ class TestCarriedInverse:
         cfg = GibbsConfig(burn_in=0, retained=5, seed=16)
         got = [theta.copy() for theta in chain_draws(scatter, n, cfg)]
         state = initial_state(scatter, n, cfg)
-        rng = np.random.default_rng(cfg.seed)
+        stack = lone(state, np.random.default_rng(cfg.seed))
         for theta in got:
-            z, gamma = sweep_draws(state, rng)
+            z, gamma = sweep_draws(stack)
             for col in range(6):
                 reference_update_column(state, col, z[col], gamma[col])
-            update_hyperparameters(state, rng)
+            update_hyperparameters(stack)
             np.testing.assert_allclose(theta, state.theta, rtol=1e-9)
 
     @pytest.mark.parametrize("sigma22", [0.0, -1.0, np.nan, np.inf])
@@ -178,7 +190,7 @@ class TestCarriedInverse:
         scatter, n = ar1_scatter(p=4, n=50)
         state = initial_state(scatter, n, GibbsConfig(burn_in=1, retained=1))
         rng = np.random.default_rng(17)
-        z, gamma = sweep_draws(state, rng)
+        z, gamma = sweep_draws(lone(state, rng))
         for col in range(4):
             update_column(state, col, z[col], gamma[col])
         state.tau[other, 2] = state.tau[2, other] = -1e-3
@@ -195,12 +207,12 @@ class TestCarriedInverse:
         scatter, n = mirror_lower(x.T @ x), 40
         cfg = GibbsConfig(burn_in=1, retained=1)
         state = initial_state(scatter, n, cfg)
-        rng = np.random.default_rng(18)
+        stack = lone(state, np.random.default_rng(18))
         for _ in range(3):
-            z, gamma = sweep_draws(state, rng)
+            z, gamma = sweep_draws(stack)
             for c in range(p):
                 update_column(state, c, z[c], gamma[c])
-            update_hyperparameters(state, rng)
+            update_hyperparameters(stack)
         ref = initial_state(scatter, n, cfg)
         ref.theta, ref.tau, ref.lam = state.theta.copy(), state.tau.copy(), state.lam.copy()
         update_column(state, col, *column_draws(state, col, np.random.default_rng(19)))
@@ -217,15 +229,15 @@ class TestCarriedInverse:
         scatter, n = mirror_lower(x.T @ x), 40
         cfg = GibbsConfig(burn_in=1, retained=1)
         state = initial_state(scatter, n, cfg)
-        rng = np.random.default_rng(21)
+        stack = lone(state, np.random.default_rng(21))
         for _ in range(2):
-            z, gamma = sweep_draws(state, rng)
+            z, gamma = sweep_draws(stack)
             for c in range(p):
                 update_column(state, c, z[c], gamma[c])
-            update_hyperparameters(state, rng)
+            update_hyperparameters(stack)
         ref = initial_state(scatter, n, cfg)
         ref.theta, ref.tau, ref.lam = state.theta.copy(), state.tau.copy(), state.lam.copy()
-        z, gamma = sweep_draws(state, rng)
+        z, gamma = sweep_draws(stack)
         update_column(state, col, z[col], gamma[col])
         reference_update_column(ref, col, z[col], gamma[col])
         np.testing.assert_allclose(state.theta, ref.theta, rtol=1e-12)
@@ -255,14 +267,13 @@ class TestCarriedInverse:
 class TestHyperparameters:
     def test_lambda_mean_tracks_theta(self):
         # fixed theta12 = 0.5: lambda ~ GA(1.01, 0.500001), mean 2.02
-        scatter = np.eye(2)
-        cfg = GibbsConfig(burn_in=1, retained=1)
-        rng = np.random.default_rng(7)
+        # theta stays put, so one state reads the draws of 30k fresh ones
+        state = initial_state(np.eye(2), 10, GibbsConfig(burn_in=1, retained=1))
+        state.theta[0, 1] = state.theta[1, 0] = 0.5
+        stack = lone(state, np.random.default_rng(7))
         lams = []
         for _ in range(30_000):
-            state = initial_state(scatter, 10, cfg)
-            state.theta[0, 1] = state.theta[1, 0] = 0.5
-            update_hyperparameters(state, rng)
+            update_hyperparameters(stack)
             lams.append(state.lam[0, 1])
         assert np.mean(lams) == pytest.approx(1.01 / 0.500001, abs=0.02)
 
@@ -270,14 +281,14 @@ class TestHyperparameters:
         scatter = np.eye(3)
         state = initial_state(scatter, 10, GibbsConfig(burn_in=1, retained=1))
         state.theta = np.eye(3)  # all off-diagonals exactly zero
-        update_hyperparameters(state, np.random.default_rng(8))
+        update_hyperparameters(lone(state, np.random.default_rng(8)))
         assert np.all(state.tau[~np.eye(3, dtype=bool)] > 0)
 
     def test_frozen_lambda_mode(self):
         scatter = np.eye(3)
         cfg = GibbsConfig(burn_in=1, retained=1, adapt_lambda=False, lambda_init=2.5)
         state = initial_state(scatter, 10, cfg)
-        update_hyperparameters(state, np.random.default_rng(9))
+        update_hyperparameters(lone(state, np.random.default_rng(9)))
         off = ~np.eye(3, dtype=bool)
         assert np.all(state.lam[off] == 2.5)
 
@@ -286,14 +297,14 @@ class TestHyperparameters:
         scatter, n = ar1_scatter(p=6, n=150)
         cfg = GibbsConfig(burn_in=1, retained=1)
         state = initial_state(scatter, n, cfg)
-        rng = np.random.default_rng(10)
+        stack = lone(state, np.random.default_rng(10))
         thetas, lams = [], []
         iu = np.triu_indices(6, k=1)
         for sweep in range(300):
-            z, gamma = sweep_draws(state, rng)
+            z, gamma = sweep_draws(stack)
             for col in range(6):
                 update_column(state, col, z[col], gamma[col])
-            update_hyperparameters(state, rng)
+            update_hyperparameters(stack)
             if sweep >= 50:
                 thetas.append(np.abs(state.theta[iu]))
                 lams.append(state.lam[iu])
@@ -340,13 +351,13 @@ class TestChain:
             state.tau[iu] = state.tau.T[iu] = 1.0 / delta
 
     def test_sweep_gammas_are_generator_gamma_draws(self):
-        # sweep_draws scales standard gammas; Generator.gamma with an array
+        # the draws scale standard gammas; Generator.gamma with an array
         # scale must read the same numbers and give the same bits
         scatter, n = ar1_scatter(p=7, n=50)
         state = initial_state(scatter, n, GibbsConfig(burn_in=1, retained=1))
         for seed in range(5):
             rng = np.random.default_rng(seed)
-            z, gamma = sweep_draws(state, rng)
+            z, gamma = sweep_draws(lone(state, rng))
             ref = np.random.default_rng(seed)
             ref_z = ref.standard_normal((7, 7))
             np.fill_diagonal(ref_z, 0.0)
@@ -365,7 +376,7 @@ class TestChain:
         state = initial_state(scatter, n, cfg)
         state.theta = theta.copy()
         for seed in range(5):
-            update_hyperparameters(state, np.random.default_rng(seed))
+            update_hyperparameters(lone(state, np.random.default_rng(seed)))
             expected = np.random.default_rng(seed).gamma(1.0 + cfg.r, 1.0 / (abs_theta + cfg.s))
             np.testing.assert_array_equal(state.lam[iu], expected)
             np.testing.assert_array_equal(state.lam.T[iu], expected)
@@ -488,6 +499,11 @@ def folded_draws(request):
     return theta_sum / cfg.retained, partial_sum / cfg.retained
 
 
+def each_alone(requests):
+    """Every chain run alone, on the lone-chain kernel."""
+    return [run_batch([request])[0] for request in requests]
+
+
 STACK_CONFIGS = {
     "adaptive": (GibbsConfig(burn_in=4, retained=12), False),
     "frozen_with_partials": (
@@ -499,12 +515,14 @@ STACK_CONFIGS = {
 
 class TestStackedRoute:
     @pytest.mark.parametrize("setting", sorted(STACK_CONFIGS))
-    @pytest.mark.parametrize("k", [1, 3, 7])
+    @pytest.mark.parametrize("k", [1, 2, 3, 7])
     @pytest.mark.parametrize("p", [2, 3, 10, 30])
     def test_stack_equals_chain_draws(self, p, k, setting):
+        # a batch of one runs the lone-chain kernel, a taller one the
+        # stacked kernel; both fold into the means of chain_draws
         cfg, partials = STACK_CONFIGS[setting]
         requests = chain_requests(p, k, cfg, partials)
-        got = run_chains(requests, stacked=True)
+        got = run_batch(requests)
         for request, summary in zip(requests, got):
             theta_mean, partial_mean = folded_draws(request)
             np.testing.assert_array_equal(summary.theta_mean, theta_mean)
@@ -516,10 +534,11 @@ class TestStackedRoute:
 
     @pytest.mark.parametrize("p", [3, 10])
     def test_chain_alone_equals_chain_in_a_batch_of_7(self, p):
+        # the lone-chain kernel against the stacked kernel, bit for bit
         requests = chain_requests(p, 7, GibbsConfig(burn_in=5, retained=15), partials=True)
-        batch = run_chains(requests, stacked=True)
+        batch = run_batch(requests)
         for j in (0, 3, 6):
-            alone = run_chains([requests[j]], stacked=True)[0]
+            alone = run_batch([requests[j]])[0]
             np.testing.assert_array_equal(alone.theta_mean, batch[j].theta_mean)
             np.testing.assert_array_equal(alone.partial_mean, batch[j].partial_mean)
 
@@ -605,8 +624,7 @@ class TestStackedRoute:
         requests = chain_requests(5, STACK_MIN_CHAINS + 1, GibbsConfig(burn_in=3, retained=6))
         assert chain_batches(requests) == [list(range(STACK_MIN_CHAINS + 1))]
         by_rule = run_chains(requests)
-        per_chain = run_chains(requests, stacked=False)
-        for a, b in zip(by_rule, per_chain):
+        for a, b in zip(by_rule, each_alone(requests)):
             np.testing.assert_array_equal(a.theta_mean, b.theta_mean)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -614,13 +632,13 @@ class TestStackedRoute:
     def test_failing_chain_of_a_stack_is_named(self, blow_up):
         # chain 1 of a stack of 3 overflows in its first sweep (here 1e180
         # trips the factor's check and 1e250 the Schur complement's); the
-        # error names that chain and the sweep, as the per-chain route does
+        # error names that chain and the sweep, as the lone-chain kernel does
         requests = chain_requests(6, 3, GibbsConfig(burn_in=2, retained=2))
         requests[1] = replace(requests[1], scatter=requests[1].scatter * blow_up)
         messages = []
-        for route in (True, False):
+        for run in (run_batch, each_alone):
             with pytest.raises(NotPositiveDefiniteError) as err:
-                run_chains(requests, stacked=route)
+                run(requests)
             messages.append(str(err.value))
         assert messages[0] == messages[1]
         assert re.fullmatch(
@@ -631,37 +649,39 @@ class TestStackedRoute:
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_two_failing_chains_name_the_first_failure_found(self):
-        # the per-chain route names the first failing chain in list order;
-        # the stack names the chain that fails first in (sweep, column)
-        # order, which is one of the two
+        # chains run one after another name the first failing chain in
+        # list order; the stack names the chain that fails first in
+        # (sweep, column) order, which is one of the two
         requests = chain_requests(6, 3, GibbsConfig(burn_in=2, retained=2))
         for j, blow_up in ((1, 1e180), (2, 1e250)):
             requests[j] = replace(requests[j], scatter=requests[j].scatter * blow_up)
         alone = []
         for j in (1, 2):
             with pytest.raises(NotPositiveDefiniteError) as err:
-                run_chains([requests[j]], stacked=False)
+                run_batch([requests[j]])
             alone.append(str(err.value))
         with pytest.raises(NotPositiveDefiniteError) as err:
-            run_chains(requests, stacked=False)
+            each_alone(requests)
         assert str(err.value) == alone[0]
         with pytest.raises(NotPositiveDefiniteError) as err:
-            run_chains(requests, stacked=True)
+            run_batch(requests)
         assert str(err.value) in alone
 
-    def test_failing_resync_of_a_stack_names_chain_and_sweep(self, monkeypatch):
-        # the stack re-derives each chain's Sigma in chain order once per
-        # sweep; break chain 1's at sweep 2 of a stack of 3
+    @pytest.mark.parametrize("kernel", ["alone", "stacked"])
+    def test_failing_resync_names_chain_and_sweep(self, monkeypatch, kernel):
+        # a sweep re-derives the Sigma of each chain of its batch in chain
+        # order; break chain 1's at sweep 2, alone or in a stack of 3
+        requests = chain_requests(4, 3, GibbsConfig(burn_in=2, retained=3))
+        batch, position = (requests[1:2], 0) if kernel == "alone" else (requests, 1)
         calls = []
 
         def breaking_invert_pd(theta):
             calls.append(len(calls))
-            return invert_pd(-theta if len(calls) == 2 * 3 + 2 else theta)
+            return invert_pd(-theta if len(calls) == 2 * len(batch) + position + 1 else theta)
 
         monkeypatch.setattr(gibbs, "invert_pd", breaking_invert_pd)
-        requests = chain_requests(4, 3, GibbsConfig(burn_in=2, retained=3))
         with pytest.raises(NotPositiveDefiniteError) as err:
-            run_chains(requests, stacked=True)
+            run_batch(batch)
         assert str(err.value) == (
             "chain 1: sweep 2: leading minor of order 1 is not positive definite"
         )
@@ -670,6 +690,6 @@ class TestStackedRoute:
     def test_bad_scatter_names_the_chain(self):
         requests = chain_requests(3, 3, GibbsConfig(burn_in=1, retained=1))
         requests[2] = replace(requests[2], scatter=-requests[2].scatter)
-        for route in (True, False):
+        for run in (run_batch, each_alone):
             with pytest.raises(ValueError, match="^chain 2: scatter is not positive semidefinite"):
-                run_chains(requests, stacked=route)
+                run(requests)

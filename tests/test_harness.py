@@ -592,6 +592,18 @@ class TestCli:
             main(["sweep", *flag, "--out", str(out)])
         assert exc.value.code == 2 and not out.exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_refused(self, tmp_path, capsys, threads):
+        # such counts used to run in-process without a word
+        from bayesdn.cli import main
+
+        out = tmp_path / "o"
+        for command in (["synthetic"], ["sweep"], ["real"], ["sample", "--csv", "x.csv"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*command, "--threads", threads, "--out", str(out)])
+            assert exc.value.code == 2 and not out.exists()
+            assert f"--threads: must be >= 1, got {threads}" in capsys.readouterr().err
+
     def test_sample_reads_gibbs_section_with_flags_on_top(self, tmp_path):
         from bayesdn.cli import main
 

@@ -1,5 +1,5 @@
 """Time whole Gibbs sweeps: the working tree against a parent revision, or
-the stacked route against the per-chain route.
+the stacked column kernel against the lone-chain kernel.
 
 Usage, from the root of a checkout::
 
@@ -23,14 +23,15 @@ calibrated interval.  The working tree and a temporary clone of
 the table gives each side's median ms per sweep and the median of the
 per-run ratios.
 
-``--chains`` times ``gibbs.run_chains`` on the working tree alone: K
-chains of one p (distinct seeds and sample sizes) on the stacked route
-against the same chains on the per-chain route, at p = 10, 30, 60 and 100
-and K = 1, 2, 4, 6, 20, 40, 80 and 240 (a run at the paper's scale holds
-80 to 240 chains of one p).  Within a run the two routes alternate which
-goes first; the table gives the median over ``--runs`` runs of ms per
-chain and sweep, and the median of the per-run ratios.  The size rule's
-``STACK_MIN_CHAINS`` and ``STACK_MAX_CHAINS`` are read off this table.
+``--chains`` times ``gibbs.run_batch`` on the working tree alone: K
+chains of one p (distinct seeds and sample sizes) as one batch, which runs
+the stacked kernel, against the same chains each in a batch of its own,
+which runs the lone-chain kernel, at p = 10, 30, 60 and 100 and K = 2, 4,
+6, 20, 40, 80 and 240 (a run at the paper's scale holds 80 to 240 chains
+of one p).  Within a run the two kernels alternate which goes first; the
+table gives the median over ``--runs`` runs of ms per chain and sweep, and
+the median of the per-run ratios.  The size rule's ``STACK_MIN_CHAINS``
+and ``STACK_MAX_CHAINS`` are read off this table.
 
 It only reports; it gates nothing.  Standard library and numpy only.
 """
@@ -50,8 +51,8 @@ PERFBENCH_RUN = os.path.join(ROOT, "perfbench", "run.py")
 # sweeps timed at each p: about 0.15 s per p and run
 SWEEPS = {10: 480, 30: 160, 60: 48, 100: 20}
 CHAIN_DIMS = (10, 30, 60, 100)
-CHAIN_COUNTS = (1, 2, 4, 6, 20, 40, 80, 240)
-# seconds of per-chain sweeps per timed interval in --chains (at least 3 sweeps)
+CHAIN_COUNTS = (2, 4, 6, 20, 40, 80, 240)
+# seconds of sweeps per timed interval in --chains (at least 3 sweeps)
 CHAIN_INTERVAL_S = 0.15
 
 # Imports the reference kernel of perfbench/run.py (its path is argv[1]),
@@ -84,17 +85,17 @@ for p, sweeps in json.loads(sys.argv[2]).items():
 print(json.dumps(out))
 """
 
-# Runs in the working tree; prints [[p, K, stacked s, per-chain s], ...] in
+# Runs in the working tree; prints [[p, K, stacked s, alone s], ...] in
 # reference seconds per chain and sweep.
 PROBE_CHAINS = PROBE_HEAD + """
-from bayesdn.gibbs import ChainRequest, GibbsConfig, run_chains
+from bayesdn.gibbs import ChainRequest, GibbsConfig, run_batch
 
 dims, counts, interval = json.loads(sys.argv[2])
 t_sweep = {10: 2.3e-4, 30: 7.8e-4, 60: 2.5e-3, 100: 7.1e-3}  # rough per-chain cost
 out = []
 for p in dims:
     theta, _ = raw_components(StructureSpec("ar2", p))
-    for k in counts:
+    for i, k in enumerate(counts):
         sweeps = max(3, round(interval / (k * t_sweep.get(p, 1e-2))))
         requests = []
         for j in range(k):
@@ -102,13 +103,16 @@ for p in dims:
             x = sample_gaussian(theta, n, seed=1000 * p + j)
             cfg = GibbsConfig(burn_in=0, retained=sweeps, seed=j + 1)
             requests.append(ChainRequest(mirror_lower(x.T @ x), n, cfg, partials=False))
-        routes = {"stacked": True, "per_chain": False}
-        order = ("stacked", "per_chain") if k % 2 else ("per_chain", "stacked")
+        kernels = {
+            "stacked": lambda: run_batch(requests),
+            "alone": lambda: [run_batch([request]) for request in requests],
+        }
+        order = ("stacked", "alone") if i % 2 else ("alone", "stacked")
         seconds = {}
-        for route in order:
-            _, _, ref = calibration.measure(lambda: run_chains(requests, routes[route]))
-            seconds[route] = ref / (k * sweeps)
-        out.append([p, k, seconds["stacked"], seconds["per_chain"]])
+        for kernel in order:
+            _, _, ref = calibration.measure(kernels[kernel])
+            seconds[kernel] = ref / (k * sweeps)
+        out.append([p, k, seconds["stacked"], seconds["alone"]])
 print(json.dumps(out))
 """
 
@@ -154,23 +158,23 @@ def compare_parent(rev: str, runs: int) -> None:
         )
 
 
-def compare_routes(runs: int) -> None:
+def compare_kernels(runs: int) -> None:
     rows: dict[tuple[int, int], list[tuple[float, float]]] = {}
     for _ in range(runs):
-        for p, k, stacked, per_chain in probe(
+        for p, k, stacked, alone in probe(
             ROOT, PROBE_CHAINS, [CHAIN_DIMS, CHAIN_COUNTS, CHAIN_INTERVAL_S]
         ):
-            rows.setdefault((p, k), []).append((stacked, per_chain))
+            rows.setdefault((p, k), []).append((stacked, alone))
     print(
         f"reference ms per chain and sweep, median of {runs} runs, one BLAS thread, "
         "ar2, n = 200 + chain index"
     )
-    print(f"{'p':>5} {'K':>4} {'per-chain':>10} {'stacked':>9} {'ratio':>7}")
+    print(f"{'p':>5} {'K':>4} {'alone':>10} {'stacked':>9} {'ratio':>7}")
     for (p, k), pairs in rows.items():
         stacked = statistics.median(s for s, _ in pairs) * 1e3
-        per_chain = statistics.median(c for _, c in pairs) * 1e3
+        alone = statistics.median(c for _, c in pairs) * 1e3
         ratio = statistics.median(s / c for s, c in pairs)
-        print(f"{p:>5} {k:>4} {per_chain:>10.3f} {stacked:>9.3f} {ratio:>7.2f}")
+        print(f"{p:>5} {k:>4} {alone:>10.3f} {stacked:>9.3f} {ratio:>7.2f}")
 
 
 def main() -> int:
@@ -178,12 +182,12 @@ def main() -> int:
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--parent", help="git revision to compare the working tree against")
     mode.add_argument(
-        "--chains", action="store_true", help="compare the stacked and per-chain routes"
+        "--chains", action="store_true", help="compare the stacked and lone-chain kernels"
     )
     parser.add_argument("--runs", type=int, default=7, help="runs (per side with --parent)")
     args = parser.parse_args()
     if args.chains:
-        compare_routes(args.runs)
+        compare_kernels(args.runs)
     else:
         compare_parent(args.parent, args.runs)
     return 0
