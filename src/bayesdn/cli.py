@@ -11,8 +11,8 @@ Settings come from an optional JSON config file (same field names as the
 config dataclasses, nested sections "gibbs" and "ista") with flag
 overrides on top; :func:`bayesdn.config.decode` checks every field before
 any work.  Desk-scale defaults (10 replications, 1000 burn-in,
-2000 retained draws) keep runs in minutes; ``--paper-scale`` switches to
-40 replications and 5000/10000 sweeps.
+2000 retained draws) keep runs in minutes; ``--paper-scale`` leaves the
+config dataclasses' own defaults, the paper's run sizes.
 """
 
 from __future__ import annotations
@@ -21,13 +21,13 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from .config import FieldError, decode
 from .gibbs import GibbsConfig, run_chain
 from .harness import (
     ExperimentConfig,
-    config_from_dict,
-    config_to_dict,
+    RealAnalysisConfig,
     emit_real,
     emit_results_table,
     emit_study,
@@ -40,7 +40,6 @@ from .linalg import NotPositiveDefiniteError, mirror_lower
 from .pipeline import EmptyDataError, nonparanormal_transform, read_csv, write_csv
 
 DESK_SCALE = {"replications": 10, "burn_in": 1000, "retained": 2000}
-PAPER_SCALE = {"replications": 40, "burn_in": 5000, "retained": 10000}
 
 
 def _worker_count(text: str) -> int:
@@ -61,7 +60,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--paper-scale",
         action="store_true",
-        help="full-size run: 40 replications, 5000 burn-in, 10000 retained",
+        help=(
+            f"full-size run: {ExperimentConfig.replications} replications, "
+            f"{GibbsConfig.burn_in} burn-in, {GibbsConfig.retained} retained"
+        ),
     )
 
 
@@ -75,8 +77,11 @@ def _load_config_dict(path: str | None) -> dict:
     return d
 
 
-def _scale(args) -> dict:
-    return PAPER_SCALE if args.paper_scale else DESK_SCALE
+def _desk_defaults(d: dict, args, *names: str) -> None:
+    """Fill in the desk scale's ``names``; ``--paper-scale`` leaves the config defaults."""
+    if not args.paper_scale:
+        for name in names:
+            d.setdefault(name, DESK_SCALE[name])
 
 
 def _gibbs_section(d: dict, args) -> dict:
@@ -84,15 +89,13 @@ def _gibbs_section(d: dict, args) -> dict:
     gibbs = d.get("gibbs", {})
     if not isinstance(gibbs, dict):
         raise FieldError("gibbs", f"must be an object, got {gibbs!r}")
-    scale = _scale(args)
-    gibbs.setdefault("burn_in", scale["burn_in"])
-    gibbs.setdefault("retained", scale["retained"])
+    _desk_defaults(gibbs, args, "burn_in", "retained")
     return gibbs
 
 
 def _experiment_config(args) -> ExperimentConfig:
     d = _load_config_dict(args.config)
-    d.setdefault("replications", _scale(args)["replications"])
+    _desk_defaults(d, args, "replications")
     d["gibbs"] = _gibbs_section(d, args)
     if args.structures:
         d["structures"] = args.structures.split(",")
@@ -110,7 +113,7 @@ def _experiment_config(args) -> ExperimentConfig:
         d["estimators"] = args.estimators.split(",")
     if args.seed is not None:
         d["master_seed"] = args.seed
-    return config_from_dict(d)
+    return decode(ExperimentConfig, d)
 
 
 def _add_experiment_flags(parser) -> None:
@@ -149,7 +152,7 @@ def _cmd_real(args) -> int:
     if args.seed is not None:
         d["master_seed"] = args.seed
     d["gibbs"] = _gibbs_section(d, args)
-    cfg = config_from_dict(d, real=True)
+    cfg = decode(RealAnalysisConfig, d)
     result = run_real_analysis(cfg)
     emit_real(result, cfg, args.out)
     print(
@@ -176,7 +179,7 @@ def _cmd_sample(args) -> int:
     write_csv(
         os.path.join(args.out, "partial_correlation_mean.csv"), ds.columns, chain.partial_mean
     )
-    payload = {"csv": args.csv, "n": int(x.shape[0]), **config_to_dict(cfg)}
+    payload = {"csv": args.csv, "n": int(x.shape[0]), **asdict(cfg)}
     write_manifest(args.out, payload, [[cfg.seed]])
     print(f"wrote posterior summaries for {len(ds.columns)} columns to {args.out}")
     return 0

@@ -22,7 +22,6 @@ not depend on its batch.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import datetime
 import hashlib
 import json
@@ -30,18 +29,18 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from typing import Literal
 
 import numpy as np
 
-from .config import FieldError, bound, check_fields, decode
+from .config import FieldError, bound, check_fields
 from .diffnet import DN_MODES, bnet_network, bnet_requests, dn_adjacency, estimate_bnet
-from .gibbs import ChainRequest, GibbsConfig, run_chains, spawn_seeds
+from .gibbs import GibbsConfig, run_chains, spawn_seeds
 from .ista import IstaConfig, estimate_dnet
 from .linalg import mirror_lower
-from .metrics import classification_scores, confusion, loss_report
+from .metrics import LossReport, Scores, classification_scores, confusion, loss_report
 from .pipeline import (
     boxs_m_test,
     moving_average,
@@ -72,13 +71,17 @@ __all__ = [
     "emit_results_table",
     "emit_study",
     "emit_real",
-    "config_to_dict",
-    "config_from_dict",
 ]
 
-LOSS_METRICS = ("l1", "l2", "el1", "el2", "maxel1", "minel1")
-SCORE_METRICS = ("sp", "se", "fnr", "f1", "mcc")
 _BOOTSTRAP_RESAMPLES = 200
+
+
+def _refuse_chain_seed(gibbs: GibbsConfig) -> None:
+    """A run seeds its chains from ``master_seed``, so it would ignore ``gibbs.seed``."""
+    if gibbs.seed != 0:
+        raise FieldError(
+            "gibbs.seed", f"must be 0, got {gibbs.seed}: chain seeds come from master_seed"
+        )
 
 
 @dataclass(frozen=True)
@@ -111,6 +114,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_fields(self)
+        _refuse_chain_seed(self.gibbs)
         if len(self.dims) != len(self.sample_sizes):
             raise ValueError("dims and sample_sizes must pair up")
         if len(set(self.dims)) != len(self.dims):
@@ -155,6 +159,7 @@ class RealAnalysisConfig:
 
     def __post_init__(self):
         check_fields(self)
+        _refuse_chain_seed(self.gibbs)
         if (self.class_column is None) == (len(self.boundaries) == 0):
             raise ValueError("configure exactly one of class_column or boundaries")
         if self.class_column is not None:
@@ -360,14 +365,7 @@ def _synthetic_score(item) -> dict:
             delta, adj, _ = estimate_dnet(*samples, cfg.ista)
         losses = loss_report(delta, true_delta)
         scores = classification_scores(confusion(adj, true_adjacency))
-        out[est] = {
-            **losses.as_dict(),
-            "sp": scores.sp,
-            "se": scores.se,
-            "fnr": scores.fnr,
-            "f1": scores.f1,
-            "mcc": scores.mcc,
-        }
+        out[est] = {**losses._asdict(), **scores._asdict()}
     return out
 
 
@@ -415,7 +413,7 @@ def run_synthetic_experiment(cfg: ExperimentConfig, threads: int = 1) -> Results
     )
     for structure, p, n, per_rep in _groups(cfg, results):
         for est in cfg.estimators:
-            for metric in LOSS_METRICS + SCORE_METRICS:
+            for metric in LossReport._fields + Scores._fields:
                 values = np.array([r[est][metric] for r in per_rep], dtype=float)
                 entries[(structure, p, est, metric)] = {
                     "n": n,
@@ -430,15 +428,10 @@ def run_synthetic_experiment(cfg: ExperimentConfig, threads: int = 1) -> Results
 def _study_data(task):
     cfg = task[0]
     (_, _, _, s_chain), pair, x1, x2 = _task_data(task)
-    n = x1.shape[0]
-    scatters = (mirror_lower(x1.T @ x1), mirror_lower(x2.T @ x2))
-    requests = []
-    if "ratio" in cfg.rules:
-        requests = [
-            ChainRequest(s, n, replace(cfg.gibbs, seed=c), label=label)
-            for s, c, label in zip(scatters, spawn_seeds(s_chain, 2), _chain_labels(task))
-        ]
-    return pair.true_adjacency, n, scatters, requests
+    requests = bnet_requests(x1, x2, replace(cfg.gibbs, seed=s_chain), _chain_labels(task))
+    scatters = tuple(req.scatter for req in requests)
+    ratio = [replace(req, partials=True) for req in requests] if "ratio" in cfg.rules else []
+    return pair.true_adjacency, x1.shape[0], scatters, ratio
 
 
 def _study_score(item) -> dict[str, ThresholdReport]:
@@ -509,11 +502,10 @@ def _two_groups(cfg: RealAnalysisConfig) -> tuple[list[str], tuple[str, str], np
         g2 = ds.rows[np.isclose(labels, wanted[1])][:, feature_idx]
         names = (str(wanted[0]), str(wanted[1]))
     else:
-        split = split_phases(ds, cfg.boundary_dates, list(cfg.phases))
+        phases = split_phases(ds, cfg.boundary_dates, cfg.phases)
         names = (cfg.compare or cfg.phases)[:2]
         columns = ds.columns
-        g1 = split.rows(ds, names[0])
-        g2 = split.rows(ds, names[1])
+        g1, g2 = phases[names[0]], phases[names[1]]
     return columns, names, g1, g2
 
 
@@ -557,16 +549,6 @@ def run_real_analysis(cfg: RealAnalysisConfig) -> RealAnalysisResult:
 # ---------------------------------------------------------------------------
 # Serialization and output files
 # ---------------------------------------------------------------------------
-
-
-def config_to_dict(cfg) -> dict:
-    """Nested plain-dict form of a config dataclass (JSON writes its tuples as lists)."""
-    return dataclasses.asdict(cfg)
-
-
-def config_from_dict(d: dict, real: bool = False):
-    """Rebuild an ExperimentConfig (or RealAnalysisConfig) from a parsed JSON object."""
-    return decode(RealAnalysisConfig if real else ExperimentConfig, d)
 
 
 def _json_default(obj):
@@ -619,7 +601,7 @@ def emit_results_table(table: ResultsTable, cfg: ExperimentConfig, outdir: str) 
                     _fmt(e["se_boot"]),
                 ]
             )
-    write_manifest(outdir, config_to_dict(cfg), _manifest_seeds(cfg))
+    write_manifest(outdir, asdict(cfg), _manifest_seeds(cfg))
 
 
 def emit_study(studies: list[StudyResult], cfg: ExperimentConfig, outdir: str) -> None:
@@ -646,7 +628,7 @@ def emit_study(studies: list[StudyResult], cfg: ExperimentConfig, outdir: str) -
         )
     os.makedirs(outdir, exist_ok=True)
     _dump_json(payload, os.path.join(outdir, "threshold_study.json"))
-    write_manifest(outdir, config_to_dict(cfg), _manifest_seeds(cfg))
+    write_manifest(outdir, asdict(cfg), _manifest_seeds(cfg))
 
 
 def emit_real(result: RealAnalysisResult, cfg: RealAnalysisConfig, outdir: str) -> None:
@@ -676,4 +658,4 @@ def emit_real(result: RealAnalysisResult, cfg: RealAnalysisConfig, outdir: str) 
         os.path.join(outdir, "summary.json"),
     )
     # the chain seeds are spawned from cfg.master_seed, which the config holds
-    write_manifest(outdir, config_to_dict(cfg), [])
+    write_manifest(outdir, asdict(cfg), [])

@@ -32,8 +32,7 @@ def is_na(x: float) -> bool:
     return isinstance(x, float) and math.isnan(x)
 
 
-@dataclass(frozen=True)
-class LossReport:
+class LossReport(NamedTuple):
     """Six losses comparing an estimated matrix against the truth."""
 
     l1: float
@@ -42,16 +41,6 @@ class LossReport:
     el2: float
     maxel1: float
     minel1: float
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "l1": self.l1,
-            "l2": self.l2,
-            "el1": self.el1,
-            "el2": self.el2,
-            "maxel1": self.maxel1,
-            "minel1": self.minel1,
-        }
 
 
 @dataclass(frozen=True)

@@ -14,18 +14,17 @@ import csv
 import datetime
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import chi2, rankdata
+from scipy.special import chdtrc, ndtri
 
 from .linalg import cholesky_pd, require_symmetric
 
 __all__ = [
     "EmptyDataError",
     "Dataset",
-    "PhaseSplit",
     "read_csv",
     "write_csv",
     "moving_average",
@@ -51,17 +50,6 @@ class Dataset:
     @property
     def shape(self) -> tuple[int, int]:
         return self.rows.shape
-
-
-@dataclass(frozen=True)
-class PhaseSplit:
-    """Named contiguous, non-overlapping row ranges ``name -> (start, stop)``."""
-
-    phases: dict[str, tuple[int, int]]
-
-    def rows(self, dataset: Dataset, name: str) -> np.ndarray:
-        start, stop = self.phases[name]
-        return dataset.rows[start:stop]
 
 
 def read_csv(path, date_column: str | None = None) -> Dataset:
@@ -168,7 +156,7 @@ def nonparanormal_transform(x: np.ndarray) -> np.ndarray:
     through the standard normal quantile function, then each column is
     centered.  The result depends on the input only through the column
     orderings, so any strictly increasing per-column transformation of the
-    input leaves it unchanged.
+    input leaves it unchanged.  Every value must be finite.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
@@ -179,11 +167,19 @@ def nonparanormal_transform(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
     for j in range(x.shape[1]):
         col = x[:, j]
+        if not np.all(np.isfinite(col)):
+            raise ValueError(f"column {j} holds a non-finite value")
         if np.all(col == col[0]):
             raise ValueError(f"column {j} is constant")
-        scores = ndtri(rankdata(col, method="average") / (n + 1))
+        scores = ndtri(_average_ranks(col) / (n + 1))
         out[:, j] = scores - scores.mean()
     return out
+
+
+def _average_ranks(col: np.ndarray) -> np.ndarray:
+    """Ranks 1..n of a finite column, ties sharing the mean of their ranks."""
+    _, inv, counts = np.unique(col, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[inv]
 
 
 def boxs_m_test(
@@ -193,7 +189,8 @@ def boxs_m_test(
 
     ``s1`` and ``s2`` are the unbiased sample covariances of groups of
     sizes ``n1`` and ``n2``.  Returns the scaled statistic and its
-    chi-square p-value with p(p+1)/2 degrees of freedom.
+    chi-square p-value with p(p+1)/2 degrees of freedom.  The statistic of
+    two equal covariances can round below 0; its p-value is then 1.
     """
     s1 = require_symmetric(s1, "s1")
     s2 = require_symmetric(s2, "s2")
@@ -216,19 +213,18 @@ def boxs_m_test(
     )
     statistic = m_stat * (1.0 - correction)
     dof = p * (p + 1) / 2.0
-    p_value = float(chi2.sf(statistic, dof))
+    p_value = float(chdtrc(dof, max(statistic, 0.0)))
     return float(statistic), p_value
 
 
 def split_phases(
-    dataset: Dataset,
-    boundaries: list[datetime.date],
-    names: list[str] | None = None,
-) -> PhaseSplit:
-    """Cut the dataset into contiguous phases at the boundary dates.
+    dataset: Dataset, boundaries: list[datetime.date], names: Sequence[str]
+) -> dict[str, np.ndarray]:
+    """Cut the dataset's rows into contiguous phases at the boundary dates.
 
-    Phase k covers rows with date >= boundary[k-1] and < boundary[k]; the
-    first phase starts at the first row, the last ends at the last row.
+    Returns ``{name: rows}`` in phase order, one name per phase.  Phase k
+    covers rows with date >= boundary[k-1] and < boundary[k]; the first
+    phase starts at the first row, the last ends at the last row.
     Boundaries must be sorted and fall inside the observed date range.
     A phase shorter than p + 1 rows triggers a warning, since a sample
     covariance from it cannot be full rank.
@@ -247,17 +243,15 @@ def split_phases(
         k = next(i for i, d in enumerate(dates) if d >= b)
         cuts.append(k)
     cuts.append(len(dates))
-    if names is None:
-        names = [f"phase{k + 1}" for k in range(len(cuts) - 1)]
     if len(names) != len(cuts) - 1:
         raise ValueError(f"need {len(cuts) - 1} names, got {len(names)}")
     p = dataset.rows.shape[1]
-    phases: dict[str, tuple[int, int]] = {}
+    phases: dict[str, np.ndarray] = {}
     for name, start, stop in zip(names, cuts[:-1], cuts[1:]):
         if stop - start < p + 1:
             warnings.warn(
                 f"phase {name!r} has {stop - start} rows, fewer than p + 1 = {p + 1}",
                 stacklevel=2,
             )
-        phases[name] = (start, stop)
-    return PhaseSplit(phases=phases)
+        phases[name] = dataset.rows[start:stop]
+    return phases

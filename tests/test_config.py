@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from bayesdn.cli import main
 from bayesdn.config import FieldError, decode
 from bayesdn.gibbs import GibbsConfig
-from bayesdn.harness import ExperimentConfig, config_from_dict
+from bayesdn.harness import ExperimentConfig, RealAnalysisConfig
 from bayesdn.ista import IstaConfig
 from bayesdn.pipeline import write_csv
 from bayesdn.structures import MIN_DIM, StructureSpec, make_structure, sample_gaussian
@@ -68,22 +68,22 @@ class TestCheckFields:
 class TestDecode:
     def test_nested_errors_name_the_section(self):
         with pytest.raises(FieldError, match=r"^gibbs\.retained must be >= 1, got 0$"):
-            config_from_dict({"gibbs": {"retained": 0}})
+            decode(ExperimentConfig, {"gibbs": {"retained": 0}})
         with pytest.raises(FieldError, match=r"^ista\.penalty_grid must be a list"):
-            config_from_dict({"ista": {"penalty_grid": 0.1}})
+            decode(ExperimentConfig, {"ista": {"penalty_grid": 0.1}})
 
     def test_unknown_key_names_its_section(self):
         with pytest.raises(FieldError, match=r"^gibbs\.burn_inn is not a field of GibbsConfig$"):
-            config_from_dict({"gibbs": {"burn_inn": 5}})
+            decode(ExperimentConfig, {"gibbs": {"burn_inn": 5}})
         with pytest.raises(FieldError, match=r"^seed is not a field of ExperimentConfig$"):
-            config_from_dict({"seed": 5})
+            decode(ExperimentConfig, {"seed": 5})
 
     def test_lists_become_tuples_by_annotation(self):
-        cfg = config_from_dict({"dims": [6], "sample_sizes": [40], "ista": {"penalty_grid": [1, 2]}})
+        cfg = decode(ExperimentConfig, {"dims": [6], "sample_sizes": [40], "ista": {"penalty_grid": [1, 2]}})
         assert cfg.dims == (6,) and cfg.ista.penalty_grid == (1, 2)
-        real = config_from_dict(
+        real = decode(
+            RealAnalysisConfig,
             {"csv_path": "x.csv", "class_column": "c", "compare": [0, 1], "phase_names": None},
-            real=True,
         )
         assert real.compare == (0, 1) and real.phase_names is None
 
@@ -160,9 +160,9 @@ class TestRealConfig:
         assert f"config error: {text}" in capsys.readouterr().err
 
     def test_empty_phase_names_take_the_default_names(self):
-        cfg = config_from_dict(
+        cfg = decode(
+            RealAnalysisConfig,
             {"csv_path": "x.csv", "boundaries": ["2020-06-01"], "phase_names": [], "compare": ["phase2", "phase1"]},
-            real=True,
         )
         assert cfg.phases == ("phase1", "phase2")
 

@@ -1,19 +1,18 @@
 import datetime
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 import bayesdn.harness as harness
+from bayesdn.config import decode
 from bayesdn.diffnet import DifferentialNetwork
 from bayesdn.gibbs import STACK_MIN_CHAINS, GibbsConfig
 from bayesdn.harness import (
     ExperimentConfig,
     RealAnalysisConfig,
     ResultsTable,
-    config_from_dict,
-    config_to_dict,
     emit_real,
     emit_results_table,
     emit_study,
@@ -23,6 +22,7 @@ from bayesdn.harness import (
     task_seeds,
 )
 from bayesdn.ista import IstaConfig
+from bayesdn.metrics import LossReport
 from bayesdn.pipeline import read_csv, write_csv
 from bayesdn.structures import StructureSpec, make_structure, sample_gaussian
 
@@ -204,13 +204,13 @@ class TestThresholdStudy:
 
 class TestConfigSerialization:
     def test_round_trip(self):
-        d = config_to_dict(TINY)
-        back = config_from_dict(d)
+        d = asdict(TINY)
+        back = decode(ExperimentConfig, d)
         assert back == TINY
 
     def test_round_trip_with_penalty_grid(self):
         cfg = replace(TINY, ista=IstaConfig(max_iters=50, penalty_grid=(0.05, 0.1, 0.2)))
-        back = config_from_dict(json.loads(json.dumps(config_to_dict(cfg))))
+        back = decode(ExperimentConfig, json.loads(json.dumps(asdict(cfg))))
         assert back == cfg and hash(back) == hash(cfg)
 
     def test_real_config_round_trip(self):
@@ -220,7 +220,7 @@ class TestConfigSerialization:
             boundaries=("2020-06-06",),
             gibbs=GibbsConfig(burn_in=5, retained=10),
         )
-        back = config_from_dict(config_to_dict(cfg), real=True)
+        back = decode(RealAnalysisConfig, asdict(cfg))
         assert back == cfg
 
     def test_validation(self):
@@ -578,7 +578,7 @@ class TestCli:
             rows = list(csv.DictReader(fh))
         assert {(r["p"], r["n"]) for r in rows} == {("30", "20")}
         for r in rows:
-            if r["metric"] in harness.LOSS_METRICS:
+            if r["metric"] in LossReport._fields:
                 assert np.isfinite(float(r["median"])), r
             else:  # a score is NA only when its denominator class is empty
                 assert r["median"] == "NA" or np.isfinite(float(r["median"])), r
@@ -603,6 +603,23 @@ class TestCli:
                 main([*command, "--threads", threads, "--out", str(out)])
             assert exc.value.code == 2 and not out.exists()
             assert f"--threads: must be >= 1, got {threads}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["synthetic", "sweep", "real"])
+    def test_chain_seed_refused(self, tmp_path, capsys, command):
+        # these commands seed their chains from master_seed and used to drop gibbs.seed;
+        # the CSV does not exist, so reading it before the check would exit 3
+        from bayesdn.cli import main
+
+        real = {"csv_path": str(tmp_path / "missing.csv"), "class_column": "c"}
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"gibbs": {"seed": 4}, **(real if command == "real" else {})}))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "config error: gibbs.seed must be 0, got 4: chain seeds come from master_seed" in err
+        # 0 is the default, so stating it is accepted
+        assert decode(ExperimentConfig, {"gibbs": {"seed": 0}}).gibbs.seed == 0
 
     def test_sample_reads_gibbs_section_with_flags_on_top(self, tmp_path):
         from bayesdn.cli import main

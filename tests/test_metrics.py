@@ -133,6 +133,6 @@ class TestLossReport:
         rng = np.random.default_rng(4)
         m = random_symmetric(5, rng)
         rep = loss_report(m, m)
-        assert all(v == 0.0 for v in rep.as_dict().values())
+        assert all(v == 0.0 for v in rep._asdict().values())
         rep2 = loss_report(m + 0.1 * np.eye(5), m)
         assert rep2.l1 > 0 and rep2.l2 > 0

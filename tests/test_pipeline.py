@@ -2,7 +2,8 @@ import datetime
 
 import numpy as np
 import pytest
-from scipy.stats import skew, spearmanr
+from scipy.special import ndtri
+from scipy.stats import chi2, rankdata, skew, spearmanr
 
 from bayesdn.linalg import mirror_lower
 from bayesdn.pipeline import (
@@ -145,6 +146,23 @@ class TestNonparanormal:
         with pytest.raises(ValueError):
             nonparanormal_transform(np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_ranks_match_scipy_rankdata_with_ties(self, seed):
+        # columns with many ties, few ties and none
+        rng = np.random.default_rng(seed)
+        x = np.column_stack(
+            [rng.integers(0, 3, 60), rng.integers(0, 40, 60), rng.standard_normal(60)]
+        ).astype(float)
+        scores = ndtri(rankdata(x, method="average", axis=0) / 61)
+        np.testing.assert_array_equal(nonparanormal_transform(x), scores - scores.mean(axis=0))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_value_error_names_column(self, value):
+        x = np.column_stack([np.arange(10.0), np.arange(10.0)])
+        x[4, 1] = value
+        with pytest.raises(ValueError, match="column 1 holds a non-finite value"):
+            nonparanormal_transform(x)
+
 
 def sample_cov(x):
     centered = x - x.mean(axis=0)
@@ -186,6 +204,19 @@ class TestBoxM:
             boxs_m_test(s2, 80, s1, 60)[0]
         )
 
+    def test_p_value_matches_scipy_chi2_sf(self):
+        # identical covariances of unequal groups: the statistic rounds to
+        # either side of 0, and a negative one must still give p = 1, not NaN
+        signs = set()
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            s1 = sample_cov(rng.standard_normal((50, 4)))
+            s2 = s1 if seed % 2 else sample_cov(rng.standard_normal((70, 4)))
+            stat, p = boxs_m_test(s1, 50, s2, 70)
+            assert p == chi2.sf(stat, 10)
+            signs.add(np.sign(stat))
+        assert {-1.0, 1.0} <= signs
+
     def test_small_groups_rejected(self):
         with pytest.raises(ValueError):
             boxs_m_test(np.eye(5), 5, np.eye(5), 50)
@@ -204,35 +235,41 @@ def dated_dataset(n=30, p=2, start=datetime.date(2020, 2, 7)):
 class TestSplitPhases:
     def test_no_boundaries_single_phase(self):
         ds = dated_dataset()
-        split = split_phases(ds, [])
-        assert split.phases == {"phase1": (0, 30)}
+        split = split_phases(ds, [], ["phase1"])
+        assert list(split) == ["phase1"]
+        np.testing.assert_array_equal(split["phase1"], ds.rows)
 
     def test_one_boundary_partitions(self):
         ds = dated_dataset()
         b = ds.dates[10]
-        split = split_phases(ds, [b])
-        assert split.phases["phase1"] == (0, 10)
-        assert split.phases["phase2"] == (10, 30)
-        assert split.rows(ds, "phase1").shape == (10, 2)
+        split = split_phases(ds, [b], ["phase1", "phase2"])
+        np.testing.assert_array_equal(split["phase1"], ds.rows[0:10])
+        np.testing.assert_array_equal(split["phase2"], ds.rows[10:30])
+        assert split["phase1"].shape == (10, 2)
 
     def test_boundary_before_range_rejected(self):
         ds = dated_dataset()
         with pytest.raises(ValueError):
-            split_phases(ds, [ds.dates[0] - datetime.timedelta(days=1)])
+            split_phases(ds, [ds.dates[0] - datetime.timedelta(days=1)], ["phase1", "phase2"])
 
     def test_custom_names(self):
         ds = dated_dataset()
         split = split_phases(ds, [ds.dates[15]], names=["wave1", "plateau1"])
-        assert list(split.phases) == ["wave1", "plateau1"]
+        assert list(split) == ["wave1", "plateau1"]
+
+    def test_one_name_per_phase(self):
+        ds = dated_dataset()
+        with pytest.raises(ValueError, match="need 2 names, got 1"):
+            split_phases(ds, [ds.dates[15]], ["phase1"])
 
     def test_short_phase_warns(self):
         ds = dated_dataset(n=10, p=6)
         with pytest.warns(UserWarning, match="fewer than"):
-            split_phases(ds, [ds.dates[2]])
+            split_phases(ds, [ds.dates[2]], ["phase1", "phase2"])
 
     def test_requires_dates(self):
         from bayesdn.pipeline import Dataset
 
         ds = Dataset(columns=["a"], rows=np.zeros((3, 1)))
         with pytest.raises(ValueError):
-            split_phases(ds, [])
+            split_phases(ds, [], ["phase1"])
