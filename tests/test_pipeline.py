@@ -205,8 +205,8 @@ class TestBoxM:
         )
 
     def test_p_value_matches_scipy_chi2_sf(self):
-        # identical covariances of unequal groups: the statistic rounds to
-        # either side of 0, and a negative one must still give p = 1, not NaN
+        # odd seeds compare a covariance with itself: the statistic then rounds
+        # to either side of 0, and a negative one must still give p = 1, not NaN
         signs = set()
         for seed in range(20):
             rng = np.random.default_rng(seed)
