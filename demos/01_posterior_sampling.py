@@ -22,11 +22,12 @@ scatter = mirror_lower(x.T @ x)
 print("true precision (first 4 rows):")
 print(pair.theta2[:4])
 
-# the chain streams its draws; keep a running mean and two entries' traces
-cfg = GibbsConfig(burn_in=1000, retained=2000, seed=7)
+# the chain streams its draws; keep a running mean and two entries' traces.
+# The seed is the chain's own, not a sampler setting, so it goes beside cfg.
+cfg = GibbsConfig(burn_in=1000, retained=2000)
 mean = np.zeros((p, p))
 on_edge, off_edge = [], []
-for theta in chain_draws(scatter, n, cfg):
+for theta in chain_draws(scatter, n, cfg, seed=7):
     mean += theta
     on_edge.append(theta[0, 1])
     off_edge.append(theta[0, p - 1])

@@ -21,9 +21,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 
-from .config import FieldError, decode
+from .config import FieldError, bound, check_fields, decode
 from .gibbs import GibbsConfig, run_chain
 from .harness import (
     ExperimentConfig,
@@ -67,16 +67,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _load_config_dict(path: str | None) -> dict:
-    if path is None:
-        return {}
-    with open(path, encoding="utf-8") as fh:
-        d = json.load(fh)
-    if not isinstance(d, dict):
-        raise ValueError(f"config {path} must hold a JSON object")
-    return d
-
-
 def _desk_defaults(d: dict, args, *names: str) -> None:
     """Fill in the desk scale's ``names``; ``--paper-scale`` leaves the config defaults."""
     if not args.paper_scale:
@@ -84,19 +74,26 @@ def _desk_defaults(d: dict, args, *names: str) -> None:
             d.setdefault(name, DESK_SCALE[name])
 
 
-def _gibbs_section(d: dict, args) -> dict:
-    """The config's "gibbs" section, with the run scale's sweep counts as defaults."""
-    gibbs = d.get("gibbs", {})
+def _config_dict(args) -> dict:
+    """``--config``'s settings, the run scale's sweep counts as defaults, ``--seed`` on top."""
+    d = {}
+    if args.config is not None:
+        with open(args.config, encoding="utf-8") as fh:
+            d = json.load(fh)
+        if not isinstance(d, dict):
+            raise ValueError(f"config {args.config} must hold a JSON object")
+    gibbs = d.setdefault("gibbs", {})
     if not isinstance(gibbs, dict):
         raise FieldError("gibbs", f"must be an object, got {gibbs!r}")
     _desk_defaults(gibbs, args, "burn_in", "retained")
-    return gibbs
+    if args.seed is not None:
+        d["master_seed"] = args.seed
+    return d
 
 
 def _experiment_config(args) -> ExperimentConfig:
-    d = _load_config_dict(args.config)
+    d = _config_dict(args)
     _desk_defaults(d, args, "replications")
-    d["gibbs"] = _gibbs_section(d, args)
     if args.structures:
         d["structures"] = args.structures.split(",")
     if args.dims:
@@ -111,8 +108,6 @@ def _experiment_config(args) -> ExperimentConfig:
         d["dn_mode"] = args.mode
     if getattr(args, "estimators", None):  # synthetic only
         d["estimators"] = args.estimators.split(",")
-    if args.seed is not None:
-        d["master_seed"] = args.seed
     return decode(ExperimentConfig, d)
 
 
@@ -146,12 +141,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_real(args) -> int:
-    d = _load_config_dict(args.config)
+    d = _config_dict(args)
     if args.csv:
         d["csv_path"] = args.csv
-    if args.seed is not None:
-        d["master_seed"] = args.seed
-    d["gibbs"] = _gibbs_section(d, args)
     cfg = decode(RealAnalysisConfig, d)
     result = run_real_analysis(cfg)
     emit_real(result, cfg, args.out)
@@ -163,24 +155,35 @@ def _cmd_real(args) -> int:
     return 0
 
 
+@dataclass(frozen=True)
+class SampleConfig:
+    """``sample``'s settings: the sampler's, and the seed of its one chain."""
+
+    gibbs: GibbsConfig = GibbsConfig()
+    master_seed: int = bound(0, ge=0)
+
+    def __post_init__(self):
+        check_fields(self)
+
+
 def _cmd_sample(args) -> int:
-    gibbs = _gibbs_section(_load_config_dict(args.config), args)
-    for name in ("burn_in", "retained", "seed"):
+    d = _config_dict(args)
+    for name in ("burn_in", "retained"):
         if getattr(args, name) is not None:
-            gibbs[name] = getattr(args, name)
-    cfg = decode(GibbsConfig, gibbs, "gibbs")
+            d["gibbs"][name] = getattr(args, name)
+    cfg = decode(SampleConfig, d)
     ds = read_csv(args.csv, date_column=args.date_column)
     x = ds.rows
     if args.nonparanormal:
         x = nonparanormal_transform(x)
-    chain = run_chain(mirror_lower(x.T @ x), x.shape[0], cfg)
+    chain = run_chain(mirror_lower(x.T @ x), x.shape[0], cfg.gibbs, cfg.master_seed)
     os.makedirs(args.out, exist_ok=True)
     write_csv(os.path.join(args.out, "posterior_mean.csv"), ds.columns, chain.theta_mean)
     write_csv(
         os.path.join(args.out, "partial_correlation_mean.csv"), ds.columns, chain.partial_mean
     )
-    payload = {"csv": args.csv, "n": int(x.shape[0]), **asdict(cfg)}
-    write_manifest(args.out, payload, [[cfg.seed]])
+    payload = {"csv": args.csv, "n": len(x), **asdict(cfg.gibbs), "master_seed": cfg.master_seed}
+    write_manifest(args.out, payload, [[cfg.master_seed]])
     print(f"wrote posterior summaries for {len(ds.columns)} columns to {args.out}")
     return 0
 

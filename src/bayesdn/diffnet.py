@@ -31,7 +31,7 @@ one edge set:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,11 +103,12 @@ def bnet_requests(
     x1: np.ndarray,
     x2: np.ndarray,
     cfg: GibbsConfig,
+    seed: int,
     labels: tuple[str, str] = ("sample 1", "sample 2"),
 ) -> list[ChainRequest]:
     """The two chains of one estimate, one per sample, without the partial-correlation fold.
 
-    They take two seeds spawned from ``cfg.seed``, so one seed reproduces
+    They take two seeds spawned from ``seed``, so one seed reproduces
     the whole estimate and neighbouring seeds share no stream.  ``labels``
     name the chains in error messages.
     """
@@ -118,10 +119,8 @@ def bnet_requests(
     if min(x1.shape[0], x2.shape[0]) < 2:
         raise ValueError("each sample needs at least 2 rows")
     return [
-        ChainRequest(
-            mirror_lower(x.T @ x), x.shape[0], replace(cfg, seed=seed), partials=False, label=label
-        )
-        for x, seed, label in zip((x1, x2), spawn_seeds(cfg.seed, 2), labels)
+        ChainRequest(mirror_lower(x.T @ x), x.shape[0], cfg, s, partials=False, label=label)
+        for x, s, label in zip((x1, x2), spawn_seeds(seed, 2), labels)
     ]
 
 
@@ -154,14 +153,15 @@ def estimate_bnet(
     x1: np.ndarray,
     x2: np.ndarray,
     cfg: GibbsConfig,
+    seed: int,
     eta: float,
     mode: str = "difference",
     eps: float = EPSILON,
 ) -> DifferentialNetwork:
-    """Estimate the differential network from two samples.
+    """Estimate the differential network from two samples, its chains seeded from ``seed``.
 
     :func:`bnet_requests`, ``gibbs.run_chains`` and :func:`bnet_network`
     in turn; see there.
     """
-    requests = bnet_requests(x1, x2, cfg)
+    requests = bnet_requests(x1, x2, cfg, seed)
     return bnet_network(requests, run_chains(requests), eta, mode, eps)

@@ -44,10 +44,10 @@ The hyperparameter update reads and writes the two triangles through
 flat ``take``/``put`` indices cached once per state.
 
 There is one sweep driver, over a :class:`ChainStack`: K chains of one p
-and one config (seeds aside) whose arrays lie along a leading axis, a lone
-chain being a stack of one.  The draws, the checked resync, the
-hyperparameter update, the sweep loop, the fold into posterior means and
-the naming of a failing chain exist once, for any K.  Only the column
+and one config, each with its own seed, whose arrays lie along a leading
+axis, a lone chain being a stack of one.  The draws, the checked resync,
+the hyperparameter update, the sweep loop, the fold into posterior means
+and the naming of a failing chain exist once, for any K.  Only the column
 update has two kernels, chosen by the height of the stack.  A lone chain
 runs :func:`update_column` on its chain's views.  A taller stack runs one
 kernel for all its chains: the elementwise work on ``(K, p, p)`` and
@@ -70,7 +70,7 @@ changes only the time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -114,7 +114,7 @@ STACK_MAX_CHAINS = 40
 
 @dataclass(frozen=True)
 class GibbsConfig:
-    """Sampler settings.
+    """Sampler settings; a chain's seed travels beside them (:class:`ChainRequest`).
 
     ``burn_in`` sweeps are discarded, then ``retained`` sweeps are kept.
     ``r`` and ``s`` are the shape and rate of the gamma hyperprior on the
@@ -129,7 +129,6 @@ class GibbsConfig:
     r: float = bound(1e-2, gt=0)
     s: float = bound(1e-6, gt=0)
     lambda_diag: float = bound(1.0, gt=0)
-    seed: int = bound(0, ge=0)
     theta_floor: float = bound(1e-12, gt=0)
     adapt_lambda: bool = True
     lambda_init: float = bound(1.0, gt=0)
@@ -188,7 +187,7 @@ class ChainSummary:
 
 @dataclass(frozen=True)
 class ChainRequest:
-    """One chain for :func:`run_chains`: its data, its settings (seed included) and its label.
+    """One chain for :func:`run_chains`: its data, its settings, its seed and its label.
 
     With ``partials`` the chain also averages the partial correlations of
     its draws (see :func:`run_chain`).  ``label`` names the chain in
@@ -199,6 +198,7 @@ class ChainRequest:
     scatter: np.ndarray
     n: int
     config: GibbsConfig
+    seed: int
     partials: bool = True
     label: str = ""
 
@@ -258,7 +258,7 @@ class _ChainFailure(Exception):
 
 
 class ChainStack:
-    """K chains of one p and one config, seeds aside, stepped together; a lone chain is K = 1.
+    """K chains of one p and one config, any seeds, stepped together; a lone chain is K = 1.
 
     ``states`` are the chains' starting states (see :func:`initial_state`),
     ``rngs`` their Generators and ``labels`` how errors name them.  The
@@ -531,7 +531,7 @@ def _start(requests: Sequence[ChainRequest]) -> ChainStack:
             states.append(initial_state(req.scatter, req.n, req.config))
         except ValueError as err:
             raise ValueError(_named(req.label, str(err))) from err
-    rngs = [np.random.default_rng(req.config.seed) for req in requests]
+    rngs = [np.random.default_rng(req.seed) for req in requests]
     return ChainStack(states, rngs, [req.label for req in requests])
 
 
@@ -561,15 +561,17 @@ def _sweeps(stack: ChainStack) -> Iterator[None]:
             yield
 
 
-def chain_draws(scatter: np.ndarray, n: int, config: GibbsConfig) -> Iterator[np.ndarray]:
+def chain_draws(
+    scatter: np.ndarray, n: int, config: GibbsConfig, seed: int = 0
+) -> Iterator[np.ndarray]:
     """Run ``burn_in + retained`` full sweeps of one chain, yielding Theta after each retained one.
 
     The chain is a stack of one through the sweep loop, so a sweep reads
     the Generator for normals, gammas, then hyperparameters.  The yielded
     array is the live state, overwritten by the next sweep, so copy it to
-    keep it.  Deterministic given ``config.seed``.
+    keep it.  Deterministic given ``seed``.
     """
-    stack = _start([ChainRequest(scatter, n, config, partials=False)])
+    stack = _start([ChainRequest(scatter, n, config, seed, partials=False)])
     theta = stack.states[0].theta
     for _ in _sweeps(stack):
         yield theta
@@ -578,9 +580,9 @@ def chain_draws(scatter: np.ndarray, n: int, config: GibbsConfig) -> Iterator[np
 def chain_batches(requests: Sequence[ChainRequest], workers: int = 1) -> list[list[int]]:
     """The size rule: cut ``requests`` into batches of indices, each run as one unit.
 
-    Chains may share a stack when they share p, the config (seeds aside)
-    and ``partials``.  Such a group is stacked when it holds at least
-    ``STACK_MIN_CHAINS`` chains.  It is cut into stacks of
+    Chains may share a stack when they share p, the config and
+    ``partials``; seeds may differ.  Such a group is stacked when it holds
+    at least ``STACK_MIN_CHAINS`` chains.  It is cut into stacks of
     ``STACK_MIN_CHAINS`` to ``STACK_MAX_CHAINS`` chains whose sizes differ
     by at most one; where the group is tall enough, the number of stacks
     is a multiple of ``workers``, so every worker of a pool gets its
@@ -590,7 +592,7 @@ def chain_batches(requests: Sequence[ChainRequest], workers: int = 1) -> list[li
     """
     groups: dict[tuple, list[int]] = {}
     for i, req in enumerate(requests):
-        key = (req.dim, replace(req.config, seed=0), req.partials)
+        key = (req.dim, req.config, req.partials)
         groups.setdefault(key, []).append(i)
     batches = []
     for members in groups.values():
@@ -610,7 +612,7 @@ def chain_batches(requests: Sequence[ChainRequest], workers: int = 1) -> list[li
 
 
 def run_batch(requests: Sequence[ChainRequest]) -> list[ChainSummary]:
-    """Run chains of one p and one config (seeds aside) as one stack to their posterior means.
+    """Run chains of one p and one config, any seeds, as one stack to their posterior means.
 
     A lone chain runs on the lone-chain kernel, a taller stack on the
     stacked kernel; either way each chain's means are the same bits.  The
@@ -666,11 +668,11 @@ def run_chains(
 
 
 def run_chain(
-    scatter: np.ndarray, n: int, config: GibbsConfig, partials: bool = True
+    scatter: np.ndarray, n: int, config: GibbsConfig, seed: int = 0, partials: bool = True
 ) -> ChainSummary:
-    """Run one chain and average Theta over the retained draws.
+    """Run one chain from ``seed`` and average Theta over the retained draws.
 
     With ``partials`` the partial correlations of each draw are averaged
     too; without, ``partial_mean`` is None and the chain is the same.
     """
-    return run_chains([ChainRequest(scatter, n, config, partials)])[0]
+    return run_chains([ChainRequest(scatter, n, config, seed, partials)])[0]

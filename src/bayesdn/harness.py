@@ -76,14 +76,6 @@ __all__ = [
 _BOOTSTRAP_RESAMPLES = 200
 
 
-def _refuse_chain_seed(gibbs: GibbsConfig) -> None:
-    """A run seeds its chains from ``master_seed``, so it would ignore ``gibbs.seed``."""
-    if gibbs.seed != 0:
-        raise FieldError(
-            "gibbs.seed", f"must be 0, got {gibbs.seed}: chain seeds come from master_seed"
-        )
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Configuration shared by the synthetic benchmark and threshold study.
@@ -114,7 +106,6 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_fields(self)
-        _refuse_chain_seed(self.gibbs)
         if len(self.dims) != len(self.sample_sizes):
             raise ValueError("dims and sample_sizes must pair up")
         if len(set(self.dims)) != len(self.dims):
@@ -159,7 +150,6 @@ class RealAnalysisConfig:
 
     def __post_init__(self):
         check_fields(self)
-        _refuse_chain_seed(self.gibbs)
         if (self.class_column is None) == (len(self.boundaries) == 0):
             raise ValueError("configure exactly one of class_column or boundaries")
         if self.class_column is not None:
@@ -303,7 +293,7 @@ def _groups(cfg: ExperimentConfig, results: list):
 def _mapper(threads: int):
     """A ``map(fn, items) -> list`` in this process, or over a pool of ``threads`` workers.
 
-    The pool refuses a count below 1.
+    The pool refuses a count below 1 with a ``ValueError``.
     """
     if threads == 1:
         yield lambda fn, items: [fn(item) for item in items]
@@ -321,8 +311,8 @@ def _data_or_scores(stages, task):
     return None, score_fn((task, data, []))
 
 
-def _run_staged(data_fn, score_fn, cfg: ExperimentConfig, threads: int) -> list:
-    """Run every task of ``cfg`` through the data, chain and scoring stages.
+def _run_staged(data_fn, score_fn, cfg: ExperimentConfig, run, threads: int) -> list:
+    """Run every task of ``cfg`` through the data, chain and scoring stages, mapped by ``run``.
 
     ``data_fn(task)`` returns the task's data with its chain requests
     last; ``score_fn((task, data, chains))`` gets the summaries of those
@@ -332,14 +322,13 @@ def _run_staged(data_fn, score_fn, cfg: ExperimentConfig, threads: int) -> list:
     largest first, which the workers take one at a time.
     """
     tasks = _tasks(cfg)
-    with _mapper(threads) as run:
-        first = run(partial(_data_or_scores, (data_fn, score_fn)), tasks)
-        waiting = [(task, data) for task, (data, _) in zip(tasks, first) if data is not None]
-        requests = [req for _, data in waiting for req in data[-1]]
-        chains = iter(run_chains(requests, run, threads))
-        pending = [(task, data, [next(chains) for _ in data[-1]]) for task, data in waiting]
-        scored = iter(run(score_fn, pending))
-        return [scores if data is None else next(scored) for data, scores in first]
+    first = run(partial(_data_or_scores, (data_fn, score_fn)), tasks)
+    waiting = [(task, data) for task, (data, _) in zip(tasks, first) if data is not None]
+    requests = [req for _, data in waiting for req in data[-1]]
+    chains = iter(run_chains(requests, run, threads))
+    pending = [(task, data, [next(chains) for _ in data[-1]]) for task, data in waiting]
+    scored = iter(run(score_fn, pending))
+    return [scores if data is None else next(scored) for data, scores in first]
 
 
 def _synthetic_data(task):
@@ -347,8 +336,7 @@ def _synthetic_data(task):
     seeds, pair, x1, x2 = _task_data(task)
     requests = []
     if "bnet" in cfg.estimators:
-        chain_cfg = replace(cfg.gibbs, seed=seeds[3])
-        requests = bnet_requests(x1, x2, chain_cfg, labels=_chain_labels(task))
+        requests = bnet_requests(x1, x2, cfg.gibbs, seeds[3], _chain_labels(task))
     samples = (x1, x2) if "dnet" in cfg.estimators else None
     return (pair.true_delta, pair.true_adjacency), samples, requests
 
@@ -402,10 +390,11 @@ def run_synthetic_experiment(cfg: ExperimentConfig, threads: int = 1) -> Results
     support.  Medians and spreads aggregate over replications.  A failing
     chain's error names its structure, p, replication and sample.
     """
-    try:
-        results = _run_staged(_synthetic_data, _synthetic_score, cfg, threads)
-    except Exception as err:
-        raise RuntimeError(f"synthetic experiment failed: {err}") from err
+    with _mapper(threads) as run:  # a bad worker count is the caller's error, not a task's
+        try:
+            results = _run_staged(_synthetic_data, _synthetic_score, cfg, run, threads)
+        except Exception as err:
+            raise RuntimeError(f"synthetic experiment failed: {err}") from err
 
     entries: dict[tuple[str, int, str, str], dict] = {}
     boot_rng = np.random.default_rng(
@@ -428,7 +417,7 @@ def run_synthetic_experiment(cfg: ExperimentConfig, threads: int = 1) -> Results
 def _study_data(task):
     cfg = task[0]
     (_, _, _, s_chain), pair, x1, x2 = _task_data(task)
-    requests = bnet_requests(x1, x2, replace(cfg.gibbs, seed=s_chain), _chain_labels(task))
+    requests = bnet_requests(x1, x2, cfg.gibbs, s_chain, _chain_labels(task))
     scatters = tuple(req.scatter for req in requests)
     ratio = [replace(req, partials=True) for req in requests] if "ratio" in cfg.rules else []
     return pair.true_adjacency, x1.shape[0], scatters, ratio
@@ -461,7 +450,8 @@ def run_threshold_study(cfg: ExperimentConfig, threads: int = 1) -> list[StudyRe
     replication's individually best threshold.
     """
     grid = np.asarray(cfg.sweep_grid)
-    results = _run_staged(_study_data, _study_score, cfg, threads)
+    with _mapper(threads) as run:
+        results = _run_staged(_study_data, _study_score, cfg, run, threads)
     out: list[StudyResult] = []
     for structure, p, n, per_rep in _groups(cfg, results):
         rules: dict[str, RuleStudy] = {}
@@ -494,12 +484,15 @@ def _two_groups(cfg: RealAnalysisConfig) -> tuple[list[str], tuple[str, str], np
         uniq = sorted(set(labels.tolist()))
         if cfg.compare is not None:
             wanted = list(cfg.class_values)
+            for given, value in zip(cfg.compare, wanted):
+                if value not in uniq:
+                    raise ValueError(f"no {cfg.class_column!r} row holds compare value {given!r}")
         else:
             if len(uniq) != 2:
                 raise ValueError(f"class column has {len(uniq)} values; pass compare=(a, b)")
             wanted = uniq
-        g1 = ds.rows[np.isclose(labels, wanted[0])][:, feature_idx]
-        g2 = ds.rows[np.isclose(labels, wanted[1])][:, feature_idx]
+        g1 = ds.rows[labels == wanted[0]][:, feature_idx]
+        g2 = ds.rows[labels == wanted[1]][:, feature_idx]
         names = (str(wanted[0]), str(wanted[1]))
     else:
         phases = split_phases(ds, cfg.boundary_dates, cfg.phases)
@@ -526,12 +519,7 @@ def run_real_analysis(cfg: RealAnalysisConfig) -> RealAnalysisResult:
     t1 = _preprocess(g1, cfg.moving_average_window)
     t2 = _preprocess(g2, cfg.moving_average_window)
     network = estimate_bnet(
-        t1,
-        t2,
-        replace(cfg.gibbs, seed=cfg.master_seed),
-        cfg.eta,
-        mode=cfg.dn_mode,
-        eps=cfg.eps,
+        t1, t2, cfg.gibbs, cfg.master_seed, cfg.eta, mode=cfg.dn_mode, eps=cfg.eps
     )
     cov1 = mirror_lower((t1 - t1.mean(axis=0)).T @ (t1 - t1.mean(axis=0)) / (t1.shape[0] - 1))
     cov2 = mirror_lower((t2 - t2.mean(axis=0)).T @ (t2 - t2.mean(axis=0)) / (t2.shape[0] - 1))

@@ -225,13 +225,17 @@ def split_phases(
     Returns ``{name: rows}`` in phase order, one name per phase.  Phase k
     covers rows with date >= boundary[k-1] and < boundary[k]; the first
     phase starts at the first row, the last ends at the last row.
-    Boundaries must be sorted and fall inside the observed date range.
-    A phase shorter than p + 1 rows triggers a warning, since a sample
-    covariance from it cannot be full rank.
+    Boundaries must be sorted and fall inside the observed date range,
+    and the rows' dates must not go backwards.  A phase shorter than
+    p + 1 rows triggers a warning, since a sample covariance from it
+    cannot be full rank.
     """
     if dataset.dates is None:
         raise ValueError("dataset has no date column")
     dates = dataset.dates
+    for earlier, later in zip(dates, dates[1:]):
+        if later < earlier:
+            raise ValueError(f"dates must not go backwards: {earlier} is followed by {later}")
     first, last = dates[0], dates[-1]
     if sorted(boundaries) != list(boundaries):
         raise ValueError("boundaries must be sorted")

@@ -39,7 +39,7 @@ class TestCheckFields:
     @pytest.mark.parametrize(
         "make, text",
         [
-            (lambda: GibbsConfig(seed=True), "seed must be an integer, got True"),
+            (lambda: ExperimentConfig(master_seed=True), "master_seed must be an integer, got True"),
             (lambda: GibbsConfig(burn_in=1.0), "burn_in must be an integer, got 1.0"),
             (lambda: GibbsConfig(r=False), "r must be a number, got False"),
             (lambda: GibbsConfig(s=float("inf")), "s must be > 0, got inf"),
@@ -61,7 +61,7 @@ class TestCheckFields:
 
     def test_numbers_of_other_types_accepted(self):
         # JSON writes 1 for 1.0, and numpy scalars are numbers too
-        assert GibbsConfig(r=1, seed=np.int64(3)).seed == 3
+        assert GibbsConfig(r=1, burn_in=np.int64(3)).burn_in == 3
         assert ExperimentConfig(eta=np.float64(0.5), sweep_grid=(0, 1)).sweep_grid == (0, 1)
 
 
@@ -88,7 +88,7 @@ class TestDecode:
         assert real.compare == (0, 1) and real.phase_names is None
 
     def test_decode_builds_any_config(self):
-        assert decode(GibbsConfig, {"seed": 4}) == GibbsConfig(seed=4)
+        assert decode(GibbsConfig, {"burn_in": 4}) == GibbsConfig(burn_in=4)
         with pytest.raises(FieldError, match=r"^gibbs must be an object, got 3$"):
             decode(GibbsConfig, 3, "gibbs")
 

@@ -164,10 +164,10 @@ class TestCarriedInverse:
 
     def test_matches_factorize_and_invert_reference(self):
         scatter, n = ar1_scatter(p=6, n=50)
-        cfg = GibbsConfig(burn_in=0, retained=5, seed=16)
-        got = [theta.copy() for theta in chain_draws(scatter, n, cfg)]
+        cfg = GibbsConfig(burn_in=0, retained=5)
+        got = [theta.copy() for theta in chain_draws(scatter, n, cfg, seed=16)]
         state = initial_state(scatter, n, cfg)
-        stack = lone(state, np.random.default_rng(cfg.seed))
+        stack = lone(state, np.random.default_rng(16))
         for theta in got:
             z, gamma = sweep_draws(stack)
             for col in range(6):
@@ -257,7 +257,7 @@ class TestCarriedInverse:
             return state
 
         monkeypatch.setattr(gibbs, "update_column", corrupting_update)
-        draws = chain_draws(scatter, n, GibbsConfig(burn_in=0, retained=5, seed=1))
+        draws = chain_draws(scatter, n, GibbsConfig(burn_in=0, retained=5), seed=1)
         next(draws), next(draws)  # sweeps 0 and 1 pass the check
         with pytest.raises(NotPositiveDefiniteError, match=r"^sweep 2: ") as err:
             next(draws)
@@ -322,9 +322,9 @@ class TestChain:
 
     def test_deterministic_given_seed(self):
         scatter, n = ar1_scatter(p=5, n=50)
-        cfg = GibbsConfig(burn_in=30, retained=60, seed=42)
-        d1 = [theta.copy() for theta in chain_draws(scatter, n, cfg)]
-        d2 = [theta.copy() for theta in chain_draws(scatter, n, cfg)]
+        cfg = GibbsConfig(burn_in=30, retained=60)
+        d1 = [theta.copy() for theta in chain_draws(scatter, n, cfg, seed=42)]
+        d2 = [theta.copy() for theta in chain_draws(scatter, n, cfg, seed=42)]
         assert len(d1) == 60
         np.testing.assert_array_equal(np.stack(d1), np.stack(d2))
 
@@ -333,10 +333,10 @@ class TestChain:
         # sweep, the (p, p) normals, then the p Schur gammas, then the
         # penalties and the latent scales of the upper triangle
         scatter, n = ar1_scatter(p=5, n=50)
-        cfg = GibbsConfig(burn_in=0, retained=2, seed=22)
-        got = [theta.copy() for theta in chain_draws(scatter, n, cfg)]
+        cfg = GibbsConfig(burn_in=0, retained=2)
+        got = [theta.copy() for theta in chain_draws(scatter, n, cfg, seed=22)]
         state = initial_state(scatter, n, cfg)
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(22)
         iu = np.triu_indices(5, k=1)
         for theta in got:
             z = rng.standard_normal((5, 5))
@@ -368,8 +368,8 @@ class TestChain:
 
     def test_penalties_are_generator_gamma_draws(self):
         scatter, n = ar1_scatter(p=7, n=50)
-        cfg = GibbsConfig(burn_in=0, retained=3, seed=4)
-        for theta in chain_draws(scatter, n, cfg):
+        cfg = GibbsConfig(burn_in=0, retained=3)
+        for theta in chain_draws(scatter, n, cfg, seed=4):
             pass
         iu = np.triu_indices(7, k=1)
         abs_theta = np.abs(theta[iu])
@@ -383,14 +383,14 @@ class TestChain:
 
     def test_run_without_partials_reads_the_same_chain(self):
         scatter, n = ar1_scatter(p=4, n=50)
-        cfg = GibbsConfig(burn_in=10, retained=5, seed=1)
-        chain = run_chain(scatter, n, cfg, partials=False)
+        cfg = GibbsConfig(burn_in=10, retained=5)
+        chain = run_chain(scatter, n, cfg, seed=1, partials=False)
         assert chain.partial_mean is None
-        np.testing.assert_array_equal(chain.theta_mean, run_chain(scatter, n, cfg).theta_mean)
+        np.testing.assert_array_equal(chain.theta_mean, run_chain(scatter, n, cfg, seed=1).theta_mean)
 
     def test_retained_draws_pd(self):
         scatter, n = ar1_scatter(p=5, n=50)
-        draws = chain_draws(scatter, n, GibbsConfig(burn_in=20, retained=50, seed=3))
+        draws = chain_draws(scatter, n, GibbsConfig(burn_in=20, retained=50), seed=3)
         for k, theta in enumerate(draws):
             if k % 10 == 0:
                 cholesky_pd(mirror_lower(theta))
@@ -398,9 +398,9 @@ class TestChain:
     def test_posterior_mean_trivial(self):
         # the running means are bitwise the averages of the streamed draws
         scatter, n = ar1_scatter(p=4, n=50)
-        cfg = GibbsConfig(burn_in=10, retained=5, seed=1)
-        stacked = np.stack([theta.copy() for theta in chain_draws(scatter, n, cfg)])
-        chain = run_chain(scatter, n, cfg)
+        cfg = GibbsConfig(burn_in=10, retained=5)
+        stacked = np.stack([theta.copy() for theta in chain_draws(scatter, n, cfg, seed=1)])
+        chain = run_chain(scatter, n, cfg, seed=1)
         np.testing.assert_array_equal(chain.theta_mean, stacked.mean(axis=0))
         partials = np.stack([partial_correlation(theta) for theta in stacked])
         np.testing.assert_array_equal(chain.partial_mean, partials.mean(axis=0))
@@ -409,8 +409,8 @@ class TestChain:
     def test_ar1_sign_recovery(self):
         theta, _ = raw_components(StructureSpec("ar1", 10))
         x = sample_gaussian(theta, 200, seed=11)
-        cfg = GibbsConfig(burn_in=300, retained=600, seed=12)
-        pm = run_chain(mirror_lower(x.T @ x), 200, cfg).theta_mean
+        cfg = GibbsConfig(burn_in=300, retained=600)
+        pm = run_chain(mirror_lower(x.T @ x), 200, cfg, seed=12).theta_mean
         np.testing.assert_array_equal(np.sign(np.diag(pm, 1)), np.sign(np.diag(theta, 1)))
 
     def test_p2_posterior_mean_matches_quadrature(self):
@@ -419,10 +419,9 @@ class TestChain:
         x = sample_gaussian(theta, 30, seed=13)
         scatter = mirror_lower(x.T @ x)
         cfg = GibbsConfig(
-            burn_in=2000, retained=12_000, seed=14, adapt_lambda=False,
-            lambda_init=1.0, lambda_diag=1.0,
+            burn_in=2000, retained=12_000, adapt_lambda=False, lambda_init=1.0, lambda_diag=1.0,
         )
-        pm = run_chain(scatter, 30, cfg).theta_mean
+        pm = run_chain(scatter, 30, cfg, seed=14).theta_mean
         got = np.array([pm[0, 0], pm[0, 1], pm[1, 1]])
         expected = quad_posterior_mean_2x2(scatter, 30, 1.0)
         np.testing.assert_allclose(got, expected, rtol=0.08)
@@ -445,8 +444,8 @@ class TestChain:
         theta = np.linalg.inv(np.array([[1.0, 0.5], [0.5, 1.0]]))
         x = sample_gaussian(theta, 30, seed=13)
         scatter = mirror_lower(x.T @ x)
-        cfg = GibbsConfig(burn_in=2000, retained=30_000, seed=14)
-        pm = run_chain(scatter, 30, cfg).theta_mean
+        cfg = GibbsConfig(burn_in=2000, retained=30_000)
+        pm = run_chain(scatter, 30, cfg, seed=14).theta_mean
         expected = quad_posterior_mean_2x2_adaptive(scatter, 30, cfg.r, cfg.s, cfg.lambda_diag)
         assert abs(30 * np.linalg.inv(scatter)[0, 1] - expected[1]) > 0.25
         np.testing.assert_allclose([pm[0, 0], pm[1, 1]], expected[[0, 2]], rtol=0.02)
@@ -481,9 +480,7 @@ def chain_requests(p, k, cfg, partials=False):
         n = 20 + 9 * j
         x = sample_gaussian(theta, n, seed=40 + j)
         requests.append(
-            ChainRequest(
-                mirror_lower(x.T @ x), n, replace(cfg, seed=70 + j), partials, label=f"chain {j}"
-            )
+            ChainRequest(mirror_lower(x.T @ x), n, cfg, 70 + j, partials, label=f"chain {j}")
         )
     return requests
 
@@ -493,7 +490,7 @@ def folded_draws(request):
     cfg = request.config
     theta_sum = np.zeros((request.dim, request.dim))
     partial_sum = np.zeros_like(theta_sum)
-    for theta in chain_draws(request.scatter, request.n, cfg):
+    for theta in chain_draws(request.scatter, request.n, cfg, request.seed):
         theta_sum += theta
         partial_sum += partial_correlation(theta)
     return theta_sum / cfg.retained, partial_sum / cfg.retained
@@ -581,7 +578,7 @@ class TestStackedRoute:
         # every stack holds STACK_MIN_CHAINS to STACK_MAX_CHAINS chains, the
         # sizes differ by at most one, and a group tall enough for it gives
         # every worker the same number of stacks
-        requests = [ChainRequest(np.eye(3), 10, GibbsConfig(seed=j)) for j in range(k)]
+        requests = [ChainRequest(np.eye(3), 10, GibbsConfig(), j) for j in range(k)]
         batches = chain_batches(requests, workers)
         assert sorted(i for batch in batches for i in batch) == list(range(k))
         sizes = [len(batch) for batch in batches]

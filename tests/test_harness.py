@@ -82,6 +82,14 @@ class TestSyntheticExperiment:
         with pytest.raises(RuntimeError, match="synthetic experiment failed: solver broke down"):
             run_synthetic_experiment(cfg)
 
+    @pytest.mark.parametrize("run", [run_synthetic_experiment, run_threshold_study])
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_bad_worker_count_is_a_value_error(self, run, threads):
+        # the synthetic runner used to wrap the pool's refusal in its RuntimeError;
+        # counts below 1 start no process
+        with pytest.raises(ValueError, match="max_workers must be greater than 0"):
+            run(TINY, threads=threads)
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_failing_chain_names_its_task(self, tmp_path, monkeypatch, capsys):
         # one chain of a stacked run overflows in its first sweep: the
@@ -92,10 +100,10 @@ class TestSyntheticExperiment:
         build = harness.bnet_requests
         broken = "ar2 p=6 replication 1 sample 2"
 
-        def breaking_requests(x1, x2, cfg, labels):
+        def breaking_requests(x1, x2, cfg, seed, labels):
             return [
                 replace(req, scatter=req.scatter * 1e250) if req.label == broken else req
-                for req in build(x1, x2, cfg, labels)
+                for req in build(x1, x2, cfg, seed, labels)
             ]
 
         monkeypatch.setattr(harness, "bnet_requests", breaking_requests)
@@ -426,6 +434,32 @@ class TestRealAnalysis:
         assert result.columns == ["a", "b", "c", "d", "e"]
         assert result.box_m_p_value < 0.05
 
+    def test_class_values_match_exactly(self, tmp_path):
+        # np.isclose used to put 1 and 1.000001 into both groups
+        rows = np.column_stack([np.arange(8.0), np.arange(8.0) ** 2, [1, 1.000001] * 4])
+        path = tmp_path / "close.csv"
+        write_csv(path, ["a", "b", "label"], rows)
+        cfg = RealAnalysisConfig(csv_path=str(path), class_column="label")
+        _, names, g1, g2 = harness._two_groups(cfg)
+        assert names == ("1.0", "1.000001")
+        np.testing.assert_array_equal(g1[:, 0], [0, 2, 4, 6])
+        np.testing.assert_array_equal(g2[:, 0], [1, 3, 5, 7])
+
+    def test_unmatched_compare_value_names_value_and_column(self, tmp_path, capsys):
+        # it used to exit 2 with "need at least 3 rows", naming neither
+        from bayesdn.cli import main
+
+        rows = np.column_stack([np.arange(8.0), np.arange(8.0) ** 2, [0, 1] * 4])
+        path = tmp_path / "labeled.csv"
+        write_csv(path, ["a", "b", "label"], rows)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"class_column": "label", "compare": [0, "2"]}))
+        out = tmp_path / "o"
+        assert main(["real", "--csv", str(path), "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "config error: no 'label' row holds compare value '2'" in err
+
     def test_outputs_round_trip(self, tmp_path):
         pair = make_structure(StructureSpec("ar1", 4))
         path, boundary = phase_csv(tmp_path, pair, n1=60, n2=60)
@@ -604,22 +638,23 @@ class TestCli:
             assert exc.value.code == 2 and not out.exists()
             assert f"--threads: must be >= 1, got {threads}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["synthetic", "sweep", "real"])
+    @pytest.mark.parametrize("command", ["synthetic", "sweep", "real", "sample"])
     def test_chain_seed_refused(self, tmp_path, capsys, command):
-        # these commands seed their chains from master_seed and used to drop gibbs.seed;
-        # the CSV does not exist, so reading it before the check would exit 3
+        # every command seeds its chains from master_seed, so gibbs.seed is no
+        # field; the CSV does not exist, so reading it before the check would exit 3
         from bayesdn.cli import main
 
-        real = {"csv_path": str(tmp_path / "missing.csv"), "class_column": "c"}
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"gibbs": {"seed": 4}, **(real if command == "real" else {})}))
+        missing = str(tmp_path / "missing.csv")
+        real = {"csv_path": missing, "class_column": "c"} if command == "real" else {}
+        csv = ["--csv", missing] if command == "sample" else []
         out = tmp_path / "o"
-        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
-        assert not out.exists()
-        err = capsys.readouterr().err
-        assert "config error: gibbs.seed must be 0, got 4: chain seeds come from master_seed" in err
-        # 0 is the default, so stating it is accepted
-        assert decode(ExperimentConfig, {"gibbs": {"seed": 0}}).gibbs.seed == 0
+        for seed in (4, 0):
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps({"gibbs": {"seed": seed}, **real}))
+            assert main([command, *csv, "--config", str(cfg), "--out", str(out)]) == 2
+            assert not out.exists()
+            err = capsys.readouterr().err
+            assert "config error: gibbs.seed is not a field of GibbsConfig" in err
 
     def test_sample_reads_gibbs_section_with_flags_on_top(self, tmp_path):
         from bayesdn.cli import main
@@ -628,13 +663,33 @@ class TestCli:
         csv_path = tmp_path / "x.csv"
         write_csv(csv_path, ["a", "b", "c"], rows)
         cfg = tmp_path / "g.json"
-        cfg.write_text(json.dumps({"gibbs": {"burn_in": 7, "retained": 9, "r": 0.5, "seed": 4}}))
+        cfg.write_text(
+            json.dumps({"gibbs": {"burn_in": 7, "retained": 9, "r": 0.5}, "master_seed": 3})
+        )
         out = tmp_path / "o"
         rc = main(["sample", "--csv", str(csv_path), "--config", str(cfg),
-                   "--retained", "5", "--out", str(out)])
+                   "--retained", "5", "--seed", "4", "--out", str(out)])
         assert rc == 0
-        gibbs = json.loads((out / "manifest.json").read_text())["config"]
-        assert (gibbs["burn_in"], gibbs["retained"], gibbs["r"], gibbs["seed"]) == (7, 5, 0.5, 4)
+        manifest = json.loads((out / "manifest.json").read_text())
+        gibbs = manifest["config"]
+        assert (gibbs["burn_in"], gibbs["retained"], gibbs["r"]) == (7, 5, 0.5)
+        assert gibbs["master_seed"] == 4 and manifest["seeds"] == [[4]]
+        assert "seed" not in gibbs
+
+    def test_sample_refuses_unknown_top_level_keys(self, tmp_path, capsys):
+        # sample used to read only the "gibbs" section and ignore every other key
+        from bayesdn.cli import main
+
+        csv_path = tmp_path / "x.csv"
+        write_csv(csv_path, ["a", "b", "c"], sample_gaussian(np.eye(3), 30, seed=1))
+        cfg = tmp_path / "c.json"
+        out = tmp_path / "o"
+        for bad in ({"gibs": {"burn_in": 5}, "gibbs": {"retained": 5}}, {"anything": 3}):
+            cfg.write_text(json.dumps(bad))
+            rc = main(["sample", "--csv", str(csv_path), "--config", str(cfg), "--out", str(out)])
+            assert rc == 2 and not out.exists()
+            key = next(iter(bad))
+            assert f"config error: {key} is not a field of SampleConfig" in capsys.readouterr().err
 
     def test_sample_config_errors(self, tmp_path):
         from bayesdn.cli import main

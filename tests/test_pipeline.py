@@ -267,6 +267,28 @@ class TestSplitPhases:
         with pytest.warns(UserWarning, match="fewer than"):
             split_phases(ds, [ds.dates[2]], ["phase1", "phase2"])
 
+    def test_backwards_dates_refused(self, tmp_path, capsys):
+        # an unsorted CSV used to be split by row position: cut at day 6, the
+        # early phase held day 1 alone and the late phase days 2, 3 and 4
+        from bayesdn.cli import main
+        from bayesdn.pipeline import Dataset
+
+        days = [1, 6, 2, 7, 3, 8, 4, 9]
+        dates = [datetime.date(2020, 1, d) for d in days]
+        ds = Dataset(columns=["a", "b"], rows=np.zeros((8, 2)), dates=dates)
+        message = r"^dates must not go backwards: 2020-01-06 is followed by 2020-01-02$"
+        with pytest.raises(ValueError, match=message):
+            split_phases(ds, [datetime.date(2020, 1, 6)], ["early", "late"])
+        # the command exits as read_csv's malformed-data errors do
+        rows = np.column_stack([np.arange(8.0), np.arange(8.0) ** 2])
+        write_csv(tmp_path / "d.csv", ["a", "b"], rows, dates=dates)
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"date_column": "date", "boundaries": ["2020-01-06"]}')
+        out = tmp_path / "o"
+        argv = ["real", "--csv", str(tmp_path / "d.csv"), "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 2 and not out.exists()
+        assert "config error: dates must not go backwards" in capsys.readouterr().err
+
     def test_requires_dates(self):
         from bayesdn.pipeline import Dataset
 

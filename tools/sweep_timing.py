@@ -15,13 +15,13 @@ raw seconds by a reference kernel timed before, during and after the
 interval.  Times are printed in reference milliseconds, so a host that
 slows down under other tenants' load does not read as a slower sweep.
 
-``--parent`` times ``gibbs.chain_draws`` at p = 10, 30, 60 and 100: at
-each p it skips the chain's first sweep and times the next ones in one
-calibrated interval.  The working tree and a temporary clone of
-``--parent`` (checked out as ``tools/bench_pairs.py`` does, under
-``$TMPDIR`` and removed at the end) take turns, ``--runs`` times each;
-the table gives each side's median ms per sweep and the median of the
-per-run ratios.
+``--parent`` times ``gibbs.chain_draws`` at its default seed, 0, which
+both trees share, at p = 10, 30, 60 and 100: at each p it skips the
+chain's first sweep and times the next ones in one calibrated interval.
+The working tree and a temporary clone of ``--parent`` (checked out as
+``tools/bench_pairs.py`` does, under ``$TMPDIR`` and removed at the end)
+take turns, ``--runs`` times each; the table gives each side's median ms
+per sweep and the median of the per-run ratios.
 
 ``--chains`` times ``gibbs.run_batch`` on the working tree alone: K
 chains of one p (distinct seeds and sample sizes) as one batch, which runs
@@ -77,7 +77,7 @@ out = {}
 for p, sweeps in json.loads(sys.argv[2]).items():
     theta, _ = raw_components(StructureSpec("ar2", int(p)))
     x = sample_gaussian(theta, 200, seed=int(p))
-    cfg = GibbsConfig(burn_in=0, retained=sweeps + 1, seed=1)
+    cfg = GibbsConfig(burn_in=0, retained=sweeps + 1)
     draws = chain_draws(mirror_lower(x.T @ x), 200, cfg)
     next(draws)
     _, _, ref = calibration.measure(lambda: [next(draws) for _ in range(sweeps)])
@@ -97,12 +97,12 @@ for p in dims:
     theta, _ = raw_components(StructureSpec("ar2", p))
     for i, k in enumerate(counts):
         sweeps = max(3, round(interval / (k * t_sweep.get(p, 1e-2))))
+        cfg = GibbsConfig(burn_in=0, retained=sweeps)
         requests = []
         for j in range(k):
             n = 200 + j
             x = sample_gaussian(theta, n, seed=1000 * p + j)
-            cfg = GibbsConfig(burn_in=0, retained=sweeps, seed=j + 1)
-            requests.append(ChainRequest(mirror_lower(x.T @ x), n, cfg, partials=False))
+            requests.append(ChainRequest(mirror_lower(x.T @ x), n, cfg, j + 1, partials=False))
         kernels = {
             "stacked": lambda: run_batch(requests),
             "alone": lambda: [run_batch([request]) for request in requests],
