@@ -19,9 +19,10 @@ x2 = sample_gaussian(pair.theta2, n, seed=4)
 
 partials = tuple(posterior_partial_corr_mean(mirror_lower(x.T @ x), n) for x in (x1, x2))
 
+# the rule takes the whole grid and returns one graph per threshold
 report = threshold_sweep(
     pair.true_adjacency,
-    lambda eta: dn_adjacency(partials, eta, mode="union"),
+    lambda grid: dn_adjacency(partials, grid, mode="union"),
     DEFAULT_GRID,
 )
 

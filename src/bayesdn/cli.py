@@ -145,7 +145,7 @@ def _cmd_real(args) -> int:
     if args.csv:
         d["csv_path"] = args.csv
     cfg = decode(RealAnalysisConfig, d)
-    result = run_real_analysis(cfg)
+    result = run_real_analysis(cfg, threads=args.threads)
     emit_real(result, cfg, args.out)
     print(
         f"groups {result.group_names} sizes {result.group_sizes}; "
@@ -167,6 +167,10 @@ class SampleConfig:
 
 
 def _cmd_sample(args) -> int:
+    if args.threads > 1:
+        raise ValueError(
+            f"--threads must be 1 for sample, which runs one chain; got {args.threads}"
+        )
     d = _config_dict(args)
     for name in ("burn_in", "retained"):
         if getattr(args, name) is not None:

@@ -32,6 +32,7 @@ one edge set:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -68,7 +69,7 @@ class DifferentialNetwork:
 
 def dn_adjacency(
     partials: tuple[np.ndarray, np.ndarray],
-    eta: float,
+    eta: float | np.ndarray,
     mode: str = "difference",
     reference: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
@@ -76,21 +77,28 @@ def dn_adjacency(
 
     Without ``reference`` this is the mean rule; with the two samples'
     wide Wishart references it is the ratio rule.  The diagonal is never
-    an edge.
+    an edge.  A float ``eta`` gives one ``(p, p)`` graph; a 1-d array of
+    G thresholds gives the ``(G, p, p)`` stack of their graphs, from one
+    comparison against the scores.
     """
     if mode not in DN_MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {DN_MODES}")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+    etas = np.asarray(eta, dtype=float)
+    if etas.ndim > 1:
+        raise ValueError(f"eta must be a number or a 1-d grid, got shape {etas.shape}")
+    bad = etas[~((etas >= 0.0) & (etas <= 1.0))]
+    if bad.size:
+        raise ValueError(f"eta must lie in [0, 1], got {float(bad.flat[0])}")
     if len({a.shape for a in (*partials, *(reference or ()))}) != 1:
         raise ValueError("partials and references must share dimensions")
     e1, e2 = partials
     ref1, ref2 = (None, None) if reference is None else reference
+    diag = np.arange(e1.shape[0])
 
     def fires(e, ref):
         score = np.abs(e) if ref is None else np.abs(e) / np.maximum(np.abs(ref), RATIO_FLOOR)
-        adj = score > eta
-        np.fill_diagonal(adj, False)
+        adj = score > etas[..., None, None]
+        adj[..., diag, diag] = False
         return adj
 
     if mode == "difference":
@@ -157,11 +165,13 @@ def estimate_bnet(
     eta: float,
     mode: str = "difference",
     eps: float = EPSILON,
+    mapper: Callable = map,
 ) -> DifferentialNetwork:
     """Estimate the differential network from two samples, its chains seeded from ``seed``.
 
     :func:`bnet_requests`, ``gibbs.run_chains`` and :func:`bnet_network`
-    in turn; see there.
+    in turn; see there.  ``mapper`` runs the two chains, as in
+    ``run_chains``: the builtin ``map`` in this process, or a pool's.
     """
     requests = bnet_requests(x1, x2, cfg, seed)
-    return bnet_network(requests, run_chains(requests), eta, mode, eps)
+    return bnet_network(requests, run_chains(requests, mapper), eta, mode, eps)

@@ -27,6 +27,7 @@ import hashlib
 import json
 import math
 import os
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
@@ -42,6 +43,7 @@ from .ista import IstaConfig, estimate_dnet
 from .linalg import mirror_lower
 from .metrics import LossReport, Scores, classification_scores, confusion, loss_report
 from .pipeline import (
+    ColumnError,
     boxs_m_test,
     moving_average,
     nonparanormal_transform,
@@ -157,7 +159,14 @@ class RealAnalysisConfig:
                 raise FieldError(
                     "compare", f"must be numbers or numeric strings, got {list(self.compare)}"
                 )
-            return
+            groups = self.class_values
+        else:
+            self._check_phases()
+            groups = self.compare or ()
+        if len(set(groups)) != len(groups):
+            raise FieldError("compare", f"must name two different groups, got {list(self.compare)}")
+
+    def _check_phases(self) -> None:
         try:
             dates = self.boundary_dates
         except ValueError as err:
@@ -431,13 +440,13 @@ def _study_score(item) -> dict[str, ThresholdReport]:
     if "mean" in cfg.rules:
         eh = tuple(posterior_partial_corr_mean(s, n, cfg.eps) for s in scatters)
         reports["mean"] = threshold_sweep(
-            true_adjacency, lambda eta: dn_adjacency(eh, eta, cfg.dn_mode), grid
+            true_adjacency, lambda etas: dn_adjacency(eh, etas, cfg.dn_mode), grid
         )
     if "ratio" in cfg.rules:
         rho = tuple(chain.partial_mean for chain in chains)
         eg = tuple(posterior_partial_corr_mean(s, n, 1.0) for s in scatters)
         reports["ratio"] = threshold_sweep(
-            true_adjacency, lambda eta: dn_adjacency(rho, eta, cfg.dn_mode, eg), grid
+            true_adjacency, lambda etas: dn_adjacency(rho, etas, cfg.dn_mode, eg), grid
         )
     return reports
 
@@ -458,8 +467,10 @@ def run_threshold_study(cfg: ExperimentConfig, threads: int = 1) -> list[StudyRe
         for rule in cfg.rules:
             sp = np.vstack([r[rule].sparsity_error for r in per_rep])
             mc = np.vstack([r[rule].mcc for r in per_rep])
-            with np.errstate(all="ignore"):
-                med_mc = np.array([_median(mc[:, k]) for k in range(grid.size)])
+            with warnings.catch_warnings():
+                # an all-NA column's median is NA: "All-NaN slice encountered"
+                warnings.simplefilter("ignore", RuntimeWarning)
+                med_mc = np.nanmedian(mc, axis=0)
             best_eta, best_mcc = best_threshold(grid, med_mc)
             rules[rule] = RuleStudy(
                 median_sparsity_error=np.median(sp, axis=0),
@@ -508,19 +519,28 @@ def _preprocess(x: np.ndarray, window: int) -> np.ndarray:
     return nonparanormal_transform(x)
 
 
-def run_real_analysis(cfg: RealAnalysisConfig) -> RealAnalysisResult:
+def run_real_analysis(cfg: RealAnalysisConfig, threads: int = 1) -> RealAnalysisResult:
     """Differential network between two groups of one dataset.
 
     Each group is smoothed (optional trailing moving average), marginally
-    Gaussianized, and fed to the Bayesian estimator; the homogeneity test
-    runs on the two groups' sample covariances.
+    Gaussianized, and fed to the Bayesian estimator, whose two chains run
+    over ``threads`` workers; the homogeneity test runs on the two groups'
+    sample covariances.  A column that cannot be Gaussianized is named by
+    its group and header.
     """
     columns, names, g1, g2 = _two_groups(cfg)
-    t1 = _preprocess(g1, cfg.moving_average_window)
-    t2 = _preprocess(g2, cfg.moving_average_window)
-    network = estimate_bnet(
-        t1, t2, cfg.gibbs, cfg.master_seed, cfg.eta, mode=cfg.dn_mode, eps=cfg.eps
-    )
+    groups = []
+    for name, g in zip(names, (g1, g2)):
+        try:
+            groups.append(_preprocess(g, cfg.moving_average_window))
+        except ColumnError as err:
+            header = columns[err.column]
+            raise ValueError(f"group {name!r}: column {header!r} {err.problem}") from None
+    t1, t2 = groups
+    with _mapper(threads) as run:
+        network = estimate_bnet(
+            t1, t2, cfg.gibbs, cfg.master_seed, cfg.eta, mode=cfg.dn_mode, eps=cfg.eps, mapper=run
+        )
     cov1 = mirror_lower((t1 - t1.mean(axis=0)).T @ (t1 - t1.mean(axis=0)) / (t1.shape[0] - 1))
     cov2 = mirror_lower((t2 - t2.mean(axis=0)).T @ (t2 - t2.mean(axis=0)) / (t2.shape[0] - 1))
     stat, pval = boxs_m_test(cov1, t1.shape[0], cov2, t2.shape[0])

@@ -103,19 +103,27 @@ def loss_report(est: np.ndarray, truth: np.ndarray) -> LossReport:
     return LossReport(l1=l1, l2=l2, el1=el1, el2=el2, maxel1=maxel1, minel1=minel1)
 
 
-def confusion(est: np.ndarray, truth: np.ndarray) -> ConfusionCounts:
-    """Count edge decisions over i < j; diagonals never score."""
+def confusion(est: np.ndarray, truth: np.ndarray) -> ConfusionCounts | list[ConfusionCounts]:
+    """Count edge decisions over i < j; diagonals never score.
+
+    ``est`` is one ``(p, p)`` graph, or a ``(G, p, p)`` stack of them
+    counted in one pass into a list of G counts.
+    """
     est = np.asarray(est, dtype=bool)
     truth = np.asarray(truth, dtype=bool)
-    _check_dims(est, truth)
-    iu = np.triu_indices(est.shape[0], k=1)
-    e = est[iu]
+    stacked = est.ndim == 3
+    _check_dims(est[0] if stacked and len(est) else est, truth)
+    iu = np.triu_indices(truth.shape[0], k=1)
+    e = est[..., iu[0], iu[1]] if stacked else est[None, iu[0], iu[1]]
     t = truth[iu]
-    tp = int(np.sum(e & t))
-    tn = int(np.sum(~e & ~t))
-    fp = int(np.sum(e & ~t))
-    fn = int(np.sum(~e & t))
-    return ConfusionCounts(tp=tp, tn=tn, fp=fp, fn=fn)
+    counts = [
+        np.count_nonzero(e & t, axis=1).tolist(),
+        np.count_nonzero(~e & ~t, axis=1).tolist(),
+        np.count_nonzero(e & ~t, axis=1).tolist(),
+        np.count_nonzero(~e & t, axis=1).tolist(),
+    ]
+    out = [ConfusionCounts(tp=tp, tn=tn, fp=fp, fn=fn) for tp, tn, fp, fn in zip(*counts)]
+    return out if stacked else out[0]
 
 
 def _ratio(num: float, den: float) -> float:

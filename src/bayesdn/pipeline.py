@@ -24,6 +24,7 @@ from .linalg import cholesky_pd, require_symmetric
 
 __all__ = [
     "EmptyDataError",
+    "ColumnError",
     "Dataset",
     "read_csv",
     "write_csv",
@@ -36,6 +37,15 @@ __all__ = [
 
 class EmptyDataError(ValueError):
     """The file contains a header but no data rows (or nothing at all)."""
+
+
+class ColumnError(ValueError):
+    """A data column that cannot be used; ``column`` is its index."""
+
+    def __init__(self, column: int, problem: str):
+        super().__init__(f"column {column} {problem}")
+        self.column = column
+        self.problem = problem
 
 
 @dataclass(frozen=True)
@@ -57,7 +67,8 @@ def read_csv(path, date_column: str | None = None) -> Dataset:
 
     Rows containing any blank cell are dropped and counted.  A non-blank
     cell that does not parse as a finite number is an error (``nan`` and
-    ``inf`` included), as is a row with the wrong number of fields.
+    ``inf`` included), as is a row with the wrong number of fields or a
+    header that names one column twice.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -66,6 +77,9 @@ def read_csv(path, date_column: str | None = None) -> Dataset:
         except StopIteration:
             raise EmptyDataError(f"{path}: file is empty") from None
         header = [h.strip() for h in header]
+        repeated = sorted({h for h in header if header.count(h) > 1})
+        if repeated:
+            raise ValueError(f"{path}: repeated column name {repeated[0]!r} in header")
         date_idx = None
         if date_column is not None:
             if date_column not in header:
@@ -168,9 +182,9 @@ def nonparanormal_transform(x: np.ndarray) -> np.ndarray:
     for j in range(x.shape[1]):
         col = x[:, j]
         if not np.all(np.isfinite(col)):
-            raise ValueError(f"column {j} holds a non-finite value")
+            raise ColumnError(j, "holds a non-finite value")
         if np.all(col == col[0]):
-            raise ValueError(f"column {j} is constant")
+            raise ColumnError(j, "is constant")
         scores = ndtri(_average_ranks(col) / (n + 1))
         out[:, j] = scores - scores.mean()
     return out

@@ -8,8 +8,8 @@ entry depends only on a 2x2 principal block of the precision matrix, that
 block is itself Wishart (Muirhead 1982, Thm 3.2.10), and the mean of its
 correlation is a closed form (Olkin & Pratt 1958).  The edge rules that
 threshold these means live in :func:`bayesdn.diffnet.dn_adjacency`;
-:func:`threshold_sweep` scans a grid of thresholds and scores each
-candidate against a known truth.
+:func:`threshold_sweep` scores every threshold of a grid against a known
+truth in one pass over the stack of their graphs.
 """
 
 from __future__ import annotations
@@ -119,12 +119,13 @@ def _partial_corr_mean(nu: float, psi: np.ndarray) -> np.ndarray:
 
 def threshold_sweep(
     truth: np.ndarray,
-    rule: Callable[[float], np.ndarray],
+    rule: Callable[[np.ndarray], np.ndarray],
     grid: Sequence[float] | np.ndarray = DEFAULT_GRID,
 ) -> ThresholdReport:
     """Score a thresholding rule against a known adjacency over a grid.
 
-    ``rule(eta)`` must return the estimated adjacency at that threshold.
+    ``rule(grid)`` must return the ``(G, p, p)`` stack of estimated
+    adjacencies, one per threshold, as ``dn_adjacency`` does for a grid.
     Sparsity error is the absolute difference in edge counts; the best
     threshold maximizes MCC, ties broken toward the smallest eta.  NA MCCs
     never win.
@@ -135,14 +136,15 @@ def threshold_sweep(
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
     truth = np.asarray(truth, dtype=bool)
-    true_edges = int(confusion(truth, truth).tp)
-    sparsity = np.empty(grid.size)
-    mcc = np.empty(grid.size)
-    for k, eta in enumerate(grid):
-        est = np.asarray(rule(float(eta)), dtype=bool)
-        c = confusion(est, truth)
-        sparsity[k] = abs((c.tp + c.fp) - true_edges)
-        mcc[k] = classification_scores(c).mcc
+    true_edges = confusion(truth, truth).tp
+    est = np.asarray(rule(grid), dtype=bool)
+    if est.shape != (grid.size, *truth.shape):
+        raise ValueError(
+            f"rule(grid) must return a {(grid.size, *truth.shape)} stack, got shape {est.shape}"
+        )
+    counts = confusion(est, truth)
+    sparsity = np.array([abs(c.tp + c.fp - true_edges) for c in counts], dtype=float)
+    mcc = np.array([classification_scores(c).mcc for c in counts], dtype=float)
     best_eta, best_mcc = best_threshold(grid, mcc)
     return ThresholdReport(
         grid=grid, sparsity_error=sparsity, mcc=mcc, best_eta=best_eta, best_mcc=best_mcc

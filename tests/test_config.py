@@ -150,6 +150,11 @@ class TestRealConfig:
              "compare must name phases among ['phase1', 'phase2'], got 'phase3'"),
             ({"class_column": "label", "compare": ["a", "b"]}, "compare must be numbers or numeric strings"),
             ({"class_column": "label", "compare": ["1", "nan"]}, "compare must be numbers or numeric strings"),
+            # class values are compared as numbers, so 1 and "1.0" name one group
+            ({"class_column": "label", "compare": [1, "1.0"]},
+             "compare must name two different groups, got [1, '1.0']"),
+            ({"boundaries": ["2020-06-01"], "compare": ["phase1", "phase1"]},
+             "compare must name two different groups, got ['phase1', 'phase1']"),
         ],
     )
     def test_split_refused_before_the_csv_is_read(self, tmp_path, capsys, split, text):

@@ -460,6 +460,38 @@ class TestRealAnalysis:
         err = capsys.readouterr().err
         assert "config error: no 'label' row holds compare value '2'" in err
 
+    def test_constant_column_names_group_and_header(self, tmp_path, capsys):
+        # it used to read "column 0 is constant", naming neither
+        from bayesdn.cli import main
+
+        rows = np.column_stack([np.arange(8.0), [2.0, 5.0] * 4, np.arange(8.0) ** 2, [0, 1] * 4])
+        rows[1::2, 1] = np.arange(4.0)  # "b" is constant in group 0 only
+        path = tmp_path / "labeled.csv"
+        write_csv(path, ["a", "b", "c", "label"], rows)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"class_column": "label"}))
+        out = tmp_path / "o"
+        assert main(["real", "--csv", str(path), "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "config error: group '0.0': column 'b' is constant" in capsys.readouterr().err
+
+    def test_byte_identical_across_thread_counts(self, tmp_path):
+        from bayesdn.cli import main
+
+        pair = make_structure(StructureSpec("ar1", 4))
+        path, boundary = phase_csv(tmp_path, pair, n1=60, n2=60)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"csv_path": str(path), "date_column": "date",
+                                   "boundaries": [boundary], "master_seed": 11,
+                                   "gibbs": {"burn_in": 30, "retained": 60}}))
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}"
+            argv = ["real", "--config", str(cfg), "--threads", threads, "--out", str(out)]
+            assert main(argv) == 0
+            outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert len(outputs[0]) == 7 and outputs[0] == outputs[1]
+
     def test_outputs_round_trip(self, tmp_path):
         pair = make_structure(StructureSpec("ar1", 4))
         path, boundary = phase_csv(tmp_path, pair, n1=60, n2=60)
@@ -637,6 +669,29 @@ class TestCli:
                 main([*command, "--threads", threads, "--out", str(out)])
             assert exc.value.code == 2 and not out.exists()
             assert f"--threads: must be >= 1, got {threads}" in capsys.readouterr().err
+
+    def test_sample_refuses_more_than_one_thread(self, tmp_path, capsys):
+        # sample runs one chain, so a second worker would sit idle; the CSV
+        # does not exist, so reading it before the check would exit 3
+        from bayesdn.cli import main
+
+        out = tmp_path / "o"
+        rc = main(["sample", "--csv", str(tmp_path / "missing.csv"), "--threads", "2",
+                   "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        assert "config error: --threads must be 1 for sample" in capsys.readouterr().err
+
+    def test_repeated_header_exit_code(self, tmp_path, capsys):
+        # a repeated name used to be read as two columns and written back twice
+        from bayesdn.cli import main
+
+        csv_path = tmp_path / "x.csv"
+        csv_path.write_text("a, a ,b\n1,2,3\n4,5,6\n7,8,0\n5,3,1\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["sample", "--csv", str(csv_path), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"config error: {csv_path}: repeated column name 'a' in header" in err
 
     @pytest.mark.parametrize("command", ["synthetic", "sweep", "real", "sample"])
     def test_chain_seed_refused(self, tmp_path, capsys, command):

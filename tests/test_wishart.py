@@ -12,7 +12,7 @@ from bayesdn.linalg import (
     mirror_lower,
     partial_correlation,
 )
-from bayesdn.metrics import is_na
+from bayesdn.metrics import classification_scores, confusion, is_na
 from bayesdn.wishart import (
     DEFAULT_GRID,
     EPSILON,
@@ -249,6 +249,9 @@ class TestEdgeRules:
                 for eta in (1.5, -0.1, float("nan")):
                     with pytest.raises(ValueError, match=r"eta must lie in \[0, 1\]"):
                         dn_adjacency((np.eye(2), np.eye(2)), eta, mode, ref)
+                # a grid names its first bad value
+                with pytest.raises(ValueError, match=r"eta must lie in \[0, 1\], got 1.5"):
+                    dn_adjacency((np.eye(2), np.eye(2)), np.array([0.2, 1.5, -1.0]), mode, ref)
 
     def test_shapes_must_agree(self):
         with pytest.raises(ValueError):
@@ -304,6 +307,11 @@ class TestEdgeRules:
         assert min(hits.values()) > 50
 
 
+def stacked(rule):
+    """The grid form of a per-threshold rule: one layer per grid point."""
+    return lambda grid: np.stack([rule(float(eta)) for eta in grid])
+
+
 class TestSweep:
     def test_default_grid_has_21_points(self):
         assert DEFAULT_GRID.size == 21
@@ -314,7 +322,7 @@ class TestSweep:
     def test_perfect_estimator(self):
         truth = np.zeros((5, 5), dtype=bool)
         truth[0, 1] = truth[1, 0] = truth[2, 3] = truth[3, 2] = True
-        report = threshold_sweep(truth, lambda eta: truth, DEFAULT_GRID)
+        report = threshold_sweep(truth, stacked(lambda eta: truth), DEFAULT_GRID)
         assert report.best_mcc == 1.0
         np.testing.assert_array_equal(report.sparsity_error, np.zeros(21))
         assert report.best_eta == pytest.approx(0.2)  # smallest eta wins ties
@@ -329,7 +337,7 @@ class TestSweep:
             # defined (positive) MCC at low eta, NA (empty graph) above
             return partial if eta < 0.4 else np.zeros((4, 4), dtype=bool)
 
-        report = threshold_sweep(truth, rule, np.array([0.3, 0.5]))
+        report = threshold_sweep(truth, stacked(rule), np.array([0.3, 0.5]))
         assert report.best_eta == 0.3
         assert not is_na(report.best_mcc)
 
@@ -337,7 +345,7 @@ class TestSweep:
         truth = np.zeros((4, 4), dtype=bool)
         truth[0, 1] = truth[1, 0] = True
         empty = np.zeros((4, 4), dtype=bool)
-        report = threshold_sweep(truth, lambda eta: empty, np.array([0.3, 0.5]))
+        report = threshold_sweep(truth, stacked(lambda eta: empty), np.array([0.3, 0.5]))
         assert report.best_eta == 0.3
         assert is_na(report.best_mcc)
 
@@ -352,12 +360,72 @@ class TestSweep:
         truth = np.zeros((4, 4), dtype=bool)
         truth[0, 1] = truth[1, 0] = True
         est = np.zeros((4, 4), dtype=bool)
-        report = threshold_sweep(truth, lambda eta: est, np.array([0.2]))
+        report = threshold_sweep(truth, stacked(lambda eta: est), np.array([0.2]))
         assert report.sparsity_error[0] == 1.0
 
     def test_grid_validation(self):
         truth = np.zeros((3, 3), dtype=bool)
         with pytest.raises(ValueError):
-            threshold_sweep(truth, lambda eta: truth, np.array([]))
+            threshold_sweep(truth, stacked(lambda eta: truth), np.array([]))
         with pytest.raises(ValueError):
-            threshold_sweep(truth, lambda eta: truth, np.array([0.3, 0.2]))
+            threshold_sweep(truth, stacked(lambda eta: truth), np.array([0.3, 0.2]))
+        # a rule must return one layer per grid point
+        with pytest.raises(ValueError, match=r"rule\(grid\) must return a \(2, 3, 3\) stack"):
+            threshold_sweep(truth, lambda grid: truth, np.array([0.2, 0.3]))
+
+
+def reference_sweep(truth, partials, mode, reference, grid):
+    """The sweep one threshold at a time, as ``threshold_sweep`` ran before it took a stack."""
+    true_edges = confusion(truth, truth).tp
+    sparsity, mcc = [], []
+    for eta in grid:
+        c = confusion(dn_adjacency(partials, float(eta), mode, reference), truth)
+        sparsity.append(abs((c.tp + c.fp) - true_edges))
+        mcc.append(classification_scores(c).mcc)
+    return np.array(sparsity, dtype=float), np.array(mcc), *best_threshold(grid, np.array(mcc))
+
+
+@st.composite
+def sweep_cases(draw):
+    """Partials, references, truth and grid on a lattice of eighths and sixteenths.
+
+    Scores of eighths (and many of their ratios) are exact sixteenths, so
+    grid points often equal a score and the strict ``>`` decides them.
+    """
+    p = draw(st.integers(2, 12))
+    m = p * (p - 1) // 2
+    iu = np.triu_indices(p, k=1)
+
+    def symmetric(values, diagonal):
+        out = np.full((p, p), diagonal)
+        out[iu] = values
+        out.T[iu] = values
+        return out
+
+    eighths = st.lists(st.integers(-8, 8).map(lambda k: k / 8), min_size=m, max_size=m)
+    partials = (symmetric(draw(eighths), 1.0), symmetric(draw(eighths), 1.0))
+    reference = None
+    if draw(st.booleans()):
+        reference = (symmetric(draw(eighths), 1.0), symmetric(draw(eighths), 1.0))
+    mode = draw(st.sampled_from(DN_MODES))
+    truth = symmetric(draw(st.lists(st.booleans(), min_size=m, max_size=m)), False)
+    lattice = draw(st.sets(st.integers(0, 16).map(lambda k: k / 16), max_size=17))
+    floats = draw(st.sets(st.floats(0.0, 1.0), max_size=4))
+    grid = np.array(sorted(lattice | floats or {0.5}))
+    return partials, reference, mode, truth, grid
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(sweep_cases())
+def test_stacked_sweep_matches_the_per_threshold_loop(case):
+    partials, reference, mode, truth, grid = case
+    report = threshold_sweep(
+        truth, lambda etas: dn_adjacency(partials, etas, mode, reference), grid
+    )
+    sparsity, mcc, best_eta, best_mcc = reference_sweep(truth, partials, mode, reference, grid)
+    np.testing.assert_array_equal(report.grid, grid)
+    np.testing.assert_array_equal(report.sparsity_error, sparsity)
+    np.testing.assert_array_equal(np.isnan(report.mcc), np.isnan(mcc))
+    np.testing.assert_array_equal(report.mcc, mcc)
+    assert report.best_eta == best_eta
+    assert report.best_mcc == best_mcc or (np.isnan(report.best_mcc) and np.isnan(best_mcc))
