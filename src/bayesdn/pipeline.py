@@ -14,8 +14,10 @@ import csv
 import datetime
 import math
 import warnings
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 from scipy.special import chdtrc, ndtri
@@ -69,6 +71,10 @@ def read_csv(path, date_column: str | None = None) -> Dataset:
     cell that does not parse as a finite number is an error (``nan`` and
     ``inf`` included), as is a row with the wrong number of fields or a
     header that names one column twice.
+
+    The rows are parsed straight into one packed buffer.  When that pass
+    meets anything but a numeric or blank row, or a non-finite value, the
+    file is read again cell by cell to word its first error.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -89,48 +95,84 @@ def read_csv(path, date_column: str | None = None) -> Dataset:
         if len(value_idx) < 2:
             raise ValueError(f"{path}: need at least 2 numeric columns, found {len(value_idx)}")
 
-        rows: list[list[float]] = []
-        dates: list[datetime.date] = []
-        n_dropped = 0
-        for ln, record in enumerate(reader, start=2):
-            if len(record) != len(header):
-                raise ValueError(
-                    f"{path}:{ln}: expected {len(header)} fields, got {len(record)}"
-                )
-            if any(cell.strip() == "" for cell in record):
-                n_dropped += 1
-                continue
-            values = []
-            for k in value_idx:
-                cell = record[k].strip()
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{ln}: non-numeric value {cell!r} in column {header[k]!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise ValueError(
-                        f"{path}:{ln}: non-finite value {cell!r} in column {header[k]!r}"
-                    )
-                values.append(value)
-            if date_idx is not None:
-                cell = record[date_idx].strip()
-                try:
-                    dates.append(datetime.date.fromisoformat(cell))
-                except ValueError:
-                    raise ValueError(f"{path}:{ln}: bad ISO date {cell!r}") from None
-            rows.append(values)
-
-    if not rows:
+        packed = _pack_rows(reader, len(header), value_idx, date_idx)
+        if packed is None:
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
+            _raise_first_error(path, reader, header, value_idx, date_idx)
+    rows, dates, n_dropped = packed
+    if rows.shape[0] == 0:
         raise EmptyDataError(f"{path}: no data rows (dropped {n_dropped})")
-    columns = [header[k] for k in value_idx]
     return Dataset(
-        columns=columns,
-        rows=np.asarray(rows, dtype=float),
+        columns=[header[k] for k in value_idx],
+        rows=rows,
         dates=dates if date_idx is not None else None,
         n_dropped=n_dropped,
     )
+
+
+def _is_blank(record: list[str]) -> bool:
+    return any(cell.strip() == "" for cell in record)
+
+
+def _pack_rows(reader, width: int, value_idx: list[int], date_idx: int | None):
+    """``(rows, dates, n_dropped)`` from the data records, or None to word an error.
+
+    Each kept row's values are appended to one ``array('d')`` by a single
+    ``map``, so no per-row list of floats is ever held.  None means a
+    record that is neither numeric nor blank, or a non-finite value.
+    """
+    buf = array("d")
+    extend = buf.extend
+    pick = itemgetter(*value_idx)
+    dates: list[datetime.date] = []
+    n_dropped = 0
+    for record in reader:
+        if len(record) != width:
+            return None
+        try:
+            if date_idx is not None:
+                day = datetime.date.fromisoformat(record[date_idx].strip())
+            extend(map(float, map(str.strip, pick(record))))
+        except ValueError:
+            if not _is_blank(record):
+                return None
+            del buf[len(buf) - len(buf) % len(value_idx):]
+            n_dropped += 1
+            continue
+        if date_idx is not None:
+            dates.append(day)
+    rows = np.frombuffer(buf, dtype=float).reshape(-1, len(value_idx))
+    if not np.isfinite(rows).all():
+        return None
+    return rows, dates, n_dropped
+
+
+def _raise_first_error(path, reader, header: list[str], value_idx: list[int], date_idx):
+    """Check the data records cell by cell and raise the first error in file order."""
+    for ln, record in enumerate(reader, start=2):
+        if len(record) != len(header):
+            raise ValueError(f"{path}:{ln}: expected {len(header)} fields, got {len(record)}")
+        if _is_blank(record):
+            continue
+        for k in value_idx:
+            cell = record[k].strip()
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{ln}: non-numeric value {cell!r} in column {header[k]!r}"
+                ) from None
+            if not math.isfinite(value):
+                raise ValueError(f"{path}:{ln}: non-finite value {cell!r} in column {header[k]!r}")
+        if date_idx is not None:
+            cell = record[date_idx].strip()
+            try:
+                datetime.date.fromisoformat(cell)
+            except ValueError:
+                raise ValueError(f"{path}:{ln}: bad ISO date {cell!r}") from None
+    raise AssertionError(f"{path}: the packed pass refused a file the per-cell check accepts")
 
 
 def write_csv(path, columns: list[str], rows: np.ndarray, dates=None, date_column="date") -> None:
