@@ -37,7 +37,13 @@ from .harness import (
     write_manifest,
 )
 from .linalg import NotPositiveDefiniteError, mirror_lower
-from .pipeline import EmptyDataError, nonparanormal_transform, read_csv, write_csv
+from .pipeline import (
+    ColumnError,
+    EmptyDataError,
+    nonparanormal_transform,
+    read_csv,
+    write_csv,
+)
 
 DESK_SCALE = {"replications": 10, "burn_in": 1000, "retained": 2000}
 
@@ -179,7 +185,10 @@ def _cmd_sample(args) -> int:
     ds = read_csv(args.csv, date_column=args.date_column)
     x = ds.rows
     if args.nonparanormal:
-        x = nonparanormal_transform(x)
+        try:
+            x = nonparanormal_transform(x)
+        except ColumnError as err:
+            raise ValueError(f"column {ds.columns[err.column]!r} {err.problem}") from None
     chain = run_chain(mirror_lower(x.T @ x), x.shape[0], cfg.gibbs, cfg.master_seed)
     os.makedirs(args.out, exist_ok=True)
     write_csv(os.path.join(args.out, "posterior_mean.csv"), ds.columns, chain.theta_mean)

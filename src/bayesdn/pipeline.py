@@ -4,8 +4,8 @@ CSV reading with missing-row accounting, trailing moving averages,
 rank-based marginal Gaussianization, date-boundary phase splitting, and
 the classical homogeneity test for two covariance matrices.
 
-CSV conventions: comma separated, UTF-8, header row required, '.' decimal
-separator, dates in ISO-8601.
+CSV conventions: comma separated, UTF-8 (a leading byte-order mark is
+skipped), header row required, '.' decimal separator, dates in ISO-8601.
 """
 
 from __future__ import annotations
@@ -67,16 +67,18 @@ class Dataset:
 def read_csv(path, date_column: str | None = None) -> Dataset:
     """Parse a headed CSV of numeric columns.
 
-    Rows containing any blank cell are dropped and counted.  A non-blank
-    cell that does not parse as a finite number is an error (``nan`` and
-    ``inf`` included), as is a row with the wrong number of fields or a
-    header that names one column twice.
+    Rows containing any blank cell are dropped and counted, and so are
+    empty lines.  A non-blank cell that does not parse as a finite number
+    is an error (``nan`` and ``inf`` included), as is a row with the wrong
+    number of fields or a header that names one column twice.  An error in
+    a row cites the physical line on which its record ends, since a quoted
+    cell may span lines.
 
     The rows are parsed straight into one packed buffer.  When that pass
     meets anything but a numeric or blank row, or a non-finite value, the
     file is read again cell by cell to word its first error.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -97,10 +99,7 @@ def read_csv(path, date_column: str | None = None) -> Dataset:
 
         packed = _pack_rows(reader, len(header), value_idx, date_idx)
         if packed is None:
-            fh.seek(0)
-            reader = csv.reader(fh)
-            next(reader)
-            _raise_first_error(path, reader, header, value_idx, date_idx)
+            _raise_first_error(path, fh, header, value_idx, date_idx)
     rows, dates, n_dropped = packed
     if rows.shape[0] == 0:
         raise EmptyDataError(f"{path}: no data rows (dropped {n_dropped})")
@@ -121,7 +120,8 @@ def _pack_rows(reader, width: int, value_idx: list[int], date_idx: int | None):
 
     Each kept row's values are appended to one ``array('d')`` by a single
     ``map``, so no per-row list of floats is ever held.  None means a
-    record that is neither numeric nor blank, or a non-finite value.
+    record that is neither numeric nor blank (an empty line is blank),
+    or a non-finite value.
     """
     buf = array("d")
     extend = buf.extend
@@ -130,7 +130,10 @@ def _pack_rows(reader, width: int, value_idx: list[int], date_idx: int | None):
     n_dropped = 0
     for record in reader:
         if len(record) != width:
-            return None
+            if record:
+                return None
+            n_dropped += 1
+            continue
         try:
             if date_idx is not None:
                 day = datetime.date.fromisoformat(record[date_idx].strip())
@@ -149,9 +152,15 @@ def _pack_rows(reader, width: int, value_idx: list[int], date_idx: int | None):
     return rows, dates, n_dropped
 
 
-def _raise_first_error(path, reader, header: list[str], value_idx: list[int], date_idx):
-    """Check the data records cell by cell and raise the first error in file order."""
-    for ln, record in enumerate(reader, start=2):
+def _raise_first_error(path, fh, header: list[str], value_idx: list[int], date_idx):
+    """Read the open file again, cell by cell, and raise its first error in file order."""
+    fh.seek(0)
+    reader = csv.reader(fh)
+    next(reader)
+    for record in reader:
+        ln = reader.line_num
+        if not record:
+            continue
         if len(record) != len(header):
             raise ValueError(f"{path}:{ln}: expected {len(header)} fields, got {len(record)}")
         if _is_blank(record):

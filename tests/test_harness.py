@@ -681,6 +681,17 @@ class TestCli:
         assert rc == 2 and not out.exists()
         assert "config error: --threads must be 1 for sample" in capsys.readouterr().err
 
+    def test_sample_constant_column_names_header(self, tmp_path, capsys):
+        # it used to read "column 0 is constant", naming no header
+        from bayesdn.cli import main
+
+        csv_path = tmp_path / "x.csv"
+        csv_path.write_text("a,b,c\n1,2,3\n1,5,6\n1,8,0\n1,3,1\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["sample", "--csv", str(csv_path), "--nonparanormal", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "config error: column 'a' is constant" in capsys.readouterr().err
+
     def test_repeated_header_exit_code(self, tmp_path, capsys):
         # a repeated name used to be read as two columns and written back twice
         from bayesdn.cli import main

@@ -1,12 +1,18 @@
+import csv
 import datetime
+import io
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 from scipy.stats import chi2, rankdata, skew, spearmanr
 
 from bayesdn.linalg import mirror_lower
 from bayesdn.pipeline import (
+    Dataset,
     EmptyDataError,
     boxs_m_test,
     moving_average,
@@ -89,6 +95,212 @@ class TestReadCsv:
         path2 = tmp_path / "rt2.csv"
         write_csv(path2, back.columns, back.rows)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_rows_are_writable_c_contiguous_float64(self, tmp_path):
+        rows = read_csv(make_csv(tmp_path, "a,b\n1,2\n3,\n5,6\n")).rows
+        assert rows.dtype == np.float64
+        assert rows.flags.c_contiguous and rows.flags.writeable
+
+    @pytest.mark.parametrize(
+        "text, date_column, error, message",
+        [
+            ("", None, EmptyDataError, ": file is empty"),
+            ("a,b\n", None, EmptyDataError, ": no data rows (dropped 0)"),
+            ("a,b\n1,\n ,2\n", None, EmptyDataError, ": no data rows (dropped 2)"),
+            ("a, a ,b\n1,2,3\n", None, ValueError, ": repeated column name 'a' in header"),
+            ("a,b\n1,2\n", "date", ValueError, ": date column 'date' not in header ['a', 'b']"),
+            ("date,a\n2020-02-07,1\n", "date", ValueError, ": need at least 2 numeric columns, found 1"),
+            ("a,b\n1,2\n3,4,5\n", None, ValueError, ":3: expected 2 fields, got 3"),
+            ("a,b\n1,2\n x ,4\n", None, ValueError, ":3: non-numeric value 'x' in column 'a'"),
+            ("a,b\n1,2\n3, -inf \n", None, ValueError, ":3: non-finite value '-inf' in column 'b'"),
+            ("date,a,b\n2020-13-01,1,4\n", "date", ValueError, ":2: bad ISO date '2020-13-01'"),
+        ],
+    )
+    def test_messages_verbatim(self, tmp_path, text, date_column, error, message):
+        path = make_csv(tmp_path, text)
+        with pytest.raises(ValueError) as err:
+            read_csv(path, date_column=date_column)
+        assert type(err.value) is error
+        assert str(err.value) == f"{path}{message}"
+
+    def test_earlier_non_finite_beats_later_non_numeric(self, tmp_path):
+        # the packed pass meets the non-numeric cell first; the error must
+        # still be the first one in file order
+        path = make_csv(tmp_path, "a,b\n1,2\n3,nan\n4,5\nx,6\n")
+        with pytest.raises(ValueError) as err:
+            read_csv(path)
+        assert str(err.value) == f"{path}:3: non-finite value 'nan' in column 'b'"
+
+    @pytest.mark.parametrize("bad", ["x,", "nan,", ",inf", "1_0_,", " ,x"])
+    def test_blank_cell_drops_row_with_bad_cell(self, tmp_path, bad):
+        path = make_csv(tmp_path, f"a,b\n1,2\n{bad}\n3,4\n")
+        ds = read_csv(path)
+        np.testing.assert_array_equal(ds.rows, [[1, 2], [3, 4]])
+        assert ds.n_dropped == 1
+
+    def test_blank_cell_drops_row_with_bad_date(self, tmp_path):
+        path = make_csv(tmp_path, "date,a,b\nnot-a-date,1,\n2020-02-07,1,4\n,2,3\n")
+        ds = read_csv(path, date_column="date")
+        assert ds.dates == [datetime.date(2020, 2, 7)]
+        assert ds.n_dropped == 2
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        # the mark used to stay on the first header name: "date column 'date'
+        # not in header ['\ufeffdate', 'a', 'b']"
+        path = tmp_path / "bom.csv"
+        path.write_text("date,a,b\n2020-02-07,1,4\n2020-02-08,2,5\n", encoding="utf-8-sig")
+        ds = read_csv(path, date_column="date")
+        assert ds.columns == ["a", "b"]
+        assert ds.dates == [datetime.date(2020, 2, 7), datetime.date(2020, 2, 8)]
+
+    def test_empty_line_is_a_dropped_blank_row(self, tmp_path):
+        # a trailing empty line used to fail with "expected 2 fields, got 0"
+        ds = read_csv(make_csv(tmp_path, "a,b\n1,2\n3,4\n\n5,6\n\n"))
+        np.testing.assert_array_equal(ds.rows, [[1, 2], [3, 4], [5, 6]])
+        assert ds.n_dropped == 2
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # the quoted cell spans lines 2 and 3, so the x is on line 4;
+            # counting records cited line 3
+            ('a,b\n"1\n",2\n3,x\n', ":4: non-numeric value 'x' in column 'b'"),
+            # an error inside a record cites the line the record ends on
+            ('a,b\n"1\n",x\n', ":3: non-numeric value 'x' in column 'b'"),
+            ("a,b\n\n1,2\n\n3\n", ":5: expected 2 fields, got 1"),
+        ],
+    )
+    def test_errors_cite_physical_lines(self, tmp_path, text, message):
+        path = make_csv(tmp_path, text)
+        with pytest.raises(ValueError) as err:
+            read_csv(path)
+        assert str(err.value) == f"{path}{message}"
+
+
+def per_cell_read_csv(path, date_column=None):
+    """Cell-by-cell reference for ``read_csv``: same conventions, same messages."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise EmptyDataError(f"{path}: file is empty") from None
+        repeated = sorted({h for h in header if header.count(h) > 1})
+        if repeated:
+            raise ValueError(f"{path}: repeated column name {repeated[0]!r} in header")
+        date_idx = None
+        if date_column is not None:
+            if date_column not in header:
+                raise ValueError(f"{path}: date column {date_column!r} not in header {header}")
+            date_idx = header.index(date_column)
+        value_idx = [k for k in range(len(header)) if k != date_idx]
+        if len(value_idx) < 2:
+            raise ValueError(f"{path}: need at least 2 numeric columns, found {len(value_idx)}")
+        rows, dates, n_dropped = [], [], 0
+        for record in reader:
+            ln = reader.line_num
+            if not record:
+                n_dropped += 1
+                continue
+            if len(record) != len(header):
+                raise ValueError(f"{path}:{ln}: expected {len(header)} fields, got {len(record)}")
+            if any(cell.strip() == "" for cell in record):
+                n_dropped += 1
+                continue
+            values = []
+            for k in value_idx:
+                cell = record[k].strip()
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}:{ln}: non-numeric value {cell!r} in column {header[k]!r}"
+                    ) from None
+                if not math.isfinite(value):
+                    raise ValueError(
+                        f"{path}:{ln}: non-finite value {cell!r} in column {header[k]!r}"
+                    )
+                values.append(value)
+            if date_idx is not None:
+                cell = record[date_idx].strip()
+                try:
+                    dates.append(datetime.date.fromisoformat(cell))
+                except ValueError:
+                    raise ValueError(f"{path}:{ln}: bad ISO date {cell!r}") from None
+            rows.append(values)
+    if not rows:
+        raise EmptyDataError(f"{path}: no data rows (dropped {n_dropped})")
+    return Dataset(
+        columns=[header[k] for k in value_idx],
+        rows=np.asarray(rows, dtype=float),
+        dates=dates if date_idx is not None else None,
+        n_dropped=n_dropped,
+    )
+
+
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["1_000", " 2.5 ", "\xa03\xa0", "\x1c4\x1f", "-0.0", "5\n", "1e308"]),
+)
+_ODD_CELLS = st.sampled_from(["", " ", "nan", "-inf", "x", "1e999", "2020-02-07"])
+_DATES = st.sampled_from(["2020-02-07", " 2021-12-31 ", "2020-13-01", "", "x", "1.5"])
+
+
+@st.composite
+def csv_files(draw):
+    """Header, records and date column of a small CSV; ``noise`` in 10 cells are odd."""
+    names = ["a", "b", "c"][: draw(st.integers(2, 3))]
+    date_at = draw(st.one_of(st.none(), st.integers(0, len(names))))
+    header = list(names)
+    if date_at is not None:
+        header.insert(date_at, "day")
+    noise = draw(st.integers(0, 3))
+
+    def cell(good, odd):
+        return draw(odd if draw(st.integers(0, 9)) < noise else good)
+
+    records = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = cell(st.just("row"), st.sampled_from(["row", "empty", "ragged"]))
+        if kind == "empty":
+            records.append([])
+        elif kind == "ragged":
+            width = draw(st.integers(1, len(header) + 1))
+            records.append([cell(_NUMBERS, _ODD_CELLS) for _ in range(width)])
+        else:
+            records.append([cell(_NUMBERS, _ODD_CELLS) for _ in names])
+            if date_at is not None:
+                records[-1].insert(date_at, cell(st.just("2020-02-07"), _DATES))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(records)
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return bom + out.getvalue(), "day" if date_at is not None else None
+
+
+def _outcome(read, path, date_column):
+    try:
+        return read(path, date_column=date_column)
+    except ValueError as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(csv_files())
+def test_read_csv_agrees_with_per_cell_reader(tmp_path_factory, drawn):
+    text, date_column = drawn
+    path = tmp_path_factory.getbasetemp() / "property.csv"
+    path.write_text(text, encoding="utf-8")
+    got = _outcome(read_csv, path, date_column)
+    want = _outcome(per_cell_read_csv, path, date_column)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert isinstance(got, Dataset)
+    assert (got.columns, got.dates, got.n_dropped) == (want.columns, want.dates, want.n_dropped)
+    assert got.rows.shape == want.rows.shape and got.rows.dtype == want.rows.dtype
+    assert got.rows.tobytes() == want.rows.tobytes()
 
 
 class TestMovingAverage:

@@ -11,8 +11,13 @@ For each workload and each of its seeds (``--first-seed`` on), it runs
 the working tree; the side that goes first alternates from seed to seed.  One traced pair at the first seed follows.
 The ``environment`` line and the final JSON line of every run are written
 to ``BENCH_<short HEAD sha>.json`` at the root, in the order they ran,
-after each run.  The clone goes under ``$TMPDIR`` and is removed at the
-end.  Standard library only.
+after each run.  At the end, the record gains a ``summary`` of the claim
+rule for each workload and end-to-end metric of ``BENCHMARK.json``, which
+is also printed: the median and quartiles of each side's untraced runs,
+the pairs the change wins (ties count for neither side), and whether the
+rule holds: at least 10 pairs, wins in at least 9 of 10, and a median
+better by more than the parent's interquartile range.  The clone goes
+under ``$TMPDIR`` and is removed at the end.  Standard library only.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -44,9 +50,53 @@ def bench(tree: str, workload: str, seed: int, trace: int, seconds: float) -> di
             "environment": env[0], "result": json.loads(lines[-1])}
 
 
+def write_record(record: dict, out: str) -> None:
+    with open(out, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=1)
+        fh.write("\n")
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def summarize(runs: list[dict], metrics: list[dict]) -> list[dict]:
+    """The claim rule's numbers for each workload and end-to-end metric, from untraced pairs."""
+    out = []
+    for workload in dict.fromkeys(run["workload"] for run in runs):
+        for metric in metrics:
+            name, lower = metric["name"], metric["better"] == "lower"
+            sides: dict[int, dict[str, float]] = {}
+            for run in runs:
+                value = run["result"]["metrics"].get(name, {}).get("value")
+                if run["workload"] == workload and run["trace"] == 0 and value is not None:
+                    sides.setdefault(run["seed"], {})[run["side"]] = value
+            pairs = [(s["parent"], s["change"]) for s in sides.values() if len(s) == 2]
+            if not pairs:
+                continue
+            parent = quartiles([p for p, _ in pairs])
+            change = quartiles([c for _, c in pairs])
+            wins = sum(c < p if lower else c > p for p, c in pairs)
+            gain = parent[1] - change[1] if lower else change[1] - parent[1]
+            out.append({
+                "workload": workload, "metric": name, "better": metric["better"],
+                "pairs": len(pairs), "change_wins": wins,
+                "parent": dict(zip(("q1", "median", "q3"), parent)),
+                "change": dict(zip(("q1", "median", "q3"), change)),
+                "median_gain": gain, "parent_iqr": parent[2] - parent[0],
+                "claim_rule_met": (len(pairs) >= 10 and wins >= 0.9 * len(pairs)
+                                   and gain > parent[2] - parent[0]),
+            })
+    return out
+
+
 def main() -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        run_seconds = json.load(fh)["run_seconds"]
+        benchmark = json.load(fh)
+    run_seconds = benchmark["run_seconds"]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
     parser.add_argument("--first-seed", type=int, required=True)
@@ -83,11 +133,19 @@ def main() -> int:
                 for side in ("parent", "change")[:: 1 if k % 2 == 0 else -1]:
                     run = bench(trees[side], name, seed, trace, run_seconds)
                     record["runs"].append({"side": side, **run})
-                    with open(out, "w", encoding="utf-8") as fh:
-                        json.dump(record, fh, indent=1)
-                        fh.write("\n")
+                    write_record(record, out)
                     metric = run["result"]["metrics"].get("call_s", {}).get("value")
                     print(f"{name} seed {seed} trace {trace} {side}: call_s {metric}", flush=True)
+    record["summary"] = summarize(record["runs"], benchmark["end_to_end"])
+    write_record(record, out)
+    for row in record["summary"]:
+        p, c = row["parent"], row["change"]
+        print(f"{row['workload']} {row['metric']} ({row['better']} is better, {row['pairs']} pairs): "
+              f"parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}], "
+              f"change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]; "
+              f"change wins {row['change_wins']}/{row['pairs']}; median gain "
+              f"{row['median_gain']:.4g} against parent IQR {row['parent_iqr']:.4g}: claim rule "
+              f"{'met' if row['claim_rule_met'] else 'not met'}")
     print(f"wrote {out}")
     return 0
 
