@@ -109,7 +109,8 @@ class TestReadCsv:
             ("a,b\n1,\n ,2\n", None, EmptyDataError, ": no data rows (dropped 2)"),
             ("a, a ,b\n1,2,3\n", None, ValueError, ": repeated column name 'a' in header"),
             ("a,b\n1,2\n", "date", ValueError, ": date column 'date' not in header ['a', 'b']"),
-            ("date,a\n2020-02-07,1\n", "date", ValueError, ": need at least 2 numeric columns, found 1"),
+            ("date,a\n2020-02-07,1\n", "date", ValueError,
+             ": need at least 2 numeric columns, found 1"),
             ("a,b\n1,2\n3,4,5\n", None, ValueError, ":3: expected 2 fields, got 3"),
             ("a,b\n1,2\n x ,4\n", None, ValueError, ":3: non-numeric value 'x' in column 'a'"),
             ("a,b\n1,2\n3, -inf \n", None, ValueError, ":3: non-finite value '-inf' in column 'b'"),

@@ -140,7 +140,8 @@ def main() -> int:
     write_record(record, out)
     for row in record["summary"]:
         p, c = row["parent"], row["change"]
-        print(f"{row['workload']} {row['metric']} ({row['better']} is better, {row['pairs']} pairs): "
+        print(f"{row['workload']} {row['metric']} "
+              f"({row['better']} is better, {row['pairs']} pairs): "
               f"parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}], "
               f"change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]; "
               f"change wins {row['change_wins']}/{row['pairs']}; median gain "
