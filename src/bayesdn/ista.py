@@ -16,6 +16,11 @@ forms one such product; the gradient at the momentum point is the same
 combination of the carried gradients as the point itself.  A solve has
 converged when the L1 KKT residual of its accepted iterate, the largest
 violation of the subgradient optimality conditions, is at most ``tol``.
+Each accepted step first screens the one entry that was worst at the
+last full KKT pass, and makes a full pass only when that entry is within
+``tol``.  The screen and the in-place arithmetic of the iteration repeat
+the operations of the plain loop on the same operands, so every result
+is the same to the bit.
 """
 
 from __future__ import annotations
@@ -118,10 +123,41 @@ def _shrink(x, t):
     return x - np.minimum(np.maximum(x, -t), t)
 
 
+def _kkt_violation(delta, grad, lam):
+    """Each entry's violation of ``0 in grad + lam * d|delta|_1``."""
+    return np.where(delta != 0, np.abs(grad + lam * np.sign(delta)), np.abs(grad) - lam)
+
+
 def _kkt_residual(delta, grad, lam):
     """Largest violation of ``0 in grad + lam * d|delta|_1``, entrywise."""
-    viol = np.where(delta != 0, np.abs(grad + lam * np.sign(delta)), np.abs(grad) - lam)
-    return max(float(viol.max()), 0.0)
+    return max(float(_kkt_violation(delta, grad, lam).max()), 0.0)
+
+
+def _entry_violation(d: float, g: float, lam: float) -> float:
+    """One entry of :func:`_kkt_violation`, in Python floats, bit for bit.
+
+    ``lam * sign(d)`` is ``lam`` or ``-lam`` exactly, and adding ``-lam``
+    is subtracting ``lam``, so these are the vectorized IEEE operations.
+    """
+    if d != 0:
+        return abs(g + lam) if d > 0 else abs(g - lam)
+    return abs(g) - lam
+
+
+def _kkt_within(delta, grad, lam, tol, worst):
+    """``_kkt_residual(delta, grad, lam) <= tol``, and the index to screen next.
+
+    The flat entry ``worst`` is screened first: the residual is a maximum,
+    so if that entry's violation exceeds ``tol`` the answer is no, and
+    ``worst`` is kept.  Otherwise the full pass decides and returns the
+    index of its largest violation.  ``tol`` is positive, so the residual's
+    floor at 0 cannot change the answer.
+    """
+    if _entry_violation(delta.item(worst), grad.item(worst), lam) > tol:
+        return False, worst
+    viol = _kkt_violation(delta, grad, lam)
+    worst = int(viol.argmax())
+    return viol.item(worst) <= tol, worst
 
 
 def ista_solve(
@@ -143,6 +179,14 @@ def ista_solve(
     there.  The solve converges once the L1 KKT residual of the accepted
     iterate is at most ``cfg.tol``; a result with ``converged=False``
     carries the last accepted iterate.
+
+    The residual is checked by screening first: the violation of the entry
+    that was largest at the last full pass, computed in Python floats by
+    the same IEEE operations, rules out convergence when it exceeds
+    ``cfg.tol``, and only otherwise is the full residual formed.  The steps
+    are formed in work arrays, each operation on its usual operands, so the
+    result is bit for bit that of one new array per operation.  ``start``
+    is never written, nor is any array a result returns.
     """
     if lam <= 0:
         raise ValueError("lam must be > 0")
@@ -166,33 +210,56 @@ def ista_solve(
     g = 0.5 * (m + m.T) - c
     abs_x = np.abs(x)
     history = [0.5 * float(np.vdot(x, g - c)) + lam * float(abs_x.sum())]
-    converged = _kkt_residual(x, g, lam) <= cfg.tol
+    converged, worst = _kkt_within(x, g, lam, cfg.tol, 0)
     # y is the momentum point, gy its gradient; momentum is FISTA's t_k
     y, gy, momentum = x, g, 1.0
+    # Work arrays, written in place.  Each trial point z is a new array, so
+    # start, x, x_prev and a returned delta are never written; z_grad and
+    # abs_z trade buffers with the accepted g and abs_x.
+    w, clip, sz, m, move, tmp, y_buf, gy_buf, z_grad, abs_z = (
+        np.empty_like(s1) for _ in range(10)
+    )
     it = 0
     while not converged and it < cfg.max_iters:
         it += 1
-        z = _shrink(y - step * gy, thr)
-        m = s1 @ z @ s2
-        z_grad = 0.5 * (m + m.T) - c
-        move = z - x
-        abs_z = np.abs(z)
+        # z = _shrink(y - step * gy, thr)
+        np.multiply(gy, step, out=w)
+        np.subtract(y, w, out=w)
+        np.maximum(w, -thr, out=clip)
+        np.minimum(clip, thr, out=clip)
+        z = w - clip
+        np.matmul(s1, z, out=sz)
+        np.matmul(sz, s2, out=m)
+        np.add(m, m.T, out=z_grad)
+        z_grad *= 0.5
+        z_grad -= c
+        np.subtract(z, x, out=move)
+        np.abs(z, out=abs_z)
         # the objective's change, exact for a quadratic loss and summed
         # from small terms, so it keeps its sign near the optimum
-        change = 0.5 * float(np.vdot(move, z_grad + g)) + lam * float((abs_z - abs_x).sum())
-        if change <= 0 and move.any():
-            restart = float(np.vdot(y - z, move)) > 0
+        np.add(z_grad, g, out=tmp)
+        change = 0.5 * float(np.vdot(move, tmp))
+        np.subtract(abs_z, abs_x, out=tmp)
+        change += lam * float(np.add.reduce(tmp, None))
+        if change <= 0 and np.count_nonzero(move):
+            np.subtract(y, z, out=tmp)
+            restart = float(np.vdot(tmp, move)) > 0
             x_prev, g_prev = x, g
-            x, g, abs_x = z, z_grad, abs_z
-            converged = _kkt_residual(x, g, lam) <= cfg.tol
+            x, g, abs_x, z_grad, abs_z = z, z_grad, abs_z, g, abs_x
+            converged, worst = _kkt_within(x, g, lam, cfg.tol, worst)
             if restart:
                 y, gy, momentum = x, g, 1.0
             else:
                 nxt = 0.5 * (1.0 + (1.0 + 4.0 * momentum * momentum) ** 0.5)
                 beta = (momentum - 1.0) / nxt
                 momentum = nxt
-                y = x + beta * (x - x_prev)
-                gy = g + beta * (g - g_prev)
+                # y = x + beta * (x - x_prev), gy likewise from g and g_prev
+                y = np.subtract(x, x_prev, out=y_buf)
+                y *= beta
+                np.add(x, y, out=y)
+                gy = np.subtract(g, g_prev, out=gy_buf)
+                gy *= beta
+                np.add(g, gy, out=gy)
             history.append(history[-1] + change)
         else:
             history.append(history[-1])

@@ -1,10 +1,19 @@
 import logging
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bayesdn.ista import (
     IstaConfig,
+    IstaResult,
+    _entry_violation,
+    _kkt_residual,
+    _kkt_violation,
+    _kkt_within,
+    _shrink,
     bic_select,
     default_penalty_grid,
     dnet_gradient,
@@ -155,13 +164,18 @@ class TestSolver:
         np.testing.assert_array_equal(again.delta, res.delta)
 
 
-def star_pair_covariances():
-    """The p = 30 star pair at n = 200, where cold-started plain ISTA
-    left 8 of the 20 default penalties at ``max_iters``."""
-    pair = make_structure(StructureSpec("star", 30, seed=1))
+def pair_covariances(kind, p):
+    """Sample covariances of a structure pair at n = 200."""
+    pair = make_structure(StructureSpec(kind, p, seed=1))
     x1 = sample_gaussian(pair.theta1, 200, seed=101)
     x2 = sample_gaussian(pair.theta2, 200, seed=201)
     return mirror_lower(x1.T @ x1 / 200), mirror_lower(x2.T @ x2 / 200)
+
+
+def star_pair_covariances():
+    """The p = 30 star pair at n = 200, where cold-started plain ISTA
+    left 8 of the 20 default penalties at ``max_iters``."""
+    return pair_covariances("star", 30)
 
 
 class TestPath:
@@ -264,3 +278,200 @@ class TestEstimator:
         assert adj.dtype == bool and not adj.diagonal().any()
         assert path.bics.size == path.lambdas.size
         assert path.bics[path.selected] == path.bics.min()
+
+
+def reference_ista_solve(s1, s2, lam, cfg=IstaConfig(), start=None):
+    """The FISTA loop as first written, one new array per operation and a
+    full KKT pass per accepted step: the reference ``ista_solve`` must
+    match bit for bit."""
+
+    def kkt(delta, grad):
+        viol = np.where(delta != 0, np.abs(grad + lam * np.sign(delta)), np.abs(grad) - lam)
+        return max(float(viol.max()), 0.0)
+
+    step = 1.0 / float(np.linalg.eigvalsh(s1)[-1] * np.linalg.eigvalsh(s2)[-1])
+    thr = lam * step
+    c = s1 - s2
+    x = np.zeros_like(s1) if start is None else start
+    m = s1 @ x @ s2
+    g = 0.5 * (m + m.T) - c
+    abs_x = np.abs(x)
+    history = [0.5 * float(np.vdot(x, g - c)) + lam * float(abs_x.sum())]
+    converged = kkt(x, g) <= cfg.tol
+    y, gy, momentum = x, g, 1.0
+    it = 0
+    while not converged and it < cfg.max_iters:
+        it += 1
+        z = _shrink(y - step * gy, thr)
+        m = s1 @ z @ s2
+        z_grad = 0.5 * (m + m.T) - c
+        move = z - x
+        abs_z = np.abs(z)
+        change = 0.5 * float(np.vdot(move, z_grad + g)) + lam * float((abs_z - abs_x).sum())
+        if change <= 0 and move.any():
+            restart = float(np.vdot(y - z, move)) > 0
+            x_prev, g_prev = x, g
+            x, g, abs_x = z, z_grad, abs_z
+            converged = kkt(x, g) <= cfg.tol
+            if restart:
+                y, gy, momentum = x, g, 1.0
+            else:
+                nxt = 0.5 * (1.0 + (1.0 + 4.0 * momentum * momentum) ** 0.5)
+                beta = (momentum - 1.0) / nxt
+                momentum = nxt
+                y = x + beta * (x - x_prev)
+                gy = g + beta * (g - g_prev)
+            history.append(history[-1] + change)
+        else:
+            history.append(history[-1])
+            if y is x:
+                break
+            y, gy, momentum = x, g, 1.0
+    loss = 0.5 * float(np.vdot(x, g - c))
+    return IstaResult(
+        delta=x,
+        objective=loss + lam * float(abs_x.sum()),
+        loss=loss,
+        iterations=it,
+        converged=converged,
+        objective_history=np.asarray(history),
+    )
+
+
+def bits(value):
+    return struct.pack("<d", value)
+
+
+def assert_same_result(got, want):
+    assert got.delta.dtype == want.delta.dtype and got.delta.shape == want.delta.shape
+    assert got.delta.tobytes() == want.delta.tobytes()
+    assert got.iterations == want.iterations
+    assert got.converged == want.converged
+    assert bits(got.objective) == bits(want.objective)
+    assert bits(got.loss) == bits(want.loss)
+    assert got.objective_history.tobytes() == want.objective_history.tobytes()
+
+
+def assert_pinned(s1, s2, lam, cfg=IstaConfig(), start=None):
+    """``ista_solve`` matches the reference loop and leaves ``start`` as it was."""
+    before = None if start is None else start.copy()
+    got = ista_solve(s1, s2, lam, cfg, start)
+    if start is not None:
+        assert start.tobytes() == before.tobytes()
+    assert_same_result(got, reference_ista_solve(s1, s2, lam, cfg, start))
+    return got
+
+
+class TestPinnedLoop:
+    @pytest.mark.parametrize("p", [2, 5, 10, 30])
+    def test_random_pairs(self, p):
+        rng = np.random.default_rng(100 + p)
+        for _ in range(3):
+            s1, s2 = random_pd(p, rng), random_pd(p, rng)
+            scale = float(np.abs(s1 - s2).max())
+            for frac in (0.01, 0.1, 0.5):
+                assert_pinned(s1, s2, frac * scale)
+
+    @pytest.mark.parametrize("kind,p", [("star", 10), ("ar2", 10), ("star", 30), ("ar2", 30)])
+    def test_warm_started_paths(self, kind, p):
+        s1, s2 = pair_covariances(kind, p)
+        path = solve_path(s1, s2, 200, 200)
+        start, done = None, []
+        for k in np.argsort(-path.lambdas, kind="stable"):
+            want = reference_ista_solve(s1, s2, float(path.lambdas[k]), start=start)
+            assert_same_result(path.results[k], want)
+            start = want.delta
+        # each solve starts from the last delta and writes into none before it
+        start = None
+        for lam in sorted(path.lambdas, reverse=True)[:8]:
+            res = assert_pinned(s1, s2, float(lam), start=start)
+            done.append((res.delta, res.delta.tobytes()))
+            start = res.delta
+        for delta, saved in done:
+            assert delta.tobytes() == saved
+
+    def test_iteration_caps_and_tight_tol(self):
+        s1, s2 = star_pair_covariances()
+        for cfg in (IstaConfig(max_iters=1), IstaConfig(max_iters=3), IstaConfig(tol=1e-12)):
+            for lam in (0.01, 0.05):
+                res = assert_pinned(s1, s2, lam, cfg)
+                assert res.iterations <= cfg.max_iters
+        capped = assert_pinned(s1, s2, 0.01, IstaConfig(max_iters=3))
+        assert assert_pinned(s1, s2, 0.01, IstaConfig(max_iters=3), start=capped.delta).iterations == 3
+
+    def test_start_at_solution(self):
+        rng = np.random.default_rng(13)
+        s1, s2 = random_pd(5, rng), random_pd(5, rng)
+        res = assert_pinned(s1, s2, 0.05)
+        assert assert_pinned(s1, s2, 0.05, start=res.delta).iterations == 0
+
+    def test_penalty_at_or_above_the_largest_difference(self):
+        rng = np.random.default_rng(16)
+        s1, s2 = random_pd(6, rng), random_pd(6, rng)
+        scale = float(np.abs(s1 - s2).max())
+        for lam in (scale, 2.0 * scale):
+            res = assert_pinned(s1, s2, lam)
+            assert res.iterations == 0 and not res.delta.any()
+            start = random_symmetric(6, rng)
+            assert assert_pinned(s1, s2, lam, start=start).converged
+
+    def test_stall_break(self):
+        cfg = IstaConfig(tol=1e-300, max_iters=100_000)
+        for seed in (15, 11):
+            rng = np.random.default_rng(seed)
+            s1, s2 = random_pd(5, rng), random_pd(5, rng)
+            res = assert_pinned(s1, s2, 0.05, cfg)
+            assert not res.converged and res.iterations < cfg.max_iters
+            assert_pinned(s1, s2, 0.05, cfg, start=res.delta)
+
+
+# entries that stress the sign and rounding of a violation
+special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-300, -1e-300, 1.0, -1.0,
+                           1e300, -1e300, 1.7e308, -1.7e308])
+entries = st.one_of(special, st.floats(allow_nan=False, allow_infinity=False))
+penalties = st.one_of(st.sampled_from([5e-324, 1e-300, 1.0, 1e300]),
+                      st.floats(min_value=5e-324, max_value=1e300))
+
+
+@st.composite
+def screened(draw):
+    p = draw(st.integers(1, 4))
+    delta = np.array(draw(st.lists(entries, min_size=p * p, max_size=p * p))).reshape(p, p)
+    grad = np.array(draw(st.lists(entries, min_size=p * p, max_size=p * p))).reshape(p, p)
+    lam = draw(penalties)
+    with np.errstate(over="ignore"):
+        viol = _kkt_violation(delta, grad, lam)
+    # the screened entry is sometimes the largest violation, and the
+    # tolerance sometimes exactly the residual, where > and >= part ways
+    if draw(st.booleans()):
+        worst = int(viol.argmax())
+    else:
+        worst = draw(st.integers(0, p * p - 1))
+    with np.errstate(over="ignore"):
+        residual = _kkt_residual(delta, grad, lam)
+    if residual > 0 and draw(st.booleans()):
+        tol = residual
+    else:
+        tol = draw(st.floats(min_value=5e-324, max_value=1e300))
+    return delta, grad, lam, tol, worst
+
+
+class TestKktScreen:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(entries, entries), min_size=1, max_size=8), penalties)
+    def test_entry_violation_is_the_vectorized_entry(self, pairs, lam):
+        delta = np.array([d for d, _ in pairs])
+        grad = np.array([g for _, g in pairs])
+        with np.errstate(over="ignore"):  # huge entries overflow, alike in both
+            viol = _kkt_violation(delta, grad, lam)
+        for k, (d, g) in enumerate(pairs):
+            assert bits(_entry_violation(d, g, lam)) == bits(float(viol[k]))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(screened())
+    def test_screen_decides_as_the_full_residual(self, case):
+        delta, grad, lam, tol, worst = case
+        with np.errstate(over="ignore"):
+            converged, nxt = _kkt_within(delta, grad, lam, tol, worst)
+            assert converged == (_kkt_residual(delta, grad, lam) <= tol)
+        assert 0 <= nxt < delta.size
