@@ -27,7 +27,6 @@ import hashlib
 import json
 import math
 import os
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
@@ -372,6 +371,21 @@ def _median(values: np.ndarray) -> float:
     return float(np.nanmedian(values))
 
 
+def _nanmedian_columns(a: np.ndarray) -> np.ndarray:
+    """``np.nanmedian(a, axis=0)`` for a 2-D float array, bit for bit, without its warning.
+
+    One sort along the rows puts each column's NaNs last; the median of
+    the ``k`` numbers before them is the mean of the middle two, or of the
+    middle one with itself, as numpy forms it.  An all-NaN column gives NaN.
+    """
+    ordered = np.sort(a, axis=0)
+    k = a.shape[0] - np.count_nonzero(np.isnan(a), axis=0)
+    hi = (k // 2)[None]
+    lo = np.where(k % 2 == 1, hi, hi - 1)
+    mid = np.take_along_axis(ordered, lo, 0)[0] + np.take_along_axis(ordered, hi, 0)[0]
+    return np.where(k > 0, mid / 2.0, np.nan)
+
+
 def _se_mad(values: np.ndarray) -> float:
     finite = values[~np.isnan(values)]
     if finite.size == 0:
@@ -467,10 +481,7 @@ def run_threshold_study(cfg: ExperimentConfig, threads: int = 1) -> list[StudyRe
         for rule in cfg.rules:
             sp = np.vstack([r[rule].sparsity_error for r in per_rep])
             mc = np.vstack([r[rule].mcc for r in per_rep])
-            with warnings.catch_warnings():
-                # an all-NA column's median is NA: "All-NaN slice encountered"
-                warnings.simplefilter("ignore", RuntimeWarning)
-                med_mc = np.nanmedian(mc, axis=0)
+            med_mc = _nanmedian_columns(mc)
             best_eta, best_mcc = best_threshold(grid, med_mc)
             rules[rule] = RuleStudy(
                 median_sparsity_error=np.median(sp, axis=0),

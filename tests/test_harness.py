@@ -1,5 +1,6 @@
 import datetime
 import json
+import warnings
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -208,6 +209,21 @@ class TestThresholdStudy:
         )
         studies = run_threshold_study(cfg)
         assert set(studies[0].rules) == {"mean", "ratio"}
+
+    def test_column_median_is_nanmedian(self):
+        rng = np.random.default_rng(44)
+        for _ in range(400):
+            rows, cols = int(rng.integers(1, 60)), int(rng.integers(1, 25))
+            a = rng.standard_normal((rows, cols))
+            a[rng.random((rows, cols)) < rng.random()] = np.nan
+            a[:, rng.random(cols) < 0.2] = np.nan
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN columns
+                want = np.nanmedian(a, axis=0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = harness._nanmedian_columns(a)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestConfigSerialization:
