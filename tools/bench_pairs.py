@@ -1,4 +1,4 @@
-"""Benchmark the working tree against a parent commit in alternating pairs.
+"""Benchmark HEAD against a parent commit in alternating pairs.
 
 Usage, from the root of a checkout whose change is committed::
 
@@ -7,8 +7,10 @@ Usage, from the root of a checkout whose change is committed::
 
 For each workload and each of its seeds (``--first-seed`` on), it runs
 ``python3 perfbench/run.py --trace 0`` for ``BENCHMARK.json``'s
-``run_seconds``, once on a temporary clone of ``--parent`` and once on
-the working tree; the side that goes first alternates from seed to seed.  One traced pair at the first seed follows.
+``run_seconds``, once on a temporary clone of ``--parent`` and once on a
+temporary clone of ``HEAD``, so both sides run from trees of the same
+layout; the side that goes first alternates from seed to seed.  One
+traced pair at the first seed follows.
 The ``environment`` line and the final JSON line of every run are written
 to ``BENCH_<short HEAD sha>.json`` at the root, in the order they ran,
 after each run.  At the end, the record gains a ``summary`` of the claim
@@ -16,8 +18,8 @@ rule for each workload and end-to-end metric of ``BENCHMARK.json``, which
 is also printed: the median and quartiles of each side's untraced runs,
 the pairs the change wins (ties count for neither side), and whether the
 rule holds: at least 10 pairs, wins in at least 9 of 10, and a median
-better by more than the parent's interquartile range.  The clone goes
-under ``$TMPDIR`` and is removed at the end.  Standard library only.
+better by more than the parent's interquartile range.  The clones go
+under ``$TMPDIR`` and are removed at the end.  Standard library only.
 """
 
 from __future__ import annotations
@@ -122,11 +124,12 @@ def main() -> int:
         "runs": [],
     }
     out = os.path.join(ROOT, f"BENCH_{change}.json")
-    with tempfile.TemporaryDirectory(prefix="bench_parent_") as tmp:
-        clone = os.path.join(tmp, "parent")
-        git("clone", "--quiet", "--no-checkout", ROOT, clone)
-        git("checkout", "--quiet", "--detach", parent, cwd=clone)
-        trees = {"parent": clone, "change": ROOT}
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        trees = {}
+        for side, rev in (("parent", parent), ("change", change)):
+            trees[side] = os.path.join(tmp, side)
+            git("clone", "--quiet", "--no-checkout", ROOT, trees[side])
+            git("checkout", "--quiet", "--detach", rev, cwd=trees[side])
         for name, n in pairs.items():
             jobs = [(args.first_seed + k, 0) for k in range(n)] + [(args.first_seed, 1)]
             for k, (seed, trace) in enumerate(jobs):
