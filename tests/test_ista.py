@@ -148,18 +148,18 @@ class TestSolver:
         for seed in (15, 11):
             rng = np.random.default_rng(seed)
             s1, s2 = random_pd(5, rng), random_pd(5, rng)
-            res = ista_solve(s1, s2, 0.05, cfg)
+            res = assert_pinned(s1, s2, 0.05, cfg)
             assert not res.converged and res.iterations < 10_000
             assert kkt_residual(res.delta, s1, s2, 0.05) <= 1e-10
             # restarted at that numerical fixed point, it stops at once
-            again = ista_solve(s1, s2, 0.05, cfg, start=res.delta)
+            again = assert_pinned(s1, s2, 0.05, cfg, start=res.delta)
             assert again.iterations <= 2
 
     def test_start_at_solution_takes_no_iteration(self):
         rng = np.random.default_rng(13)
         s1, s2 = random_pd(5, rng), random_pd(5, rng)
-        res = ista_solve(s1, s2, 0.05)
-        again = ista_solve(s1, s2, 0.05, start=res.delta)
+        res = assert_pinned(s1, s2, 0.05)
+        again = assert_pinned(s1, s2, 0.05, start=res.delta)
         assert again.converged and again.iterations == 0
         np.testing.assert_array_equal(again.delta, res.delta)
 
@@ -235,8 +235,6 @@ class TestSelection:
         s1, s2 = random_pd(3, rng), random_pd(3, rng)
         good = ista_solve(s1, s2, 0.3)
         # degrade: denser and lossier fake competitor
-        from bayesdn.ista import IstaResult
-
         worse = IstaResult(
             delta=np.ones((3, 3)),
             objective=good.objective + 5.0,
@@ -399,12 +397,6 @@ class TestPinnedLoop:
         capped = assert_pinned(s1, s2, 0.01, IstaConfig(max_iters=3))
         assert assert_pinned(s1, s2, 0.01, IstaConfig(max_iters=3), start=capped.delta).iterations == 3
 
-    def test_start_at_solution(self):
-        rng = np.random.default_rng(13)
-        s1, s2 = random_pd(5, rng), random_pd(5, rng)
-        res = assert_pinned(s1, s2, 0.05)
-        assert assert_pinned(s1, s2, 0.05, start=res.delta).iterations == 0
-
     def test_penalty_at_or_above_the_largest_difference(self):
         rng = np.random.default_rng(16)
         s1, s2 = random_pd(6, rng), random_pd(6, rng)
@@ -414,15 +406,6 @@ class TestPinnedLoop:
             assert res.iterations == 0 and not res.delta.any()
             start = random_symmetric(6, rng)
             assert assert_pinned(s1, s2, lam, start=start).converged
-
-    def test_stall_break(self):
-        cfg = IstaConfig(tol=1e-300, max_iters=100_000)
-        for seed in (15, 11):
-            rng = np.random.default_rng(seed)
-            s1, s2 = random_pd(5, rng), random_pd(5, rng)
-            res = assert_pinned(s1, s2, 0.05, cfg)
-            assert not res.converged and res.iterations < cfg.max_iters
-            assert_pinned(s1, s2, 0.05, cfg, start=res.delta)
 
 
 # entries that stress the sign and rounding of a violation
