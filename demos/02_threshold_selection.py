@@ -19,12 +19,9 @@ x2 = sample_gaussian(pair.theta2, n, seed=4)
 
 partials = tuple(posterior_partial_corr_mean(mirror_lower(x.T @ x), n) for x in (x1, x2))
 
-# the rule takes the whole grid and returns one graph per threshold
-report = threshold_sweep(
-    pair.true_adjacency,
-    lambda grid: dn_adjacency(partials, grid, mode="union"),
-    DEFAULT_GRID,
-)
+# one graph per threshold of the grid, scored in one pass
+graphs = dn_adjacency(partials, DEFAULT_GRID, mode="union")
+report = threshold_sweep(pair.true_adjacency, graphs, DEFAULT_GRID)
 
 print("eta    sparsity_error   mcc")
 for eta, err, mcc in zip(report.grid, report.sparsity_error, report.mcc):

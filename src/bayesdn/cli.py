@@ -195,8 +195,7 @@ def _cmd_sample(args) -> int:
     write_csv(
         os.path.join(args.out, "partial_correlation_mean.csv"), ds.columns, chain.partial_mean
     )
-    payload = {"csv": args.csv, "n": len(x), **asdict(cfg.gibbs), "master_seed": cfg.master_seed}
-    write_manifest(args.out, payload, [[cfg.master_seed]])
+    write_manifest(args.out, asdict(cfg), [[cfg.master_seed]], csv=args.csv, n=len(x))
     print(f"wrote posterior summaries for {len(ds.columns)} columns to {args.out}")
     return 0
 

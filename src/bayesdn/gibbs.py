@@ -250,9 +250,9 @@ _STACKED = ("theta", "sigma", "tau", "lam", "scatter_off", "col_scale")
 
 
 class _ChainFailure(Exception):
-    """Chain ``chain`` of a stack failed a check with ``error``."""
+    """Chain ``chain`` of a stack failed with ``error``."""
 
-    def __init__(self, chain: int, error: NotPositiveDefiniteError):
+    def __init__(self, chain: int, error: Exception):
         super().__init__(chain, error)
         self.chain, self.error = chain, error
 
@@ -466,11 +466,8 @@ def _update_stacked_column(stack: ChainStack, col: int) -> None:
 def _columns_alone(stack: ChainStack) -> None:
     """One sweep's column updates of a lone chain, through :func:`update_column`."""
     state = stack.states[0]
-    try:
-        for col, (z_col, gamma_col) in enumerate(zip(stack.z[0], stack.gamma[0].tolist())):
-            update_column(state, col, z_col, gamma_col)
-    except NotPositiveDefiniteError as err:
-        raise _ChainFailure(0, err) from err
+    for col, (z_col, gamma_col) in enumerate(zip(stack.z[0], stack.gamma[0].tolist())):
+        update_column(state, col, z_col, gamma_col)
 
 
 def _columns_stacked(stack: ChainStack) -> None:
@@ -508,8 +505,11 @@ def update_hyperparameters(stack: ChainStack) -> ChainStack:
     mu = lam_off / floored
     shape = lam_off**2
     delta = np.empty_like(mu)
-    for rng, delta_k, mu_k, shape_k in zip(stack.rngs, delta, mu, shape):
-        delta_k[...] = rng.wald(mu_k, shape_k)
+    for k, (rng, delta_k, mu_k, shape_k) in enumerate(zip(stack.rngs, delta, mu, shape)):
+        try:  # the shape lam**2 can underflow to 0, which wald refuses
+            delta_k[...] = rng.wald(mu_k, shape_k)
+        except ValueError as err:
+            raise _ChainFailure(k, err) from err
     # the transformation method can underflow to 0 at extreme mu; keep tau finite
     np.maximum(delta, _TINY, out=delta)
     tau_off = 1.0 / delta
@@ -542,8 +542,10 @@ def _sweeps(stack: ChainStack) -> Iterator[None]:
     0..p-1 (the lone-chain kernel for a stack of one, the stacked kernel
     otherwise), re-derives Sigma from Theta (checking that Theta is
     positive definite) and then updates the hyperparameters, so each
-    Generator is read for normals, gammas, then hyperparameters.  A failed
-    check names the chain's label and the sweep.
+    Generator is read for normals, gammas, then hyperparameters.  Any error
+    a chain raises names the chain's label and the sweep: a lost positive
+    definiteness as a ``NotPositiveDefiniteError``, anything else as a
+    ``RuntimeError``.
     """
     cfg = stack.config
     columns = _columns_alone if stack.k == 1 else _columns_stacked
@@ -553,10 +555,16 @@ def _sweeps(stack: ChainStack) -> Iterator[None]:
             columns(stack)
             stack.resync()
             update_hyperparameters(stack)
-        except _ChainFailure as failure:
-            err = failure.error
-            message = _named(stack.labels[failure.chain], f"sweep {sweep}: {err}")
-            raise NotPositiveDefiniteError(message, minor=err.minor) from err
+        except Exception as err:
+            # a stack's failures carry their chain's index; a lone chain is chain 0
+            if isinstance(err, _ChainFailure):
+                label, err = stack.labels[err.chain], err.error
+            else:
+                label = stack.labels[0] if stack.k == 1 else ""
+            message = _named(label, f"sweep {sweep}: {err}")
+            if isinstance(err, NotPositiveDefiniteError):
+                raise NotPositiveDefiniteError(message, minor=err.minor) from err
+            raise RuntimeError(message) from err
         if sweep >= cfg.burn_in:
             yield
 

@@ -40,7 +40,7 @@ from .diffnet import DN_MODES, bnet_network, bnet_requests, dn_adjacency, estima
 from .gibbs import GibbsConfig, run_chains, spawn_seeds
 from .ista import IstaConfig, estimate_dnet
 from .linalg import mirror_lower
-from .metrics import LossReport, Scores, classification_scores, confusion, loss_report
+from .metrics import LossReport, Scores, classification_scores, confusion, is_na, loss_report
 from .pipeline import (
     ColumnError,
     boxs_m_test,
@@ -107,6 +107,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_fields(self)
+        for name in ("structures", "dims", "estimators", "rules"):
+            if not getattr(self, name):
+                raise FieldError(name, "must be non-empty")
         if len(self.dims) != len(self.sample_sizes):
             raise ValueError("dims and sample_sizes must pair up")
         if len(set(self.dims)) != len(self.dims):
@@ -365,12 +368,6 @@ def _synthetic_score(item) -> dict:
     return out
 
 
-def _median(values: np.ndarray) -> float:
-    if np.all(np.isnan(values)):
-        return float("nan")
-    return float(np.nanmedian(values))
-
-
 def _nanmedian_columns(a: np.ndarray) -> np.ndarray:
     """``np.nanmedian(a, axis=0)`` for a 2-D float array, bit for bit, without its warning.
 
@@ -386,12 +383,12 @@ def _nanmedian_columns(a: np.ndarray) -> np.ndarray:
     return np.where(k > 0, mid / 2.0, np.nan)
 
 
-def _se_mad(values: np.ndarray) -> float:
+def _se_mad(values: np.ndarray, median: float) -> float:
+    """Scaled MAD over sqrt(count) of the finite ``values``, whose median is ``median``."""
     finite = values[~np.isnan(values)]
     if finite.size == 0:
         return float("nan")
-    med = np.median(finite)
-    mad = np.median(np.abs(finite - med))
+    mad = np.median(np.abs(finite - median))
     return float(1.4826 * mad / np.sqrt(finite.size))
 
 
@@ -423,15 +420,17 @@ def run_synthetic_experiment(cfg: ExperimentConfig, threads: int = 1) -> Results
     boot_rng = np.random.default_rng(
         np.random.SeedSequence(entropy=cfg.master_seed, spawn_key=(0xB007,))
     )
+    metrics = LossReport._fields + Scores._fields
     for structure, p, n, per_rep in _groups(cfg, results):
         for est in cfg.estimators:
-            for metric in LossReport._fields + Scores._fields:
-                values = np.array([r[est][metric] for r in per_rep], dtype=float)
+            # replications x metrics, and every metric's median from one sort
+            table = np.array([[r[est][m] for m in metrics] for r in per_rep], dtype=float)
+            for metric, values, median in zip(metrics, table.T, _nanmedian_columns(table)):
                 entries[(structure, p, est, metric)] = {
                     "n": n,
                     "values": values,
-                    "median": _median(values),
-                    "se_mad": _se_mad(values),
+                    "median": float(median),
+                    "se_mad": _se_mad(values, median),
                     "se_boot": _se_boot(values, boot_rng),
                 }
     return ResultsTable(entries=entries)
@@ -453,14 +452,12 @@ def _study_score(item) -> dict[str, ThresholdReport]:
     reports: dict[str, ThresholdReport] = {}
     if "mean" in cfg.rules:
         eh = tuple(posterior_partial_corr_mean(s, n, cfg.eps) for s in scatters)
-        reports["mean"] = threshold_sweep(
-            true_adjacency, lambda etas: dn_adjacency(eh, etas, cfg.dn_mode), grid
-        )
+        reports["mean"] = threshold_sweep(true_adjacency, dn_adjacency(eh, grid, cfg.dn_mode), grid)
     if "ratio" in cfg.rules:
         rho = tuple(chain.partial_mean for chain in chains)
         eg = tuple(posterior_partial_corr_mean(s, n, 1.0) for s in scatters)
         reports["ratio"] = threshold_sweep(
-            true_adjacency, lambda etas: dn_adjacency(rho, etas, cfg.dn_mode, eg), grid
+            true_adjacency, dn_adjacency(rho, grid, cfg.dn_mode, eg), grid
         )
     return reports
 
@@ -552,9 +549,11 @@ def run_real_analysis(cfg: RealAnalysisConfig, threads: int = 1) -> RealAnalysis
         network = estimate_bnet(
             t1, t2, cfg.gibbs, cfg.master_seed, cfg.eta, mode=cfg.dn_mode, eps=cfg.eps, mapper=run
         )
-    cov1 = mirror_lower((t1 - t1.mean(axis=0)).T @ (t1 - t1.mean(axis=0)) / (t1.shape[0] - 1))
-    cov2 = mirror_lower((t2 - t2.mean(axis=0)).T @ (t2 - t2.mean(axis=0)) / (t2.shape[0] - 1))
-    stat, pval = boxs_m_test(cov1, t1.shape[0], cov2, t2.shape[0])
+    # each factor is its own centred copy: c.T @ c on one buffer would go to
+    # BLAS syrk, whose rounding differs from the gemm these covariances take
+    means = (t.mean(axis=0) for t in groups)
+    cov1, cov2 = (mirror_lower((t - m).T @ (t - m) / (len(t) - 1)) for t, m in zip(groups, means))
+    stat, pval = boxs_m_test(cov1, len(t1), cov2, len(t2))
     return RealAnalysisResult(
         columns=columns,
         group_names=names,
@@ -585,15 +584,18 @@ def _dump_json(payload, path) -> None:
 
 
 def _fmt(x: float) -> str:
-    return "NA" if isinstance(x, float) and np.isnan(x) else repr(float(x))
+    return "NA" if is_na(x) else repr(float(x))
 
 
-def write_manifest(outdir: str, config_dict: dict, seeds: list[list[int]]) -> str:
-    """Write manifest.json with a canonical config hash and derived seeds."""
+def write_manifest(outdir: str, config_dict: dict, seeds: list[list[int]], **inputs) -> str:
+    """Write manifest.json: the config, its canonical hash, the derived seeds and any ``inputs``.
+
+    ``config_dict`` is the run config's ``asdict``, which ``--config`` reads back.
+    """
     canon = json.dumps(config_dict, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(canon.encode("utf-8")).hexdigest()
     path = os.path.join(outdir, "manifest.json")
-    _dump_json({"config": config_dict, "config_hash": digest, "seeds": seeds}, path)
+    _dump_json({"config": config_dict, "config_hash": digest, "seeds": seeds, **inputs}, path)
     return digest
 
 
@@ -631,9 +633,9 @@ def emit_study(studies: list[StudyResult], cfg: ExperimentConfig, outdir: str) -
         for rule, rs in st.rules.items():
             rules[rule] = {
                 "median_sparsity_error": [float(x) for x in rs.median_sparsity_error],
-                "median_mcc": [None if np.isnan(x) else float(x) for x in rs.median_mcc],
+                "median_mcc": [None if is_na(x) else float(x) for x in rs.median_mcc],
                 "best_eta": rs.best_eta,
-                "best_mcc": None if np.isnan(rs.best_mcc) else rs.best_mcc,
+                "best_mcc": None if is_na(rs.best_mcc) else rs.best_mcc,
                 "per_rep_best_eta": rs.per_rep_best_eta,
             }
         payload.append(

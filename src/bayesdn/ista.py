@@ -39,9 +39,7 @@ __all__ = [
     "IstaConfig",
     "IstaResult",
     "SolutionPath",
-    "dnet_loss",
     "dnet_gradient",
-    "soft_threshold",
     "ista_solve",
     "default_penalty_grid",
     "solve_path",
@@ -94,33 +92,12 @@ class SolutionPath:
         return self.results[self.selected].delta
 
 
-def dnet_loss(delta: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> float:
-    """Convex two-sample loss ``0.5 tr(D' S1 D S2) - tr(D (S1 - S2))``."""
-    if delta.shape != s1.shape or s1.shape != s2.shape:
-        raise ValueError("dimension mismatch")
-    quad = 0.5 * float(np.trace(delta.T @ s1 @ delta @ s2))
-    lin = float(np.trace(delta @ (s1 - s2)))
-    return quad - lin
-
-
 def dnet_gradient(delta: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
     """Gradient over symmetric matrices: ``0.5 (S1 D S2 + S2 D S1) - (S1 - S2)``."""
     if delta.shape != s1.shape or s1.shape != s2.shape:
         raise ValueError("dimension mismatch")
     m = s1 @ delta @ s2
     return 0.5 * (m + m.T) - (s1 - s2)
-
-
-def soft_threshold(x, t):
-    """Shrink toward zero: ``sign(x) * max(|x| - t, 0)``; works elementwise."""
-    if np.any(np.asarray(t) < 0):
-        raise ValueError("threshold must be >= 0")
-    return _shrink(x, t)
-
-
-def _shrink(x, t):
-    # x minus its clip to [-t, t]: exactly sign(x) * max(|x| - t, 0)
-    return x - np.minimum(np.maximum(x, -t), t)
 
 
 def _kkt_violation(delta, grad, lam):
@@ -204,10 +181,11 @@ def ista_solve(
     step = 1.0 / lipschitz
     thr = lam * step
     c = s1 - s2
-    # x is the accepted iterate, g its gradient sym(S1 x S2) - c
+    # x is the accepted iterate, g its gradient sym(S1 x S2) - c; the loop
+    # forms each trial point's gradient by dnet_gradient's operations, in
+    # place.  The loss 0.5 tr(x S1 x S2) - tr(x c) is 0.5 <x, g - c>.
     x = np.zeros_like(s1) if start is None else start
-    m = s1 @ x @ s2
-    g = 0.5 * (m + m.T) - c
+    g = dnet_gradient(x, s1, s2)
     abs_x = np.abs(x)
     history = [0.5 * float(np.vdot(x, g - c)) + lam * float(abs_x.sum())]
     converged, worst = _kkt_within(x, g, lam, cfg.tol, 0)
@@ -222,7 +200,8 @@ def ista_solve(
     it = 0
     while not converged and it < cfg.max_iters:
         it += 1
-        # z = _shrink(y - step * gy, thr)
+        # z = w - clip(w, -thr, thr) for w = y - step * gy: exactly
+        # sign(w) * max(|w| - thr, 0), the L1 prox step
         np.multiply(gy, step, out=w)
         np.subtract(y, w, out=w)
         np.maximum(w, -thr, out=clip)

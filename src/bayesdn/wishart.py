@@ -15,7 +15,7 @@ truth in one pass over the stack of their graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import gammaln, hyp2f1
@@ -118,14 +118,11 @@ def _partial_corr_mean(nu: float, psi: np.ndarray) -> np.ndarray:
 
 
 def threshold_sweep(
-    truth: np.ndarray,
-    rule: Callable[[np.ndarray], np.ndarray],
-    grid: Sequence[float] | np.ndarray = DEFAULT_GRID,
+    truth: np.ndarray, graphs: np.ndarray, grid: Sequence[float] | np.ndarray
 ) -> ThresholdReport:
-    """Score a thresholding rule against a known adjacency over a grid.
+    """Score a ``(G, p, p)`` stack of graphs, one per threshold of ``grid``, against a truth.
 
-    ``rule(grid)`` must return the ``(G, p, p)`` stack of estimated
-    adjacencies, one per threshold, as ``dn_adjacency`` does for a grid.
+    ``graphs`` is what ``dn_adjacency`` returns for the whole grid.
     Sparsity error is the absolute difference in edge counts; the best
     threshold maximizes MCC, ties broken toward the smallest eta.  NA MCCs
     never win.
@@ -137,12 +134,12 @@ def threshold_sweep(
         raise ValueError("grid must be strictly increasing")
     truth = np.asarray(truth, dtype=bool)
     true_edges = confusion(truth, truth).tp
-    est = np.asarray(rule(grid), dtype=bool)
-    if est.shape != (grid.size, *truth.shape):
+    graphs = np.asarray(graphs, dtype=bool)
+    if graphs.shape != (grid.size, *truth.shape):
         raise ValueError(
-            f"rule(grid) must return a {(grid.size, *truth.shape)} stack, got shape {est.shape}"
+            f"graphs must be a {(grid.size, *truth.shape)} stack, got shape {graphs.shape}"
         )
-    counts = confusion(est, truth)
+    counts = confusion(graphs, truth)
     sparsity = np.array([abs(c.tp + c.fp - true_edges) for c in counts], dtype=float)
     mcc = np.array([classification_scores(c).mcc for c in counts], dtype=float)
     best_eta, best_mcc = best_threshold(grid, mcc)

@@ -3,7 +3,7 @@
 Everything here recomputes expected values by routes disjoint from the
 library code under test: tensor quadrature for the 2x2 posterior,
 characteristic-polynomial root finding for eigenvalues, plain loops for
-matrix norms, scipy's checked Cholesky wrappers for the inverse of a
+matrix norms, the trace formula for the D-trace loss, scipy's checked Cholesky wrappers for the inverse of a
 positive-definite matrix, a Gibbs column update that factorizes and
 inverts the Theta block instead of reading the sampler's carried
 inverse, and Bartlett draws for the exact Wishart partial-correlation
@@ -18,6 +18,11 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 def random_symmetric(p, rng, scale=1.0):
     a = rng.standard_normal((p, p)) * scale
     return np.tril(a) + np.tril(a, -1).T
+
+
+def dtrace_loss(delta, s1, s2):
+    """The D-trace loss ``0.5 tr(D' S1 D S2) - tr(D (S1 - S2))`` by its trace formula."""
+    return 0.5 * float(np.trace(delta.T @ s1 @ delta @ s2)) - float(np.trace(delta @ (s1 - s2)))
 
 
 def symmetric_fd_gradient(loss, delta, h=1e-6):

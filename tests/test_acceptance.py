@@ -35,7 +35,7 @@ from bayesdn.harness import (
     run_synthetic_experiment,
     run_threshold_study,
 )
-from bayesdn.ista import IstaConfig, dnet_gradient, dnet_loss, ista_solve
+from bayesdn.ista import IstaConfig, dnet_gradient, ista_solve
 from bayesdn.linalg import cholesky_pd, mirror_lower
 from bayesdn.metrics import ConfusionCounts, classification_scores, confusion, eigen_losses, is_na, matrix_losses
 from bayesdn.pipeline import boxs_m_test
@@ -44,6 +44,7 @@ from bayesdn.wishart import posterior_partial_corr_mean
 
 from helpers import (
     charpoly_eigenvalues,
+    dtrace_loss,
     l1_kkt_residual,
     quad_posterior_mean_2x2,
     random_pd,
@@ -278,7 +279,7 @@ def test_criterion_7_ista_correctness():
         mono_ok = mono_ok and bool(np.all(np.diff(res.objective_history) <= 1e-12))
         kkt_worst = max(kkt_worst, l1_kkt_residual(res.delta, dnet_gradient(res.delta, s1, s2), 0.05))
         delta = random_symmetric(p, rng)
-        fd = symmetric_fd_gradient(lambda d: dnet_loss(d, s1, s2), delta)
+        fd = symmetric_fd_gradient(lambda d: dtrace_loss(d, s1, s2), delta)
         fd_worst = max(fd_worst, float(np.abs(fd - dnet_gradient(delta, s1, s2)).max()))
     ok = mono_ok and kkt_worst <= 1e-4 and fd_worst <= 1e-5
     assert report(

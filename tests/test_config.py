@@ -115,6 +115,16 @@ class TestCliRefusesBeforeWork:
         assert rc == 2 and not out.exists()
         assert f"config error: {text}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, field",
+        [("synthetic", "structures"), ("sweep", "dims"), ("synthetic", "estimators"), ("sweep", "rules")],
+    )
+    def test_empty_run_list_refused(self, tmp_path, capsys, command, field):
+        # each used to exit 0 with an empty study, "[]" or a header-only results.csv
+        rc, out = _run(tmp_path, [command], {field: []})
+        assert rc == 2 and not out.exists()
+        assert f"config error: {field} must be non-empty" in capsys.readouterr().err
+
 
 def _labeled_csv(tmp_path):
     pair = make_structure(StructureSpec("cluster", 4))

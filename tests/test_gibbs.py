@@ -664,6 +664,20 @@ class TestStackedRoute:
             run_batch(requests)
         assert str(err.value) in alone
 
+    def test_failing_draw_of_a_stack_is_named(self):
+        # at s = 1e160 a penalty draw can underflow so far that lam**2 is 0,
+        # which Generator.wald refuses; the stack names the first chain to
+        # fail, and that chain alone fails at the same sweep with its own draws
+        requests = chain_requests(5, 4, GibbsConfig(s=1e160, burn_in=3, retained=3))
+        with pytest.raises(RuntimeError) as err:
+            run_batch(requests)
+        match = re.fullmatch(r"chain (\d): sweep (\d): scale <= 0", str(err.value))
+        assert match, str(err.value)
+        with pytest.raises(RuntimeError) as alone:
+            run_batch([requests[int(match[1])]])
+        assert str(alone.value) == str(err.value)
+        assert not isinstance(err.value, NotPositiveDefiniteError)
+
     @pytest.mark.parametrize("kernel", ["alone", "stacked"])
     def test_failing_resync_names_chain_and_sweep(self, monkeypatch, kernel):
         # a sweep re-derives the Sigma of each chain of its batch in chain

@@ -1,5 +1,6 @@
 import datetime
 import json
+import re
 import warnings
 from dataclasses import asdict, replace
 
@@ -152,30 +153,50 @@ class TestSyntheticExperiment:
         assert table.entries[("ar2", 6, "bnet", "mcc")]["median"] == 1.0
 
 
+def column_median(values):
+    """``_nanmedian_columns`` of one column, as ``run_synthetic_experiment`` takes it."""
+    return harness._nanmedian_columns(np.asarray(values)[:, None])[0]
+
+
 class TestAggregation:
     def test_median_matches_sort_oracle(self):
         rng = np.random.default_rng(0)
         values = rng.standard_normal(11)
         ordered = sorted(values)
-        assert harness._median(np.asarray(values)) == ordered[5]
+        assert column_median(values) == ordered[5]
         values = rng.standard_normal(8)
         ordered = sorted(values)
-        assert harness._median(np.asarray(values)) == pytest.approx(
-            0.5 * (ordered[3] + ordered[4])
-        )
+        assert column_median(values) == pytest.approx(0.5 * (ordered[3] + ordered[4]))
 
     def test_median_permutation_invariant(self):
         rng = np.random.default_rng(1)
         values = rng.standard_normal(9)
-        m = harness._median(values)
+        m = column_median(values)
         for _ in range(5):
             perm = rng.permutation(values)
-            assert harness._median(perm) == m
+            assert column_median(perm) == m
 
     def test_median_with_nas(self):
         vals = np.array([1.0, np.nan, 3.0])
-        assert harness._median(vals) == 2.0
-        assert np.isnan(harness._median(np.array([np.nan, np.nan])))
+        assert column_median(vals) == 2.0
+        assert np.isnan(column_median(np.array([np.nan, np.nan])))
+
+    def test_column_median_is_the_median_of_the_finite_values(self):
+        # the synthetic table's medians and se_mad's centre were np.median of
+        # each metric's finite values; one sort over the table gives the same bits
+        rng = np.random.default_rng(45)
+        for _ in range(2000):
+            values = rng.standard_normal(int(rng.integers(1, 60)))
+            values[rng.random(values.size) < rng.random()] = np.nan
+            finite = values[~np.isnan(values)]
+            got = column_median(values)
+            if finite.size == 0:
+                assert np.isnan(got) and np.isnan(harness._se_mad(values, got))
+                continue
+            want = np.median(finite)
+            assert got.tobytes() == want.tobytes()
+            mad = np.median(np.abs(finite - want))
+            assert harness._se_mad(values, got) == float(1.4826 * mad / np.sqrt(finite.size))
 
 
 class TestThresholdStudy:
@@ -753,10 +774,51 @@ class TestCli:
                    "--retained", "5", "--seed", "4", "--out", str(out)])
         assert rc == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        gibbs = manifest["config"]
+        gibbs = manifest["config"]["gibbs"]
         assert (gibbs["burn_in"], gibbs["retained"], gibbs["r"]) == (7, 5, 0.5)
-        assert gibbs["master_seed"] == 4 and manifest["seeds"] == [[4]]
+        assert manifest["config"]["master_seed"] == 4 and manifest["seeds"] == [[4]]
         assert "seed" not in gibbs
+        assert (manifest["csv"], manifest["n"]) == (str(csv_path), 30)
+
+    def test_sample_manifest_config_reproduces_the_run(self, tmp_path):
+        # its config used to flatten the gibbs fields, which --config refuses
+        from bayesdn.cli import main
+
+        csv_path = tmp_path / "x.csv"
+        write_csv(csv_path, ["a", "b", "c"], sample_gaussian(np.eye(3), 30, seed=1))
+        first, again = tmp_path / "o1", tmp_path / "o2"
+        assert main(["sample", "--csv", str(csv_path), "--burn-in", "6", "--retained", "9",
+                     "--seed", "5", "--out", str(first)]) == 0
+        cfg = tmp_path / "manifest_config.json"
+        cfg.write_text(json.dumps(json.loads((first / "manifest.json").read_text())["config"]))
+        assert main(["sample", "--csv", str(csv_path), "--config", str(cfg), "--out", str(again)]) == 0
+        for name in ("posterior_mean.csv", "manifest.json"):
+            assert (again / name).read_bytes() == (first / name).read_bytes()
+
+    @pytest.mark.parametrize("command", ["synthetic", "sweep", "sample"])
+    def test_failing_draw_names_chain_and_sweep(self, tmp_path, capsys, command):
+        # at s = 1e160 the penalty draws underflow, lam**2 reaches 0 and
+        # Generator.wald refuses it; synthetic exited 1 and sweep 2, naming
+        # no chain and no sweep
+        from bayesdn.cli import main
+
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"gibbs": {"s": 1e160, "burn_in": 2, "retained": 3},
+                                   **({"rules": ["ratio"]} if command == "sweep" else {})}))
+        if command == "sample":
+            csv_path = tmp_path / "x.csv"
+            write_csv(csv_path, ["a", "b", "c", "d", "e"], sample_gaussian(np.eye(5), 50, seed=1))
+            argv = ["sample", "--csv", str(csv_path)]
+            label = ""
+        else:
+            argv = [command, "--structures", "ar2", "--dims", "5", "--sizes", "50",
+                    "--replications", "1", "--seed", "0"]
+            argv += ["--estimators", "bnet"] if command == "synthetic" else []
+            label = r"ar2 p=5 replication 0 sample [12]: "
+        assert main([*argv, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.strip()
+        prefix = "synthetic experiment failed: " if command == "synthetic" else ""
+        assert re.fullmatch(rf"error: {prefix}{label}sweep [0-4]: scale <= 0", err), err
 
     def test_sample_refuses_unknown_top_level_keys(self, tmp_path, capsys):
         # sample used to read only the "gibbs" section and ignore every other key

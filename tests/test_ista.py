@@ -13,20 +13,17 @@ from bayesdn.ista import (
     _kkt_residual,
     _kkt_violation,
     _kkt_within,
-    _shrink,
     bic_select,
     default_penalty_grid,
     dnet_gradient,
-    dnet_loss,
     estimate_dnet,
     ista_solve,
-    soft_threshold,
     solve_path,
 )
 from bayesdn.structures import StructureSpec, make_structure, sample_gaussian
 from bayesdn.linalg import mirror_lower
 
-from helpers import l1_kkt_residual, random_pd, random_symmetric, symmetric_fd_gradient
+from helpers import dtrace_loss, l1_kkt_residual, random_pd, random_symmetric, symmetric_fd_gradient
 
 
 def brute_force_loss(delta, s1, s2):
@@ -49,9 +46,13 @@ def kkt_residual(delta, s1, s2, lam):
 
 
 class TestLoss:
-    def test_zero_delta(self):
+    """``IstaResult.loss`` is the solver's carried ``0.5 <D, G - C>``; these hold it to the loss."""
+
+    def test_zero_solution(self):
         rng = np.random.default_rng(0)
-        assert dnet_loss(np.zeros((3, 3)), random_pd(3, rng), random_pd(3, rng)) == 0.0
+        s1, s2 = random_pd(3, rng), random_pd(3, rng)
+        res = ista_solve(s1, s2, 10.0 * np.abs(s1 - s2).max())
+        assert not res.delta.any() and res.loss == 0.0
 
     def test_equal_samples_zero_is_stationary(self):
         rng = np.random.default_rng(1)
@@ -60,15 +61,20 @@ class TestLoss:
 
     def test_triple_loop_oracle(self):
         rng = np.random.default_rng(2)
-        s1, s2 = random_pd(4, rng), random_pd(4, rng)
-        delta = random_symmetric(4, rng)
-        assert dnet_loss(delta, s1, s2) == pytest.approx(
-            brute_force_loss(delta, s1, s2), abs=1e-12 * max(1, abs(brute_force_loss(delta, s1, s2)))
-        )
+        for _ in range(3):
+            s1, s2 = random_pd(4, rng), random_pd(4, rng)
+            start = random_symmetric(4, rng)
+            for cfg in (IstaConfig(max_iters=1), IstaConfig()):
+                res = ista_solve(s1, s2, 0.05, cfg, start)
+                # the triple loop also vouches for the trace formula used at p = 30
+                want = brute_force_loss(res.delta, s1, s2)
+                tol = 1e-12 * max(1, abs(want))
+                assert res.loss == pytest.approx(want, abs=tol)
+                assert dtrace_loss(res.delta, s1, s2) == pytest.approx(want, abs=tol)
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            dnet_loss(np.zeros((2, 2)), np.eye(3), np.eye(3))
+            dnet_gradient(np.zeros((2, 2)), np.eye(3), np.eye(3))
 
 
 class TestGradient:
@@ -86,19 +92,8 @@ class TestGradient:
         rng = np.random.default_rng(5)
         s1, s2 = random_pd(4, rng), random_pd(4, rng)
         delta = random_symmetric(4, rng)
-        fd = symmetric_fd_gradient(lambda d: dnet_loss(d, s1, s2), delta)
+        fd = symmetric_fd_gradient(lambda d: dtrace_loss(d, s1, s2), delta)
         assert np.abs(fd - dnet_gradient(delta, s1, s2)).max() <= 1e-5
-
-
-class TestSoftThreshold:
-    def test_cases(self):
-        assert soft_threshold(1.5, 0.5) == 1.0
-        assert soft_threshold(-0.3, 0.5) == 0.0
-        assert soft_threshold(0.7, 0.0) == 0.7
-
-    def test_negative_threshold(self):
-        with pytest.raises(ValueError):
-            soft_threshold(1.0, -0.1)
 
 
 class TestSolver:
@@ -194,7 +189,7 @@ class TestPath:
         # rests on the accept rule, not on the step size
         s1, s2 = star_pair_covariances()
         for res in solve_path(s1, s2, 200, 200).results:
-            assert res.loss == pytest.approx(dnet_loss(res.delta, s1, s2), rel=1e-12)
+            assert res.loss == pytest.approx(dtrace_loss(res.delta, s1, s2), rel=1e-12)
             assert np.all(np.diff(res.objective_history) <= 0)
             np.testing.assert_array_equal(res.delta, res.delta.T)
 
@@ -300,7 +295,8 @@ def reference_ista_solve(s1, s2, lam, cfg=IstaConfig(), start=None):
     it = 0
     while not converged and it < cfg.max_iters:
         it += 1
-        z = _shrink(y - step * gy, thr)
+        w = y - step * gy
+        z = w - np.minimum(np.maximum(w, -thr), thr)
         m = s1 @ z @ s2
         z_grad = 0.5 * (m + m.T) - c
         move = z - x

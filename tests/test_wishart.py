@@ -307,9 +307,9 @@ class TestEdgeRules:
         assert min(hits.values()) > 50
 
 
-def stacked(rule):
-    """The grid form of a per-threshold rule: one layer per grid point."""
-    return lambda grid: np.stack([rule(float(eta)) for eta in grid])
+def stacked(rule, grid):
+    """A per-threshold rule's graphs over ``grid``: one layer per grid point."""
+    return np.stack([rule(float(eta)) for eta in grid])
 
 
 class TestSweep:
@@ -322,7 +322,7 @@ class TestSweep:
     def test_perfect_estimator(self):
         truth = np.zeros((5, 5), dtype=bool)
         truth[0, 1] = truth[1, 0] = truth[2, 3] = truth[3, 2] = True
-        report = threshold_sweep(truth, stacked(lambda eta: truth), DEFAULT_GRID)
+        report = threshold_sweep(truth, stacked(lambda eta: truth, DEFAULT_GRID), DEFAULT_GRID)
         assert report.best_mcc == 1.0
         np.testing.assert_array_equal(report.sparsity_error, np.zeros(21))
         assert report.best_eta == pytest.approx(0.2)  # smallest eta wins ties
@@ -337,7 +337,8 @@ class TestSweep:
             # defined (positive) MCC at low eta, NA (empty graph) above
             return partial if eta < 0.4 else np.zeros((4, 4), dtype=bool)
 
-        report = threshold_sweep(truth, stacked(rule), np.array([0.3, 0.5]))
+        grid = np.array([0.3, 0.5])
+        report = threshold_sweep(truth, stacked(rule, grid), grid)
         assert report.best_eta == 0.3
         assert not is_na(report.best_mcc)
 
@@ -345,7 +346,7 @@ class TestSweep:
         truth = np.zeros((4, 4), dtype=bool)
         truth[0, 1] = truth[1, 0] = True
         empty = np.zeros((4, 4), dtype=bool)
-        report = threshold_sweep(truth, stacked(lambda eta: empty), np.array([0.3, 0.5]))
+        report = threshold_sweep(truth, np.stack([empty, empty]), np.array([0.3, 0.5]))
         assert report.best_eta == 0.3
         assert is_na(report.best_mcc)
 
@@ -360,18 +361,18 @@ class TestSweep:
         truth = np.zeros((4, 4), dtype=bool)
         truth[0, 1] = truth[1, 0] = True
         est = np.zeros((4, 4), dtype=bool)
-        report = threshold_sweep(truth, stacked(lambda eta: est), np.array([0.2]))
+        report = threshold_sweep(truth, est[None], np.array([0.2]))
         assert report.sparsity_error[0] == 1.0
 
     def test_grid_validation(self):
         truth = np.zeros((3, 3), dtype=bool)
-        with pytest.raises(ValueError):
-            threshold_sweep(truth, stacked(lambda eta: truth), np.array([]))
-        with pytest.raises(ValueError):
-            threshold_sweep(truth, stacked(lambda eta: truth), np.array([0.3, 0.2]))
-        # a rule must return one layer per grid point
-        with pytest.raises(ValueError, match=r"rule\(grid\) must return a \(2, 3, 3\) stack"):
-            threshold_sweep(truth, lambda grid: truth, np.array([0.2, 0.3]))
+        with pytest.raises(ValueError, match="grid must be non-empty"):
+            threshold_sweep(truth, np.zeros((0, 3, 3), dtype=bool), np.array([]))
+        with pytest.raises(ValueError, match="grid must be strictly increasing"):
+            threshold_sweep(truth, np.stack([truth, truth]), np.array([0.3, 0.2]))
+        # one layer per grid point
+        with pytest.raises(ValueError, match=r"graphs must be a \(2, 3, 3\) stack"):
+            threshold_sweep(truth, truth, np.array([0.2, 0.3]))
 
 
 def reference_sweep(truth, partials, mode, reference, grid):
@@ -419,9 +420,7 @@ def sweep_cases(draw):
 @given(sweep_cases())
 def test_stacked_sweep_matches_the_per_threshold_loop(case):
     partials, reference, mode, truth, grid = case
-    report = threshold_sweep(
-        truth, lambda etas: dn_adjacency(partials, etas, mode, reference), grid
-    )
+    report = threshold_sweep(truth, dn_adjacency(partials, grid, mode, reference), grid)
     sparsity, mcc, best_eta, best_mcc = reference_sweep(truth, partials, mode, reference, grid)
     np.testing.assert_array_equal(report.grid, grid)
     np.testing.assert_array_equal(report.sparsity_error, sparsity)
