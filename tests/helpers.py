@@ -3,11 +3,11 @@
 Everything here recomputes expected values by routes disjoint from the
 library code under test: tensor quadrature for the 2x2 posterior,
 characteristic-polynomial root finding for eigenvalues, plain loops for
-matrix norms, the trace formula for the D-trace loss, scipy's checked Cholesky wrappers for the inverse of a
-positive-definite matrix, a Gibbs column update that factorizes and
-inverts the Theta block instead of reading the sampler's carried
-inverse, and Bartlett draws for the exact Wishart partial-correlation
-mean.
+matrix norms, the trace formula for the D-trace loss, scipy's checked
+Cholesky wrappers for the inverse of a positive-definite matrix, a Gibbs
+column update that factorizes and inverts the Theta block instead of
+reading the sampler's carried inverse, and Bartlett draws for the exact
+Wishart partial-correlation mean.
 """
 
 import numpy as np

@@ -117,7 +117,8 @@ class TestCliRefusesBeforeWork:
 
     @pytest.mark.parametrize(
         "command, field",
-        [("synthetic", "structures"), ("sweep", "dims"), ("synthetic", "estimators"), ("sweep", "rules")],
+        [("synthetic", "structures"), ("sweep", "dims"),
+         ("synthetic", "estimators"), ("sweep", "rules")],
     )
     def test_empty_run_list_refused(self, tmp_path, capsys, command, field):
         # each used to exit 0 with an empty study, "[]" or a header-only results.csv

@@ -791,7 +791,8 @@ class TestCli:
                      "--seed", "5", "--out", str(first)]) == 0
         cfg = tmp_path / "manifest_config.json"
         cfg.write_text(json.dumps(json.loads((first / "manifest.json").read_text())["config"]))
-        assert main(["sample", "--csv", str(csv_path), "--config", str(cfg), "--out", str(again)]) == 0
+        rc = main(["sample", "--csv", str(csv_path), "--config", str(cfg), "--out", str(again)])
+        assert rc == 0
         for name in ("posterior_mean.csv", "manifest.json"):
             assert (again / name).read_bytes() == (first / name).read_bytes()
 

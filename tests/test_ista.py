@@ -48,7 +48,7 @@ def kkt_residual(delta, s1, s2, lam):
 class TestLoss:
     """``IstaResult.loss`` is the solver's carried ``0.5 <D, G - C>``; these hold it to the loss."""
 
-    def test_zero_solution(self):
+    def test_zero_delta(self):
         rng = np.random.default_rng(0)
         s1, s2 = random_pd(3, rng), random_pd(3, rng)
         res = ista_solve(s1, s2, 10.0 * np.abs(s1 - s2).max())
