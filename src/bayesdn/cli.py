@@ -24,7 +24,7 @@ import sys
 from dataclasses import asdict, dataclass
 
 from .config import FieldError, bound, check_fields, decode
-from .gibbs import GibbsConfig, run_chain
+from .gibbs import ChainRequest, GibbsConfig, run_chains
 from .harness import (
     ExperimentConfig,
     RealAnalysisConfig,
@@ -189,13 +189,22 @@ def _cmd_sample(args) -> int:
             x = nonparanormal_transform(x)
         except ColumnError as err:
             raise ValueError(f"column {ds.columns[err.column]!r} {err.problem}") from None
-    chain = run_chain(mirror_lower(x.T @ x), x.shape[0], cfg.gibbs, cfg.master_seed)
+    request = ChainRequest(mirror_lower(x.T @ x), len(x), cfg.gibbs, cfg.master_seed)
+    (chain,) = run_chains([request])
     os.makedirs(args.out, exist_ok=True)
     write_csv(os.path.join(args.out, "posterior_mean.csv"), ds.columns, chain.theta_mean)
     write_csv(
         os.path.join(args.out, "partial_correlation_mean.csv"), ds.columns, chain.partial_mean
     )
-    write_manifest(args.out, asdict(cfg), [[cfg.master_seed]], csv=args.csv, n=len(x))
+    write_manifest(
+        args.out,
+        asdict(cfg),
+        [[cfg.master_seed]],
+        csv=args.csv,
+        date_column=args.date_column,
+        nonparanormal=args.nonparanormal,
+        n=len(x),
+    )
     print(f"wrote posterior summaries for {len(ds.columns)} columns to {args.out}")
     return 0
 

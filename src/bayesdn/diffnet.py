@@ -42,8 +42,6 @@ from .wishart import EPSILON, posterior_partial_corr_mean
 
 __all__ = [
     "DN_MODES",
-    "RATIO_FLOOR",
-    "DifferentialNetwork",
     "dn_adjacency",
     "bnet_requests",
     "bnet_network",

@@ -89,19 +89,14 @@ from .linalg import NotPositiveDefiniteError, invert_pd, partial_correlation, re
 
 __all__ = [
     "GibbsConfig",
-    "SamplerState",
-    "ChainStack",
     "ChainSummary",
     "ChainRequest",
     "spawn_seeds",
-    "initial_state",
     "update_column",
     "update_hyperparameters",
     "chain_draws",
-    "chain_batches",
     "run_batch",
     "run_chains",
-    "run_chain",
 ]
 
 # The size rule of run_chains (see chain_batches), read off the table of
@@ -182,7 +177,6 @@ class ChainSummary:
 
     theta_mean: np.ndarray
     partial_mean: np.ndarray | None
-    config: GibbsConfig
 
 
 @dataclass(frozen=True)
@@ -190,9 +184,9 @@ class ChainRequest:
     """One chain for :func:`run_chains`: its data, its settings, its seed and its label.
 
     With ``partials`` the chain also averages the partial correlations of
-    its draws (see :func:`run_chain`).  ``label`` names the chain in
-    error messages; the harness passes its structure, p, replication and
-    sample.
+    its draws; without, its ``partial_mean`` is None and its draws are the
+    same.  ``label`` names the chain in error messages; the harness passes
+    its structure, p, replication and sample.
     """
 
     scatter: np.ndarray
@@ -642,9 +636,8 @@ def run_batch(requests: Sequence[ChainRequest]) -> list[ChainSummary]:
         ChainSummary(
             theta_mean=theta_sum[k].copy(),
             partial_mean=partial_sum[k].copy() if partials else None,
-            config=req.config,
         )
-        for k, req in enumerate(requests)
+        for k in range(stack.k)
     ]
 
 
@@ -674,13 +667,3 @@ def run_chains(
             out[i] = summary
     return out
 
-
-def run_chain(
-    scatter: np.ndarray, n: int, config: GibbsConfig, seed: int = 0, partials: bool = True
-) -> ChainSummary:
-    """Run one chain from ``seed`` and average Theta over the retained draws.
-
-    With ``partials`` the partial correlations of each draw are averaged
-    too; without, ``partial_mean`` is None and the chain is the same.
-    """
-    return run_chains([ChainRequest(scatter, n, config, seed, partials)])[0]

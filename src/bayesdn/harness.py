@@ -62,16 +62,13 @@ from .wishart import (
 __all__ = [
     "ExperimentConfig",
     "RealAnalysisConfig",
-    "ResultsTable",
-    "StudyResult",
-    "RealAnalysisResult",
-    "task_seeds",
     "run_synthetic_experiment",
     "run_threshold_study",
     "run_real_analysis",
     "emit_results_table",
     "emit_study",
     "emit_real",
+    "write_manifest",
 ]
 
 _BOOTSTRAP_RESAMPLES = 200

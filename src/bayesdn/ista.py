@@ -37,13 +37,7 @@ log = logging.getLogger(__name__)
 
 __all__ = [
     "IstaConfig",
-    "IstaResult",
-    "SolutionPath",
-    "dnet_gradient",
     "ista_solve",
-    "default_penalty_grid",
-    "solve_path",
-    "bic_select",
     "estimate_dnet",
 ]
 

@@ -20,8 +20,6 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 
 __all__ = [
     "NotPositiveDefiniteError",
-    "PDFactor",
-    "PIVOT_RTOL",
     "mirror_lower",
     "require_symmetric",
     "cholesky_pd",

@@ -13,13 +13,9 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
-    "NA",
     "is_na",
     "LossReport",
-    "ConfusionCounts",
     "Scores",
-    "matrix_losses",
-    "eigen_losses",
     "loss_report",
     "confusion",
     "classification_scores",
@@ -51,10 +47,6 @@ class ConfusionCounts:
     tn: int
     fp: int
     fn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.tn + self.fp + self.fn
 
 
 class Scores(NamedTuple):

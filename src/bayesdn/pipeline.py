@@ -27,7 +27,6 @@ from .linalg import cholesky_pd, require_symmetric
 __all__ = [
     "EmptyDataError",
     "ColumnError",
-    "Dataset",
     "read_csv",
     "write_csv",
     "moving_average",
@@ -58,10 +57,6 @@ class Dataset:
     rows: np.ndarray
     dates: list[datetime.date] | None = None
     n_dropped: int = 0
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.rows.shape
 
 
 def read_csv(path, date_column: str | None = None) -> Dataset:

@@ -21,12 +21,8 @@ from .linalg import cholesky_pd, invert_pd, require_symmetric
 __all__ = [
     "KINDS",
     "MIN_DIM",
-    "REPAIR_MARGIN",
-    "SUPPORT_TOL",
     "StructureSpec",
-    "ModelPair",
     "raw_components",
-    "pd_repair",
     "make_structure",
     "sample_gaussian",
 ]

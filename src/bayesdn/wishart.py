@@ -24,7 +24,6 @@ from .linalg import invert_pd, require_symmetric
 from .metrics import classification_scores, confusion
 
 __all__ = [
-    "PRIOR_DOF",
     "EPSILON",
     "DEFAULT_GRID",
     "ThresholdReport",

@@ -21,11 +21,12 @@ from scipy.stats import invgauss, kstest
 
 from bayesdn.diffnet import dn_adjacency
 from bayesdn.gibbs import (
+    ChainRequest,
     ChainStack,
     GibbsConfig,
     chain_draws,
     initial_state,
-    run_chain,
+    run_chains,
     update_hyperparameters,
 )
 from bayesdn.harness import (
@@ -73,7 +74,7 @@ def test_criterion_1_oracle_equivalence():
     cfg = GibbsConfig(
         burn_in=5000, retained=50_000, adapt_lambda=False, lambda_init=1.0, lambda_diag=1.0,
     )
-    pm = run_chain(scatter, 30, cfg, seed=123).theta_mean
+    pm = run_chains([ChainRequest(scatter, 30, cfg, seed=123)])[0].theta_mean
     got = np.array([pm[0, 0], pm[0, 1], pm[1, 1]])
     expected = quad_posterior_mean_2x2(scatter, 30, 1.0)
     rel = np.abs(got - expected) / np.abs(expected)

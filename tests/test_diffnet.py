@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bayesdn.diffnet import dn_adjacency, estimate_bnet
-from bayesdn.gibbs import GibbsConfig, run_chain, spawn_seeds
+from bayesdn.gibbs import ChainRequest, GibbsConfig, run_chains, spawn_seeds
 from bayesdn.linalg import mirror_lower
 from bayesdn.metrics import classification_scores, confusion
 from bayesdn.structures import StructureSpec, make_structure, sample_gaussian
@@ -87,7 +87,7 @@ class TestEstimate:
 
     def test_components_follow_spawned_seeds(self):
         # the estimate runs its chains without the partial fold; the means
-        # must still be those of the default run_chain, bit for bit
+        # must still be those of a chain run with it, bit for bit
         pair = make_structure(StructureSpec("ar2", 6))
         x1 = sample_gaussian(pair.theta1, 60, seed=7)
         x2 = sample_gaussian(pair.theta2, 60, seed=8)
@@ -95,7 +95,7 @@ class TestEstimate:
         c1, c2 = spawn_seeds(0, 2)
         for x, mean, partial, c in zip((x1, x2), dn.component_means, dn.component_partials, (c1, c2)):
             scatter = mirror_lower(x.T @ x)
-            chain = run_chain(scatter, x.shape[0], FAST, c)
+            chain = run_chains([ChainRequest(scatter, x.shape[0], FAST, c)])[0]
             np.testing.assert_array_equal(mean, chain.theta_mean)
             np.testing.assert_array_equal(partial, posterior_partial_corr_mean(scatter, x.shape[0]))
 

@@ -760,18 +760,24 @@ class TestCli:
             assert "config error: gibbs.seed is not a field of GibbsConfig" in err
 
     def test_sample_reads_gibbs_section_with_flags_on_top(self, tmp_path):
+        # the manifest also names the two flags that are no config field
         from bayesdn.cli import main
 
         rows = sample_gaussian(np.eye(3), 30, seed=1)
+        lines = ["date,a,b,c"] + [
+            f"2024-01-{day:02d}," + ",".join(map(repr, row.tolist()))
+            for day, row in enumerate(rows, start=1)
+        ]
         csv_path = tmp_path / "x.csv"
-        write_csv(csv_path, ["a", "b", "c"], rows)
+        csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         cfg = tmp_path / "g.json"
         cfg.write_text(
             json.dumps({"gibbs": {"burn_in": 7, "retained": 9, "r": 0.5}, "master_seed": 3})
         )
         out = tmp_path / "o"
         rc = main(["sample", "--csv", str(csv_path), "--config", str(cfg),
-                   "--retained", "5", "--seed", "4", "--out", str(out)])
+                   "--retained", "5", "--seed", "4", "--nonparanormal", "--date-column", "date",
+                   "--out", str(out)])
         assert rc == 0
         manifest = json.loads((out / "manifest.json").read_text())
         gibbs = manifest["config"]["gibbs"]
@@ -779,6 +785,7 @@ class TestCli:
         assert manifest["config"]["master_seed"] == 4 and manifest["seeds"] == [[4]]
         assert "seed" not in gibbs
         assert (manifest["csv"], manifest["n"]) == (str(csv_path), 30)
+        assert (manifest["nonparanormal"], manifest["date_column"]) == (True, "date")
 
     def test_sample_manifest_config_reproduces_the_run(self, tmp_path):
         # its config used to flatten the gibbs fields, which --config refuses

@@ -87,7 +87,8 @@ class TestConfusion:
         rng = np.random.default_rng(2)
         est = rng.random((5, 5)) > 0.5
         truth = rng.random((5, 5)) > 0.5
-        assert confusion(est, truth).total == 10
+        c = confusion(est, truth)
+        assert c.tp + c.tn + c.fp + c.fn == 10
 
 
 class TestScores:
