@@ -43,6 +43,25 @@ numbers and gives the same bits without the per-entry broadcast path.
 The hyperparameter update reads and writes the two triangles through
 flat ``take``/``put`` indices cached once per state.
 
+What a sweep makes, and how often:
+
+- once per stack (:class:`ChainStack`): the stacked arrays and each
+  chain's views of them, the flat triangle indices, the work array each
+  state builds and factors C^{-1} in, and, for K > 1, the stacked
+  kernel's per-column slice views and the ``out=`` buffers of its three
+  ``matmul`` calls;
+- once per sweep: each chain's normals and Schur gammas, and, for K > 1,
+  1/tau, sqrt(gamma) and 1/gamma (tau and gamma do not change within a
+  sweep); after the columns, one stacked checked inversion
+  (:func:`~bayesdn.linalg.invert_pd_stack`: one symmetry check, one
+  diagonal maximum and one mirror for the whole stack, ``dpotrf`` and
+  ``dpotrs`` per chain) and the hyperparameter update;
+- per column: for a lone chain, the vectors w, y (beta is solved in
+  place in it), u, (w'beta) w and v, and 1/tau of the column's row,
+  which :func:`update_column` takes on each call because callers may
+  write ``state.tau`` between calls; for a stack, only the list of the
+  chains' factors.
+
 There is one sweep driver, over a :class:`ChainStack`: K chains of one p
 and one config, each with its own seed, whose arrays lie along a leading
 axis, a lone chain being a stack of one.  The draws, the checked resync,
@@ -53,7 +72,7 @@ runs :func:`update_column` on its chain's views.  A taller stack runs one
 kernel for all its chains: the elementwise work on ``(K, p, p)`` and
 ``(K, p)`` arrays, the matrix-vector product and the two dot products as
 ``np.matmul`` on stacks with trailing unit axes (which numpy hands to the
-same BLAS ``gemv`` and ``ddot`` calls as the per-chain ``@``), and
+same BLAS ``gemv`` and ``ddot`` calls as the lone kernel's ``dot``), and
 ``dger``, ``dpotrf`` and ``dtrtrs`` per chain, in place on each chain's
 slice.  Each chain reads its own Generator in the per-chain order
 (normals, Schur gammas, penalty gammas, Wald draws), so a chain's draws,
@@ -78,7 +97,12 @@ from scipy.linalg.blas import dger
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from .config import bound, check_fields
-from .linalg import NotPositiveDefiniteError, invert_pd, partial_correlation, require_symmetric
+from .linalg import (
+    NotPositiveDefiniteError,
+    invert_pd_stack,
+    partial_correlation,
+    require_symmetric,
+)
 
 # The BLAS and LAPACK wrappers below are called with positional arguments:
 # f2py parses keywords on every call, which costs about a tenth of a column
@@ -142,8 +166,10 @@ class SamplerState:
     update decouples.  ``col_scale`` (s_ii + lam_ii per column) and
     ``scatter_off`` (the scatter with a zero diagonal, whose row ``col`` is
     s12 with its decoupled entry zeroed) are derived from the data and the
-    fixed diagonal penalty when the state is made, once per chain.  In a
-    :class:`ChainStack` the arrays are views of the stack's.
+    fixed diagonal penalty when the state is made, once per chain, and so
+    is ``c_inv``, the work array the column update builds and factors the
+    conditional precision in.  In a :class:`ChainStack` the arrays are
+    views of the stack's.
     """
 
     theta: np.ndarray
@@ -155,11 +181,13 @@ class SamplerState:
     config: GibbsConfig
     col_scale: np.ndarray = field(init=False, repr=False)
     scatter_off: np.ndarray = field(init=False, repr=False)
+    c_inv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.col_scale = np.diagonal(self.scatter) + np.diagonal(self.lam)
         self.scatter_off = self.scatter.copy()
         np.fill_diagonal(self.scatter_off, 0.0)
+        self.c_inv = np.empty_like(self.scatter)
 
     @property
     def dim(self) -> int:
@@ -240,7 +268,7 @@ def initial_state(scatter: np.ndarray, n: int, config: GibbsConfig) -> SamplerSt
 
 _TINY = np.finfo(float).tiny
 # the arrays of a chain that a ChainStack holds along its leading axis
-_STACKED = ("theta", "sigma", "tau", "lam", "scatter_off", "col_scale")
+_STACKED = ("theta", "sigma", "tau", "lam", "scatter_off", "col_scale", "c_inv")
 
 
 class _ChainFailure(Exception):
@@ -261,8 +289,9 @@ class ChainStack:
     steps that chain in the stack.  Every slice is C-contiguous, so its
     transpose is the Fortran-order view that ``dger`` and ``dpotrf``
     update in place, and its rows of the (K, p) work arrays are the
-    contiguous vectors ``dtrtrs`` solves in place.  The per-chain views
-    and the flat triangle indices are made once per stack.
+    contiguous vectors ``dtrtrs`` solves in place.  The per-chain views,
+    the flat triangle indices and, for K > 1, the stacked kernel's
+    per-column views and work arrays are made once per stack.
     """
 
     def __init__(
@@ -283,23 +312,61 @@ class ChainStack:
             setattr(self, name, stack)
             for s, view in zip(states, stack):
                 setattr(s, name, view)
-        self.neg_scales = (-self.col_scale).T.tolist()  # [col][chain], Python floats
-        self.c_inv = np.empty((k, p, p))
         self.z = np.empty((k, p, p))
         self.gamma = np.empty((k, p))
-        self.w, self.y, self.v = np.empty((3, k, p))
-        self.c_t = [m.T for m in self.c_inv]
-        self.sigma_t = [m.T for m in self.sigma]
-        self.w_rows, self.y_rows, self.v_rows = list(self.w), list(self.y), list(self.v)
         diagonal = slice(None, None, p + 1)
-        self.theta_diag = self.theta.reshape(k, -1)[:, diagonal]
-        self.sigma_diag = self.sigma.reshape(k, -1)[:, diagonal]
-        self.c_diag = self.c_inv.reshape(k, -1)[:, diagonal]
         self.z_diag = self.z.reshape(k, -1)[:, diagonal]
         rows, cols = np.triu_indices(p, k=1)
         offsets = np.arange(k)[:, None] * (p * p)
         self.upper = offsets + (rows * p + cols)
         self.lower = offsets + (cols * p + rows)
+        if k > 1:
+            self._stacked_views()
+
+    def _stacked_views(self) -> None:
+        """The work arrays of the stacked kernel and their views, per chain and per column."""
+        k, p = self.k, self.p
+        self.inv_tau = np.empty((k, p, p))
+        self.root, self.neg_root, self.inv_gamma = np.empty((3, k, p))
+        self.w, self.y, self.v, self.wb_w = np.empty((4, k, p))
+        self.u = np.empty((k, p, 1))
+        self.wb, self.bu = np.empty((2, k, 1, 1))
+        self.sigma22_root = np.empty((k, 1))
+        self.c_t = [m.T for m in self.c_inv]
+        self.sigma_t = [m.T for m in self.sigma]
+        self.w_rows, self.y_rows, self.v_rows = list(self.w), list(self.y), list(self.v)
+        neg_scales = (-self.col_scale).T.tolist()  # [col][chain], Python floats
+        # the operands of the three matrix products, as stacks with unit axes
+        self.w_left, self.y_left = self.w[:, None, :], self.y[:, None, :]
+        self.y_right = self.y[:, :, None]
+        self.u_flat, self.wb_flat, self.bu_flat = self.u[:, :, 0], self.wb[:, 0], self.bu[:, 0, 0]
+        self.sigma22_root_flat = self.sigma22_root[:, 0]
+        diagonal = slice(None, None, p + 1)
+        theta_diag = self.theta.reshape(k, -1)[:, diagonal]
+        sigma_diag = self.sigma.reshape(k, -1)[:, diagonal]
+        self.c_diag = self.c_inv.reshape(k, -1)[:, diagonal]
+        self.columns = [
+            _ColumnViews(
+                sigma_row=self.sigma[:, col],
+                sigma_col=self.sigma[:, :, col],
+                sigma_diag=sigma_diag[:, col],
+                scale=self.col_scale[:, col, None, None],
+                neg_scales=neg_scales[col],
+                c_row=self.c_inv[:, col],
+                c_col=self.c_inv[:, :, col],
+                inv_tau=self.inv_tau[:, col],
+                scatter_row=self.scatter_off[:, col],
+                z_row=self.z[:, col],
+                theta_row=self.theta[:, col],
+                theta_col=self.theta[:, :, col],
+                theta_diag=theta_diag[:, col],
+                gamma=self.gamma[:, col],
+                root=self.root[:, col, None],
+                neg_root=self.neg_root[:, col, None],
+                inv_gamma=self.inv_gamma[:, col],
+            )
+            for col in range(p)
+        ]
 
     def draw(self) -> None:
         """Each chain's normals and Schur-complement gammas of one sweep, in that order.
@@ -320,12 +387,34 @@ class ChainStack:
         gamma *= 2.0 / self.col_scale
 
     def resync(self) -> None:
-        """Re-derive each chain's Sigma from its Theta with the checked inversion."""
-        for k, theta in enumerate(self.theta):
-            try:
-                self.sigma[k] = invert_pd(theta)
-            except NotPositiveDefiniteError as err:
-                raise _ChainFailure(k, err) from err
+        """Re-derive each chain's Sigma from its Theta with one stacked checked inversion."""
+        try:
+            invert_pd_stack(self.theta, self.sigma)
+        except NotPositiveDefiniteError as err:
+            raise _ChainFailure(err.index, err) from err
+
+
+@dataclass(frozen=True)
+class _ColumnViews:
+    """The slices of a stack's arrays that the stacked kernel reads and writes at one column."""
+
+    sigma_row: np.ndarray
+    sigma_col: np.ndarray
+    sigma_diag: np.ndarray
+    scale: np.ndarray
+    neg_scales: list
+    c_row: np.ndarray
+    c_col: np.ndarray
+    inv_tau: np.ndarray
+    scatter_row: np.ndarray
+    z_row: np.ndarray
+    theta_row: np.ndarray
+    theta_col: np.ndarray
+    theta_diag: np.ndarray
+    gamma: np.ndarray
+    root: np.ndarray
+    neg_root: np.ndarray
+    inv_gamma: np.ndarray
 
 
 def update_column(state: SamplerState, col: int, z: np.ndarray, gamma: float) -> SamplerState:
@@ -368,9 +457,10 @@ def update_column(state: SamplerState, col: int, z: np.ndarray, gamma: float) ->
     # C^{-1} mixes the data scale with 1/tau entries that grow without
     # bound as an entry is shrunk to zero, so it is factored raw: the sum
     # of a PSD matrix and a positive diagonal cannot fail to be PD.  It is
-    # built on a new array, so Sigma is untouched if the factor fails, and
-    # LAPACK reads one triangle of it in Fortran order.
-    c_inv = sigma * scale
+    # built in the state's work array, so Sigma is untouched if the factor
+    # fails, and LAPACK reads one triangle of it in Fortran order.
+    c_inv = state.c_inv
+    np.multiply(sigma, scale, out=c_inv)
     dger(-scale, w, w, 1, 1, c_inv.T, 0, 0, 1)
     c_inv[col] = 0.0
     c_inv[:, col] = 0.0
@@ -385,13 +475,14 @@ def update_column(state: SamplerState, col: int, z: np.ndarray, gamma: float) ->
     np.subtract(z, y, out=y)
     beta, _ = dtrtrs(lower_c, y, 1, 1, 0, None, 1)
 
-    # u = Theta11^{-1} beta = Sigma beta - w (w' beta); beta[col] is zero
-    u = sigma @ beta
-    u -= float(w @ beta) * w
+    # u = Theta11^{-1} beta = Sigma beta - w (w' beta); beta[col] is zero.
+    # ``dot`` makes the BLAS gemv and ddot calls of ``@`` with less dispatch.
+    u = sigma.dot(beta)
+    u -= float(w.dot(beta)) * w
     theta = state.theta
     theta[:, col] = beta
     theta[col] = beta
-    theta[col, col] = gamma + float(beta @ u)
+    theta[col, col] = gamma + float(beta.dot(u))
 
     # block inverse of the new Theta: its Schur complement is gamma
     root = math.sqrt(gamma)
@@ -408,22 +499,24 @@ def update_column(state: SamplerState, col: int, z: np.ndarray, gamma: float) ->
 
 def _update_stacked_column(stack: ChainStack, col: int) -> None:
     """:func:`update_column` for every chain of a stack at once; see there for the algebra."""
-    sigma, theta, c_inv, w, y, v = stack.sigma, stack.theta, stack.c_inv, stack.w, stack.y, stack.v
-    sigma22 = sigma[:, col, col]
+    at = stack.columns[col]
+    sigma22 = at.sigma_diag
     if not (sigma22.min() > 0.0 and sigma22.max() < math.inf):
         bad = next(k for k, s in enumerate(sigma22.tolist()) if not 0.0 < s < math.inf)
         raise _ChainFailure(bad, NotPositiveDefiniteError(
             f"Theta block excluding column {col} lost positive definiteness"
         ))
-    np.divide(sigma[:, col], np.sqrt(sigma22)[:, None], out=w)
+    w, y, v = stack.w, stack.y, stack.v
+    np.sqrt(sigma22, out=stack.sigma22_root_flat)
+    np.divide(at.sigma_row, stack.sigma22_root, out=w)
 
-    np.multiply(sigma, stack.col_scale[:, col, None, None], out=c_inv)
-    for c_t, w_k, neg_scale in zip(stack.c_t, stack.w_rows, stack.neg_scales[col]):
+    np.multiply(stack.sigma, at.scale, out=stack.c_inv)
+    for c_t, w_k, neg_scale in zip(stack.c_t, stack.w_rows, at.neg_scales):
         dger(neg_scale, w_k, w_k, 1, 1, c_t, 0, 0, 1)
-    c_inv[:, col] = 0.0
-    c_inv[:, :, col] = 0.0
-    stack.c_diag += 1.0 / stack.tau[:, col]
-    y[...] = stack.scatter_off[:, col]
+    at.c_row.fill(0.0)
+    at.c_col.fill(0.0)
+    stack.c_diag += at.inv_tau
+    np.copyto(y, at.scatter_row)
     lowers = []
     for k, (c_t, y_k) in enumerate(zip(stack.c_t, stack.y_rows)):
         lower_c, info = dpotrf(c_t, 1, 0, 1)
@@ -433,28 +526,29 @@ def _update_stacked_column(stack: ChainStack, col: int) -> None:
             ))
         dtrtrs(lower_c, y_k, 1, 0, 0, None, 1)
         lowers.append(lower_c)
-    np.subtract(stack.z[:, col], y, out=y)
+    np.subtract(at.z_row, y, out=y)
     for lower_c, y_k in zip(lowers, stack.y_rows):
         dtrtrs(lower_c, y_k, 1, 1, 0, None, 1)
     beta = y
 
-    u = np.matmul(sigma, beta[:, :, None])
-    u2 = u[:, :, 0]
-    u2 -= np.matmul(w[:, None, :], beta[:, :, None])[:, 0] * w
-    theta[:, :, col] = beta
-    theta[:, col] = beta
-    gamma = stack.gamma[:, col]
-    stack.theta_diag[:, col] = gamma + np.matmul(beta[:, None, :], u)[:, 0, 0]
+    np.matmul(stack.sigma, stack.y_right, out=stack.u)
+    u = stack.u_flat
+    np.matmul(stack.w_left, stack.y_right, out=stack.wb)
+    np.multiply(stack.wb_flat, w, out=stack.wb_w)
+    u -= stack.wb_w
+    np.copyto(at.theta_col, beta)
+    np.copyto(at.theta_row, beta)
+    np.matmul(stack.y_left, stack.u, out=stack.bu)
+    np.add(at.gamma, stack.bu_flat, out=at.theta_diag)
 
-    root = np.sqrt(gamma)[:, None]
-    np.divide(u2, root, out=v)
+    np.divide(u, at.root, out=v)
     for sigma_t, w_k, v_k in zip(stack.sigma_t, stack.w_rows, stack.v_rows):
         dger(-1.0, w_k, w_k, 1, 1, sigma_t, 0, 0, 1)
         dger(1.0, v_k, v_k, 1, 1, sigma_t, 0, 0, 1)
-    v /= -root
-    sigma[:, :, col] = v
-    sigma[:, col] = v
-    stack.sigma_diag[:, col] = 1.0 / gamma
+    v /= at.neg_root
+    np.copyto(at.sigma_col, v)
+    np.copyto(at.sigma_row, v)
+    np.copyto(at.sigma_diag, at.inv_gamma)
 
 
 def _columns_alone(stack: ChainStack) -> None:
@@ -465,7 +559,15 @@ def _columns_alone(stack: ChainStack) -> None:
 
 
 def _columns_stacked(stack: ChainStack) -> None:
-    """One sweep's column updates of every chain of a stack, one column at a time."""
+    """One sweep's column updates of every chain of a stack, one column at a time.
+
+    1/tau, sqrt(gamma) and 1/gamma do not change within a sweep, so they
+    are taken once per sweep for every column.
+    """
+    np.divide(1.0, stack.tau, out=stack.inv_tau)
+    np.sqrt(stack.gamma, out=stack.root)
+    np.negative(stack.root, out=stack.neg_root)
+    np.divide(1.0, stack.gamma, out=stack.inv_gamma)
     for col in range(stack.p):
         _update_stacked_column(stack, col)
 
@@ -479,37 +581,56 @@ def update_hyperparameters(stack: ChainStack) -> ChainStack:
     chain from its own Generator.  |theta[i, j]| is floored at
     ``theta_floor`` so an exact zero cannot fault; the floor only caps the
     already-divergent mean.
+
+    A large enough ``r`` (against ``s``) or a fixed ``lambda_init`` can
+    overflow the inverse-Gaussian draw, which numpy returns as inf or NaN
+    without an error; the update then raises an ``OverflowError`` that
+    names the field, for the first such chain.  An overflow of lam**2
+    alone is harmless: the draw is then its mean.
     """
     cfg = stack.config
     upper, lower = stack.upper, stack.lower
     abs_theta = np.abs(stack.theta.take(upper))
 
-    if cfg.adapt_lambda:
-        # the same draws as rng.gamma(1 + r, 1 / (|theta| + s)); see the module docstring
-        lam_off = np.empty(abs_theta.shape)
-        for rng, lam_k in zip(stack.rngs, lam_off):
-            rng.standard_gamma(1.0 + cfg.r, out=lam_k)
-        lam_off *= 1.0 / (abs_theta + cfg.s)
-        stack.lam.put(upper, lam_off)
-        stack.lam.put(lower, lam_off)
-    else:
-        lam_off = stack.lam.take(upper)
+    with np.errstate(over="ignore"):  # a draw that overflows is raised below
+        if cfg.adapt_lambda:
+            # the same draws as rng.gamma(1 + r, 1 / (|theta| + s)); see the module docstring
+            lam_off = np.empty(abs_theta.shape)
+            for rng, lam_k in zip(stack.rngs, lam_off):
+                rng.standard_gamma(1.0 + cfg.r, out=lam_k)
+            lam_off *= 1.0 / (abs_theta + cfg.s)
+            stack.lam.put(upper, lam_off)
+            stack.lam.put(lower, lam_off)
+        else:
+            lam_off = stack.lam.take(upper)
 
-    floored = np.maximum(abs_theta, cfg.theta_floor)
-    mu = lam_off / floored
-    shape = lam_off**2
+        floored = np.maximum(abs_theta, cfg.theta_floor)
+        mu = lam_off / floored
+        shape = lam_off**2
     delta = np.empty_like(mu)
     for k, (rng, delta_k, mu_k, shape_k) in enumerate(zip(stack.rngs, delta, mu, shape)):
         try:  # the shape lam**2 can underflow to 0, which wald refuses
             delta_k[...] = rng.wald(mu_k, shape_k)
         except ValueError as err:
             raise _ChainFailure(k, err) from err
+    if not delta.max() < math.inf:  # inf or NaN
+        first = int(np.argmin(np.isfinite(delta).all(axis=1)))
+        raise _ChainFailure(first, OverflowError(_overflow_message(cfg)))
     # the transformation method can underflow to 0 at extreme mu; keep tau finite
     np.maximum(delta, _TINY, out=delta)
     tau_off = 1.0 / delta
     stack.tau.put(upper, tau_off)
     stack.tau.put(lower, tau_off)
     return stack
+
+
+def _overflow_message(cfg: GibbsConfig) -> str:
+    """Why a latent-scale draw overflowed, naming the field to change."""
+    if cfg.adapt_lambda:
+        cause = f"gibbs.r = {cfg.r:g} (gibbs.s = {cfg.s:g}); lower gibbs.r or raise gibbs.s"
+    else:
+        cause = f"gibbs.lambda_init = {cfg.lambda_init:g}; lower gibbs.lambda_init"
+    return f"penalty overflow: the latent-scale draw is not finite at {cause}"
 
 
 def _named(label: str, message: str) -> str:

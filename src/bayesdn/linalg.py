@@ -13,6 +13,7 @@ succeeds and every pivot exceeds ``PIVOT_RTOL * max(diag)``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,7 @@ __all__ = [
     "require_symmetric",
     "cholesky_pd",
     "invert_pd",
+    "invert_pd_stack",
     "partial_correlation",
 ]
 
@@ -39,11 +41,15 @@ class NotPositiveDefiniteError(np.linalg.LinAlgError):
     minor : int or None
         1-based index of the first failing leading principal minor
         (LAPACK convention), when known.
+    index : int or None
+        Position of the failing matrix in a stack (:func:`invert_pd_stack`),
+        when the matrix was one of a stack.
     """
 
     def __init__(self, message: str, minor: int | None = None):
         super().__init__(message)
         self.minor = minor
+        self.index: int | None = None
 
 
 @dataclass(frozen=True)
@@ -81,17 +87,41 @@ def mirror_lower(m: np.ndarray) -> np.ndarray:
     return out
 
 
+def _require_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """``m`` as a float ndarray; ``ValueError`` unless it is a square matrix."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {m.shape}")
+    return m
+
+
 def require_symmetric(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Validate that ``m`` is square and exactly symmetric.
 
     Returns ``m`` as a float ndarray.  Raises ``ValueError`` otherwise.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {m.shape}")
+    m = _require_square(m, name)
     if not (m == m.T).all():  # a NaN is unequal to itself, as in np.array_equal
         raise ValueError(f"{name} is not symmetric")
     return m
+
+
+def _minor_error(info: int) -> Exception:
+    """The error for a nonzero ``info`` of LAPACK ``potrf``."""
+    if info > 0:
+        return NotPositiveDefiniteError(
+            f"leading minor of order {info} is not positive definite", minor=int(info)
+        )
+    return ValueError(f"illegal argument {-info} passed to potrf")
+
+
+def _pivot_error(d: np.ndarray, floor: float) -> NotPositiveDefiniteError:
+    """The error for a factor whose diagonal ``d`` has a pivot at or below ``floor``."""
+    pivots = d * d
+    k = int(np.argmax(pivots <= floor))
+    return NotPositiveDefiniteError(
+        f"pivot {k + 1} ({pivots[k]:.3e}) at or below floor {floor:.3e}", minor=k + 1
+    )
 
 
 def _factor_pd(m: np.ndarray) -> np.ndarray:
@@ -100,23 +130,15 @@ def _factor_pd(m: np.ndarray) -> np.ndarray:
     ``m`` must already be a float array that is exactly symmetric.  The
     strict upper triangle of the result is zero.
     """
-    c, info = dpotrf(m, lower=1, clean=1)
-    if info > 0:
-        raise NotPositiveDefiniteError(
-            f"leading minor of order {info} is not positive definite", minor=int(info)
-        )
-    if info < 0:
-        raise ValueError(f"illegal argument {-info} passed to potrf")
+    c, info = dpotrf(m, 1, 1)  # lower, clean
+    if info != 0:
+        raise _minor_error(info)
     d = c.diagonal()
     floor = PIVOT_RTOL * float(m.diagonal().max())
     d_min = float(d.min())
     # the factor's diagonal is >= 0, so the least pivot is the square of its least entry
     if d_min * d_min <= floor:
-        pivots = d * d
-        k = int(np.argmax(pivots <= floor))
-        raise NotPositiveDefiniteError(
-            f"pivot {k + 1} ({pivots[k]:.3e}) at or below floor {floor:.3e}", minor=k + 1
-        )
+        raise _pivot_error(d, floor)
     return c
 
 
@@ -147,14 +169,75 @@ def invert_pd(m: np.ndarray) -> np.ndarray:
     """Invert a symmetric positive-definite matrix via its Cholesky factor.
 
     Checks ``m`` as :func:`cholesky_pd` does, then solves against the
-    identity with LAPACK ``potrs``.  The result is exactly symmetric
-    (lower triangle mirrored).
+    identity with LAPACK ``potrs``: :func:`invert_pd_stack` on a stack of
+    one.  The result is exactly symmetric (lower triangle mirrored).
     """
-    c = _factor_pd(require_symmetric(m))
-    inv, info = dpotrs(c, np.eye(c.shape[0]), lower=1, overwrite_b=1)
-    if info != 0:
-        raise ValueError(f"illegal argument {-info} passed to potrs")
-    return mirror_lower(inv)
+    m = _require_square(m)
+    out = np.empty((1, *m.shape))
+    invert_pd_stack(m[None], out)
+    return out[0]
+
+
+def invert_pd_stack(ms: np.ndarray, out: np.ndarray) -> None:
+    """Write the inverse of each matrix of a stack ``ms`` (K, p, p) into ``out``.
+
+    Each item is checked as :func:`cholesky_pd` checks a matrix, factored
+    with LAPACK ``potrf`` and solved against the identity with ``potrs``,
+    and the lower triangle of the solution is mirrored, so ``out[k]`` is
+    ``invert_pd(ms[k])`` bit for bit whatever the stack.  The symmetry
+    check, the pivot floors and the mirror are one call each for the whole
+    stack; only ``potrf`` and ``potrs`` run per item, in place on work
+    arrays made once per call.  ``ms`` and ``out`` are C-contiguous float
+    arrays and may be the same.
+
+    Raises ``ValueError`` if the stack is not symmetric, and otherwise the
+    error of the first failing item, in stack order, with its ``index`` in
+    the stack set.
+    """
+    p = ms.shape[1]
+    if not (ms == ms.transpose(0, 2, 1)).all():  # a NaN is unequal to itself
+        raise ValueError("matrix is not symmetric")
+    identity, lower = _eye_and_tri(p)
+    # each item of a C-order stack is symmetric, so its transpose is the
+    # Fortran-order copy of the same matrix that LAPACK works on in place
+    factors = ms.copy()
+    solved = np.empty(ms.shape)
+    solved[...] = identity
+    for i, (c, x) in enumerate(zip(factors, solved)):
+        _, info = dpotrf(c.T, 1, 0, 1)  # lower, clean, overwrite_a
+        if info != 0:
+            _check_pivots(ms[:i], factors[:i])
+            err = _minor_error(info)
+            err.index = i
+            raise err
+        _, info = dpotrs(c.T, x.T, 1, 1)  # lower, overwrite_b
+        if info != 0:
+            raise ValueError(f"illegal argument {-info} passed to potrs")
+    _check_pivots(ms, factors)
+    # x.T holds item i's solution: mirror its lower triangle, and turn
+    # -0.0 into 0.0, as mirror_lower does
+    np.add(np.where(lower, solved.transpose(0, 2, 1), solved), 0.0, out=out)
+
+
+@functools.lru_cache(maxsize=8)
+def _eye_and_tri(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The p x p identity and lower-triangle mask, read-only, made once per p."""
+    identity, lower = np.eye(p), np.tri(p, dtype=bool)
+    identity.flags.writeable = lower.flags.writeable = False
+    return identity, lower
+
+
+def _check_pivots(ms: np.ndarray, factors: np.ndarray) -> None:
+    """Raise the pivot-floor error of the first item of a stack whose factor fails it."""
+    d = factors.diagonal(0, 1, 2)
+    d_min = d.min(axis=1)
+    floors = PIVOT_RTOL * ms.diagonal(0, 1, 2).max(axis=1)
+    failing = d_min * d_min <= floors
+    if failing.any():
+        i = int(np.argmax(failing))
+        err = _pivot_error(d[i], float(floors[i]))
+        err.index = i
+        raise err
 
 
 def partial_correlation(theta: np.ndarray) -> np.ndarray:

@@ -1,8 +1,11 @@
+import math
 import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg.blas import dger
+from scipy.linalg.lapack import dpotrf, dtrtrs
 
 import bayesdn.gibbs as gibbs
 from bayesdn.gibbs import (
@@ -22,7 +25,7 @@ from bayesdn.gibbs import (
 from bayesdn.linalg import (
     NotPositiveDefiniteError,
     cholesky_pd,
-    invert_pd,
+    invert_pd_stack,
     mirror_lower,
     partial_correlation,
 )
@@ -31,6 +34,7 @@ from bayesdn.structures import StructureSpec, raw_components, sample_gaussian
 from helpers import (
     quad_posterior_mean_2x2,
     quad_posterior_mean_2x2_adaptive,
+    reference_inverse,
     reference_update_column,
 )
 
@@ -541,18 +545,21 @@ class TestStackedRoute:
     @pytest.mark.parametrize("k", [1, 3, 7, 20])
     @pytest.mark.parametrize("p", [2, 3, 10, 30, 60])
     def test_stacked_matmul_equals_per_item_products(self, p, k):
-        # the stack's matrix-vector and dot products must be the per-chain
-        # `@` bit for bit; a numpy or BLAS release that changes this fails here
+        # the stack's matrix-vector and dot products, written into buffers,
+        # must be the lone chain's per-chain `dot` (and `@`) bit for bit; a
+        # numpy or BLAS release that changes this fails here
         rng = np.random.default_rng(p * 100 + k)
         sigma = rng.standard_normal((k, p, p))
         beta, w = rng.standard_normal((2, k, p))
-        u = np.matmul(sigma, beta[:, :, None])
-        wb = np.matmul(w[:, None, :], beta[:, :, None])
-        bu = np.matmul(beta[:, None, :], u)
+        u, wb, bu = np.empty((k, p, 1)), np.empty((k, 1, 1)), np.empty((k, 1, 1))
+        np.matmul(sigma, beta[:, :, None], out=u)
+        np.matmul(w[:, None, :], beta[:, :, None], out=wb)
+        np.matmul(beta[:, None, :], u, out=bu)
         for j in range(k):
+            np.testing.assert_array_equal(u[j, :, 0], sigma[j].dot(beta[j]))
             np.testing.assert_array_equal(u[j, :, 0], sigma[j] @ beta[j])
-            assert wb[j, 0, 0] == float(w[j] @ beta[j])
-            assert bu[j, 0, 0] == float(beta[j] @ (sigma[j] @ beta[j]))
+            assert wb[j, 0, 0] == float(w[j].dot(beta[j])) == float(w[j] @ beta[j])
+            assert bu[j, 0, 0] == float(beta[j].dot(sigma[j].dot(beta[j])))
 
     def test_size_rule(self):
         cfg = GibbsConfig(burn_in=1, retained=1)
@@ -679,17 +686,21 @@ class TestStackedRoute:
 
     @pytest.mark.parametrize("kernel", ["alone", "stacked"])
     def test_failing_resync_names_chain_and_sweep(self, monkeypatch, kernel):
-        # a sweep re-derives the Sigma of each chain of its batch in chain
-        # order; break chain 1's at sweep 2, alone or in a stack of 3
+        # a sweep re-derives the Sigma of every chain of its batch in one
+        # stacked inversion; break chain 1's Theta at sweep 2, alone or in a
+        # stack of 3
         requests = chain_requests(4, 3, GibbsConfig(burn_in=2, retained=3))
         batch, position = (requests[1:2], 0) if kernel == "alone" else (requests, 1)
         calls = []
 
-        def breaking_invert_pd(theta):
+        def breaking_invert_pd_stack(thetas, out):
             calls.append(len(calls))
-            return invert_pd(-theta if len(calls) == 2 * len(batch) + position + 1 else theta)
+            if len(calls) == 3:
+                thetas = thetas.copy()
+                thetas[position] = -thetas[position]
+            invert_pd_stack(thetas, out)
 
-        monkeypatch.setattr(gibbs, "invert_pd", breaking_invert_pd)
+        monkeypatch.setattr(gibbs, "invert_pd_stack", breaking_invert_pd_stack)
         with pytest.raises(NotPositiveDefiniteError) as err:
             run_batch(batch)
         assert str(err.value) == (
@@ -703,3 +714,145 @@ class TestStackedRoute:
         for run in (run_batch, each_alone):
             with pytest.raises(ValueError, match="^chain 2: scatter is not positive semidefinite"):
                 run(requests)
+
+
+# The sweep's two column kernels and its resync as first written, each
+# making its arrays as it goes: the pins below hold the lean kernels of
+# ``gibbs`` to them bit for bit, Sigma included.
+
+
+def reference_lone_column(state, col, z, gamma):
+    """The lone-chain column update with a new array per step."""
+    p = state.dim
+    sigma = state.sigma
+    scale = float(state.col_scale[col])
+    sigma22 = float(sigma[col, col])
+    if not (sigma22 > 0.0 and math.isfinite(sigma22)):
+        raise NotPositiveDefiniteError(f"Theta block excluding column {col} lost positive definiteness")
+    w = sigma[col] / math.sqrt(sigma22)
+    c_inv = sigma * scale
+    dger(-scale, w, w, 1, 1, c_inv.T, 0, 0, 1)
+    c_inv[col] = 0.0
+    c_inv[:, col] = 0.0
+    c_diag = c_inv.reshape(-1)[:: p + 1]
+    c_diag += 1.0 / state.tau[col]
+    lower_c, info = dpotrf(c_inv.T, 1, 0, 1)
+    if info != 0:
+        raise NotPositiveDefiniteError(f"conditional covariance for column {col} broke down")
+    y, _ = dtrtrs(lower_c, state.scatter_off[col], 1)
+    np.subtract(z, y, out=y)
+    beta, _ = dtrtrs(lower_c, y, 1, 1, 0, None, 1)
+    u = sigma @ beta
+    u -= float(w @ beta) * w
+    theta = state.theta
+    theta[:, col] = beta
+    theta[col] = beta
+    theta[col, col] = gamma + float(beta @ u)
+    root = math.sqrt(gamma)
+    v = u / root
+    sigma_t = sigma.T
+    dger(-1.0, w, w, 1, 1, sigma_t, 0, 0, 1)
+    dger(1.0, v, v, 1, 1, sigma_t, 0, 0, 1)
+    v /= -root
+    sigma[:, col] = v
+    sigma[col] = v
+    sigma[col, col] = 1.0 / gamma
+
+
+def reference_stacked_column(stack, col):
+    """The stacked column update with its slices, reciprocals and products made per column."""
+    k, p = stack.k, stack.p
+    sigma, theta = stack.sigma, stack.theta
+    c_inv = np.empty((k, p, p))
+    w, y, v = np.empty((3, k, p))
+    sigma22 = sigma[:, col, col]
+    assert sigma22.min() > 0.0 and sigma22.max() < math.inf
+    np.divide(sigma[:, col], np.sqrt(sigma22)[:, None], out=w)
+    np.multiply(sigma, stack.col_scale[:, col, None, None], out=c_inv)
+    for c, w_k, neg_scale in zip(c_inv, w, (-stack.col_scale[:, col]).tolist()):
+        dger(neg_scale, w_k, w_k, 1, 1, c.T, 0, 0, 1)
+    c_inv[:, col] = 0.0
+    c_inv[:, :, col] = 0.0
+    c_inv.reshape(k, -1)[:, :: p + 1] += 1.0 / stack.tau[:, col]
+    y[...] = stack.scatter_off[:, col]
+    lowers = []
+    for c, y_k in zip(c_inv, y):
+        lower_c, info = dpotrf(c.T, 1, 0, 1)
+        assert info == 0
+        dtrtrs(lower_c, y_k, 1, 0, 0, None, 1)
+        lowers.append(lower_c)
+    np.subtract(stack.z[:, col], y, out=y)
+    for lower_c, y_k in zip(lowers, y):
+        dtrtrs(lower_c, y_k, 1, 1, 0, None, 1)
+    beta = y
+    u = np.matmul(sigma, beta[:, :, None])
+    u2 = u[:, :, 0]
+    u2 -= np.matmul(w[:, None, :], beta[:, :, None])[:, 0] * w
+    theta[:, :, col] = beta
+    theta[:, col] = beta
+    gamma = stack.gamma[:, col]
+    theta[:, col, col] = gamma + np.matmul(beta[:, None, :], u)[:, 0, 0]
+    root = np.sqrt(gamma)[:, None]
+    np.divide(u2, root, out=v)
+    for s_k, w_k, v_k in zip(sigma, w, v):
+        dger(-1.0, w_k, w_k, 1, 1, s_k.T, 0, 0, 1)
+        dger(1.0, v_k, v_k, 1, 1, s_k.T, 0, 0, 1)
+    v /= -root
+    sigma[:, :, col] = v
+    sigma[:, col] = v
+    sigma[:, col, col] = 1.0 / gamma
+
+
+def reference_resync(stack):
+    """Each chain's Sigma re-derived by its own checked inversion."""
+    for k, theta in enumerate(stack.theta):
+        stack.sigma[k] = reference_inverse(theta)
+
+
+def reference_sweeps(requests):
+    """Theta and Sigma after each sweep of the requested chains, from the reference kernels."""
+    states = [initial_state(r.scatter, r.n, r.config) for r in requests]
+    stack = ChainStack(states, [np.random.default_rng(r.seed) for r in requests])
+    cfg = stack.config
+    for _ in range(cfg.burn_in + cfg.retained):
+        stack.draw()
+        for col in range(stack.p):
+            if stack.k == 1:
+                reference_lone_column(states[0], col, stack.z[0, col], float(stack.gamma[0, col]))
+            else:
+                reference_stacked_column(stack, col)
+        reference_resync(stack)
+        update_hyperparameters(stack)
+        yield stack.theta.copy(), stack.sigma.copy()
+
+
+def pinned_requests(p, k, adapt):
+    cfg = GibbsConfig(burn_in=0, retained=6, adapt_lambda=adapt, lambda_init=0.8)
+    return chain_requests(p, k, cfg)
+
+
+class TestPinnedSweep:
+    """Whole runs of the sampler against the reference kernels, Theta and Sigma bit for bit."""
+
+    def assert_pinned(self, requests):
+        stack = gibbs._start(requests)
+        got = (
+            (stack.theta.copy(), stack.sigma.copy()) for _ in gibbs._sweeps(stack)
+        )
+        count = 0
+        for (theta, sigma), (want_theta, want_sigma) in zip(got, reference_sweeps(requests)):
+            np.testing.assert_array_equal(theta, want_theta)
+            np.testing.assert_array_equal(sigma, want_sigma)
+            count += 1
+        assert count == requests[0].config.retained
+
+    @pytest.mark.parametrize("adapt", [True, False])
+    @pytest.mark.parametrize("p", [*range(2, 13), 60])
+    def test_lone_chain(self, p, adapt):
+        self.assert_pinned(pinned_requests(p, 1, adapt))
+
+    @pytest.mark.parametrize("adapt", [True, False])
+    @pytest.mark.parametrize("k", [2, 6, 40])
+    @pytest.mark.parametrize("p", [10, 30])
+    def test_stack(self, p, k, adapt):
+        self.assert_pinned(pinned_requests(p, k, adapt))

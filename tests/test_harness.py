@@ -1,6 +1,7 @@
 import datetime
 import json
 import re
+import sys
 import warnings
 from dataclasses import asdict, replace
 
@@ -574,6 +575,47 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "o" / "results.csv").exists()
 
+    @pytest.mark.parametrize("field", ["r", "lambda_init"])
+    @pytest.mark.parametrize("command", ["sample", "synthetic"])
+    def test_penalty_overflow_names_the_field(self, tmp_path, capsys, command, field):
+        # at 1e300, and at the largest float the config accepts, lam**2
+        # overflows: the chain fails naming the field and the overflow, and
+        # numpy warns of nothing
+        from bayesdn.cli import main
+
+        for value in (1e300, sys.float_info.max):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                rc = main(_penalty_run(tmp_path, command, field, value, burn_in=2, retained=3))
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert re.search(r"sweep \d+: penalty overflow: ", err), err
+            assert f"gibbs.{field} = {value:g}" in err
+            assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize("field", ["r", "lambda_init"])
+    @pytest.mark.parametrize("command", ["sample", "synthetic"])
+    def test_large_penalty_that_runs_writes_finite_numbers(self, tmp_path, command, field):
+        # 1e100 still runs: the chains shrink every edge to about 1e-60,
+        # and every number the command writes is finite
+        from bayesdn.cli import main
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(_penalty_run(tmp_path, command, field, 1e100, burn_in=20, retained=30))
+        assert rc == 0
+        assert [str(w.message) for w in caught] == []
+        written = sorted((tmp_path / "o").iterdir())
+        assert written
+        for path in written:
+            text = path.read_text(encoding="utf-8")
+            if path.suffix == ".json":
+                numbers = _json_numbers(json.loads(text))
+            else:
+                cells = [c for line in text.splitlines()[1:] for c in line.split(",")]
+                numbers = [float(c) for c in cells if c != "NA" and re.fullmatch(r"[-+.\deE]+", c)]
+            assert numbers and all(np.isfinite(numbers)), path.name
+
     def test_missing_csv_exit_code(self, tmp_path):
         from bayesdn.cli import main
 
@@ -856,6 +898,34 @@ class TestCli:
             cfg.write_text(json.dumps(bad))
             assert main(base + ["--config", str(cfg)]) == 2, bad
         assert not (tmp_path / "o").exists()
+
+
+def _penalty_run(tmp_path, command, field, value, burn_in, retained):
+    """CLI arguments of a small run with ``gibbs.<field>`` set to ``value``."""
+    gibbs = {"burn_in": burn_in, "retained": retained, field: value}
+    if field == "lambda_init":
+        gibbs["adapt_lambda"] = False
+    cfg = tmp_path / "penalty.json"
+    cfg.write_text(json.dumps({"gibbs": gibbs}))
+    out = ["--config", str(cfg), "--out", str(tmp_path / "o")]
+    if command == "synthetic":
+        return ["synthetic", "--structures", "ar2", "--dims", "5", "--sizes", "50",
+                "--estimators", "bnet", "--replications", "1", *out]
+    x = np.random.default_rng(1).standard_normal((40, 5))
+    csv_path = tmp_path / "x.csv"
+    csv_path.write_text("a,b,c,d,e\n" + "".join(",".join(map(str, row)) + "\n" for row in x))
+    return ["sample", "--csv", str(csv_path), *out]
+
+
+def _json_numbers(value):
+    """Every number in a decoded JSON value."""
+    if isinstance(value, dict):
+        return [x for v in value.values() for x in _json_numbers(v)]
+    if isinstance(value, list):
+        return [x for v in value for x in _json_numbers(v)]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return [value]
+    return []
 
 
 def _tiny_cli_config(tmp_path):

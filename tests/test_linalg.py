@@ -8,6 +8,7 @@ from bayesdn.linalg import (
     NotPositiveDefiniteError,
     cholesky_pd,
     invert_pd,
+    invert_pd_stack,
     mirror_lower,
     partial_correlation,
     require_symmetric,
@@ -97,6 +98,69 @@ class TestInvert:
                 with pytest.raises(NotPositiveDefiniteError) as exc:
                     fn(m)
                 assert exc.value.minor == k
+
+
+def random_pd_stack(k, p, seed):
+    rng = np.random.default_rng(seed)
+    jitters = rng.uniform(1e-3, 10.0, size=k)
+    return np.stack([random_pd(p, rng, jitter=j) for j in jitters])
+
+
+def decouple(m, row, pivot):
+    """Zero row and column ``row`` of ``m`` and set its diagonal to ``pivot``."""
+    m[row, :] = m[:, row] = 0.0
+    m[row, row] = pivot
+
+
+class TestInvertStack:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(k=st.integers(1, 8), p=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_matches_invert_pd_bitwise(self, k, p, seed):
+        ms = random_pd_stack(k, p, seed)
+        out = np.full_like(ms, np.nan)
+        invert_pd_stack(ms, out)
+        for m, inv in zip(ms, out):
+            np.testing.assert_array_equal(inv, invert_pd(m))
+            np.testing.assert_array_equal(inv, reference_inverse(m))
+        # in place, over the stack it inverts
+        invert_pd_stack(ms, ms)
+        np.testing.assert_array_equal(ms, out)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        k=st.integers(1, 8),
+        p=st.integers(2, 12),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_first_failure_is_the_one_invert_pd_raises(self, k, p, data, seed):
+        # item `first` fails, by a negative pivot (potrf breaks down) or by
+        # a tiny one (the pivot floor); a later item may fail the other
+        # way; the stack raises the first item's error, with its index
+        ms = random_pd_stack(k, p, seed)
+        first = data.draw(st.integers(0, k - 1))
+        kinds = ("breakdown", "floor")
+        kind = data.draw(st.sampled_from(kinds))
+        later = data.draw(st.one_of(st.none(), st.integers(first + 1, k - 1))) if first < k - 1 else None
+        for item, how in ((first, kind), (later, kinds[kind == "breakdown"])):
+            if item is None:
+                continue
+            row = data.draw(st.integers(0, p - 1))
+            floor = PIVOT_RTOL * np.max(np.diag(ms[item]))
+            decouple(ms[item], row, -1.0 if how == "breakdown" else 1e-3 * floor)
+        with pytest.raises(NotPositiveDefiniteError) as single:
+            invert_pd(ms[first])
+        with pytest.raises(NotPositiveDefiniteError) as stacked:
+            invert_pd_stack(ms, np.empty_like(ms))
+        assert stacked.value.index == first
+        assert str(stacked.value) == str(single.value)
+        assert stacked.value.minor == single.value.minor
+
+    def test_asymmetric_stack_rejected(self):
+        ms = np.stack([np.eye(3), np.eye(3)])
+        ms[1, 0, 2] = 0.5
+        with pytest.raises(ValueError, match="not symmetric"):
+            invert_pd_stack(ms, np.empty_like(ms))
 
 
 class TestPartialCorrelation:

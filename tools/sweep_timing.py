@@ -3,35 +3,42 @@ the stacked column kernel against the lone-chain kernel.
 
 Usage, from the root of a checkout::
 
-    python3 tools/sweep_timing.py --parent <rev>
-    python3 tools/sweep_timing.py --chains
+    python3 tools/sweep_timing.py --parent <rev> [--runs 21]
+    python3 tools/sweep_timing.py --chains [--runs 11]
 
 A sweep here is one step of a chain: the sweep's draws, the p column
-updates, the checked resync of Sigma and the hyperparameter update.  Each
-run is a fresh process with one BLAS thread on ar2 data with n = 200, and
-every timed interval goes through ``Calibration.measure`` of this
-checkout's ``perfbench/run.py`` (imported, not changed), which rescales
-raw seconds by a reference kernel timed before, during and after the
-interval.  Times are printed in reference milliseconds, so a host that
-slows down under other tenants' load does not read as a slower sweep.
+updates, the checked resync of Sigma and the hyperparameter update.  Every
+probe is a fresh process with one BLAS thread on ar2 data with n = 200
+(plus the chain's index), and every timed interval goes through
+``Calibration.measure`` of this checkout's ``perfbench/run.py`` (imported,
+not changed), which rescales raw seconds by a reference kernel timed
+before, during and after the interval.  Times are printed in reference
+milliseconds per chain and sweep, so a host that slows down under other
+tenants' load does not read as a slower sweep.
 
-``--parent`` times ``gibbs.chain_draws`` at its default seed, 0, which
-both trees share, at p = 10, 30, 60 and 100: at each p it skips the
-chain's first sweep and times the next ones in one calibrated interval.
-The working tree and a temporary clone of ``--parent`` (checked out as
-``tools/bench_pairs.py`` does, under ``$TMPDIR`` and removed at the end)
-take turns, ``--runs`` times each; the table gives each side's median ms
-per sweep and the median of the per-run ratios.
+``--parent`` times both trees in one process: the working tree's
+``src/bayesdn`` is imported as ``bayesdn`` and that of a temporary clone
+of ``--parent`` (checked out as ``tools/bench_pairs.py`` does, under
+``$TMPDIR`` and removed at the end) as ``bayesdn_parent``.  For each shape
+(the desk shape, a stack of 6 chains at p = 10, and lone chains at p = 10,
+30, 60 and 100) it builds the same chains in both trees and times
+``gibbs.run_batch`` over a short block of sweeps, about 0.1 s, ``--runs``
+times on each side, the two sides taking turns and the side that goes
+first alternating from pair to pair.  The table gives each side's median
+and the median of the per-pair ratios, with the pairs the working tree
+wins.  Separate processes swing by several per cent on identical code on a
+shared host; short alternating blocks in one process see the same host.
 
 ``--chains`` times ``gibbs.run_batch`` on the working tree alone: K
 chains of one p (distinct seeds and sample sizes) as one batch, which runs
 the stacked kernel, against the same chains each in a batch of its own,
 which runs the lone-chain kernel, at p = 10, 30, 60 and 100 and K = 2, 4,
 6, 20, 40, 80 and 240 (a run at the paper's scale holds 80 to 240 chains
-of one p).  Within a run the two kernels alternate which goes first; the
-table gives the median over ``--runs`` runs of ms per chain and sweep, and
-the median of the per-run ratios.  The size rule's ``STACK_MIN_CHAINS``
-and ``STACK_MAX_CHAINS`` are read off this table.
+of one p).  Each of the ``--runs`` runs is a fresh process, and within a
+run the two kernels alternate which goes first; the table gives the
+median over the runs of ms per chain and sweep, and the median of the
+per-run ratios.  The size rule's ``STACK_MIN_CHAINS`` and
+``STACK_MAX_CHAINS`` are read off this table.
 
 It only reports; it gates nothing.  Standard library and numpy only.
 """
@@ -48,8 +55,8 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH_RUN = os.path.join(ROOT, "perfbench", "run.py")
-# sweeps timed at each p: about 0.15 s per p and run
-SWEEPS = {10: 480, 30: 160, 60: 48, 100: 20}
+# (chains, p, sweeps per timed block) for --parent: about 0.1 s a block
+PARENT_SHAPES = ((6, 10, 80), (1, 10, 400), (1, 30, 130), (1, 60, 40), (1, 100, 14))
 CHAIN_DIMS = (10, 30, 60, 100)
 CHAIN_COUNTS = (2, 4, 6, 20, 40, 80, 240)
 # seconds of sweeps per timed interval in --chains (at least 3 sweeps)
@@ -68,20 +75,44 @@ from bayesdn.structures import StructureSpec, raw_components, sample_gaussian
 calibration = perfbench_run.Calibration(np)
 """
 
-# Runs in the measured tree with that tree's ``src`` on the path; prints
-# {p: reference seconds per sweep} as JSON.
+# Runs in the working tree with its ``src`` on the path and imports the
+# parent's ``src/bayesdn`` (argv[3]) as ``bayesdn_parent``; prints
+# [[K, p, sweeps, [parent s, ...], [change s, ...]], ...] in reference
+# seconds per block.
 PROBE_PARENT = PROBE_HEAD + """
-from bayesdn.gibbs import GibbsConfig, chain_draws
+import os
+package = os.path.join(json.loads(sys.argv[3]), "src", "bayesdn")
+spec = importlib.util.spec_from_file_location(
+    "bayesdn_parent", os.path.join(package, "__init__.py"), submodule_search_locations=[package]
+)
+sys.modules["bayesdn_parent"] = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(sys.modules["bayesdn_parent"])
+trees = {
+    "parent": importlib.import_module("bayesdn_parent.gibbs"),
+    "change": importlib.import_module("bayesdn.gibbs"),
+}
 
-out = {}
-for p, sweeps in json.loads(sys.argv[2]).items():
-    theta, _ = raw_components(StructureSpec("ar2", int(p)))
-    x = sample_gaussian(theta, 200, seed=int(p))
-    cfg = GibbsConfig(burn_in=0, retained=sweeps + 1)
-    draws = chain_draws(mirror_lower(x.T @ x), 200, cfg)
-    next(draws)
-    _, _, ref = calibration.measure(lambda: [next(draws) for _ in range(sweeps)])
-    out[p] = ref / sweeps
+shapes, pairs = json.loads(sys.argv[2])
+out = []
+for k, p, sweeps in shapes:
+    theta, _ = raw_components(StructureSpec("ar2", p))
+    data = []
+    for j in range(k):
+        x = sample_gaussian(theta, 200 + j, seed=1000 * p + j)
+        data.append((mirror_lower(x.T @ x), 200 + j))
+    blocks = {}
+    for side, gibbs in trees.items():
+        cfg = gibbs.GibbsConfig(burn_in=sweeps - 1, retained=1)
+        requests = [
+            gibbs.ChainRequest(s, n, cfg, j + 1, partials=False) for j, (s, n) in enumerate(data)
+        ]
+        blocks[side] = lambda run=gibbs.run_batch, requests=requests: run(requests)
+    seconds = {"parent": [], "change": []}
+    for i in range(pairs):
+        for side in ("parent", "change")[:: 1 if i % 2 == 0 else -1]:
+            _, _, ref = calibration.measure(blocks[side])
+            seconds[side].append(ref)
+    out.append([k, p, sweeps, seconds["parent"], seconds["change"]])
 print(json.dumps(out))
 """
 
@@ -122,12 +153,12 @@ def git(*args: str, cwd: str = ROOT) -> str:
     return proc.stdout.strip()
 
 
-def probe(tree: str, script: str, arg) -> object:
+def probe(tree: str, script: str, *args) -> object:
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     proc = subprocess.run(
-        [sys.executable, "-c", script, PERFBENCH_RUN, json.dumps(arg)],
+        [sys.executable, "-c", script, PERFBENCH_RUN, *map(json.dumps, args)],
         cwd=tree, env=env, capture_output=True, text=True,
     )
     if proc.returncode != 0:
@@ -135,26 +166,25 @@ def probe(tree: str, script: str, arg) -> object:
     return json.loads(proc.stdout)
 
 
-def compare_parent(rev: str, runs: int) -> None:
+def compare_parent(rev: str, pairs: int) -> None:
     parent = git("rev-parse", "--short", rev)
-    runs_of = {"change": [], "parent": []}
     with tempfile.TemporaryDirectory(prefix="sweep_parent_") as tmp:
         clone = os.path.join(tmp, "parent")
         git("clone", "--quiet", "--no-checkout", ROOT, clone)
         git("checkout", "--quiet", "--detach", parent, cwd=clone)
-        trees = {"parent": clone, "change": ROOT}
-        for k in range(runs):
-            for side in ("parent", "change")[:: 1 if k % 2 == 0 else -1]:
-                runs_of[side].append(probe(trees[side], PROBE_PARENT, SWEEPS))
-    print(f"reference ms per sweep, median of {runs} interleaved runs, one BLAS thread, ar2, n = 200")
-    print(f"{'p':>5} {'parent ' + parent:>16} {'working tree':>14} {'ratio':>7}")
-    for p in map(str, SWEEPS):
-        old = [run[p] for run in runs_of["parent"]]
-        new = [run[p] for run in runs_of["change"]]
-        ratio = statistics.median(b / a for a, b in zip(old, new))
+        rows = probe(ROOT, PROBE_PARENT, [PARENT_SHAPES, pairs], clone)
+    print(
+        f"reference ms per chain and sweep, median of {pairs} alternating block pairs "
+        "in one process, one BLAS thread, ar2, n = 200 + chain index"
+    )
+    print(f"{'K':>4} {'p':>5} {'parent ' + parent:>16} {'working tree':>14} {'ratio':>7} {'wins':>7}")
+    for k, p, sweeps, old, new in rows:
+        per = 1e3 / (k * sweeps)
+        ratios = [b / a for a, b in zip(old, new)]
         print(
-            f"{p:>5} {statistics.median(old) * 1e3:>16.3f} "
-            f"{statistics.median(new) * 1e3:>14.3f} {ratio:>7.2f}"
+            f"{k:>4} {p:>5} {statistics.median(old) * per:>16.3f} "
+            f"{statistics.median(new) * per:>14.3f} {statistics.median(ratios):>7.3f} "
+            f"{sum(r < 1.0 for r in ratios):>3}/{len(ratios)}"
         )
 
 
@@ -184,7 +214,10 @@ def main() -> int:
     mode.add_argument(
         "--chains", action="store_true", help="compare the stacked and lone-chain kernels"
     )
-    parser.add_argument("--runs", type=int, default=7, help="runs (per side with --parent)")
+    parser.add_argument(
+        "--runs", type=int, default=7,
+        help="runs (--chains), or alternating block pairs per shape (--parent)",
+    )
     args = parser.parse_args()
     if args.chains:
         compare_kernels(args.runs)
