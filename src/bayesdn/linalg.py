@@ -185,10 +185,9 @@ def invert_pd_stack(ms: np.ndarray, out: np.ndarray) -> None:
     with LAPACK ``potrf`` and solved against the identity with ``potrs``,
     and the lower triangle of the solution is mirrored, so ``out[k]`` is
     ``invert_pd(ms[k])`` bit for bit whatever the stack.  The symmetry
-    check, the pivot floors and the mirror are one call each for the whole
+    check, the pivot floors and the mirror are done once for the whole
     stack; only ``potrf`` and ``potrs`` run per item, in place on work
-    arrays made once per call.  ``ms`` and ``out`` are C-contiguous float
-    arrays and may be the same.
+    arrays made once per call.  ``out`` may be ``ms`` itself.
 
     Raises ``ValueError`` if the stack is not symmetric, and otherwise the
     error of the first failing item, in stack order, with its ``index`` in
