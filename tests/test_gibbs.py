@@ -579,6 +579,7 @@ class TestStackedRoute:
     @pytest.mark.parametrize(
         "k",
         [STACK_MIN_CHAINS, 2 * STACK_MIN_CHAINS + 1, STACK_MAX_CHAINS + 1, 5 * STACK_MAX_CHAINS],
+        ids=["min", "2min+1", "max+1", "5max"],
     )
     def test_size_rule_cuts_tall_groups_into_even_stacks(self, k, workers):
         # every stack holds STACK_MIN_CHAINS to STACK_MAX_CHAINS chains, the

@@ -5,11 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_solve, cholesky
+from scipy.linalg.lapack import dpotrf as factor
 
+from bayesdn import ista
 from bayesdn.ista import (
     IstaConfig,
     IstaResult,
     _entry_violation,
+    _exact_finish as exact_finish,
     _kkt_residual,
     _kkt_violation,
     _kkt_within,
@@ -19,6 +23,7 @@ from bayesdn.ista import (
     estimate_dnet,
     ista_solve,
     solve_path,
+    support_hessian,
 )
 from bayesdn.structures import StructureSpec, make_structure, sample_gaussian
 from bayesdn.linalg import mirror_lower
@@ -241,6 +246,17 @@ class TestSelection:
         path = bic_select(np.array([0.1, 0.3]), [worse, good], 20, 20)
         assert path.selected == 1
 
+    @pytest.mark.parametrize("grid", [(10.0, 5.0), (5.0, 10.0)], ids=["descending", "ascending"])
+    def test_ties_go_to_the_larger_penalty_in_either_grid_order(self, grid):
+        rng = np.random.default_rng(19)
+        s1 = random_pd(3, rng)
+        s2 = s1 + 0.1 * np.eye(3)
+        path = solve_path(s1, s2, 20, 20, IstaConfig(penalty_grid=grid))
+        # both penalties exceed max |S1 - S2|: both solutions are zero, BIC 0
+        assert all(not res.delta.any() for res in path.results)
+        np.testing.assert_array_equal(path.bics, [0.0, 0.0])
+        assert path.lambdas[path.selected] == 10.0
+
     def test_selected_sparser_than_least_penalized(self):
         pair = make_structure(StructureSpec("ar1", 10))
         x1 = sample_gaussian(pair.theta1, 100, seed=0)
@@ -273,14 +289,48 @@ class TestEstimator:
         assert path.bics[path.selected] == path.bics.min()
 
 
+def reference_finish(s1, s2, lam, signs, support):
+    """The exact finish written out: the support's Hessian entry by entry,
+    scipy's checked Cholesky wrappers (LAPACK ``potrf``/``potrs``, lower
+    triangle), and None on a failed factorization or a changed sign."""
+    size = len(support)
+    hess, rhs = np.empty((size, size)), np.empty(size)
+    for a, (i, j) in enumerate(support):
+        ha, wa = (0.5, 1.0) if i == j else (1.0, 2.0)
+        rhs[a] = wa * ((s1[i, j] - s2[i, j]) - lam * signs[i, j])
+        for b, (k, l) in enumerate(support):
+            hb = 0.5 if k == l else 1.0
+            quad = (s1[i, k] * s2[j, l] + s1[j, l] * s2[i, k]) + (
+                s1[i, l] * s2[j, k] + s1[j, k] * s2[i, l]
+            )
+            hess[a, b] = quad * ha * hb
+    try:
+        chol = cholesky(hess, lower=True)
+    except np.linalg.LinAlgError:
+        return None
+    d = cho_solve((chol, True), rhs)
+    if any(np.sign(d[a]) != signs[i, j] for a, (i, j) in enumerate(support)):
+        return None
+    z = np.zeros_like(s1)
+    for a, (i, j) in enumerate(support):
+        z[i, j] = z[j, i] = d[a]
+    return z
+
+
 def reference_ista_solve(s1, s2, lam, cfg=IstaConfig(), start=None):
     """The FISTA loop as first written, one new array per operation and a
-    full KKT pass per accepted step: the reference ``ista_solve`` must
-    match bit for bit."""
+    full KKT pass per accepted step, with the exact finish every 8
+    iterations: the reference ``ista_solve`` must match bit for bit.
+
+    ``objective_history`` never increases and holds the start's objective
+    and one entry per counted iteration; an accepted finish lowers the
+    entry of the iteration it follows, and ``iterations <= max_iters``."""
 
     def kkt(delta, grad):
         viol = np.where(delta != 0, np.abs(grad + lam * np.sign(delta)), np.abs(grad) - lam)
         return max(float(viol.max()), 0.0)
+
+    p = s1.shape[0]
 
     step = 1.0 / float(np.linalg.eigvalsh(s1)[-1] * np.linalg.eigvalsh(s2)[-1])
     thr = lam * step
@@ -292,6 +342,7 @@ def reference_ista_solve(s1, s2, lam, cfg=IstaConfig(), start=None):
     history = [0.5 * float(np.vdot(x, g - c)) + lam * float(abs_x.sum())]
     converged = kkt(x, g) <= cfg.tol
     y, gy, momentum = x, g, 1.0
+    signs, tried = np.sign(x), set()
     it = 0
     while not converged and it < cfg.max_iters:
         it += 1
@@ -321,6 +372,24 @@ def reference_ista_solve(s1, s2, lam, cfg=IstaConfig(), start=None):
             if y is x:
                 break
             y, gy, momentum = x, g, 1.0
+        if converged or it % 8 != 0:
+            continue
+        # the exact finish: a sign pattern unchanged since the last check,
+        # with 1 to 64 entries on and above the diagonal, tried once
+        last, signs = signs, np.sign(x)
+        support = [(i, j) for i in range(p) for j in range(i, p) if x[i, j] != 0]
+        key = signs.tobytes()
+        if np.array_equal(signs, last) and 0 < len(support) <= 64 and key not in tried:
+            tried.add(key)
+            z = reference_finish(s1, s2, lam, signs, support)
+            if z is not None:
+                m = s1 @ z @ s2
+                z_grad = 0.5 * (m + m.T) - c
+                change = 0.5 * float(np.vdot(z - x, z_grad + g))
+                change += lam * float((np.abs(z) - abs_x).sum())
+                if change <= 0 and kkt(z, z_grad) <= cfg.tol:
+                    x, g, abs_x, converged = z, z_grad, np.abs(z), True
+                    history[-1] += change
     loss = 0.5 * float(np.vdot(x, g - c))
     return IstaResult(
         delta=x,
@@ -454,3 +523,127 @@ class TestKktScreen:
             converged, nxt = _kkt_within(delta, grad, lam, tol, worst)
             assert converged == (_kkt_residual(delta, grad, lam) <= tol)
         assert 0 <= nxt < delta.size
+
+
+def kronecker_support_hessian(s1, s2, support):
+    """``T' H T`` for ``H = 0.5 (S2 x S1 + S1 x S2)`` on column-stacked
+    matrices, ``T`` mapping each entry of the support to its symmetric matrix."""
+    p = s1.shape[0]
+    t = np.zeros((p * p, len(support)))
+    for a, (i, j) in enumerate(support):
+        t[i + j * p, a] = t[j + i * p, a] = 1.0
+    return t.T @ (0.5 * (np.kron(s2, s1) + np.kron(s1, s2))) @ t
+
+
+@st.composite
+def supports(draw):
+    p = draw(st.integers(2, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    upper = [(i, j) for i in range(p) for j in range(i, p)]
+    picked = draw(st.lists(st.sampled_from(upper), min_size=1, max_size=len(upper), unique=True))
+    return p, seed, sorted(picked)
+
+
+def plain_solve(monkeypatch, solve, *args):
+    """``solve(*args)`` with the exact finish switched off: the plain FISTA loop."""
+    with monkeypatch.context() as mp:
+        mp.setattr(ista, "FINISH_MAX_SUPPORT", 0)
+        return solve(*args)
+
+
+def finished_results(monkeypatch, solve, *args):
+    """``solve(*args)`` and the matrices its exact finishes returned."""
+    made = []
+
+    def spy(*finish_args):
+        z = exact_finish(*finish_args)
+        if z is not None:
+            made.append(z)
+        return z
+
+    with monkeypatch.context() as mp:
+        mp.setattr(ista, "_exact_finish", spy)
+        return solve(*args), made
+
+
+class TestExactFinish:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(supports())
+    def test_support_hessian_is_the_kronecker_hessian(self, case):
+        p, seed, support = case
+        rng = np.random.default_rng(seed)
+        s1, s2 = random_pd(p, rng), random_pd(p, rng)
+        rows, cols = (np.array(idx) for idx in zip(*support))
+        got = support_hessian(s1, s2, rows, cols)
+        want = kronecker_support_hessian(s1, s2, support)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+        np.testing.assert_array_equal(got, got.T)
+
+    def check_finished(self, s1, s2, lam, got, plain, made):
+        finished = any(got.delta is z for z in made)
+        if finished:
+            assert got.converged and plain.converged
+            assert kkt_residual(got.delta, s1, s2, lam) <= IstaConfig().tol
+            np.testing.assert_array_equal(got.delta != 0, plain.delta != 0)
+            assert got.objective <= plain.objective
+        return finished
+
+    def test_random_pairs_finish_at_the_plain_loops_support(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        count = 0
+        for p in (3, 5, 8, 12):
+            for _ in range(3):
+                s1, s2 = random_pd(p, rng), random_pd(p, rng)
+                scale = float(np.abs(s1 - s2).max())
+                for frac in (0.05, 0.2, 0.5):
+                    lam = frac * scale
+                    got, made = finished_results(monkeypatch, ista_solve, s1, s2, lam)
+                    plain = plain_solve(monkeypatch, ista_solve, s1, s2, lam)
+                    count += self.check_finished(s1, s2, lam, got, plain, made)
+        assert count >= 10
+
+    @pytest.mark.parametrize("kind,p", [("circle", 10), ("star", 30)])
+    def test_fixture_paths_finish_at_the_plain_loops_support(self, monkeypatch, kind, p):
+        s1, s2 = pair_covariances(kind, p)
+        path, made = finished_results(monkeypatch, solve_path, s1, s2, 200, 200)
+        plain = plain_solve(monkeypatch, solve_path, s1, s2, 200, 200)
+        count = 0
+        for lam, got, want in zip(path.lambdas, path.results, plain.results):
+            count += self.check_finished(s1, s2, float(lam), got, want, made)
+        assert count >= 5
+        assert path.selected == plain.selected
+
+    def test_declines_a_sign_its_solution_does_not_keep(self):
+        rng = np.random.default_rng(18)
+        s1, s2 = random_pd(4, rng), random_pd(4, rng)
+        lam = 0.05 * float(np.abs(s1 - s2).max())
+        res = ista_solve(s1, s2, lam, IstaConfig(tol=1e-10))
+        signs = np.sign(res.delta)
+        z = exact_finish(s1, s2, s1 - s2, lam, signs)
+        np.testing.assert_allclose(z, res.delta, atol=1e-8)
+        # forcing a wrong sign on one entry: the constrained stationary point
+        # keeps the entry's true sign, so the finish declines
+        i, j = np.argwhere(np.triu(signs) != 0)[0]
+        signs[i, j] = signs[j, i] = -signs[i, j]
+        assert exact_finish(s1, s2, s1 - s2, lam, signs) is None
+
+    def test_singular_pair_declines_cleanly(self, monkeypatch):
+        # n = 3 < p = 6: every support the solve tries has a singular
+        # Hessian, so each finish declines and the solve is the plain loop's
+        pair = make_structure(StructureSpec("star", 6, seed=1))
+        x1 = sample_gaussian(pair.theta1, 3, seed=101)
+        x2 = sample_gaussian(pair.theta2, 3, seed=201)
+        s1, s2 = mirror_lower(x1.T @ x1 / 3), mirror_lower(x2.T @ x2 / 3)
+        lam = 0.3 * float(np.abs(s1 - s2).max())
+        cfg = IstaConfig(max_iters=500)
+        infos = []
+
+        def spy(*args):
+            chol, info = factor(*args)
+            infos.append(info)
+            return chol, info
+
+        monkeypatch.setattr(ista, "dpotrf", spy)
+        got = assert_pinned(s1, s2, lam, cfg)
+        assert infos and all(info > 0 for info in infos)
+        assert_same_result(got, plain_solve(monkeypatch, ista_solve, s1, s2, lam, cfg))
