@@ -324,24 +324,28 @@ def ista_solve(
             y, gy, momentum = x, g, 1.0
         if converged or it % FINISH_EVERY:
             continue
-        last, signs = signs, np.sign(x)
-        if not np.array_equal(signs, last):
+        # A pattern outside the size range is kept as None: the next check
+        # could only try a pattern equal to it, which is out of range too.
+        last, signs = signs, None
+        size = (np.count_nonzero(x) + np.count_nonzero(x.diagonal())) // 2
+        if not 0 < size <= FINISH_MAX_SUPPORT:
             continue
-        # nonzero entries on and above the diagonal
-        size = (np.count_nonzero(signs) + np.count_nonzero(signs.diagonal())) // 2
+        signs = np.sign(x)
         key = signs.tobytes()
-        if 0 < size <= FINISH_MAX_SUPPORT and key not in tried:
-            tried.add(key)
-            exact = _exact_finish(s1, s2, c, lam, signs)
-            if exact is not None:
-                exact_grad = dnet_gradient(exact, s1, s2)
-                abs_exact = np.abs(exact)
-                change = 0.5 * float(np.vdot(exact - x, exact_grad + g))
-                change += lam * float((abs_exact - abs_x).sum())
-                if change <= 0 and _kkt_residual(exact, exact_grad, lam) <= cfg.tol:
-                    # the finish belongs to the iteration it follows
-                    x, g, abs_x, converged = exact, exact_grad, abs_exact, True
-                    history[-1] += change
+        if last is None or key in tried or not np.array_equal(signs, last):
+            continue
+        tried.add(key)
+        exact = _exact_finish(s1, s2, c, lam, signs)
+        if exact is None:
+            continue
+        exact_grad = dnet_gradient(exact, s1, s2)
+        abs_exact = np.abs(exact)
+        change = 0.5 * float(np.vdot(exact - x, exact_grad + g))
+        change += lam * float((abs_exact - abs_x).sum())
+        if change <= 0 and _kkt_residual(exact, exact_grad, lam) <= cfg.tol:
+            # the finish belongs to the iteration it follows
+            x, g, abs_x, converged = exact, exact_grad, abs_exact, True
+            history[-1] += change
     loss = 0.5 * float(np.vdot(x, g - c))
     return IstaResult(
         delta=x,
