@@ -27,9 +27,13 @@ signs of the iterate are right its minimizer is one linear solve (the
 lasso path is piecewise linear, Efron et al. 2004, *Ann. Stat.* 32(2)).
 FISTA's tail to that point is slow on ill-conditioned pairs, so every
 ``FINISH_EVERY`` iterations a solve tries an exact finish: it solves the
-quadratic restricted to the iterate's support and signs, with one
-Cholesky factorization of the support's Hessian (:func:`support_hessian`),
-and keeps the result only if it converges.
+quadratic restricted to the iterate's support and signs, and keeps the
+result only if it converges.  A support of at most ``FINISH_MAX_SUPPORT``
+entries is solved with one Cholesky factorization of its Hessian
+(:func:`support_hessian`); a larger one by preconditioned conjugate
+gradients (Hestenes & Stiefel 1952, *J. Res. NBS* 49(6)), whose product
+with the Hessian is one ``S1 D S2`` product, so no ``|A| x |A|`` array
+is formed.
 """
 
 from __future__ import annotations
@@ -45,13 +49,19 @@ from .linalg import mirror_lower, require_symmetric
 
 log = logging.getLogger(__name__)
 
-# The exact finish: every FINISH_EVERY iterations, a sign pattern that held
-# since the last check and has at most FINISH_MAX_SUPPORT nonzero entries
-# on and above the diagonal is solved for exactly, each pattern at most
-# once per solve.  The cap keeps the |A| x |A| system small next to the
-# p x p iteration, and the memory of a path flat.
+# The exact finish: every FINISH_EVERY iterations, a sign pattern that has
+# held at consecutive checks is solved for exactly, each pattern at most
+# once per solve.  A support of at most FINISH_MAX_SUPPORT nonzero entries
+# on and above the diagonal is factorized once it held at two checks; the
+# cap keeps the |A| x |A| system small next to the p x p iteration, and the
+# memory of a path flat.  A larger support is solved by conjugate gradients
+# once it held at CG_HOLD_CHECKS checks, within CG_MAX_PRODUCTS products
+# with its Hessian, each the cost of one iteration; a pattern that held
+# only twice there is still changing too often to repay the products.
 FINISH_EVERY = 8
 FINISH_MAX_SUPPORT = 64
+CG_HOLD_CHECKS = 3
+CG_MAX_PRODUCTS = 100
 
 __all__ = [
     "IstaConfig",
@@ -65,7 +75,14 @@ class IstaConfig:
     """Solver settings; ``penalty_grid=None`` defers to the data-driven default.
 
     ``tol`` bounds the L1 KKT residual at which a solve counts as
-    converged; ``max_iters`` caps the iterations of each penalty.
+    converged, not the distance to the minimizer: on an ill-conditioned
+    pair a FISTA iterate at residual 1e-6 can sit about 1e-3 relative from
+    the minimizer in a loss.  A solve that the Cholesky finish ends lands
+    on the minimizer over its support and signs to rounding; one that
+    conjugate gradients end has a residual of at most ``tol / 4`` on its
+    support; one whose sign pattern never settles, or whose finishes all
+    decline, ends where FISTA stops.  ``max_iters`` caps the iterations of
+    each penalty.
     """
 
     max_iters: int = bound(5000, ge=1)
@@ -198,6 +215,77 @@ def _exact_finish(s1, s2, c, lam, signs):
     return z
 
 
+def _support_operator(s1, s2, rows, cols):
+    """The Hessian of :func:`support_hessian` as a product, and its diagonal.
+
+    ``product(v)`` is ``H v`` without forming ``H``: with ``D`` the
+    symmetric matrix that holds ``v`` in the entries ``(rows[a], cols[a])``
+    and ``(cols[a], rows[a])`` and ``M = S1 D S2``, ``(H v)_a = w_a * 0.5
+    (M_ij + M_ji)``, ``w`` 1 on the diagonal and 2 off it; a product costs
+    about one FISTA iteration.  The diagonal is ``(w_a / 2)^2 (S1_ii S2_jj +
+    S1_jj S2_ii + 2 S1_ij S2_ij)``.
+    """
+    p = s1.shape[0]
+    upper, lower = rows * p + cols, cols * p + rows
+    w = np.where(rows == cols, 1.0, 2.0)
+    d = np.zeros_like(s1)
+    flat = d.reshape(-1)
+
+    def product(v):
+        flat[upper] = v
+        flat[lower] = v
+        m = s1 @ d @ s2
+        return w * (0.5 * (m.take(upper) + m.take(lower)))
+
+    d1, d2 = s1.diagonal(), s2.diagonal()
+    cross = d1[rows] * d2[cols] + d1[cols] * d2[rows]
+    diagonal = (0.25 * w * w) * (cross + 2.0 * s1.take(upper) * s2.take(upper))
+    return product, diagonal
+
+
+def _cg_finish(s1, s2, c, lam, signs, start, tol):
+    """The stationary point of :func:`_exact_finish` by preconditioned
+    conjugate gradients, or None.
+
+    It solves ``H d = w (c - lam s)`` on the support of ``signs`` without
+    forming ``H`` (:func:`_support_operator`), from the values of ``start``
+    on the support, with the Hessian's diagonal as preconditioner.  The
+    residual divided by ``w`` is the support's KKT violation, so the solve
+    stops once its largest entry is at most ``tol / 4``.  It declines after
+    ``CG_MAX_PRODUCTS`` products, on a curvature that is not positive and
+    finite (a singular Hessian), or when a sign differs.
+    """
+    rows, cols = np.nonzero(np.triu(signs))
+    product, diagonal = _support_operator(s1, s2, rows, cols)
+    s = signs[rows, cols]
+    w = np.where(rows == cols, 1.0, 2.0)
+    d = start[rows, cols]
+    r = w * (c[rows, cols] - lam * s) - product(d)
+    z = r / diagonal
+    direction, rz = z, float(r @ z)
+    products = 1
+    while float(np.abs(r / w).max()) > 0.25 * tol:
+        if products == CG_MAX_PRODUCTS:
+            return None
+        q = product(direction)
+        products += 1
+        curvature = float(direction @ q)
+        if not 0 < curvature < np.inf:
+            return None
+        alpha = rz / curvature
+        d = d + alpha * direction
+        r = r - alpha * q
+        z = r / diagonal
+        rz, rz_prev = float(r @ z), rz
+        direction = z + (rz / rz_prev) * direction
+    if not np.array_equal(np.sign(d), s):
+        return None
+    out = np.zeros_like(s1)
+    out[rows, cols] = d
+    out[cols, rows] = d
+    return out
+
+
 def ista_solve(
     s1: np.ndarray,
     s2: np.ndarray,
@@ -219,13 +307,17 @@ def ista_solve(
     carries the last accepted iterate.
 
     After every ``FINISH_EVERY``-th iteration that leaves the solve
-    unconverged, the exact finish is tried if the iterate's sign pattern is
-    the one of the last such check, has 1 to ``FINISH_MAX_SUPPORT`` nonzero
-    entries on and above the diagonal and has not been tried in this
-    solve.  Its result is accepted as the converged solution only if the
-    factorization succeeds, every sign matches, the full KKT residual is at
-    most ``cfg.tol`` and the objective does not rise; otherwise the
-    iteration goes on as before.  The finish counts as no iteration: an
+    unconverged, the exact finish is tried if the iterate's sign pattern
+    has not been tried in this solve and was seen at consecutive such
+    checks, the start counting as one: at two checks for 1 to
+    ``FINISH_MAX_SUPPORT`` nonzero entries on and above the diagonal,
+    solved by a Cholesky factorization, and at ``CG_HOLD_CHECKS`` for more,
+    solved by conjugate gradients from the iterate.  Its result is accepted
+    as the converged solution only if the solve succeeds (the
+    factorization, or conjugate gradients within ``CG_MAX_PRODUCTS``
+    products at positive curvature), every sign matches, the full KKT
+    residual is at most ``cfg.tol`` and the objective does not rise;
+    otherwise the iteration goes on as before.  The finish counts as no iteration: an
     accepted one lowers the entry of the iteration it follows.  So
     ``objective_history`` holds the start's objective and one entry per
     counted iteration and never increases, and ``iterations <=
@@ -271,9 +363,10 @@ def ista_solve(
     w, clip, sz, m, move, tmp, y_buf, gy_buf, z_grad, abs_z = (
         np.empty_like(s1) for _ in range(10)
     )
-    # the sign pattern at the last check of the exact finish, and the
+    # the sign pattern at the last check of the exact finish, the number of
+    # consecutive checks (the start counting as one) that saw it, and the
     # patterns already tried
-    signs, tried = np.sign(x), set()
+    signs, held, tried = np.sign(x), 1, set()
     it = 0
     while not converged and it < cfg.max_iters:
         it += 1
@@ -324,18 +417,20 @@ def ista_solve(
             y, gy, momentum = x, g, 1.0
         if converged or it % FINISH_EVERY:
             continue
-        # A pattern outside the size range is kept as None: the next check
-        # could only try a pattern equal to it, which is out of range too.
-        last, signs = signs, None
+        last, signs = signs, np.sign(x)
+        held = held + 1 if np.array_equal(signs, last) else 1
         size = (np.count_nonzero(x) + np.count_nonzero(x.diagonal())) // 2
-        if not 0 < size <= FINISH_MAX_SUPPORT:
+        dense = size <= FINISH_MAX_SUPPORT
+        if size == 0 or held < (2 if dense else CG_HOLD_CHECKS):
             continue
-        signs = np.sign(x)
         key = signs.tobytes()
-        if last is None or key in tried or not np.array_equal(signs, last):
+        if key in tried:
             continue
         tried.add(key)
-        exact = _exact_finish(s1, s2, c, lam, signs)
+        if dense:
+            exact = _exact_finish(s1, s2, c, lam, signs)
+        else:
+            exact = _cg_finish(s1, s2, c, lam, signs, x, cfg.tol)
         if exact is None:
             continue
         exact_grad = dnet_gradient(exact, s1, s2)

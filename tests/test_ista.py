@@ -12,11 +12,13 @@ from bayesdn import ista
 from bayesdn.ista import (
     IstaConfig,
     IstaResult,
+    _cg_finish as cg_finish,
     _entry_violation,
     _exact_finish as exact_finish,
     _kkt_residual,
     _kkt_violation,
     _kkt_within,
+    _support_operator as support_operator,
     bic_select,
     default_penalty_grid,
     dnet_gradient,
@@ -317,10 +319,59 @@ def reference_finish(s1, s2, lam, signs, support):
     return z
 
 
+def reference_cg_finish(s1, s2, lam, signs, support, start, tol):
+    """The conjugate-gradient finish written out: each product forms the
+    symmetric D entry by entry and takes ``w_a * 0.5 (M_ij + M_ji)`` from
+    ``M = S1 D S2``; Jacobi preconditioner, warm start from ``start``, stop
+    at a support KKT violation of ``tol / 4``, and None after 100 products,
+    on a curvature that is not positive and finite, or on a changed sign."""
+    w = np.array([1.0 if i == j else 2.0 for i, j in support])
+
+    def product(v):
+        dmat = np.zeros_like(s1)
+        for a, (i, j) in enumerate(support):
+            dmat[i, j] = dmat[j, i] = v[a]
+        m = s1 @ dmat @ s2
+        return np.array([w[a] * (0.5 * (m[i, j] + m[j, i])) for a, (i, j) in enumerate(support)])
+
+    diagonal = np.array([
+        (0.25 * w[a] * w[a]) * ((s1[i, i] * s2[j, j] + s1[j, j] * s2[i, i]) + 2.0 * s1[i, j] * s2[i, j])
+        for a, (i, j) in enumerate(support)
+    ])
+    rhs = np.array([w[a] * ((s1[i, j] - s2[i, j]) - lam * signs[i, j]) for a, (i, j) in enumerate(support)])
+    d = np.array([start[i, j] for i, j in support])
+    r = rhs - product(d)
+    z = r / diagonal
+    direction, rz = z, float(np.dot(r, z))
+    products = 1
+    while max(abs(r[a] / w[a]) for a in range(len(support))) > 0.25 * tol:
+        if products == 100:
+            return None
+        q = product(direction)
+        products += 1
+        curvature = float(np.dot(direction, q))
+        if not (curvature > 0 and np.isfinite(curvature)):
+            return None
+        alpha = rz / curvature
+        d = d + alpha * direction
+        r = r - alpha * q
+        z = r / diagonal
+        rz_prev = rz
+        rz = float(np.dot(r, z))
+        direction = z + (rz / rz_prev) * direction
+    if any(np.sign(d[a]) != signs[i, j] for a, (i, j) in enumerate(support)):
+        return None
+    out = np.zeros_like(s1)
+    for a, (i, j) in enumerate(support):
+        out[i, j] = out[j, i] = d[a]
+    return out
+
+
 def reference_ista_solve(s1, s2, lam, cfg=IstaConfig(), start=None):
     """The FISTA loop as first written, one new array per operation and a
     full KKT pass per accepted step, with the exact finish every 8
-    iterations: the reference ``ista_solve`` must match bit for bit.
+    iterations (by Cholesky on up to 64 support entries, by conjugate
+    gradients above): the reference ``ista_solve`` must match bit for bit.
 
     ``objective_history`` never increases and holds the start's objective
     and one entry per counted iteration; an accepted finish lowers the
@@ -342,7 +393,7 @@ def reference_ista_solve(s1, s2, lam, cfg=IstaConfig(), start=None):
     history = [0.5 * float(np.vdot(x, g - c)) + lam * float(abs_x.sum())]
     converged = kkt(x, g) <= cfg.tol
     y, gy, momentum = x, g, 1.0
-    signs, tried = np.sign(x), set()
+    signs, held, tried = np.sign(x), 1, set()
     it = 0
     while not converged and it < cfg.max_iters:
         it += 1
@@ -374,14 +425,20 @@ def reference_ista_solve(s1, s2, lam, cfg=IstaConfig(), start=None):
             y, gy, momentum = x, g, 1.0
         if converged or it % 8 != 0:
             continue
-        # the exact finish: a sign pattern unchanged since the last check,
-        # with 1 to 64 entries on and above the diagonal, tried once
+        # the exact finish: a sign pattern seen at 2 consecutive checks (the
+        # start counting as one) with 1 to 64 entries on and above the
+        # diagonal, or at 3 with more, tried once
         last, signs = signs, np.sign(x)
+        held = held + 1 if np.array_equal(signs, last) else 1
         support = [(i, j) for i in range(p) for j in range(i, p) if x[i, j] != 0]
         key = signs.tobytes()
-        if np.array_equal(signs, last) and 0 < len(support) <= 64 and key not in tried:
+        dense = len(support) <= 64
+        if support and held >= (2 if dense else 3) and key not in tried:
             tried.add(key)
-            z = reference_finish(s1, s2, lam, signs, support)
+            if dense:
+                z = reference_finish(s1, s2, lam, signs, support)
+            else:
+                z = reference_cg_finish(s1, s2, lam, signs, support, x, cfg.tol)
             if z is not None:
                 m = s1 @ z @ s2
                 z_grad = 0.5 * (m + m.T) - c
@@ -536,8 +593,8 @@ def kronecker_support_hessian(s1, s2, support):
 
 
 @st.composite
-def supports(draw):
-    p = draw(st.integers(2, 6))
+def supports(draw, max_p=6):
+    p = draw(st.integers(2, max_p))
     seed = draw(st.integers(0, 2**32 - 1))
     upper = [(i, j) for i in range(p) for j in range(i, p)]
     picked = draw(st.lists(st.sampled_from(upper), min_size=1, max_size=len(upper), unique=True))
@@ -545,24 +602,31 @@ def supports(draw):
 
 
 def plain_solve(monkeypatch, solve, *args):
-    """``solve(*args)`` with the exact finish switched off: the plain FISTA loop."""
+    """``solve(*args)`` with both finishes declining every try: the plain FISTA loop."""
     with monkeypatch.context() as mp:
-        mp.setattr(ista, "FINISH_MAX_SUPPORT", 0)
+        mp.setattr(ista, "_exact_finish", lambda *_: None)
+        mp.setattr(ista, "_cg_finish", lambda *_: None)
         return solve(*args)
 
 
 def finished_results(monkeypatch, solve, *args):
-    """``solve(*args)`` and the matrices its exact finishes returned."""
-    made = []
+    """``solve(*args)`` and the matrices its finishes returned, by finish:
+    ``made["exact"]`` from the Cholesky finish, ``made["cg"]`` from the
+    conjugate-gradient one."""
+    made = {"exact": [], "cg": []}
 
-    def spy(*finish_args):
-        z = exact_finish(*finish_args)
-        if z is not None:
-            made.append(z)
-        return z
+    def spying(finish, kind):
+        def spy(*finish_args):
+            z = finish(*finish_args)
+            if z is not None:
+                made[kind].append(z)
+            return z
+
+        return spy
 
     with monkeypatch.context() as mp:
-        mp.setattr(ista, "_exact_finish", spy)
+        mp.setattr(ista, "_exact_finish", spying(exact_finish, "exact"))
+        mp.setattr(ista, "_cg_finish", spying(cg_finish, "cg"))
         return solve(*args), made
 
 
@@ -578,6 +642,20 @@ class TestExactFinish:
         want = kronecker_support_hessian(s1, s2, support)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
         np.testing.assert_array_equal(got, got.T)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(supports(max_p=12))
+    def test_support_product_is_the_support_hessian(self, case):
+        p, seed, support = case
+        rng = np.random.default_rng(seed)
+        s1, s2 = random_pd(p, rng), random_pd(p, rng)
+        rows, cols = (np.array(idx) for idx in zip(*support))
+        hess = support_hessian(s1, s2, rows, cols)
+        product, diagonal = support_operator(s1, s2, rows, cols)
+        v = rng.standard_normal(len(support))
+        scale = (np.abs(hess) @ np.abs(v)).max()
+        np.testing.assert_allclose(product(v), hess @ v, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(diagonal, hess.diagonal(), rtol=1e-12)
 
     def check_finished(self, s1, s2, lam, got, plain, made):
         finished = any(got.delta is z for z in made)
@@ -599,18 +677,21 @@ class TestExactFinish:
                     lam = frac * scale
                     got, made = finished_results(monkeypatch, ista_solve, s1, s2, lam)
                     plain = plain_solve(monkeypatch, ista_solve, s1, s2, lam)
-                    count += self.check_finished(s1, s2, lam, got, plain, made)
+                    count += self.check_finished(s1, s2, lam, got, plain, made["exact"] + made["cg"])
         assert count >= 10
 
-    @pytest.mark.parametrize("kind,p", [("circle", 10), ("star", 30)])
+    @pytest.mark.parametrize("kind,p", [("circle", 10), ("star", 30), ("ar2", 30)])
     def test_fixture_paths_finish_at_the_plain_loops_support(self, monkeypatch, kind, p):
         s1, s2 = pair_covariances(kind, p)
         path, made = finished_results(monkeypatch, solve_path, s1, s2, 200, 200)
         plain = plain_solve(monkeypatch, solve_path, s1, s2, 200, 200)
-        count = 0
+        counts = {"exact": 0, "cg": 0}
         for lam, got, want in zip(path.lambdas, path.results, plain.results):
-            count += self.check_finished(s1, s2, float(lam), got, want, made)
-        assert count >= 5
+            for finish, zs in made.items():
+                counts[finish] += self.check_finished(s1, s2, float(lam), got, want, zs)
+        assert counts["exact"] + counts["cg"] >= 5
+        # at p = 10 no support exceeds 55 entries, so only Cholesky finishes
+        assert counts["cg"] >= (3 if p == 30 else 0)
         assert path.selected == plain.selected
 
     def test_declines_a_sign_its_solution_does_not_keep(self):
@@ -626,6 +707,19 @@ class TestExactFinish:
         i, j = np.argwhere(np.triu(signs) != 0)[0]
         signs[i, j] = signs[j, i] = -signs[i, j]
         assert exact_finish(s1, s2, s1 - s2, lam, signs) is None
+
+    def test_cg_finish_is_the_exact_finish_and_declines_a_wrong_sign(self):
+        rng = np.random.default_rng(18)
+        s1, s2 = random_pd(4, rng), random_pd(4, rng)
+        lam = 0.05 * float(np.abs(s1 - s2).max())
+        res = ista_solve(s1, s2, lam, IstaConfig(tol=1e-10))
+        signs = np.sign(res.delta)
+        zero = np.zeros_like(s1)
+        z = cg_finish(s1, s2, s1 - s2, lam, signs, zero, 1e-10)
+        np.testing.assert_allclose(z, exact_finish(s1, s2, s1 - s2, lam, signs), atol=1e-9)
+        i, j = np.argwhere(np.triu(signs) != 0)[0]
+        signs[i, j] = signs[j, i] = -signs[i, j]
+        assert cg_finish(s1, s2, s1 - s2, lam, signs, zero, 1e-10) is None
 
     def test_singular_pair_declines_cleanly(self, monkeypatch):
         # n = 3 < p = 6: every support the solve tries has a singular
@@ -646,4 +740,28 @@ class TestExactFinish:
         monkeypatch.setattr(ista, "dpotrf", spy)
         got = assert_pinned(s1, s2, lam, cfg)
         assert infos and all(info > 0 for info in infos)
+        assert_same_result(got, plain_solve(monkeypatch, ista_solve, s1, s2, lam, cfg))
+
+    @pytest.mark.filterwarnings("error")
+    def test_singular_pair_above_the_cap_declines_cleanly(self, monkeypatch):
+        # n = 3 < p = 12 at a small penalty: the supports the solve tries
+        # exceed 64 entries and their Hessians are singular, so conjugate
+        # gradients decline each one, with no warning, and the solve is the
+        # plain loop's
+        pair = make_structure(StructureSpec("star", 12, seed=1))
+        x1 = sample_gaussian(pair.theta1, 3, seed=101)
+        x2 = sample_gaussian(pair.theta2, 3, seed=201)
+        s1, s2 = mirror_lower(x1.T @ x1 / 3), mirror_lower(x2.T @ x2 / 3)
+        lam = 0.002 * float(np.abs(s1 - s2).max())
+        cfg = IstaConfig(max_iters=500)
+        tries = []
+
+        def spy(*args):
+            z = cg_finish(*args)
+            tries.append((int(np.count_nonzero(np.triu(args[4]))), z))
+            return z
+
+        monkeypatch.setattr(ista, "_cg_finish", spy)
+        got = assert_pinned(s1, s2, lam, cfg)
+        assert tries and all(size > 64 and z is None for size, z in tries)
         assert_same_result(got, plain_solve(monkeypatch, ista_solve, s1, s2, lam, cfg))
