@@ -317,10 +317,10 @@ def ista_solve(
     factorization, or conjugate gradients within ``CG_MAX_PRODUCTS``
     products at positive curvature), every sign matches, the full KKT
     residual is at most ``cfg.tol`` and the objective does not rise;
-    otherwise the iteration goes on as before.  The finish counts as no iteration: an
-    accepted one lowers the entry of the iteration it follows.  So
-    ``objective_history`` holds the start's objective and one entry per
-    counted iteration and never increases, and ``iterations <=
+    otherwise the iteration goes on as before.  The finish counts as no
+    iteration: an accepted one lowers the entry of the iteration it
+    follows.  So ``objective_history`` holds the start's objective and one
+    entry per counted iteration and never increases, and ``iterations <=
     cfg.max_iters``.
 
     The residual is checked by screening first: the violation of the entry
@@ -421,7 +421,8 @@ def ista_solve(
         held = held + 1 if np.array_equal(signs, last) else 1
         size = (np.count_nonzero(x) + np.count_nonzero(x.diagonal())) // 2
         dense = size <= FINISH_MAX_SUPPORT
-        if size == 0 or held < (2 if dense else CG_HOLD_CHECKS):
+        # held grows by one per check, so a pattern is looked up once per run
+        if size == 0 or held != (2 if dense else CG_HOLD_CHECKS):
             continue
         key = signs.tobytes()
         if key in tried:

@@ -334,11 +334,11 @@ def reference_cg_finish(s1, s2, lam, signs, support, start, tol):
         m = s1 @ dmat @ s2
         return np.array([w[a] * (0.5 * (m[i, j] + m[j, i])) for a, (i, j) in enumerate(support)])
 
-    diagonal = np.array([
-        (0.25 * w[a] * w[a]) * ((s1[i, i] * s2[j, j] + s1[j, j] * s2[i, i]) + 2.0 * s1[i, j] * s2[i, j])
-        for a, (i, j) in enumerate(support)
-    ])
-    rhs = np.array([w[a] * ((s1[i, j] - s2[i, j]) - lam * signs[i, j]) for a, (i, j) in enumerate(support)])
+    diagonal, rhs = np.empty(len(support)), np.empty(len(support))
+    for a, (i, j) in enumerate(support):
+        cross = s1[i, i] * s2[j, j] + s1[j, j] * s2[i, i]
+        diagonal[a] = (0.25 * w[a] * w[a]) * (cross + 2.0 * s1[i, j] * s2[i, j])
+        rhs[a] = w[a] * ((s1[i, j] - s2[i, j]) - lam * signs[i, j])
     d = np.array([start[i, j] for i, j in support])
     r = rhs - product(d)
     z = r / diagonal
@@ -677,7 +677,8 @@ class TestExactFinish:
                     lam = frac * scale
                     got, made = finished_results(monkeypatch, ista_solve, s1, s2, lam)
                     plain = plain_solve(monkeypatch, ista_solve, s1, s2, lam)
-                    count += self.check_finished(s1, s2, lam, got, plain, made["exact"] + made["cg"])
+                    both = made["exact"] + made["cg"]
+                    count += self.check_finished(s1, s2, lam, got, plain, both)
         assert count >= 10
 
     @pytest.mark.parametrize("kind,p", [("circle", 10), ("star", 30), ("ar2", 30)])
