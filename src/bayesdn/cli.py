@@ -24,6 +24,7 @@ import sys
 from dataclasses import asdict, dataclass
 
 from .config import FieldError, bound, check_fields, decode
+from .diffnet import DN_MODES
 from .gibbs import ChainRequest, GibbsConfig, run_chains
 from .harness import (
     ExperimentConfig,
@@ -122,7 +123,7 @@ def _add_experiment_flags(parser) -> None:
     parser.add_argument("--dims", help="comma list of dimensions")
     parser.add_argument("--sizes", help="comma list of sample sizes (pairs with dims)")
     parser.add_argument("--replications", type=int)
-    parser.add_argument("--mode", choices=("difference", "xor", "union"))
+    parser.add_argument("--mode", choices=DN_MODES)
 
 
 def _cmd_synthetic(args) -> int:

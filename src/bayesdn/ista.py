@@ -26,14 +26,15 @@ On each orthant the objective is a quadratic, so once the support and the
 signs of the iterate are right its minimizer is one linear solve (the
 lasso path is piecewise linear, Efron et al. 2004, *Ann. Stat.* 32(2)).
 FISTA's tail to that point is slow on ill-conditioned pairs, so every
-``FINISH_EVERY`` iterations a solve tries an exact finish: it solves the
-quadratic restricted to the iterate's support and signs, and keeps the
-result only if it converges.  A support of at most ``FINISH_MAX_SUPPORT``
-entries is solved with one Cholesky factorization of its Hessian
-(:func:`support_hessian`); a larger one by preconditioned conjugate
-gradients (Hestenes & Stiefel 1952, *J. Res. NBS* 49(6)), whose product
-with the Hessian is one ``S1 D S2`` product, so no ``|A| x |A|`` array
-is formed.
+``FINISH_EVERY`` iterations a solve tries an exact finish (:func:`_finish`):
+it solves the quadratic restricted to the iterate's support and signs, and
+keeps the result only if it converges.  The finish forms the support, the
+right-hand side, the sign check and the symmetric result once for either
+solve: a support of at most ``FINISH_MAX_SUPPORT`` entries is solved with
+one Cholesky factorization of its Hessian (:func:`support_hessian`); a
+larger one by preconditioned conjugate gradients (Hestenes & Stiefel 1952,
+*J. Res. NBS* 49(6)), whose product with the Hessian is one ``S1 D S2``
+product, so no ``|A| x |A|`` array is formed.
 """
 
 from __future__ import annotations
@@ -189,25 +190,32 @@ def support_hessian(
     return hess
 
 
-def _exact_finish(s1, s2, c, lam, signs):
+def _finish(s1, s2, c, lam, signs, start, tol):
     """The stationary point of the objective on the support of ``signs``
-    with those signs, or None if the factorization fails or a sign differs.
+    with those signs, or None if the solve declines or a sign differs.
 
     On that support the objective is the quadratic ``0.5 d' H d - <w (c - lam
     s), d>`` in the entries ``d`` on and above the diagonal (``H`` from
     :func:`support_hessian`, ``w`` 1 on the diagonal and 2 off it, as an
     entry off it is counted twice), so its minimizer solves ``H d = w (c -
-    lam s)``.
+    lam s)``.  A support of at most ``FINISH_MAX_SUPPORT`` entries is solved
+    by one Cholesky factorization of ``H``, which declines if ``H`` is not
+    positive definite; a larger one by :func:`_cg_solve` from the values of
+    ``start`` on the support.
     """
     rows, cols = np.nonzero(np.triu(signs))
     s = signs[rows, cols]
-    rhs = c[rows, cols] - lam * s
-    rhs[rows != cols] *= 2.0
-    chol, info = dpotrf(support_hessian(s1, s2, rows, cols), 1, 0)
-    if info != 0:
-        return None
-    d, info = dpotrs(chol, rhs, 1)
-    if info != 0 or not np.array_equal(np.sign(d), s):
+    w = np.where(rows == cols, 1.0, 2.0)
+    rhs = w * (c[rows, cols] - lam * s)
+    if rows.size <= FINISH_MAX_SUPPORT:
+        chol, info = dpotrf(support_hessian(s1, s2, rows, cols), 1, 0)
+        if info == 0:
+            d, info = dpotrs(chol, rhs, 1)
+        if info != 0:
+            return None
+    else:
+        d = _cg_solve(s1, s2, rows, cols, w, rhs, start[rows, cols], tol)
+    if d is None or not np.array_equal(np.sign(d), s):
         return None
     z = np.zeros_like(s1)
     z[rows, cols] = d
@@ -215,7 +223,7 @@ def _exact_finish(s1, s2, c, lam, signs):
     return z
 
 
-def _support_operator(s1, s2, rows, cols):
+def _support_operator(s1, s2, rows, cols, w):
     """The Hessian of :func:`support_hessian` as a product, and its diagonal.
 
     ``product(v)`` is ``H v`` without forming ``H``: with ``D`` the
@@ -227,7 +235,6 @@ def _support_operator(s1, s2, rows, cols):
     """
     p = s1.shape[0]
     upper, lower = rows * p + cols, cols * p + rows
-    w = np.where(rows == cols, 1.0, 2.0)
     d = np.zeros_like(s1)
     flat = d.reshape(-1)
 
@@ -243,24 +250,18 @@ def _support_operator(s1, s2, rows, cols):
     return product, diagonal
 
 
-def _cg_finish(s1, s2, c, lam, signs, start, tol):
-    """The stationary point of :func:`_exact_finish` by preconditioned
-    conjugate gradients, or None.
+def _cg_solve(s1, s2, rows, cols, w, rhs, d, tol):
+    """Solve ``H d = rhs`` on the support ``(rows, cols)`` by preconditioned
+    conjugate gradients from ``d``, or return None.
 
-    It solves ``H d = w (c - lam s)`` on the support of ``signs`` without
-    forming ``H`` (:func:`_support_operator`), from the values of ``start``
-    on the support, with the Hessian's diagonal as preconditioner.  The
-    residual divided by ``w`` is the support's KKT violation, so the solve
-    stops once its largest entry is at most ``tol / 4``.  It declines after
-    ``CG_MAX_PRODUCTS`` products, on a curvature that is not positive and
-    finite (a singular Hessian), or when a sign differs.
+    ``H`` is never formed (:func:`_support_operator`), and its diagonal is
+    the preconditioner.  The residual divided by ``w`` is the support's KKT
+    violation, so the solve stops once its largest entry is at most ``tol /
+    4``.  It declines after ``CG_MAX_PRODUCTS`` products, or on a curvature
+    that is not positive and finite (a singular Hessian).
     """
-    rows, cols = np.nonzero(np.triu(signs))
-    product, diagonal = _support_operator(s1, s2, rows, cols)
-    s = signs[rows, cols]
-    w = np.where(rows == cols, 1.0, 2.0)
-    d = start[rows, cols]
-    r = w * (c[rows, cols] - lam * s) - product(d)
+    product, diagonal = _support_operator(s1, s2, rows, cols, w)
+    r = rhs - product(d)
     z = r / diagonal
     direction, rz = z, float(r @ z)
     products = 1
@@ -278,12 +279,7 @@ def _cg_finish(s1, s2, c, lam, signs, start, tol):
         z = r / diagonal
         rz, rz_prev = float(r @ z), rz
         direction = z + (rz / rz_prev) * direction
-    if not np.array_equal(np.sign(d), s):
-        return None
-    out = np.zeros_like(s1)
-    out[rows, cols] = d
-    out[cols, rows] = d
-    return out
+    return d
 
 
 def ista_solve(
@@ -307,21 +303,21 @@ def ista_solve(
     carries the last accepted iterate.
 
     After every ``FINISH_EVERY``-th iteration that leaves the solve
-    unconverged, the exact finish is tried if the iterate's sign pattern
-    has not been tried in this solve and was seen at consecutive such
-    checks, the start counting as one: at two checks for 1 to
-    ``FINISH_MAX_SUPPORT`` nonzero entries on and above the diagonal,
-    solved by a Cholesky factorization, and at ``CG_HOLD_CHECKS`` for more,
-    solved by conjugate gradients from the iterate.  Its result is accepted
-    as the converged solution only if the solve succeeds (the
-    factorization, or conjugate gradients within ``CG_MAX_PRODUCTS``
-    products at positive curvature), every sign matches, the full KKT
-    residual is at most ``cfg.tol`` and the objective does not rise;
-    otherwise the iteration goes on as before.  The finish counts as no
-    iteration: an accepted one lowers the entry of the iteration it
-    follows.  So ``objective_history`` holds the start's objective and one
-    entry per counted iteration and never increases, and ``iterations <=
-    cfg.max_iters``.
+    unconverged, the exact finish (:func:`_finish`) is tried if the
+    iterate's sign pattern has not been tried in this solve and was seen
+    at consecutive such checks, the start counting as one: at two checks
+    for 1 to ``FINISH_MAX_SUPPORT`` nonzero entries on and above the
+    diagonal, which the finish solves by a Cholesky factorization, and at
+    ``CG_HOLD_CHECKS`` for more, which it solves by conjugate gradients
+    from the iterate.  Its result is accepted as the converged solution
+    only if the solve succeeds (the factorization, or conjugate gradients
+    within ``CG_MAX_PRODUCTS`` products at positive curvature), every sign
+    matches, the full KKT residual is at most ``cfg.tol`` and the objective
+    does not rise; otherwise the iteration goes on as before.  The finish
+    counts as no iteration: an accepted one lowers the entry of the
+    iteration it follows.  So ``objective_history`` holds the start's
+    objective and one entry per counted iteration and never increases, and
+    ``iterations <= cfg.max_iters``.
 
     The residual is checked by screening first: the violation of the entry
     that was largest at the last full pass, computed in Python floats by
@@ -428,10 +424,7 @@ def ista_solve(
         if key in tried:
             continue
         tried.add(key)
-        if dense:
-            exact = _exact_finish(s1, s2, c, lam, signs)
-        else:
-            exact = _cg_finish(s1, s2, c, lam, signs, x, cfg.tol)
+        exact = _finish(s1, s2, c, lam, signs, x, cfg.tol)
         if exact is None:
             continue
         exact_grad = dnet_gradient(exact, s1, s2)

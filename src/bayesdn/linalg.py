@@ -8,7 +8,8 @@ deep inside a sampler sweep.
 
 Positive definiteness is decided by the Cholesky factorization with a
 scale-aware pivot floor: a matrix is accepted iff the factorization
-succeeds and every pivot exceeds ``PIVOT_RTOL * max(diag)``.
+succeeds and every pivot exceeds ``PIVOT_RTOL * max(diag)``, a rule
+written once, for a stack, that checks a lone matrix as a stack of one.
 """
 
 from __future__ import annotations
@@ -42,14 +43,16 @@ class NotPositiveDefiniteError(np.linalg.LinAlgError):
         1-based index of the first failing leading principal minor
         (LAPACK convention), when known.
     index : int or None
-        Position of the failing matrix in a stack (:func:`invert_pd_stack`),
-        when the matrix was one of a stack.
+        Position of the failing matrix in its stack (:func:`invert_pd_stack`),
+        when the error comes from this module's check.  A lone matrix
+        (:func:`cholesky_pd`, :func:`invert_pd`) is a stack of one, so its
+        index is 0.
     """
 
-    def __init__(self, message: str, minor: int | None = None):
+    def __init__(self, message: str, minor: int | None = None, index: int | None = None):
         super().__init__(message)
         self.minor = minor
-        self.index: int | None = None
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -78,9 +81,7 @@ def mirror_lower(m: np.ndarray) -> np.ndarray:
     ndarray
         New array with ``out[i, j] == out[j, i]`` bitwise.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    m = _require_square(m)
     idx = np.arange(m.shape[0])
     out = np.where(idx[:, None] >= idx, m, m.T)
     out += 0.0  # -0.0 becomes 0.0, as in tril(m) + tril(m, -1).T
@@ -91,7 +92,7 @@ def _require_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     """``m`` as a float ndarray; ``ValueError`` unless it is a square matrix."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {m.shape}")
+        raise ValueError(f"{name}: expected a square matrix, got shape {m.shape}")
     return m
 
 
@@ -106,40 +107,13 @@ def require_symmetric(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def _minor_error(info: int) -> Exception:
-    """The error for a nonzero ``info`` of LAPACK ``potrf``."""
+def _minor_error(info: int, index: int) -> Exception:
+    """The error for a nonzero ``info`` of LAPACK ``potrf`` on item ``index`` of a stack."""
     if info > 0:
         return NotPositiveDefiniteError(
-            f"leading minor of order {info} is not positive definite", minor=int(info)
+            f"leading minor of order {info} is not positive definite", int(info), index
         )
     return ValueError(f"illegal argument {-info} passed to potrf")
-
-
-def _pivot_error(d: np.ndarray, floor: float) -> NotPositiveDefiniteError:
-    """The error for a factor whose diagonal ``d`` has a pivot at or below ``floor``."""
-    pivots = d * d
-    k = int(np.argmax(pivots <= floor))
-    return NotPositiveDefiniteError(
-        f"pivot {k + 1} ({pivots[k]:.3e}) at or below floor {floor:.3e}", minor=k + 1
-    )
-
-
-def _factor_pd(m: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of ``m``, checked against the pivot floor.
-
-    ``m`` must already be a float array that is exactly symmetric.  The
-    strict upper triangle of the result is zero.
-    """
-    c, info = dpotrf(m, 1, 1)  # lower, clean
-    if info != 0:
-        raise _minor_error(info)
-    d = c.diagonal()
-    floor = PIVOT_RTOL * float(m.diagonal().max())
-    d_min = float(d.min())
-    # the factor's diagonal is >= 0, so the least pivot is the square of its least entry
-    if d_min * d_min <= floor:
-        raise _pivot_error(d, floor)
-    return c
 
 
 def cholesky_pd(m: np.ndarray) -> PDFactor:
@@ -158,9 +132,14 @@ def cholesky_pd(m: np.ndarray) -> PDFactor:
     ------
     NotPositiveDefiniteError
         If the factorization breaks down or any pivot falls at or below
-        ``PIVOT_RTOL * max(diag(m))``.
+        ``PIVOT_RTOL * max(diag(m))``: the check of :func:`invert_pd_stack`
+        on a stack of one.  The strict upper triangle of the factor is zero.
     """
-    c = _factor_pd(require_symmetric(m))
+    m = require_symmetric(m)
+    c, info = dpotrf(m, 1, 1)  # lower, clean
+    if info != 0:
+        raise _minor_error(info, 0)
+    _check_pivots(m[None], c[None])
     logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
     return PDFactor(lower=c, logdet=logdet)
 
@@ -206,9 +185,7 @@ def invert_pd_stack(ms: np.ndarray, out: np.ndarray) -> None:
         _, info = dpotrf(c.T, 1, 0, 1)  # lower, clean, overwrite_a
         if info != 0:
             _check_pivots(ms[:i], factors[:i])
-            err = _minor_error(info)
-            err.index = i
-            raise err
+            raise _minor_error(info, i)
         _, info = dpotrs(c.T, x.T, 1, 1)  # lower, overwrite_b
         if info != 0:
             raise ValueError(f"illegal argument {-info} passed to potrs")
@@ -231,12 +208,15 @@ def _check_pivots(ms: np.ndarray, factors: np.ndarray) -> None:
     d = factors.diagonal(0, 1, 2)
     d_min = d.min(axis=1)
     floors = PIVOT_RTOL * ms.diagonal(0, 1, 2).max(axis=1)
+    # a factor's diagonal is >= 0, so its least pivot is the square of its least entry
     failing = d_min * d_min <= floors
     if failing.any():
         i = int(np.argmax(failing))
-        err = _pivot_error(d[i], float(floors[i]))
-        err.index = i
-        raise err
+        pivots, floor = d[i] * d[i], float(floors[i])
+        k = int(np.argmax(pivots <= floor))
+        raise NotPositiveDefiniteError(
+            f"pivot {k + 1} ({pivots[k]:.3e}) at or below floor {floor:.3e}", k + 1, i
+        )
 
 
 def partial_correlation(theta: np.ndarray) -> np.ndarray:
@@ -246,9 +226,7 @@ def partial_correlation(theta: np.ndarray) -> np.ndarray:
     diagonal, with unit diagonal.  Positive definiteness is not re-checked:
     callers pass sampler draws, which are PD by construction.
     """
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim != 2 or theta.shape[0] != theta.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {theta.shape}")
+    theta = _require_square(theta, "theta")
     d = np.sqrt(theta.diagonal())
     rho = -theta / np.multiply.outer(d, d)
     rho.reshape(-1)[:: theta.shape[0] + 1] = 1.0

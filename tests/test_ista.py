@@ -12,9 +12,9 @@ from bayesdn import ista
 from bayesdn.ista import (
     IstaConfig,
     IstaResult,
-    _cg_finish as cg_finish,
+    _cg_solve as cg_solve,
     _entry_violation,
-    _exact_finish as exact_finish,
+    _finish as finish,
     _kkt_residual,
     _kkt_violation,
     _kkt_within,
@@ -602,31 +602,27 @@ def supports(draw, max_p=6):
 
 
 def plain_solve(monkeypatch, solve, *args):
-    """``solve(*args)`` with both finishes declining every try: the plain FISTA loop."""
+    """``solve(*args)`` with the finish declining every try: the plain FISTA loop."""
     with monkeypatch.context() as mp:
-        mp.setattr(ista, "_exact_finish", lambda *_: None)
-        mp.setattr(ista, "_cg_finish", lambda *_: None)
+        mp.setattr(ista, "_finish", lambda *_: None)
         return solve(*args)
 
 
 def finished_results(monkeypatch, solve, *args):
-    """``solve(*args)`` and the matrices its finishes returned, by finish:
-    ``made["exact"]`` from the Cholesky finish, ``made["cg"]`` from the
-    conjugate-gradient one."""
+    """``solve(*args)`` and the matrices its finishes returned, by solve:
+    ``made["exact"]`` from a Cholesky finish (a support of at most 64
+    entries), ``made["cg"]`` from a conjugate-gradient one."""
     made = {"exact": [], "cg": []}
 
-    def spying(finish, kind):
-        def spy(*finish_args):
-            z = finish(*finish_args)
-            if z is not None:
-                made[kind].append(z)
-            return z
-
-        return spy
+    def spy(*finish_args):
+        z = finish(*finish_args)
+        if z is not None:
+            size = np.count_nonzero(np.triu(finish_args[4]))
+            made["exact" if size <= 64 else "cg"].append(z)
+        return z
 
     with monkeypatch.context() as mp:
-        mp.setattr(ista, "_exact_finish", spying(exact_finish, "exact"))
-        mp.setattr(ista, "_cg_finish", spying(cg_finish, "cg"))
+        mp.setattr(ista, "_finish", spy)
         return solve(*args), made
 
 
@@ -651,7 +647,7 @@ class TestExactFinish:
         s1, s2 = random_pd(p, rng), random_pd(p, rng)
         rows, cols = (np.array(idx) for idx in zip(*support))
         hess = support_hessian(s1, s2, rows, cols)
-        product, diagonal = support_operator(s1, s2, rows, cols)
+        product, diagonal = support_operator(s1, s2, rows, cols, np.where(rows == cols, 1.0, 2.0))
         v = rng.standard_normal(len(support))
         scale = (np.abs(hess) @ np.abs(v)).max()
         np.testing.assert_allclose(product(v), hess @ v, rtol=0, atol=1e-12 * scale)
@@ -701,26 +697,36 @@ class TestExactFinish:
         lam = 0.05 * float(np.abs(s1 - s2).max())
         res = ista_solve(s1, s2, lam, IstaConfig(tol=1e-10))
         signs = np.sign(res.delta)
-        z = exact_finish(s1, s2, s1 - s2, lam, signs)
+        zero = np.zeros_like(s1)
+        z = finish(s1, s2, s1 - s2, lam, signs, zero, 1e-10)
         np.testing.assert_allclose(z, res.delta, atol=1e-8)
         # forcing a wrong sign on one entry: the constrained stationary point
         # keeps the entry's true sign, so the finish declines
         i, j = np.argwhere(np.triu(signs) != 0)[0]
         signs[i, j] = signs[j, i] = -signs[i, j]
-        assert exact_finish(s1, s2, s1 - s2, lam, signs) is None
+        assert finish(s1, s2, s1 - s2, lam, signs, zero, 1e-10) is None
 
-    def test_cg_finish_is_the_exact_finish_and_declines_a_wrong_sign(self):
+    def test_cg_finish_is_the_exact_finish_and_declines_a_wrong_sign(self, monkeypatch):
         rng = np.random.default_rng(18)
         s1, s2 = random_pd(4, rng), random_pd(4, rng)
         lam = 0.05 * float(np.abs(s1 - s2).max())
         res = ista_solve(s1, s2, lam, IstaConfig(tol=1e-10))
         signs = np.sign(res.delta)
         zero = np.zeros_like(s1)
-        z = cg_finish(s1, s2, s1 - s2, lam, signs, zero, 1e-10)
-        np.testing.assert_allclose(z, exact_finish(s1, s2, s1 - s2, lam, signs), atol=1e-9)
+        exact = finish(s1, s2, s1 - s2, lam, signs, zero, 1e-10)
+        rows, cols = np.nonzero(np.triu(signs))
+        w = np.where(rows == cols, 1.0, 2.0)
+        rhs = w * ((s1 - s2)[rows, cols] - lam * signs[rows, cols])
+        d = cg_solve(s1, s2, rows, cols, w, rhs, zero[rows, cols], 1e-10)
+        np.testing.assert_allclose(d, exact[rows, cols], atol=1e-9)
+        # with the cap at 0 the finish solves this support by conjugate
+        # gradients: the right sign gives the same point, a wrong one declines
+        monkeypatch.setattr(ista, "FINISH_MAX_SUPPORT", 0)
+        z = finish(s1, s2, s1 - s2, lam, signs, zero, 1e-10)
+        np.testing.assert_allclose(z, exact, atol=1e-9)
         i, j = np.argwhere(np.triu(signs) != 0)[0]
         signs[i, j] = signs[j, i] = -signs[i, j]
-        assert cg_finish(s1, s2, s1 - s2, lam, signs, zero, 1e-10) is None
+        assert finish(s1, s2, s1 - s2, lam, signs, zero, 1e-10) is None
 
     def test_singular_pair_declines_cleanly(self, monkeypatch):
         # n = 3 < p = 6: every support the solve tries has a singular
@@ -758,11 +764,11 @@ class TestExactFinish:
         tries = []
 
         def spy(*args):
-            z = cg_finish(*args)
-            tries.append((int(np.count_nonzero(np.triu(args[4]))), z))
-            return z
+            d = cg_solve(*args)
+            tries.append((len(args[2]), d))
+            return d
 
-        monkeypatch.setattr(ista, "_cg_finish", spy)
+        monkeypatch.setattr(ista, "_cg_solve", spy)
         got = assert_pinned(s1, s2, lam, cfg)
-        assert tries and all(size > 64 and z is None for size, z in tries)
+        assert tries and all(size > 64 and d is None for size, d in tries)
         assert_same_result(got, plain_solve(monkeypatch, ista_solve, s1, s2, lam, cfg))

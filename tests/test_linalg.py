@@ -94,10 +94,14 @@ class TestInvert:
         floor = PIVOT_RTOL * np.max(np.diag(m))
         for pivot in (-1.0, 1e-3 * floor):
             m[k - 1, k - 1] = pivot
+            messages = []
             for fn in (invert_pd, cholesky_pd):
                 with pytest.raises(NotPositiveDefiniteError) as exc:
                     fn(m)
-                assert exc.value.minor == k
+                assert exc.value.minor == k and exc.value.index == 0
+                messages.append(str(exc.value))
+            # one pivot rule: both name the same minor and the same floor
+            assert messages[0] == messages[1]
 
 
 def random_pd_stack(k, p, seed):
