@@ -133,6 +133,8 @@ def _cmd_synthetic(args) -> int:
     table = run_synthetic_experiment(cfg, threads=args.threads)
     emit_results_table(table, cfg, args.out)
     print(f"wrote {os.path.join(args.out, 'results.csv')}")
+    if table.studies:
+        print(f"wrote {os.path.join(args.out, 'threshold_study.json')}")
     return 0
 
 
@@ -192,6 +194,8 @@ def _cmd_sample(args) -> int:
             x = nonparanormal_transform(x)
         except ColumnError as err:
             raise ValueError(f"column {ds.columns[err.column]!r} {err.problem}") from None
+        except ValueError as err:
+            raise ValueError(f"{args.csv}: {err}") from None
     request = ChainRequest(mirror_lower(x.T @ x), len(x), cfg.gibbs, cfg.master_seed)
     (chain,) = run_chains([request])
     os.makedirs(args.out, exist_ok=True)
@@ -221,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_syn = sub.add_parser("synthetic", help="synthetic loss/score benchmark")
     _add_common(p_syn)
     _add_experiment_flags(p_syn)
-    # the threshold study scans eta over its grid and runs no estimator
+    # sweep scans eta over its grid and runs no estimator, so these are synthetic's
     p_syn.add_argument("--eta", type=float)
     p_syn.add_argument("--estimators", help="comma subset of bnet,dnet")
     p_syn.set_defaults(fn=_cmd_synthetic)

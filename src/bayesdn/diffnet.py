@@ -3,11 +3,11 @@
 Runs one Gibbs chain per sample, takes the difference of the posterior
 mean precision matrices as the point estimate, and thresholds the
 Wishart-reference partial correlations of the two samples into a graph.
-:func:`estimate_bnet` does all of it for one pair of samples.  A run of
-many estimates splits it in two around one call of
-``gibbs.run_chains`` over every estimate's chains: :func:`bnet_requests`
-names the two chains of one estimate, and :func:`bnet_network` turns
-their posterior means into the estimate.
+:func:`estimate_bnet` does all of it for one pair of samples.
+:func:`bnet_requests` names the two chains of one estimate; a run of many
+estimates (``bayesdn.harness``) makes one ``gibbs.run_chains`` call over
+every estimate's chains and forms each estimate from its chains and
+references itself.
 
 :func:`dn_adjacency` is the one place an edge is decided.  Its per-sample
 score is ``|e|`` under the mean rule, or ``|e| / max(|ref|, RATIO_FLOOR)``
@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .gibbs import ChainRequest, ChainSummary, GibbsConfig, run_chains, spawn_seeds
+from .gibbs import ChainRequest, GibbsConfig, run_chains, spawn_seeds
 from .linalg import mirror_lower
 from .wishart import EPSILON, posterior_partial_corr_mean
 
@@ -44,7 +44,6 @@ __all__ = [
     "DN_MODES",
     "dn_adjacency",
     "bnet_requests",
-    "bnet_network",
     "estimate_bnet",
 ]
 
@@ -130,31 +129,6 @@ def bnet_requests(
     ]
 
 
-def bnet_network(
-    requests: list[ChainRequest],
-    chains: list[ChainSummary],
-    eta: float,
-    mode: str = "difference",
-    eps: float = EPSILON,
-) -> DifferentialNetwork:
-    """The estimate from the two chains of :func:`bnet_requests` and their summaries.
-
-    The point estimate is the difference of the chains' posterior means;
-    the graph thresholds the exact Wishart references of the two scatters,
-    which need no seed.
-    """
-    means = [chain.theta_mean for chain in chains]
-    partials = [posterior_partial_corr_mean(req.scatter, req.n, eps) for req in requests]
-    return DifferentialNetwork(
-        delta_hat=means[1] - means[0],
-        component_means=(means[0], means[1]),
-        component_partials=(partials[0], partials[1]),
-        adjacency=dn_adjacency(tuple(partials), eta, mode),
-        eta=float(eta),
-        mode=mode,
-    )
-
-
 def estimate_bnet(
     x1: np.ndarray,
     x2: np.ndarray,
@@ -167,9 +141,20 @@ def estimate_bnet(
 ) -> DifferentialNetwork:
     """Estimate the differential network from two samples, its chains seeded from ``seed``.
 
-    :func:`bnet_requests`, ``gibbs.run_chains`` and :func:`bnet_network`
-    in turn; see there.  ``mapper`` runs the two chains, as in
-    ``run_chains``: the builtin ``map`` in this process, or a pool's.
+    The point estimate is the difference of the two chains' posterior
+    means (:func:`bnet_requests`); the graph thresholds the exact Wishart
+    references of the two scatters, which need no seed.  ``mapper`` runs
+    the two chains, as in ``run_chains``: the builtin ``map`` in this
+    process, or a pool's.
     """
     requests = bnet_requests(x1, x2, cfg, seed)
-    return bnet_network(requests, run_chains(requests, mapper), eta, mode, eps)
+    means = [chain.theta_mean for chain in run_chains(requests, mapper)]
+    partials = tuple(posterior_partial_corr_mean(req.scatter, req.n, eps) for req in requests)
+    return DifferentialNetwork(
+        delta_hat=means[1] - means[0],
+        component_means=(means[0], means[1]),
+        component_partials=partials,
+        adjacency=dn_adjacency(partials, eta, mode),
+        eta=float(eta),
+        mode=mode,
+    )

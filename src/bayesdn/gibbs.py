@@ -113,7 +113,6 @@ from .linalg import (
 
 __all__ = [
     "GibbsConfig",
-    "ChainSummary",
     "ChainRequest",
     "spawn_seeds",
     "update_column",

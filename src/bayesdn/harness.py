@@ -7,16 +7,19 @@ of the collected results, and files are written with round-tripping float
 formatting.  The emitted bytes therefore do not depend on how many worker
 processes executed the tasks.
 
-The synthetic benchmark and the threshold study run their tasks in three
-stages.  The data stage makes each task's model pair and samples and
-names the Gibbs chains it needs (a :class:`~bayesdn.gibbs.ChainRequest`
-per sample).  The chain stage runs the requests of all tasks through
-``gibbs.run_chains``, so chains of different tasks can share a stack: the
-size rule (``gibbs.chain_batches``) sees the whole list and cuts it into
-batches, lone chains and stacks, which the workers take one at a time.
-The scoring stage runs the comparator, turns the chains into estimates
-and scores them.  Each stage keeps task order, and a chain's numbers do
-not depend on its batch.
+The synthetic benchmark and the threshold study share one pass of three
+stages over their tasks, for the estimators and rules a run asks for.
+The data stage makes each task's model pair, samples and scatters, and
+names the two Gibbs chains (a :class:`~bayesdn.gibbs.ChainRequest` per
+sample) that bnet and the ratio rule share.  The chain stage runs the
+requests of all tasks through ``gibbs.run_chains``, so chains of
+different tasks can share a stack: the size rule (``gibbs.chain_batches``)
+sees the whole list and cuts it into batches, lone chains and stacks,
+which the workers take one at a time.  The scoring stage makes each
+task's two tight Wishart references once, for bnet's graph and the mean
+rule alike, runs the comparator and scores the estimates and the rules.
+Each stage keeps task order, and a chain's numbers do not depend on its
+batch.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from typing import Literal
 import numpy as np
 
 from .config import FieldError, bound, check_fields
-from .diffnet import DN_MODES, bnet_network, bnet_requests, dn_adjacency, estimate_bnet
+from .diffnet import DN_MODES, bnet_requests, dn_adjacency, estimate_bnet
 from .gibbs import GibbsConfig, run_chains, spawn_seeds
 from .ista import IstaConfig, estimate_dnet
 from .linalg import mirror_lower
@@ -82,9 +85,9 @@ class ExperimentConfig:
     per dimension, so no dimension may repeat.  ``estimators``
     selects which of the Bayesian network (bnet) and the proximal-gradient
     comparator (dnet) run.  ``rules`` selects the threshold-study edge
-    rules: "mean" thresholds the posterior mean partial correlations,
-    "ratio" thresholds them relative to a wide Wishart reference (and
-    needs chains, so it is much slower).
+    rules: "mean" thresholds the tight Wishart reference, as bnet's graph
+    does; "ratio" thresholds bnet's posterior mean partial correlations
+    relative to a wide one, so a study without bnet runs chains for it.
     """
 
     structures: tuple[Literal[KINDS], ...] = ("ar2",)
@@ -209,10 +212,11 @@ class ResultsTable:
     ``entries`` maps that key to a dict with the raw ``values`` plus
     ``median``, ``se_mad`` (scaled median absolute deviation over sqrt of
     the replication count) and ``se_boot`` (bootstrap standard error of
-    the median).
+    the median).  ``studies`` is the run's threshold study, if it made one.
     """
 
     entries: dict[tuple[str, int, str, str], dict]
+    studies: tuple[StudyResult, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -339,30 +343,55 @@ def _run_staged(data_fn, score_fn, cfg: ExperimentConfig, run, threads: int) -> 
     return [scores if data is None else next(scored) for data, scores in first]
 
 
-def _synthetic_data(task):
+def _data(plan, task):
+    """One task's truth, dnet's samples, and the chain requests (with scatters) ``plan`` reads.
+
+    ``plan`` is the run's (estimators, rules); bnet and the ratio rule share the chains.
+    """
+    estimators, rules = plan
     cfg = task[0]
     seeds, pair, x1, x2 = _task_data(task)
     requests = []
-    if "bnet" in cfg.estimators:
+    if "bnet" in estimators or rules:
         requests = bnet_requests(x1, x2, cfg.gibbs, seeds[3], _chain_labels(task))
-    samples = (x1, x2) if "dnet" in cfg.estimators else None
-    return (pair.true_delta, pair.true_adjacency), samples, requests
+    if "ratio" in rules:
+        requests = [replace(req, partials=True) for req in requests]
+    samples = (x1, x2) if "dnet" in estimators else None
+    chained = "bnet" in estimators or "ratio" in rules
+    return (pair.true_delta, pair.true_adjacency), samples, requests, requests if chained else []
 
 
-def _synthetic_score(item) -> dict:
-    task, ((true_delta, true_adjacency), samples, requests), chains = item
+def _bnet_estimate(chains, tight, cfg: ExperimentConfig):
+    """bnet's point estimate and graph: its chains' mean difference, its tight references at eta."""
+    return chains[1].theta_mean - chains[0].theta_mean, dn_adjacency(tight, cfg.eta, cfg.dn_mode)
+
+
+def _score(plan, item) -> tuple[dict, dict[str, ThresholdReport]]:
+    """One task's scores per estimator and report per rule; bnet and "mean" share ``tight``."""
+    estimators, rules = plan
+    task, ((true_delta, true_adjacency), samples, requests, _), chains = item
     cfg = task[0]
-    out: dict[str, dict[str, float]] = {}
-    for est in cfg.estimators:
+    if "bnet" in estimators or "mean" in rules:
+        tight = tuple(posterior_partial_corr_mean(r.scatter, r.n, cfg.eps) for r in requests)
+    scores: dict[str, dict[str, float]] = {}
+    for est in estimators:
         if est == "bnet":
-            dn = bnet_network(requests, chains, cfg.eta, mode=cfg.dn_mode, eps=cfg.eps)
-            delta, adj = dn.delta_hat, dn.adjacency
+            delta, adj = _bnet_estimate(chains, tight, cfg)
         else:
             delta, adj, _ = estimate_dnet(*samples, cfg.ista)
-        losses = loss_report(delta, true_delta)
-        scores = classification_scores(confusion(adj, true_adjacency))
-        out[est] = {**losses._asdict(), **scores._asdict()}
-    return out
+        graph = classification_scores(confusion(adj, true_adjacency))
+        scores[est] = {**loss_report(delta, true_delta)._asdict(), **graph._asdict()}
+    grid = np.asarray(cfg.sweep_grid)
+    reports: dict[str, ThresholdReport] = {}
+    if "mean" in rules:
+        mean = dn_adjacency(tight, grid, cfg.dn_mode)
+        reports["mean"] = threshold_sweep(true_adjacency, mean, grid)
+    if "ratio" in rules:
+        rho = tuple(chain.partial_mean for chain in chains)
+        wide = tuple(posterior_partial_corr_mean(r.scatter, r.n, 1.0) for r in requests)
+        ratio = dn_adjacency(rho, grid, cfg.dn_mode, wide)
+        reports["ratio"] = threshold_sweep(true_adjacency, ratio, grid)
+    return scores, reports
 
 
 def _nanmedian_columns(a: np.ndarray) -> np.ndarray:
@@ -404,12 +433,15 @@ def run_synthetic_experiment(cfg: ExperimentConfig, threads: int = 1) -> Results
     For every (structure, dim, replication) triple: generate the model
     pair, sample the two datasets, run the estimators, score the point
     estimate against the true difference and the graph against the true
-    support.  Medians and spreads aggregate over replications.  A failing
-    chain's error names its structure, p, replication and sample.
+    support.  Medians and spreads aggregate over replications.  When bnet
+    runs, the table also holds the threshold study of ``cfg.rules`` on its
+    chains.  A failing chain's error names its structure, p, replication
+    and sample.
     """
+    plan = (cfg.estimators, cfg.rules if "bnet" in cfg.estimators else ())
     with _mapper(threads) as run:  # a bad worker count is the caller's error, not a task's
         try:
-            results = _run_staged(_synthetic_data, _synthetic_score, cfg, run, threads)
+            results = _run_staged(partial(_data, plan), partial(_score, plan), cfg, run, threads)
         except Exception as err:
             raise RuntimeError(f"synthetic experiment failed: {err}") from err
 
@@ -418,7 +450,7 @@ def run_synthetic_experiment(cfg: ExperimentConfig, threads: int = 1) -> Results
         np.random.SeedSequence(entropy=cfg.master_seed, spawn_key=(0xB007,))
     )
     metrics = LossReport._fields + Scores._fields
-    for structure, p, n, per_rep in _groups(cfg, results):
+    for structure, p, n, per_rep in _groups(cfg, [scores for scores, _ in results]):
         for est in cfg.estimators:
             # replications x metrics, and every metric's median from one sort
             table = np.array([[r[est][m] for m in metrics] for r in per_rep], dtype=float)
@@ -430,62 +462,43 @@ def run_synthetic_experiment(cfg: ExperimentConfig, threads: int = 1) -> Results
                     "se_mad": _se_mad(values, median),
                     "se_boot": _se_boot(values, boot_rng),
                 }
-    return ResultsTable(entries=entries)
+    studies = _studies(cfg, plan[1], [reports for _, reports in results]) if plan[1] else []
+    return ResultsTable(entries, tuple(studies))
 
 
-def _study_data(task):
-    cfg = task[0]
-    (_, _, _, s_chain), pair, x1, x2 = _task_data(task)
-    requests = bnet_requests(x1, x2, cfg.gibbs, s_chain, _chain_labels(task))
-    scatters = tuple(req.scatter for req in requests)
-    ratio = [replace(req, partials=True) for req in requests] if "ratio" in cfg.rules else []
-    return pair.true_adjacency, x1.shape[0], scatters, ratio
-
-
-def _study_score(item) -> dict[str, ThresholdReport]:
-    task, (true_adjacency, n, scatters, _), chains = item
-    cfg = task[0]
+def _studies(cfg: ExperimentConfig, rules: tuple[str, ...], reports: list) -> list[StudyResult]:
+    """Per (structure, dim), each rule's median curves and best thresholds over replications."""
     grid = np.asarray(cfg.sweep_grid)
-    reports: dict[str, ThresholdReport] = {}
-    if "mean" in cfg.rules:
-        eh = tuple(posterior_partial_corr_mean(s, n, cfg.eps) for s in scatters)
-        reports["mean"] = threshold_sweep(true_adjacency, dn_adjacency(eh, grid, cfg.dn_mode), grid)
-    if "ratio" in cfg.rules:
-        rho = tuple(chain.partial_mean for chain in chains)
-        eg = tuple(posterior_partial_corr_mean(s, n, 1.0) for s in scatters)
-        reports["ratio"] = threshold_sweep(
-            true_adjacency, dn_adjacency(rho, grid, cfg.dn_mode, eg), grid
-        )
-    return reports
-
-
-def run_threshold_study(cfg: ExperimentConfig, threads: int = 1) -> list[StudyResult]:
-    """Scan the threshold grid per structure and dimension.
-
-    Returns, per (structure, dim) and per rule, the median curves over
-    replications, the threshold maximizing the median MCC curve, and every
-    replication's individually best threshold.
-    """
-    grid = np.asarray(cfg.sweep_grid)
-    with _mapper(threads) as run:
-        results = _run_staged(_study_data, _study_score, cfg, run, threads)
     out: list[StudyResult] = []
-    for structure, p, n, per_rep in _groups(cfg, results):
-        rules: dict[str, RuleStudy] = {}
-        for rule in cfg.rules:
+    for structure, p, n, per_rep in _groups(cfg, reports):
+        studied: dict[str, RuleStudy] = {}
+        for rule in rules:
             sp = np.vstack([r[rule].sparsity_error for r in per_rep])
             mc = np.vstack([r[rule].mcc for r in per_rep])
             med_mc = _nanmedian_columns(mc)
             best_eta, best_mcc = best_threshold(grid, med_mc)
-            rules[rule] = RuleStudy(
+            studied[rule] = RuleStudy(
                 median_sparsity_error=np.median(sp, axis=0),
                 median_mcc=med_mc,
                 best_eta=best_eta,
                 best_mcc=best_mcc,
                 per_rep_best_eta=[r[rule].best_eta for r in per_rep],
             )
-        out.append(StudyResult(structure=structure, dim=p, sample_size=n, grid=grid, rules=rules))
+        out.append(StudyResult(structure=structure, dim=p, sample_size=n, grid=grid, rules=studied))
     return out
+
+
+def run_threshold_study(cfg: ExperimentConfig, threads: int = 1) -> list[StudyResult]:
+    """Scan the threshold grid per structure and dimension, running no estimator.
+
+    Returns, per (structure, dim) and per rule, the median curves over
+    replications, the threshold maximizing the median MCC curve, and every
+    replication's individually best threshold.
+    """
+    plan = ((), cfg.rules)
+    with _mapper(threads) as run:
+        results = _run_staged(partial(_data, plan), partial(_score, plan), cfg, run, threads)
+    return _studies(cfg, cfg.rules, [reports for _, reports in results])
 
 
 def _two_groups(cfg: RealAnalysisConfig) -> tuple[list[str], tuple[str, str], np.ndarray, np.ndarray]:
@@ -518,10 +531,17 @@ def _two_groups(cfg: RealAnalysisConfig) -> tuple[list[str], tuple[str, str], np
     return columns, names, g1, g2
 
 
-def _preprocess(x: np.ndarray, window: int) -> np.ndarray:
+def _preprocess(x: np.ndarray, window: int, name: str, columns: list[str]) -> np.ndarray:
+    """Group ``name`` averaged over ``window`` trailing rows, then Gaussianized; errors name it."""
+    if len(x) < window + 2:  # the average keeps len(x) - window + 1 rows; the ranks need 3
+        needs = f"moving_average_window {window} needs" if window > 1 else "needs"
+        raise ValueError(f"group {name!r} has {len(x)} rows; {needs} at least {window + 2}")
     if window > 1:
         x = np.column_stack([moving_average(x[:, j], window) for j in range(x.shape[1])])
-    return nonparanormal_transform(x)
+    try:
+        return nonparanormal_transform(x)
+    except ColumnError as err:
+        raise ValueError(f"group {name!r}: column {columns[err.column]!r} {err.problem}") from None
 
 
 def run_real_analysis(cfg: RealAnalysisConfig, threads: int = 1) -> RealAnalysisResult:
@@ -534,14 +554,8 @@ def run_real_analysis(cfg: RealAnalysisConfig, threads: int = 1) -> RealAnalysis
     its group and header.
     """
     columns, names, g1, g2 = _two_groups(cfg)
-    groups = []
-    for name, g in zip(names, (g1, g2)):
-        try:
-            groups.append(_preprocess(g, cfg.moving_average_window))
-        except ColumnError as err:
-            header = columns[err.column]
-            raise ValueError(f"group {name!r}: column {header!r} {err.problem}") from None
-    t1, t2 = groups
+    window = cfg.moving_average_window
+    t1, t2 = groups = [_preprocess(g, window, name, columns) for name, g in zip(names, (g1, g2))]
     with _mapper(threads) as run:
         network = estimate_bnet(
             t1, t2, cfg.gibbs, cfg.master_seed, cfg.eta, mode=cfg.dn_mode, eps=cfg.eps, mapper=run
@@ -597,53 +611,41 @@ def write_manifest(outdir: str, config_dict: dict, seeds: list[list[int]], **inp
 
 
 def emit_results_table(table: ResultsTable, cfg: ExperimentConfig, outdir: str) -> None:
-    """Write results.csv and the manifest (with every task's seeds) to ``outdir``."""
+    """Write results.csv, the table's study (:func:`emit_study`) and the manifest to ``outdir``."""
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "results.csv"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             ["structure", "p", "n", "estimator", "metric", "median", "se_mad", "se_boot"]
         )
-        for key in sorted(table.entries):
-            structure, p, est, metric = key
-            e = table.entries[key]
-            writer.writerow(
-                [
-                    structure,
-                    p,
-                    e["n"],
-                    est,
-                    metric,
-                    _fmt(e["median"]),
-                    _fmt(e["se_mad"]),
-                    _fmt(e["se_boot"]),
-                ]
-            )
-    write_manifest(outdir, asdict(cfg), _manifest_seeds(cfg))
+        for (structure, p, est, metric), e in sorted(table.entries.items()):
+            spread = [_fmt(e[name]) for name in ("median", "se_mad", "se_boot")]
+            writer.writerow([structure, p, e["n"], est, metric, *spread])
+    if table.studies:
+        emit_study(list(table.studies), cfg, outdir)  # and the manifest
+    else:
+        write_manifest(outdir, asdict(cfg), _manifest_seeds(cfg))
 
 
 def emit_study(studies: list[StudyResult], cfg: ExperimentConfig, outdir: str) -> None:
     """Write threshold_study.json and the manifest (with every task's seeds) to ``outdir``."""
-    payload = []
-    for st in studies:
-        rules = {}
-        for rule, rs in st.rules.items():
-            rules[rule] = {
-                "median_sparsity_error": [float(x) for x in rs.median_sparsity_error],
-                "median_mcc": [None if is_na(x) else float(x) for x in rs.median_mcc],
-                "best_eta": rs.best_eta,
-                "best_mcc": None if is_na(rs.best_mcc) else rs.best_mcc,
-                "per_rep_best_eta": rs.per_rep_best_eta,
-            }
-        payload.append(
-            {
-                "structure": st.structure,
-                "p": st.dim,
-                "n": st.sample_size,
-                "grid": [float(x) for x in st.grid],
-                "rules": rules,
-            }
-        )
+    payload = [
+        {
+            "structure": st.structure,
+            "p": st.dim,
+            "n": st.sample_size,
+            "grid": st.grid,
+            "rules": {
+                rule: {
+                    **asdict(rs),
+                    "median_mcc": [None if is_na(x) else float(x) for x in rs.median_mcc],
+                    "best_mcc": None if is_na(rs.best_mcc) else rs.best_mcc,
+                }
+                for rule, rs in st.rules.items()
+            },
+        }
+        for st in studies
+    ]
     os.makedirs(outdir, exist_ok=True)
     _dump_json(payload, os.path.join(outdir, "threshold_study.json"))
     write_manifest(outdir, asdict(cfg), _manifest_seeds(cfg))

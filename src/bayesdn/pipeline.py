@@ -223,7 +223,7 @@ def nonparanormal_transform(x: np.ndarray) -> np.ndarray:
         raise ValueError("x must be 2-d")
     n = x.shape[0]
     if n < 3:
-        raise ValueError("need at least 3 rows")
+        raise ValueError(f"need at least 3 rows, got {n}")
     out = np.empty_like(x)
     for j in range(x.shape[1]):
         col = x[:, j]

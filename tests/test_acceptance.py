@@ -405,17 +405,26 @@ def test_criterion_10_determinism(tmp_path):
         master_seed=99,
     )
     digests = []
+    same_study = []
     for threads in (1, 2):
         out = tmp_path / f"t{threads}"
         table = run_synthetic_experiment(cfg, threads=threads)
         emit_results_table(table, cfg, str(out))
+        # synthetic writes the study of its bnet chains, which must be sweep's
+        from_synthetic = (out / "threshold_study.json").read_bytes()
         studies = run_threshold_study(cfg, threads=threads)
         emit_study(studies, cfg, str(out))
+        same_study.append(from_synthetic == (out / "threshold_study.json").read_bytes())
         digests.append(
             {
                 name: (out / name).read_bytes()
                 for name in ("results.csv", "threshold_study.json", "manifest.json")
             }
         )
-    ok = digests[0] == digests[1]
-    assert report(10, "determinism", ok, "synthetic + sweep outputs byte-identical at 1 and 2 workers")
+    ok = digests[0] == digests[1] and all(same_study)
+    assert report(
+        10,
+        "determinism",
+        ok,
+        "synthetic + sweep outputs byte-identical at 1 and 2 workers; synthetic's study is sweep's",
+    )

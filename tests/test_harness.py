@@ -10,7 +10,6 @@ import pytest
 
 import bayesdn.harness as harness
 from bayesdn.config import decode
-from bayesdn.diffnet import DifferentialNetwork
 from bayesdn.gibbs import STACK_MIN_CHAINS, GibbsConfig
 from bayesdn.harness import (
     ExperimentConfig,
@@ -121,23 +120,15 @@ class TestSyntheticExperiment:
         assert err.startswith(f"error: synthetic experiment failed: {broken}: sweep 0: ")
 
     def test_mock_estimator_scores_perfectly(self, monkeypatch):
-        # the Bayesian estimate is assembled from its two chains in the
-        # scoring stage, so that is where a perfect estimator is put in
-        def perfect(requests, chains, eta, **kwargs):
-            assert len(requests) == len(chains) == 2
-            p = requests[0].scatter.shape[0]
-            pair = make_structure(StructureSpec("ar2", p))
-            eh = np.eye(p)
-            return DifferentialNetwork(
-                delta_hat=pair.true_delta,
-                component_means=(pair.theta1, pair.theta2),
-                component_partials=(eh, eh),
-                adjacency=pair.true_adjacency,
-                eta=eta,
-                mode="union",
-            )
+        # the Bayesian estimate is formed from its two chains and its two
+        # tight references in the scoring stage, so that is where a perfect
+        # estimator is put in
+        def perfect(chains, tight, cfg):
+            assert len(chains) == len(tight) == 2
+            pair = make_structure(StructureSpec("ar2", tight[0].shape[0]))
+            return pair.true_delta, pair.true_adjacency
 
-        monkeypatch.setattr(harness, "bnet_network", perfect)
+        monkeypatch.setattr(harness, "_bnet_estimate", perfect)
         table = run_synthetic_experiment(
             ExperimentConfig(
                 structures=("ar2",),
@@ -246,6 +237,75 @@ class TestThresholdStudy:
                 warnings.simplefilter("error")
                 got = harness._nanmedian_columns(a)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _both_rules_config(tmp_path):
+    path = tmp_path / "rules.json"
+    gibbs = {"burn_in": 5, "retained": 10}
+    path.write_text(json.dumps({"rules": ["mean", "ratio"], "gibbs": gibbs}))
+    return path
+
+
+def _spy_batches(monkeypatch) -> list:
+    """Record the requests of every ``gibbs.run_batch`` call made in this process."""
+    import bayesdn.gibbs as gibbs
+
+    batches, run_batch = [], gibbs.run_batch
+
+    def spy(requests):
+        batches.append(list(requests))
+        return run_batch(requests)
+
+    monkeypatch.setattr(gibbs, "run_batch", spy)
+    return batches
+
+
+class TestOnePass:
+    # synthetic studies its rules on bnet's own chains, so a run that wants
+    # both the table and the study runs each chain once
+    def test_both_rules_run_two_chains_per_task(self, tmp_path, monkeypatch):
+        from bayesdn.cli import main
+
+        batches = _spy_batches(monkeypatch)
+        out = tmp_path / "o"
+        rc = main(["synthetic", "--structures", "ar2,cluster", "--dims", "6", "--sizes", "40",
+                   "--replications", "2", "--config", str(_both_rules_config(tmp_path)),
+                   "--out", str(out)])
+        assert rc == 0
+        requests = [req for batch in batches for req in batch]
+        assert len(requests) == 2 * 2 * 2 and all(req.partials for req in requests)
+        assert len({req.seed for req in requests}) == len(requests)
+        study = json.loads((out / "threshold_study.json").read_text())
+        assert [set(st["rules"]) for st in study] == [{"mean", "ratio"}] * 2
+
+    def test_study_is_sweeps(self, tmp_path):
+        from bayesdn.cli import main
+
+        config = _both_rules_config(tmp_path)
+        outputs = {}
+        for command in ("synthetic", "sweep"):
+            for threads in ("1", "2"):
+                out = tmp_path / f"{command}{threads}"
+                rc = main([command, "--structures", "ar2,circle", "--dims", "6", "--sizes", "40",
+                           "--replications", "2", "--seed", "5", "--config", str(config),
+                           "--threads", threads, "--out", str(out)])
+                assert rc == 0
+                outputs[command, threads] = [
+                    (out / name).read_bytes() for name in ("threshold_study.json", "manifest.json")
+                ]
+        first = outputs["sweep", "1"]
+        assert all(got == first for got in outputs.values())
+
+    def test_dnet_only_studies_nothing(self, tmp_path, monkeypatch):
+        batches = _spy_batches(monkeypatch)
+        made = []
+        monkeypatch.setattr(harness, "bnet_requests", lambda *a: made.append(a))
+        monkeypatch.setattr(harness, "posterior_partial_corr_mean", lambda *a: made.append(a))
+        cfg = replace(TINY, estimators=("dnet",), rules=("mean", "ratio"))
+        table = run_synthetic_experiment(cfg)
+        assert table.studies == () and batches == [] and made == []
+        emit_results_table(table, cfg, str(tmp_path))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "results.csv"]
 
 
 class TestConfigSerialization:
@@ -770,6 +830,43 @@ class TestCli:
         assert main(["sample", "--csv", str(csv_path), "--nonparanormal", "--out", str(out)]) == 2
         assert not out.exists()
         assert "config error: column 'a' is constant" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("window", "group 'phase1' has 4 rows; moving_average_window 6 needs at least 8"),
+            ("class", "group '0.0' has 2 rows; needs at least 3"),
+            ("sample", "{csv}: need at least 3 rows, got 2"),
+        ],
+        ids=["window", "class", "sample"],
+    )
+    def test_short_input_names_its_group_or_file(self, tmp_path, capsys, case, message):
+        # these used to read "series of length 4 shorter than window 6" and
+        # "need at least 3 rows", naming neither the group nor the file
+        from bayesdn.cli import main
+
+        path, out = tmp_path / "x.csv", tmp_path / "o"
+        config = tmp_path / "c.json"
+        if case == "window":
+            start = datetime.date(2021, 1, 1)
+            dates = [start + datetime.timedelta(days=k) for k in range(14)]
+            rows = np.random.default_rng(0).standard_normal((14, 3))
+            write_csv(path, ["a", "b", "c"], rows, dates=dates)
+            config.write_text(json.dumps(
+                {"date_column": "date", "boundaries": ["2021-01-05"], "moving_average_window": 6}
+            ))
+        elif case == "class":
+            rows = np.column_stack([np.arange(8.0), np.arange(8.0) ** 2, [0, 0] + [1] * 6])
+            write_csv(path, ["a", "b", "label"], rows)
+            config.write_text(json.dumps({"class_column": "label"}))
+        else:
+            path.write_text("a,b\n1,2\n3,5\n", encoding="utf-8")
+        command = ["real", "--config", str(config)]
+        if case == "sample":
+            command = ["sample", "--nonparanormal"]
+        assert main([*command, "--csv", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert f"config error: {message.format(csv=path)}" in capsys.readouterr().err
 
     def test_repeated_header_exit_code(self, tmp_path, capsys):
         # a repeated name used to be read as two columns and written back twice
