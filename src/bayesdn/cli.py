@@ -61,6 +61,13 @@ def _worker_count(text: str) -> int:
     return threads
 
 
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid comma list of ints: {text!r}") from None
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--seed", type=int, help="master seed override")
@@ -106,9 +113,9 @@ def _experiment_config(args) -> ExperimentConfig:
     if args.structures:
         d["structures"] = args.structures.split(",")
     if args.dims:
-        d["dims"] = [int(x) for x in args.dims.split(",")]
+        d["dims"] = args.dims
     if args.sizes:
-        d["sample_sizes"] = [int(x) for x in args.sizes.split(",")]
+        d["sample_sizes"] = args.sizes
     if args.replications is not None:
         d["replications"] = args.replications
     if getattr(args, "eta", None) is not None:  # synthetic only
@@ -122,8 +129,10 @@ def _experiment_config(args) -> ExperimentConfig:
 
 def _add_experiment_flags(parser) -> None:
     parser.add_argument("--structures", help="comma list, e.g. ar2,cluster")
-    parser.add_argument("--dims", help="comma list of dimensions")
-    parser.add_argument("--sizes", help="comma list of sample sizes (pairs with dims)")
+    parser.add_argument("--dims", type=_int_list, help="comma list of dimensions")
+    parser.add_argument(
+        "--sizes", type=_int_list, help="comma list of sample sizes (pairs with dims)"
+    )
     parser.add_argument("--replications", type=int)
     parser.add_argument("--mode", choices=DN_MODES)
 

@@ -111,7 +111,7 @@ def bnet_requests(
     seed: int,
     labels: tuple[str, str] = ("sample 1", "sample 2"),
 ) -> list[ChainRequest]:
-    """The two chains of one estimate, one per sample, without the partial-correlation fold.
+    """The two chains of one estimate, one per sample.
 
     They take two seeds spawned from ``seed``, so one seed reproduces
     the whole estimate and neighbouring seeds share no stream.  ``labels``
@@ -124,7 +124,7 @@ def bnet_requests(
     if min(x1.shape[0], x2.shape[0]) < 2:
         raise ValueError("each sample needs at least 2 rows")
     return [
-        ChainRequest(mirror_lower(x.T @ x), x.shape[0], cfg, s, partials=False, label=label)
+        ChainRequest(mirror_lower(x.T @ x), x.shape[0], cfg, s, label=label)
         for x, s, label in zip((x1, x2), spawn_seeds(seed, 2), labels)
     ]
 

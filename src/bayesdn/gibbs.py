@@ -198,29 +198,25 @@ class ChainSummary:
     """Posterior means over the retained draws of one chain.
 
     ``theta_mean`` averages Theta and ``partial_mean`` averages the
-    partial correlation matrix of each draw (unit diagonal), or is None
-    when the chain was run without it.
+    partial correlation matrix of each draw (unit diagonal).
     """
 
     theta_mean: np.ndarray
-    partial_mean: np.ndarray | None
+    partial_mean: np.ndarray
 
 
 @dataclass(frozen=True)
 class ChainRequest:
     """One chain for :func:`run_chains`: its data, its settings, its seed and its label.
 
-    With ``partials`` the chain also averages the partial correlations of
-    its draws; without, its ``partial_mean`` is None and its draws are the
-    same.  ``label`` names the chain in error messages; the harness passes
-    its structure, p, replication and sample.
+    ``label`` names the chain in error messages; the harness passes its
+    structure, p, replication and sample.
     """
 
     scatter: np.ndarray
     n: int
     config: GibbsConfig
     seed: int
-    partials: bool = True
     label: str = ""
 
     @property
@@ -693,7 +689,7 @@ def chain_draws(
     array is the live state, overwritten by the next sweep, so copy it to
     keep it.  Deterministic given ``seed``.
     """
-    stack = _start([ChainRequest(scatter, n, config, seed, partials=False)])
+    stack = _start([ChainRequest(scatter, n, config, seed)])
     theta = stack.states[0].theta
     for _ in _sweeps(stack):
         yield theta
@@ -702,9 +698,9 @@ def chain_draws(
 def chain_batches(requests: Sequence[ChainRequest], workers: int = 1) -> list[list[int]]:
     """The size rule: cut ``requests`` into batches of indices, each run as one unit.
 
-    Chains may share a stack when they share p, the config and
-    ``partials``; seeds may differ.  Such a group is stacked when it holds
-    at least ``STACK_MIN_CHAINS`` chains.  It is cut into stacks of
+    Chains may share a stack when they share p and the config; seeds may
+    differ.  Such a group is stacked when it holds at least
+    ``STACK_MIN_CHAINS`` chains.  It is cut into stacks of
     ``STACK_MIN_CHAINS`` to ``STACK_MAX_CHAINS`` chains whose sizes differ
     by at most one; where the group is tall enough, the number of stacks
     is a multiple of ``workers``, so every worker of a pool gets its
@@ -714,7 +710,7 @@ def chain_batches(requests: Sequence[ChainRequest], workers: int = 1) -> list[li
     """
     groups: dict[tuple, list[int]] = {}
     for i, req in enumerate(requests):
-        key = (req.dim, req.config, req.partials)
+        key = (req.dim, req.config)
         groups.setdefault(key, []).append(i)
     batches = []
     for members in groups.values():
@@ -736,27 +732,22 @@ def chain_batches(requests: Sequence[ChainRequest], workers: int = 1) -> list[li
 def run_batch(requests: Sequence[ChainRequest]) -> list[ChainSummary]:
     """Run chains of one p and one config, any seeds, as one stack to their posterior means.
 
-    A lone chain runs on the lone-chain kernel, a taller stack on the
-    stacked kernel; either way each chain's means are the same bits.  The
-    requests must share ``partials``.
+    Each retained draw adds its Theta and its partial correlations
+    (``linalg.partial_correlation``) to the chain's sums.  A lone chain
+    runs on the lone-chain kernel, a taller stack on the stacked kernel;
+    either way each chain's means are the same bits.
     """
     stack = _start(requests)
-    cfg, partials = stack.config, requests[0].partials
     theta_sum = np.zeros_like(stack.theta)
-    partial_sum = np.zeros_like(stack.theta) if partials else None
+    partial_sum = np.zeros_like(stack.theta)
     for _ in _sweeps(stack):
         theta_sum += stack.theta
-        if partials:
-            for acc, theta in zip(partial_sum, stack.theta):
-                acc += partial_correlation(theta)
-    theta_sum /= cfg.retained
-    if partials:
-        partial_sum /= cfg.retained
+        for acc, theta in zip(partial_sum, stack.theta):
+            acc += partial_correlation(theta)
+    theta_sum /= stack.config.retained
+    partial_sum /= stack.config.retained
     return [
-        ChainSummary(
-            theta_mean=theta_sum[k].copy(),
-            partial_mean=partial_sum[k].copy() if partials else None,
-        )
+        ChainSummary(theta_mean=theta_sum[k].copy(), partial_mean=partial_sum[k].copy())
         for k in range(stack.k)
     ]
 

@@ -11,15 +11,16 @@ The synthetic benchmark and the threshold study share one pass of three
 stages over their tasks, for the estimators and rules a run asks for.
 The data stage makes each task's model pair, samples and scatters, and
 names the two Gibbs chains (a :class:`~bayesdn.gibbs.ChainRequest` per
-sample) that bnet and the ratio rule share.  The chain stage runs the
-requests of all tasks through ``gibbs.run_chains``, so chains of
-different tasks can share a stack: the size rule (``gibbs.chain_batches``)
-sees the whole list and cuts it into batches, lone chains and stacks,
-which the workers take one at a time.  The scoring stage makes each
-task's two tight Wishart references once, for bnet's graph and the mean
-rule alike, runs the comparator and scores the estimates and the rules.
-Each stage keeps task order, and a chain's numbers do not depend on its
-batch.
+sample) that bnet and the ratio rule share; the mean rule reads only
+their scatters.  The chain stage runs the requests of every task that
+chains through one ``gibbs.run_chains`` call, so chains of different
+tasks can share a stack: the size rule (``gibbs.chain_batches``) sees
+the whole list and cuts it into batches, lone chains and stacks, which
+the workers take one at a time.  The scoring stage makes each task's two
+tight Wishart references once, for bnet's graph and the mean rule alike,
+runs the comparator and scores the estimates and the rules.  Each stage
+runs over every task in task order, and a chain's numbers do not depend
+on its batch.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Literal
 
@@ -273,24 +274,6 @@ def _manifest_seeds(cfg: ExperimentConfig) -> list[list[int]]:
     return [task_seeds(cfg.master_seed, si, di, rep) for _, si, di, rep in _tasks(cfg)]
 
 
-def _task_data(task):
-    """One task's seeds, model pair and the two samples drawn from it."""
-    cfg, si, di, rep = task
-    seeds = task_seeds(cfg.master_seed, si, di, rep)
-    n = cfg.sample_sizes[di]
-    pair = make_structure(StructureSpec(cfg.structures[si], cfg.dims[di], seed=seeds[0]))
-    x1 = sample_gaussian(pair.theta1, n, seed=seeds[1])
-    x2 = sample_gaussian(pair.theta2, n, seed=seeds[2])
-    return seeds, pair, x1, x2
-
-
-def _chain_labels(task) -> tuple[str, str]:
-    """How error messages name a task's two chains."""
-    cfg, si, di, rep = task
-    where = f"{cfg.structures[si]} p={cfg.dims[di]} replication {rep}"
-    return f"{where} sample 1", f"{where} sample 2"
-
-
 def _groups(cfg: ExperimentConfig, results: list):
     """Yield (structure, p, n, per-replication results) in task order."""
     reps = cfg.replications
@@ -314,51 +297,42 @@ def _mapper(threads: int):
         yield lambda fn, items: list(pool.map(fn, items))
 
 
-def _data_or_scores(stages, task):
-    """``(data, None)`` for a task that requests chains, else ``(None, scores)``."""
-    data_fn, score_fn = stages
-    data = data_fn(task)
-    if data[-1]:
-        return data, None
-    return None, score_fn((task, data, []))
-
-
-def _run_staged(data_fn, score_fn, cfg: ExperimentConfig, run, threads: int) -> list:
-    """Run every task of ``cfg`` through the data, chain and scoring stages, mapped by ``run``.
-
-    ``data_fn(task)`` returns the task's data with its chain requests
-    last; ``score_fn((task, data, chains))`` gets the summaries of those
-    requests, in order.  A task that requests no chains is scored as soon
-    as its data is made, so only the tasks waiting for chains hold data.
-    ``gibbs.run_chains`` cuts the requests of all tasks into batches,
-    largest first, which the workers take one at a time.
-    """
-    tasks = _tasks(cfg)
-    first = run(partial(_data_or_scores, (data_fn, score_fn)), tasks)
-    waiting = [(task, data) for task, (data, _) in zip(tasks, first) if data is not None]
-    requests = [req for _, data in waiting for req in data[-1]]
-    chains = iter(run_chains(requests, run, threads))
-    pending = [(task, data, [next(chains) for _ in data[-1]]) for task, data in waiting]
-    scored = iter(run(score_fn, pending))
-    return [scores if data is None else next(scored) for data, scores in first]
-
-
 def _data(plan, task):
-    """One task's truth, dnet's samples, and the chain requests (with scatters) ``plan`` reads.
+    """One task's truth, dnet's samples, the requests (with scatters) ``plan`` reads, ``chained``.
 
-    ``plan`` is the run's (estimators, rules); bnet and the ratio rule share the chains.
+    ``plan`` is the run's (estimators, rules); bnet and the ratio rule
+    share the chains, so ``chained`` says whether either runs.
     """
     estimators, rules = plan
-    cfg = task[0]
-    seeds, pair, x1, x2 = _task_data(task)
+    cfg, si, di, rep = task
+    seeds = task_seeds(cfg.master_seed, si, di, rep)
+    pair = make_structure(StructureSpec(cfg.structures[si], cfg.dims[di], seed=seeds[0]))
+    x1 = sample_gaussian(pair.theta1, cfg.sample_sizes[di], seed=seeds[1])
+    x2 = sample_gaussian(pair.theta2, cfg.sample_sizes[di], seed=seeds[2])
     requests = []
     if "bnet" in estimators or rules:
-        requests = bnet_requests(x1, x2, cfg.gibbs, seeds[3], _chain_labels(task))
-    if "ratio" in rules:
-        requests = [replace(req, partials=True) for req in requests]
+        where = f"{cfg.structures[si]} p={cfg.dims[di]} replication {rep}"
+        labels = (f"{where} sample 1", f"{where} sample 2")  # how errors name the chains
+        requests = bnet_requests(x1, x2, cfg.gibbs, seeds[3], labels)
     samples = (x1, x2) if "dnet" in estimators else None
     chained = "bnet" in estimators or "ratio" in rules
-    return (pair.true_delta, pair.true_adjacency), samples, requests, requests if chained else []
+    return (pair.true_delta, pair.true_adjacency), samples, requests, chained
+
+
+def _run_tasks(cfg: ExperimentConfig, plan, run, threads: int) -> list:
+    """Every task of ``cfg`` through the data, chain and scoring stages, each mapped by ``run``.
+
+    ``gibbs.run_chains`` cuts the requests of all the tasks that chain
+    into batches, largest first, which the workers take one at a time;
+    each task is scored with the summaries of its own chains, in request
+    order, or with none.
+    """
+    tasks = _tasks(cfg)
+    data = run(partial(_data, plan), tasks)
+    requests = [req for *_, reqs, chained in data if chained for req in reqs]
+    chains = iter(run_chains(requests, run, threads))
+    own = ([next(chains) for _ in reqs] if chained else [] for *_, reqs, chained in data)
+    return run(partial(_score, plan), list(zip(tasks, data, own)))
 
 
 def _bnet_estimate(chains, tight, cfg: ExperimentConfig):
@@ -441,7 +415,7 @@ def run_synthetic_experiment(cfg: ExperimentConfig, threads: int = 1) -> Results
     plan = (cfg.estimators, cfg.rules if "bnet" in cfg.estimators else ())
     with _mapper(threads) as run:  # a bad worker count is the caller's error, not a task's
         try:
-            results = _run_staged(partial(_data, plan), partial(_score, plan), cfg, run, threads)
+            results = _run_tasks(cfg, plan, run, threads)
         except Exception as err:
             raise RuntimeError(f"synthetic experiment failed: {err}") from err
 
@@ -497,7 +471,7 @@ def run_threshold_study(cfg: ExperimentConfig, threads: int = 1) -> list[StudyRe
     """
     plan = ((), cfg.rules)
     with _mapper(threads) as run:
-        results = _run_staged(partial(_data, plan), partial(_score, plan), cfg, run, threads)
+        results = _run_tasks(cfg, plan, run, threads)
     return _studies(cfg, cfg.rules, [reports for _, reports in results])
 
 
@@ -533,9 +507,14 @@ def _two_groups(cfg: RealAnalysisConfig) -> tuple[list[str], tuple[str, str], np
 
 def _preprocess(x: np.ndarray, window: int, name: str, columns: list[str]) -> np.ndarray:
     """Group ``name`` averaged over ``window`` trailing rows, then Gaussianized; errors name it."""
+    needs = f"moving_average_window {window} needs" if window > 1 else "needs"
     if len(x) < window + 2:  # the average keeps len(x) - window + 1 rows; the ranks need 3
-        needs = f"moving_average_window {window} needs" if window > 1 else "needs"
         raise ValueError(f"group {name!r} has {len(x)} rows; {needs} at least {window + 2}")
+    p = x.shape[1]
+    if len(x) < window + p:  # Box's M needs more rows than columns after the average
+        raise ValueError(
+            f"group {name!r} has {len(x)} rows of {p} columns; {needs} at least {window + p}"
+        )
     if window > 1:
         x = np.column_stack([moving_average(x[:, j], window) for j in range(x.shape[1])])
     try:

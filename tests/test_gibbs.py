@@ -384,14 +384,6 @@ class TestChain:
             np.testing.assert_array_equal(state.lam[iu], expected)
             np.testing.assert_array_equal(state.lam.T[iu], expected)
 
-    def test_run_without_partials_reads_the_same_chain(self):
-        scatter, n = ar1_scatter(p=4, n=50)
-        cfg = GibbsConfig(burn_in=10, retained=5)
-        chain = run_chains([ChainRequest(scatter, n, cfg, seed=1, partials=False)])[0]
-        assert chain.partial_mean is None
-        full = run_chains([ChainRequest(scatter, n, cfg, seed=1)])[0]
-        np.testing.assert_array_equal(chain.theta_mean, full.theta_mean)
-
     def test_retained_draws_pd(self):
         scatter, n = ar1_scatter(p=5, n=50)
         draws = chain_draws(scatter, n, GibbsConfig(burn_in=20, retained=50), seed=3)
@@ -476,7 +468,7 @@ class TestChain:
             GibbsConfig(r=0.0)
 
 
-def chain_requests(p, k, cfg, partials=False):
+def chain_requests(p, k, cfg):
     """``k`` chains at dimension ``p`` with unequal n, distinct seeds and labels."""
     theta = 2.0 * np.eye(p) + 0.6 * (np.eye(p, k=1) + np.eye(p, k=-1))
     requests = []
@@ -484,7 +476,7 @@ def chain_requests(p, k, cfg, partials=False):
         n = 20 + 9 * j
         x = sample_gaussian(theta, n, seed=40 + j)
         requests.append(
-            ChainRequest(mirror_lower(x.T @ x), n, cfg, 70 + j, partials, label=f"chain {j}")
+            ChainRequest(mirror_lower(x.T @ x), n, cfg, 70 + j, label=f"chain {j}")
         )
     return requests
 
@@ -506,10 +498,9 @@ def each_alone(requests):
 
 
 STACK_CONFIGS = {
-    "adaptive": (GibbsConfig(burn_in=4, retained=12), False),
-    "frozen_with_partials": (
-        GibbsConfig(burn_in=4, retained=12, adapt_lambda=False, lambda_init=0.5),
-        True,
+    "adaptive": GibbsConfig(burn_in=4, retained=12),
+    "frozen_with_partials": GibbsConfig(
+        burn_in=4, retained=12, adapt_lambda=False, lambda_init=0.5
     ),
 }
 
@@ -521,21 +512,17 @@ class TestStackedRoute:
     def test_stack_equals_chain_draws(self, p, k, setting):
         # a batch of one runs the lone-chain kernel, a taller one the
         # stacked kernel; both fold into the means of chain_draws
-        cfg, partials = STACK_CONFIGS[setting]
-        requests = chain_requests(p, k, cfg, partials)
+        requests = chain_requests(p, k, STACK_CONFIGS[setting])
         got = run_batch(requests)
         for request, summary in zip(requests, got):
             theta_mean, partial_mean = folded_draws(request)
             np.testing.assert_array_equal(summary.theta_mean, theta_mean)
-            if partials:
-                np.testing.assert_array_equal(summary.partial_mean, partial_mean)
-            else:
-                assert summary.partial_mean is None
+            np.testing.assert_array_equal(summary.partial_mean, partial_mean)
 
     @pytest.mark.parametrize("p", [3, 10])
     def test_chain_alone_equals_chain_in_a_batch_of_7(self, p):
         # the lone-chain kernel against the stacked kernel, bit for bit
-        requests = chain_requests(p, 7, GibbsConfig(burn_in=5, retained=15), partials=True)
+        requests = chain_requests(p, 7, GibbsConfig(burn_in=5, retained=15))
         batch = run_batch(requests)
         for j in (0, 3, 6):
             alone = run_batch([requests[j]])[0]

@@ -273,7 +273,7 @@ class TestOnePass:
                    "--out", str(out)])
         assert rc == 0
         requests = [req for batch in batches for req in batch]
-        assert len(requests) == 2 * 2 * 2 and all(req.partials for req in requests)
+        assert len(requests) == 2 * 2 * 2
         assert len({req.seed for req in requests}) == len(requests)
         study = json.loads((out / "threshold_study.json").read_text())
         assert [set(st["rules"]) for st in study] == [{"mean", "ratio"}] * 2
@@ -306,6 +306,39 @@ class TestOnePass:
         assert table.studies == () and batches == [] and made == []
         emit_results_table(table, cfg, str(tmp_path))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "results.csv"]
+
+
+    def test_mean_rule_alone_runs_no_chain(self, monkeypatch):
+        # the mean rule reads only the scatters, so its tasks do not chain
+        batches = _spy_batches(monkeypatch)
+        (study,) = run_threshold_study(replace(TINY, rules=("mean",)))
+        assert batches == [] and set(study.rules) == {"mean"}
+
+    def test_ratio_rule_reads_two_chains_per_task(self, monkeypatch):
+        # zeroing every chain's partial_mean empties every ratio graph, so
+        # each threshold misses each true edge and no MCC is defined
+        import bayesdn.gibbs as gibbs
+
+        batches = _spy_batches(monkeypatch)
+        spy = gibbs.run_batch
+
+        def zeroed(requests):
+            return [replace(s, partial_mean=np.zeros_like(s.partial_mean)) for s in spy(requests)]
+
+        monkeypatch.setattr(gibbs, "run_batch", zeroed)
+        cfg = replace(TINY, rules=("ratio",))
+        (study,) = run_threshold_study(cfg)
+        labels = [req.label for batch in batches for req in batch]
+        assert sorted(labels) == [
+            f"ar2 p=6 replication {rep} sample {k}" for rep in range(2) for k in (1, 2)
+        ]
+        edges = [
+            np.triu(make_structure(StructureSpec("ar2", 6, seed=seeds[0])).true_adjacency).sum()
+            for seeds in harness._manifest_seeds(cfg)
+        ]
+        rs = study.rules["ratio"]
+        np.testing.assert_array_equal(rs.median_sparsity_error, np.median(edges))
+        assert np.isnan(rs.best_mcc) and set(rs.per_rep_best_eta) == {cfg.sweep_grid[0]}
 
 
 class TestConfigSerialization:
@@ -809,6 +842,20 @@ class TestCli:
             assert exc.value.code == 2 and not out.exists()
             assert f"--threads: must be >= 1, got {threads}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["x", "10,", "1.5"])
+    @pytest.mark.parametrize("flag", ["--dims", "--sizes"])
+    def test_bad_int_list_names_its_flag(self, tmp_path, capsys, flag, value):
+        # these used to read "config error: invalid literal for int() with base 10"
+        from bayesdn.cli import main
+
+        out = tmp_path / "o"
+        for command in ("synthetic", "sweep"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, flag, value, "--out", str(out)])
+            assert exc.value.code == 2 and not out.exists()
+            err = capsys.readouterr().err
+            assert f"argument {flag}: invalid comma list of ints: {value!r}" in err
+
     def test_sample_refuses_more_than_one_thread(self, tmp_path, capsys):
         # sample runs one chain, so a second worker would sit idle; the CSV
         # does not exist, so reading it before the check would exit 3
@@ -835,26 +882,37 @@ class TestCli:
         "case, message",
         [
             ("window", "group 'phase1' has 4 rows; moving_average_window 6 needs at least 8"),
+            (
+                "smoothed",
+                "group 'phase1' has 4 rows of 3 columns; moving_average_window 2 needs at least 5",
+            ),
             ("class", "group '0.0' has 2 rows; needs at least 3"),
             ("sample", "{csv}: need at least 3 rows, got 2"),
         ],
-        ids=["window", "class", "sample"],
+        ids=["window", "smoothed", "class", "sample"],
     )
-    def test_short_input_names_its_group_or_file(self, tmp_path, capsys, case, message):
+    def test_short_input_names_its_group_or_file(
+        self, tmp_path, capsys, monkeypatch, case, message
+    ):
         # these used to read "series of length 4 shorter than window 6" and
-        # "need at least 3 rows", naming neither the group nor the file
+        # "need at least 3 rows", naming neither the group nor the file; a
+        # group left with no more rows than columns after smoothing used to
+        # fail in Box's M, after both chains had run
         from bayesdn.cli import main
 
+        batches = _spy_batches(monkeypatch)
         path, out = tmp_path / "x.csv", tmp_path / "o"
         config = tmp_path / "c.json"
-        if case == "window":
+        if case in ("window", "smoothed"):
             start = datetime.date(2021, 1, 1)
             dates = [start + datetime.timedelta(days=k) for k in range(14)]
             rows = np.random.default_rng(0).standard_normal((14, 3))
             write_csv(path, ["a", "b", "c"], rows, dates=dates)
-            config.write_text(json.dumps(
-                {"date_column": "date", "boundaries": ["2021-01-05"], "moving_average_window": 6}
-            ))
+            config.write_text(json.dumps({
+                "date_column": "date",
+                "boundaries": ["2021-01-05"],
+                "moving_average_window": 6 if case == "window" else 2,
+            }))
         elif case == "class":
             rows = np.column_stack([np.arange(8.0), np.arange(8.0) ** 2, [0, 0] + [1] * 6])
             write_csv(path, ["a", "b", "label"], rows)
@@ -865,7 +923,7 @@ class TestCli:
         if case == "sample":
             command = ["sample", "--nonparanormal"]
         assert main([*command, "--csv", str(path), "--out", str(out)]) == 2
-        assert not out.exists()
+        assert not out.exists() and batches == []
         assert f"config error: {message.format(csv=path)}" in capsys.readouterr().err
 
     def test_repeated_header_exit_code(self, tmp_path, capsys):

@@ -103,9 +103,7 @@ for k, p, sweeps in shapes:
     blocks = {}
     for side, gibbs in trees.items():
         cfg = gibbs.GibbsConfig(burn_in=sweeps - 1, retained=1)
-        requests = [
-            gibbs.ChainRequest(s, n, cfg, j + 1, partials=False) for j, (s, n) in enumerate(data)
-        ]
+        requests = [gibbs.ChainRequest(s, n, cfg, j + 1) for j, (s, n) in enumerate(data)]
         blocks[side] = lambda run=gibbs.run_batch, requests=requests: run(requests)
     seconds = {"parent": [], "change": []}
     for i in range(pairs):
@@ -133,7 +131,7 @@ for p in dims:
         for j in range(k):
             n = 200 + j
             x = sample_gaussian(theta, n, seed=1000 * p + j)
-            requests.append(ChainRequest(mirror_lower(x.T @ x), n, cfg, j + 1, partials=False))
+            requests.append(ChainRequest(mirror_lower(x.T @ x), n, cfg, j + 1))
         kernels = {
             "stacked": lambda: run_batch(requests),
             "alone": lambda: [run_batch([request]) for request in requests],
