@@ -102,6 +102,7 @@ from .linalg import (
     invert_pd_stack,
     partial_correlation,
     require_symmetric,
+    upper_indices,
 )
 
 # The BLAS and LAPACK wrappers below are called with positional arguments:
@@ -311,7 +312,7 @@ class ChainStack:
         self.gamma = np.empty((k, p))
         diagonal = slice(None, None, p + 1)
         self.z_diag = self.z.reshape(k, -1)[:, diagonal]
-        rows, cols = np.triu_indices(p, k=1)
+        rows, cols = upper_indices(p)
         offsets = np.arange(k)[:, None] * (p * p)
         self.upper = offsets + (rows * p + cols)
         self.lower = offsets + (cols * p + rows)

@@ -43,7 +43,7 @@ from .config import FieldError, bound, check_fields
 from .diffnet import DN_MODES, bnet_requests, dn_adjacency, estimate_bnet
 from .gibbs import GibbsConfig, run_chains, spawn_seeds
 from .ista import IstaConfig, estimate_dnet
-from .linalg import mirror_lower
+from .linalg import mirror_lower, upper_indices
 from .metrics import LossReport, Scores, classification_scores, confusion, is_na, loss_report
 from .pipeline import (
     ColumnError,
@@ -640,8 +640,7 @@ def emit_real(result: RealAnalysisResult, cfg: RealAnalysisConfig, outdir: str) 
     write_csv(os.path.join(outdir, "component_mean_2.csv"), cols, net.component_means[1])
     write_csv(os.path.join(outdir, "adjacency.csv"), cols, net.adjacency.astype(float))
     with open(os.path.join(outdir, "edges.txt"), "w", encoding="utf-8") as fh:
-        iu = np.triu_indices(len(cols), k=1)
-        for i, j in zip(*iu):
+        for i, j in zip(*upper_indices(len(cols))):
             if net.adjacency[i, j]:
                 fh.write(f"{i} {j} {cols[i]} {cols[j]} {repr(float(net.delta_hat[i, j]))}\n")
     _dump_json(

@@ -28,6 +28,7 @@ __all__ = [
     "invert_pd",
     "invert_pd_stack",
     "partial_correlation",
+    "upper_indices",
 ]
 
 # Relative pivot floor for accepting a Cholesky factorization as PD.
@@ -201,6 +202,14 @@ def _eye_and_tri(p: int) -> tuple[np.ndarray, np.ndarray]:
     identity, lower = np.eye(p), np.tri(p, dtype=bool)
     identity.flags.writeable = lower.flags.writeable = False
     return identity, lower
+
+
+@functools.lru_cache(maxsize=8)
+def upper_indices(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The strict upper triangle's ``np.triu_indices(p, 1)``, read-only, made once per p."""
+    rows, cols = np.triu_indices(p, k=1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
 
 
 def _check_pivots(ms: np.ndarray, factors: np.ndarray) -> None:

@@ -12,6 +12,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .linalg import upper_indices
+
 __all__ = [
     "is_na",
     "LossReport",
@@ -57,8 +59,9 @@ class Scores(NamedTuple):
     mcc: float
 
 
-def _check_dims(est: np.ndarray, truth: np.ndarray) -> None:
-    if est.shape != truth.shape or est.ndim != 2 or est.shape[0] != est.shape[1]:
+def _check_dims(est: np.ndarray, truth: np.ndarray, stacked: bool = False) -> None:
+    """``ValueError`` unless ``est`` is a square matrix, or a stack of them, shaped as ``truth``."""
+    if est.shape[stacked:] != truth.shape or truth.ndim != 2 or truth.shape[0] != truth.shape[1]:
         raise ValueError(f"dimension mismatch: {est.shape} vs {truth.shape}")
 
 
@@ -99,22 +102,24 @@ def confusion(est: np.ndarray, truth: np.ndarray) -> ConfusionCounts | list[Conf
     """Count edge decisions over i < j; diagonals never score.
 
     ``est`` is one ``(p, p)`` graph, or a ``(G, p, p)`` stack of them
-    counted in one pass into a list of G counts.
+    counted in one pass into a list of G counts (empty when G is 0).  Only
+    each graph's true positives and edges, and the truth's edges, are
+    counted; the other counts follow from them in integer arithmetic.
     """
     est = np.asarray(est, dtype=bool)
     truth = np.asarray(truth, dtype=bool)
     stacked = est.ndim == 3
-    _check_dims(est[0] if stacked and len(est) else est, truth)
-    iu = np.triu_indices(truth.shape[0], k=1)
+    _check_dims(est, truth, stacked)
+    iu = upper_indices(truth.shape[0])
     e = est[..., iu[0], iu[1]] if stacked else est[None, iu[0], iu[1]]
     t = truth[iu]
-    counts = [
-        np.count_nonzero(e & t, axis=1).tolist(),
-        np.count_nonzero(~e & ~t, axis=1).tolist(),
-        np.count_nonzero(e & ~t, axis=1).tolist(),
-        np.count_nonzero(~e & t, axis=1).tolist(),
+    tps = np.count_nonzero(e & t, axis=1).tolist()
+    calls = np.count_nonzero(e, axis=1).tolist()
+    edges, pairs = int(np.count_nonzero(t)), t.size
+    out = [
+        ConfusionCounts(tp=tp, tn=pairs - called - edges + tp, fp=called - tp, fn=edges - tp)
+        for tp, called in zip(tps, calls)
     ]
-    out = [ConfusionCounts(tp=tp, tn=tn, fp=fp, fn=fn) for tp, tn, fp, fn in zip(*counts)]
     return out if stacked else out[0]
 
 

@@ -16,7 +16,7 @@ from typing import Literal
 import numpy as np
 
 from .config import bound, check_fields
-from .linalg import cholesky_pd, invert_pd, require_symmetric
+from .linalg import cholesky_pd, invert_pd, require_symmetric, upper_indices
 
 __all__ = [
     "KINDS",
@@ -116,7 +116,7 @@ def _circle(p: int, diag: float, band: float, corner: float) -> np.ndarray:
 
 
 def _sparse_pair(p: int, max_zero_frac: float, rng: np.random.Generator):
-    iu = np.triu_indices(p, k=1)
+    iu = upper_indices(p)
     n_pairs = iu[0].size
     n_zero = int(np.floor(max_zero_frac * n_pairs))
     zero_at = rng.choice(n_pairs, size=n_zero, replace=False)

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammaln, hyp2f1
 
-from .linalg import invert_pd, require_symmetric
+from .linalg import invert_pd, require_symmetric, upper_indices
 from .metrics import classification_scores, confusion
 
 __all__ = [
@@ -43,9 +43,11 @@ DEFAULT_GRID = np.linspace(0.2, 0.6, 21)
 # From this third parameter c on, 2F1(1/2, 1/2; c; z) is summed as its
 # power series: each term is below (k + 1) / (c + k) times the last, so 30
 # terms reach double precision for every z in [0, 1].  scipy's hyp2f1
-# overflows there near z = 1 (inf or nan for c >= 100 and z > 0.9).
+# overflows there near z = 1 (inf or nan for c >= 100 and z > 0.9).  The
+# sum stops early once a bound on the next term falls below _SERIES_DROP.
 _SERIES_MIN_C = 50.0
 _SERIES_TERMS = 30
+_SERIES_DROP = 2.0**-60
 
 
 @dataclass(frozen=True)
@@ -60,13 +62,26 @@ class ThresholdReport:
 
 
 def _hyp2f1_half_half(c: float, z: np.ndarray) -> np.ndarray:
-    """2F1(1/2, 1/2; c; z) for c > 1 and every z in [0, 1]."""
+    """2F1(1/2, 1/2; c; z) for c > 1 and every z in [0, 1].
+
+    The series is the sum of the first 30 terms bit for bit: ``bound`` is
+    term k at ``max(z)``, formed by the same roundings, so it bounds term k
+    at every z, and later terms fall with k.  The total is at least 1, so
+    once the bound is below ``_SERIES_DROP`` no further term can change a
+    bit of it.  A NaN bound never stops the sum; an empty ``z`` stops it
+    at once.
+    """
     if c < _SERIES_MIN_C:
         return hyp2f1(0.5, 0.5, c, z)
     term = np.ones_like(z)
     total = np.ones_like(z)
+    z_max, bound = float(z.max(initial=0.0)), 1.0
     for k in range(_SERIES_TERMS):
-        term *= z * ((k + 0.5) ** 2 / ((c + k) * (k + 1)))
+        step = (k + 0.5) ** 2 / ((c + k) * (k + 1))
+        bound *= z_max * step
+        if bound < _SERIES_DROP:
+            break
+        term *= z * step
         total += term
     return total
 
@@ -106,7 +121,7 @@ def _partial_corr_mean(nu: float, psi: np.ndarray) -> np.ndarray:
     """
     p = psi.shape[0]
     d = np.sqrt(np.diag(psi))
-    i, j = np.triu_indices(p, k=1)
+    i, j = upper_indices(p)
     r = np.clip(psi[i, j] / (d[i] * d[j]), -1.0, 1.0)
     log_g = 2.0 * gammaln((nu + 1.0) / 2.0) - gammaln(nu / 2.0) - gammaln(nu / 2.0 + 1.0)
     shrink = np.minimum(np.exp(log_g) * _hyp2f1_half_half(nu / 2.0 + 1.0, r * r), 1.0)
@@ -132,13 +147,13 @@ def threshold_sweep(
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
     truth = np.asarray(truth, dtype=bool)
-    true_edges = confusion(truth, truth).tp
     graphs = np.asarray(graphs, dtype=bool)
     if graphs.shape != (grid.size, *truth.shape):
         raise ValueError(
             f"graphs must be a {(grid.size, *truth.shape)} stack, got shape {graphs.shape}"
         )
     counts = confusion(graphs, truth)
+    true_edges = counts[0].tp + counts[0].fn
     sparsity = np.array([abs(c.tp + c.fp - true_edges) for c in counts], dtype=float)
     mcc = np.array([classification_scores(c).mcc for c in counts], dtype=float)
     best_eta, best_mcc = best_threshold(grid, mcc)

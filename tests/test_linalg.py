@@ -12,6 +12,7 @@ from bayesdn.linalg import (
     mirror_lower,
     partial_correlation,
     require_symmetric,
+    upper_indices,
 )
 
 from helpers import random_pd, reference_inverse
@@ -229,3 +230,16 @@ class TestSymmetryHelpers:
     def test_require_symmetric_rejects_rectangular(self):
         with pytest.raises(ValueError):
             require_symmetric(np.zeros((2, 3)))
+
+
+class TestUpperIndices:
+    @pytest.mark.parametrize("p", [0, 1, 2, 5, 30])
+    def test_cached_read_only_triu_indices(self, p):
+        rows, cols = upper_indices(p)
+        for got, want in zip((rows, cols), np.triu_indices(p, k=1)):
+            np.testing.assert_array_equal(got, want, strict=True)
+        again = upper_indices(p)
+        assert again[0] is rows and again[1] is cols
+        for index in (rows, cols):
+            with pytest.raises(ValueError, match="read-only"):
+                index[...] = 0

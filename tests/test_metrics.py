@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bayesdn.metrics import (
     ConfusionCounts,
@@ -89,6 +93,45 @@ class TestConfusion:
         truth = rng.random((5, 5)) > 0.5
         c = confusion(est, truth)
         assert c.tp + c.tn + c.fp + c.fn == 10
+
+
+    def test_empty_stack_counts_nothing(self):
+        truth = ~np.eye(4, dtype=bool)
+        assert confusion(np.zeros((0, 4, 4), dtype=bool), truth) == []
+        with pytest.raises(ValueError, match=r"dimension mismatch: \(0, 5, 5\) vs \(4, 4\)"):
+            confusion(np.zeros((0, 5, 5), dtype=bool), truth)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        g=st.integers(1, 25),
+        p=st.integers(2, 12),
+        stacked=st.booleans(),
+        density=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_brute_force(self, g, p, stacked, density, seed):
+        rng = np.random.default_rng(seed)
+        est = rng.random((g, p, p)) < density  # asymmetric, diagonals set at random
+        est[:, np.arange(p), np.arange(p)] = rng.random((g, p)) < 0.5
+        truth = rng.random((p, p)) < 0.4
+        got = confusion(est, truth) if stacked else [confusion(est[0], truth)]
+        assert got == [brute_force_confusion(e, truth) for e in (est if stacked else est[:1])]
+        for c in got:
+            counts = dataclasses.astuple(c)
+            assert all(type(v) is int for v in counts)
+            assert sum(counts) == p * (p - 1) // 2
+
+
+def brute_force_confusion(est, truth):
+    tp = tn = fp = fn = 0
+    for i in range(truth.shape[0]):
+        for j in range(i + 1, truth.shape[0]):
+            e, t = bool(est[i, j]), bool(truth[i, j])
+            tp += e and t
+            tn += not e and not t
+            fp += e and not t
+            fn += t and not e
+    return ConfusionCounts(tp=tp, tn=tn, fp=fp, fn=fn)
 
 
 class TestScores:

@@ -101,6 +101,16 @@ def random_scale(p, split, jitter, seed):
     return scale[np.ix_(perm, perm)]
 
 
+def fixed_series(c, z):
+    """2F1(1/2, 1/2; c; z) as the first 30 terms of its power series, always all 30."""
+    term = np.ones_like(z)
+    total = np.ones_like(z)
+    for k in range(30):
+        term *= z * ((k + 0.5) ** 2 / ((c + k) * (k + 1)))
+        total += term
+    return total
+
+
 class TestPartialCorrMean:
     def test_isotropic_off_diagonals_near_zero(self):
         m = _partial_corr_mean(500.0, np.eye(4) / 500.0)
@@ -167,6 +177,30 @@ class TestPartialCorrMean:
             np.testing.assert_allclose(
                 _hyp2f1_half_half(c, z), hyp2f1(0.5, 0.5, c, z), rtol=1e-14
             )
+
+    @pytest.mark.parametrize("c", [50.0, 52.5, 102.5, 751.5, 1e5])
+    @pytest.mark.parametrize(
+        "z",
+        [
+            np.linspace(0.0, 1.0, 1001),
+            np.array([1.0]),
+            np.zeros(7),
+            np.array([]),
+            np.array([np.nan, 0.5]),
+        ],
+        ids=["linspace", "one", "zeros", "empty", "nan"],
+    )
+    def test_series_equals_the_fixed_sum(self, c, z):
+        np.testing.assert_array_equal(_hyp2f1_half_half(c, z), fixed_series(c, z), strict=True)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        c=st.floats(50.0, 1e7),
+        z=st.lists(st.floats(0.0, 1.0), max_size=40),
+    )
+    def test_series_equals_the_fixed_sum_anywhere(self, c, z):
+        z = np.array(z, dtype=float)
+        np.testing.assert_array_equal(_hyp2f1_half_half(c, z), fixed_series(c, z), strict=True)
 
     def test_near_unit_correlation_at_large_dof(self):
         # scipy's hyp2f1 gives inf or nan here (c >= 100, z > 0.9)
