@@ -94,7 +94,6 @@ class TestConfusion:
         c = confusion(est, truth)
         assert c.tp + c.tn + c.fp + c.fn == 10
 
-
     def test_empty_stack_counts_nothing(self):
         truth = ~np.eye(4, dtype=bool)
         assert confusion(np.zeros((0, 4, 4), dtype=bool), truth) == []
