@@ -9,7 +9,7 @@ estimator.  The full-size run is `bayesdn synthetic --paper-scale`.
 import time
 
 from bayesdn.gibbs import GibbsConfig
-from bayesdn.harness import ExperimentConfig, run_synthetic_experiment
+from bayesdn.harness import ExperimentConfig, run_experiment
 
 cfg = ExperimentConfig(
     structures=("ar2", "cluster"),
@@ -24,7 +24,7 @@ cfg = ExperimentConfig(
 )
 
 start = time.monotonic()
-table = run_synthetic_experiment(cfg, threads=2)
+table = run_experiment(cfg, threads=2)
 print(f"{cfg.replications} replications x {len(cfg.structures)} structures "
       f"in {time.monotonic() - start:.0f}s\n")
 

@@ -28,12 +28,10 @@ from .gibbs import ChainRequest, GibbsConfig, run_chains
 from .harness import (
     ExperimentConfig,
     RealAnalysisConfig,
+    emit_experiment,
     emit_real,
-    emit_results_table,
-    emit_study,
+    run_experiment,
     run_real_analysis,
-    run_synthetic_experiment,
-    run_threshold_study,
     write_manifest,
 )
 # after harness, which imports diffnet: importing diffnet first reorders the
@@ -110,11 +108,12 @@ def _config_dict(args) -> dict:
 def _experiment_config(args) -> ExperimentConfig:
     d = _config_dict(args)
     _desk_defaults(d, args, "replications")
-    if args.structures:
+    # an empty flag value reaches decode, which names the field
+    if args.structures is not None:
         d["structures"] = args.structures.split(",")
-    if args.dims:
+    if args.dims is not None:
         d["dims"] = args.dims
-    if args.sizes:
+    if args.sizes is not None:
         d["sample_sizes"] = args.sizes
     if args.replications is not None:
         d["replications"] = args.replications
@@ -122,7 +121,7 @@ def _experiment_config(args) -> ExperimentConfig:
         d["eta"] = args.eta
     if args.mode is not None:
         d["dn_mode"] = args.mode
-    if getattr(args, "estimators", None):  # synthetic only
+    if getattr(args, "estimators", None) is not None:  # synthetic only
         d["estimators"] = args.estimators.split(",")
     return decode(ExperimentConfig, d)
 
@@ -137,21 +136,13 @@ def _add_experiment_flags(parser) -> None:
     parser.add_argument("--mode", choices=DN_MODES)
 
 
-def _cmd_synthetic(args) -> int:
+def _cmd_experiment(args) -> int:
+    """``synthetic`` and ``sweep``; ``sweep`` runs the threshold study alone."""
     cfg = _experiment_config(args)
-    table = run_synthetic_experiment(cfg, threads=args.threads)
-    emit_results_table(table, cfg, args.out)
-    print(f"wrote {os.path.join(args.out, 'results.csv')}")
-    if table.studies:
-        print(f"wrote {os.path.join(args.out, 'threshold_study.json')}")
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    cfg = _experiment_config(args)
-    studies = run_threshold_study(cfg, threads=args.threads)
-    emit_study(studies, cfg, args.out)
-    for st in studies:
+    table = run_experiment(cfg, threads=args.threads, study_only=args.command == "sweep")
+    for path in emit_experiment(table, cfg, args.out):
+        print(f"wrote {path}")
+    for st in table.studies:
         for rule, rs in st.rules.items():
             print(
                 f"{st.structure} p={st.dim} rule={rule}: "
@@ -237,12 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
     # sweep scans eta over its grid and runs no estimator, so these are synthetic's
     p_syn.add_argument("--eta", type=float)
     p_syn.add_argument("--estimators", help="comma subset of bnet,dnet")
-    p_syn.set_defaults(fn=_cmd_synthetic)
+    p_syn.set_defaults(fn=_cmd_experiment)
 
     p_sweep = sub.add_parser("sweep", help="threshold study over the eta grid")
     _add_common(p_sweep)
     _add_experiment_flags(p_sweep)
-    p_sweep.set_defaults(fn=_cmd_sweep)
+    p_sweep.set_defaults(fn=_cmd_experiment)
 
     p_real = sub.add_parser("real", help="two-group analysis of a CSV dataset")
     _add_common(p_real)

@@ -1,4 +1,4 @@
-"""Experiment harness: synthetic benchmark, threshold study, real-data run.
+"""Experiment harness: the synthetic experiment and the real-data run.
 
 Every run is reproducible from one master seed: per-task seeds are derived
 through ``numpy.random.SeedSequence`` keyed by (structure index, dimension
@@ -7,8 +7,10 @@ of the collected results, and files are written with round-tripping float
 formatting.  The emitted bytes therefore do not depend on how many worker
 processes executed the tasks.
 
-The synthetic benchmark and the threshold study share one pass of three
-stages over their tasks, for the estimators and rules a run asks for.
+The synthetic experiment (:func:`run_experiment`) makes the estimator
+table, the threshold study, or both, in one pass of three stages over
+its tasks, for the estimators and rules a run asks for; one emitter
+(:func:`emit_experiment`) writes whichever it made.
 The data stage makes each task's model pair, samples and scatters, and
 names the two Gibbs chains (a :class:`~bayesdn.gibbs.ChainRequest` per
 sample) that bnet and the ratio rule share; the mean rule reads only
@@ -66,11 +68,9 @@ from .wishart import (
 __all__ = [
     "ExperimentConfig",
     "RealAnalysisConfig",
-    "run_synthetic_experiment",
-    "run_threshold_study",
+    "run_experiment",
     "run_real_analysis",
-    "emit_results_table",
-    "emit_study",
+    "emit_experiment",
     "emit_real",
     "write_manifest",
 ]
@@ -80,10 +80,11 @@ _BOOTSTRAP_RESAMPLES = 200
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Configuration shared by the synthetic benchmark and threshold study.
+    """Configuration of the synthetic experiment: the estimator table and the threshold study.
 
     ``dims`` and ``sample_sizes`` are paired positionally, one sample size
-    per dimension, so no dimension may repeat.  ``estimators``
+    per dimension.  No structure, dimension, estimator or rule may
+    repeat.  ``estimators``
     selects which of the Bayesian network (bnet) and the proximal-gradient
     comparator (dnet) run.  ``rules`` selects the threshold-study edge
     rules: "mean" thresholds the tight Wishart reference, as bnet's graph
@@ -93,7 +94,7 @@ class ExperimentConfig:
 
     structures: tuple[Literal[KINDS], ...] = ("ar2",)
     dims: tuple[int, ...] = bound((10, 30, 100), ge=MIN_DIM)
-    # estimate_bnet needs two rows per sample
+    # bnet_requests needs two rows per sample
     sample_sizes: tuple[int, ...] = bound((50, 100, 200), ge=2)
     replications: int = bound(40, ge=1)
     estimators: tuple[Literal["bnet", "dnet"], ...] = ("bnet", "dnet")
@@ -109,13 +110,15 @@ class ExperimentConfig:
     def __post_init__(self):
         check_fields(self)
         for name in ("structures", "dims", "estimators", "rules"):
-            if not getattr(self, name):
+            values = getattr(self, name)
+            if not values:
                 raise FieldError(name, "must be non-empty")
+            if len(set(values)) != len(values):
+                # results are keyed by these entries, so a repeat would be
+                # computed again and overwrite the first
+                raise FieldError(name, f"must not hold a repeated entry, got {list(values)}")
         if len(self.dims) != len(self.sample_sizes):
             raise ValueError("dims and sample_sizes must pair up")
-        if len(set(self.dims)) != len(self.dims):
-            # results are keyed by (structure, p, ...), so a repeat would overwrite
-            raise ValueError(f"repeated dimension in dims {self.dims}; run each (p, n) pair separately")
         grid = self.sweep_grid
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("sweep_grid must be non-empty and strictly increasing")
@@ -213,7 +216,8 @@ class ResultsTable:
     ``entries`` maps that key to a dict with the raw ``values`` plus
     ``median``, ``se_mad`` (scaled median absolute deviation over sqrt of
     the replication count) and ``se_boot`` (bootstrap standard error of
-    the median).  ``studies`` is the run's threshold study, if it made one.
+    the median); a study-only run has none.  ``studies`` is the run's
+    threshold study, if it made one.
     """
 
     entries: dict[tuple[str, int, str, str], dict]
@@ -401,21 +405,25 @@ def _se_boot(values: np.ndarray, rng: np.random.Generator) -> float:
     return float(np.std(meds, ddof=1))
 
 
-def run_synthetic_experiment(cfg: ExperimentConfig, threads: int = 1) -> ResultsTable:
-    """Benchmark the requested estimators over structures and dimensions.
+def run_experiment(
+    cfg: ExperimentConfig, threads: int = 1, study_only: bool = False
+) -> ResultsTable:
+    """The synthetic experiment of ``cfg``: its estimator table, its threshold study, or both.
 
     For every (structure, dim, replication) triple: generate the model
     pair, sample the two datasets, run the estimators, score the point
     estimate against the true difference and the graph against the true
     support.  Medians and spreads aggregate over replications.  When bnet
     runs, the table also holds the threshold study of ``cfg.rules`` on its
-    chains.  A failing chain's error names its structure, p, replication
-    and sample.
+    chains; ``study_only`` runs that study alone, with no estimator and no
+    ``entries``.  A task's error is raised as a ``RuntimeError``, and a
+    failing chain's names its structure, p, replication and sample.
     """
-    plan = (cfg.estimators, cfg.rules if "bnet" in cfg.estimators else ())
+    estimators = () if study_only else cfg.estimators
+    rules = cfg.rules if study_only or "bnet" in estimators else ()
     with _mapper(threads) as run:  # a bad worker count is the caller's error, not a task's
         try:
-            results = _run_tasks(cfg, plan, run, threads)
+            results = _run_tasks(cfg, (estimators, rules), run, threads)
         except Exception as err:
             raise RuntimeError(f"synthetic experiment failed: {err}") from err
 
@@ -425,7 +433,7 @@ def run_synthetic_experiment(cfg: ExperimentConfig, threads: int = 1) -> Results
     )
     metrics = LossReport._fields + Scores._fields
     for structure, p, n, per_rep in _groups(cfg, [scores for scores, _ in results]):
-        for est in cfg.estimators:
+        for est in estimators:
             # replications x metrics, and every metric's median from one sort
             table = np.array([[r[est][m] for m in metrics] for r in per_rep], dtype=float)
             for metric, values, median in zip(metrics, table.T, _nanmedian_columns(table)):
@@ -436,7 +444,7 @@ def run_synthetic_experiment(cfg: ExperimentConfig, threads: int = 1) -> Results
                     "se_mad": _se_mad(values, median),
                     "se_boot": _se_boot(values, boot_rng),
                 }
-    studies = _studies(cfg, plan[1], [reports for _, reports in results]) if plan[1] else []
+    studies = _studies(cfg, rules, [reports for _, reports in results]) if rules else []
     return ResultsTable(entries, tuple(studies))
 
 
@@ -460,19 +468,6 @@ def _studies(cfg: ExperimentConfig, rules: tuple[str, ...], reports: list) -> li
             )
         out.append(StudyResult(structure=structure, dim=p, sample_size=n, grid=grid, rules=studied))
     return out
-
-
-def run_threshold_study(cfg: ExperimentConfig, threads: int = 1) -> list[StudyResult]:
-    """Scan the threshold grid per structure and dimension, running no estimator.
-
-    Returns, per (structure, dim) and per rule, the median curves over
-    replications, the threshold maximizing the median MCC curve, and every
-    replication's individually best threshold.
-    """
-    plan = ((), cfg.rules)
-    with _mapper(threads) as run:
-        results = _run_tasks(cfg, plan, run, threads)
-    return _studies(cfg, cfg.rules, [reports for _, reports in results])
 
 
 def _two_groups(cfg: RealAnalysisConfig) -> tuple[list[str], tuple[str, str], np.ndarray, np.ndarray]:
@@ -589,45 +584,48 @@ def write_manifest(outdir: str, config_dict: dict, seeds: list[list[int]], **inp
     return digest
 
 
-def emit_results_table(table: ResultsTable, cfg: ExperimentConfig, outdir: str) -> None:
-    """Write results.csv, the table's study (:func:`emit_study`) and the manifest to ``outdir``."""
+def emit_experiment(table: ResultsTable, cfg: ExperimentConfig, outdir: str) -> list[str]:
+    """Write ``table``'s files to ``outdir`` and return their paths, in the order written.
+
+    results.csv when the table has entries, threshold_study.json when it
+    has studies, and always the manifest, with every task's seeds.
+    """
     os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "results.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["structure", "p", "n", "estimator", "metric", "median", "se_mad", "se_boot"]
-        )
-        for (structure, p, est, metric), e in sorted(table.entries.items()):
-            spread = [_fmt(e[name]) for name in ("median", "se_mad", "se_boot")]
-            writer.writerow([structure, p, e["n"], est, metric, *spread])
+    written = []
+    if table.entries:
+        path = os.path.join(outdir, "results.csv")
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(
+                ["structure", "p", "n", "estimator", "metric", "median", "se_mad", "se_boot"]
+            )
+            for (structure, p, est, metric), e in sorted(table.entries.items()):
+                spread = [_fmt(e[name]) for name in ("median", "se_mad", "se_boot")]
+                writer.writerow([structure, p, e["n"], est, metric, *spread])
+        written.append(path)
     if table.studies:
-        emit_study(list(table.studies), cfg, outdir)  # and the manifest
-    else:
-        write_manifest(outdir, asdict(cfg), _manifest_seeds(cfg))
-
-
-def emit_study(studies: list[StudyResult], cfg: ExperimentConfig, outdir: str) -> None:
-    """Write threshold_study.json and the manifest (with every task's seeds) to ``outdir``."""
-    payload = [
-        {
-            "structure": st.structure,
-            "p": st.dim,
-            "n": st.sample_size,
-            "grid": st.grid,
-            "rules": {
-                rule: {
-                    **asdict(rs),
-                    "median_mcc": [None if is_na(x) else float(x) for x in rs.median_mcc],
-                    "best_mcc": None if is_na(rs.best_mcc) else rs.best_mcc,
-                }
-                for rule, rs in st.rules.items()
-            },
-        }
-        for st in studies
-    ]
-    os.makedirs(outdir, exist_ok=True)
-    _dump_json(payload, os.path.join(outdir, "threshold_study.json"))
+        payload = [
+            {
+                "structure": st.structure,
+                "p": st.dim,
+                "n": st.sample_size,
+                "grid": st.grid,
+                "rules": {
+                    rule: {
+                        **asdict(rs),
+                        "median_mcc": [None if is_na(x) else float(x) for x in rs.median_mcc],
+                        "best_mcc": None if is_na(rs.best_mcc) else rs.best_mcc,
+                    }
+                    for rule, rs in st.rules.items()
+                },
+            }
+            for st in table.studies
+        ]
+        path = os.path.join(outdir, "threshold_study.json")
+        _dump_json(payload, path)
+        written.append(path)
     write_manifest(outdir, asdict(cfg), _manifest_seeds(cfg))
+    return [*written, os.path.join(outdir, "manifest.json")]
 
 
 def emit_real(result: RealAnalysisResult, cfg: RealAnalysisConfig, outdir: str) -> None:

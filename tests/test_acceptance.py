@@ -31,10 +31,8 @@ from bayesdn.gibbs import (
 )
 from bayesdn.harness import (
     ExperimentConfig,
-    emit_results_table,
-    emit_study,
-    run_synthetic_experiment,
-    run_threshold_study,
+    emit_experiment,
+    run_experiment,
 )
 from bayesdn.ista import IstaConfig, dnet_gradient, ista_solve
 from bayesdn.linalg import cholesky_pd, mirror_lower
@@ -168,7 +166,7 @@ def test_criterion_4_threshold_region():
         gibbs=DESK_GIBBS,
         master_seed=11,
     )
-    study = run_threshold_study(cfg)[0]
+    study = run_experiment(cfg, study_only=True).studies[0]
     best = np.asarray(study.rules["mean"].per_rep_best_eta)
     hits = int(np.sum((best >= 0.2) & (best <= 0.4)))
     assert report(
@@ -199,7 +197,7 @@ def desk_benchmark():
         master_seed=2024,
     )
     start = time.monotonic()
-    table = run_synthetic_experiment(cfg, threads=2)
+    table = run_experiment(cfg, threads=2)
     return table, time.monotonic() - start
 
 
@@ -216,7 +214,7 @@ def cluster_benchmark_n200():
         dn_mode="union",
         master_seed=2024,
     )
-    return run_synthetic_experiment(cfg, threads=2)
+    return run_experiment(cfg, threads=2)
 
 
 def test_criterion_5a_ar2_l1_band(desk_benchmark):
@@ -408,12 +406,11 @@ def test_criterion_10_determinism(tmp_path):
     same_study = []
     for threads in (1, 2):
         out = tmp_path / f"t{threads}"
-        table = run_synthetic_experiment(cfg, threads=threads)
-        emit_results_table(table, cfg, str(out))
+        table = run_experiment(cfg, threads=threads)
+        emit_experiment(table, cfg, str(out))
         # synthetic writes the study of its bnet chains, which must be sweep's
         from_synthetic = (out / "threshold_study.json").read_bytes()
-        studies = run_threshold_study(cfg, threads=threads)
-        emit_study(studies, cfg, str(out))
+        emit_experiment(run_experiment(cfg, threads=threads, study_only=True), cfg, str(out))
         same_study.append(from_synthetic == (out / "threshold_study.json").read_bytes())
         digests.append(
             {

@@ -15,12 +15,10 @@ from bayesdn.harness import (
     ExperimentConfig,
     RealAnalysisConfig,
     ResultsTable,
+    emit_experiment,
     emit_real,
-    emit_results_table,
-    emit_study,
+    run_experiment,
     run_real_analysis,
-    run_synthetic_experiment,
-    run_threshold_study,
     task_seeds,
 )
 from bayesdn.ista import IstaConfig
@@ -57,15 +55,15 @@ class TestSeeds:
 
 class TestSyntheticExperiment:
     def test_deterministic(self):
-        t1 = run_synthetic_experiment(TINY)
-        t2 = run_synthetic_experiment(TINY)
+        t1 = run_experiment(TINY)
+        t2 = run_experiment(TINY)
         for key in t1.entries:
             np.testing.assert_array_equal(
                 t1.entries[key]["values"], t2.entries[key]["values"]
             )
 
     def test_table_shape(self):
-        table = run_synthetic_experiment(TINY)
+        table = run_experiment(TINY)
         keys = set(table.entries)
         assert ("ar2", 6, "bnet", "l1") in keys
         assert ("ar2", 6, "dnet", "mcc") in keys
@@ -82,21 +80,23 @@ class TestSyntheticExperiment:
             structures=("ar2",), dims=(6,), sample_sizes=(40,), replications=1, estimators=("dnet",)
         )
         with pytest.raises(RuntimeError, match="synthetic experiment failed: solver broke down"):
-            run_synthetic_experiment(cfg)
+            run_experiment(cfg)
 
-    @pytest.mark.parametrize("run", [run_synthetic_experiment, run_threshold_study])
+    @pytest.mark.parametrize("study_only", [False, True], ids=["synthetic", "sweep"])
     @pytest.mark.parametrize("threads", [0, -1])
-    def test_bad_worker_count_is_a_value_error(self, run, threads):
+    def test_bad_worker_count_is_a_value_error(self, study_only, threads):
         # the synthetic runner used to wrap the pool's refusal in its RuntimeError;
         # counts below 1 start no process
         with pytest.raises(ValueError, match="max_workers must be greater than 0"):
-            run(TINY, threads=threads)
+            run_experiment(TINY, threads=threads, study_only=study_only)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    def test_failing_chain_names_its_task(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("command", ["synthetic", "sweep"])
+    def test_failing_chain_names_its_task(self, tmp_path, monkeypatch, capsys, command):
         # one chain of a stacked run overflows in its first sweep: the
         # error names its structure, p, replication, sample and sweep, and
-        # the command exits 1
+        # either command exits 1 with the same words (sweep chains for the
+        # ratio rule)
         from bayesdn.cli import main
 
         build = harness.bnet_requests
@@ -110,10 +110,14 @@ class TestSyntheticExperiment:
 
         monkeypatch.setattr(harness, "bnet_requests", breaking_requests)
         replications = max(2, -(-STACK_MIN_CHAINS // 2))
+        config = tmp_path / "c.json"
+        gibbs = {"burn_in": 20, "retained": 40}
+        config.write_text(json.dumps({"gibbs": gibbs, "rules": ["ratio"]}))
+        flags = ["--estimators", "bnet"] if command == "synthetic" else []
         rc = main(
-            ["synthetic", "--structures", "ar2", "--dims", "6", "--sizes", "40",
-             "--replications", str(replications), "--estimators", "bnet",
-             "--out", str(tmp_path / "o"), "--config", str(_tiny_cli_config(tmp_path))]
+            [command, "--structures", "ar2", "--dims", "6", "--sizes", "40",
+             "--replications", str(replications), *flags,
+             "--out", str(tmp_path / "o"), "--config", str(config)]
         )
         assert rc == 1
         err = capsys.readouterr().err
@@ -129,7 +133,7 @@ class TestSyntheticExperiment:
             return pair.true_delta, pair.true_adjacency
 
         monkeypatch.setattr(harness, "_bnet_estimate", perfect)
-        table = run_synthetic_experiment(
+        table = run_experiment(
             ExperimentConfig(
                 structures=("ar2",),
                 dims=(6,),
@@ -146,7 +150,7 @@ class TestSyntheticExperiment:
 
 
 def column_median(values):
-    """``_nanmedian_columns`` of one column, as ``run_synthetic_experiment`` takes it."""
+    """``_nanmedian_columns`` of one column, as ``run_experiment`` takes it."""
     return harness._nanmedian_columns(np.asarray(values)[:, None])[0]
 
 
@@ -202,7 +206,7 @@ class TestThresholdStudy:
             gibbs=GibbsConfig(burn_in=10, retained=20),
             master_seed=1,
         )
-        studies = run_threshold_study(cfg)
+        studies = run_experiment(cfg, study_only=True).studies
         assert len(studies) == 2
         for st in studies:
             rs = st.rules["mean"]
@@ -220,7 +224,7 @@ class TestThresholdStudy:
             gibbs=GibbsConfig(burn_in=30, retained=60),
             master_seed=2,
         )
-        studies = run_threshold_study(cfg)
+        studies = run_experiment(cfg, study_only=True).studies
         assert set(studies[0].rules) == {"mean", "ratio"}
 
     def test_column_median_is_nanmedian(self):
@@ -302,16 +306,16 @@ class TestOnePass:
         monkeypatch.setattr(harness, "bnet_requests", lambda *a: made.append(a))
         monkeypatch.setattr(harness, "posterior_partial_corr_mean", lambda *a: made.append(a))
         cfg = replace(TINY, estimators=("dnet",), rules=("mean", "ratio"))
-        table = run_synthetic_experiment(cfg)
+        table = run_experiment(cfg)
         assert table.studies == () and batches == [] and made == []
-        emit_results_table(table, cfg, str(tmp_path))
+        emit_experiment(table, cfg, str(tmp_path))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "results.csv"]
 
 
     def test_mean_rule_alone_runs_no_chain(self, monkeypatch):
         # the mean rule reads only the scatters, so its tasks do not chain
         batches = _spy_batches(monkeypatch)
-        (study,) = run_threshold_study(replace(TINY, rules=("mean",)))
+        (study,) = run_experiment(replace(TINY, rules=("mean",)), study_only=True).studies
         assert batches == [] and set(study.rules) == {"mean"}
 
     def test_ratio_rule_reads_two_chains_per_task(self, monkeypatch):
@@ -327,7 +331,7 @@ class TestOnePass:
 
         monkeypatch.setattr(gibbs, "run_batch", zeroed)
         cfg = replace(TINY, rules=("ratio",))
-        (study,) = run_threshold_study(cfg)
+        (study,) = run_experiment(cfg, study_only=True).studies
         labels = [req.label for batch in batches for req in batch]
         assert sorted(labels) == [
             f"ar2 p=6 replication {rep} sample {k}" for rep in range(2) for k in (1, 2)
@@ -371,7 +375,7 @@ class TestConfigSerialization:
             # results are keyed by dimension, so a second n at p=10 would overwrite the first
             ExperimentConfig(dims=(10, 10), sample_sizes=(100, 200))
         # the bounds are what the estimators need: MIN_DIM for the designs,
-        # two rows per sample for estimate_bnet
+        # two rows per sample for bnet_requests
         for dims, sizes, match in (
             ((6,), (0,), "sample_sizes .* >= 2"),
             ((0,), (40,), "dims .* >= 4"),
@@ -393,11 +397,16 @@ class TestConfigSerialization:
 
 
 class TestEmit:
-    def test_empty_table_header_only(self, tmp_path):
-        emit_results_table(ResultsTable(entries={}), TINY, str(tmp_path))
-        lines = (tmp_path / "results.csv").read_text().splitlines()
-        assert lines == ["structure,p,n,estimator,metric,median,se_mad,se_boot"]
-        assert (tmp_path / "manifest.json").exists()
+    def test_table_without_entries_writes_no_csv(self, tmp_path):
+        # an empty table used to write a results.csv of one header line
+        written = emit_experiment(ResultsTable(entries={}), TINY, str(tmp_path / "empty"))
+        assert written == [str(tmp_path / "empty" / "manifest.json")]
+        assert [p.name for p in (tmp_path / "empty").iterdir()] == ["manifest.json"]
+        out = tmp_path / "study"
+        written = emit_experiment(run_experiment(TINY, study_only=True), TINY, str(out))
+        names = ["threshold_study.json", "manifest.json"]
+        assert written == [str(out / name) for name in names]
+        assert sorted(p.name for p in out.iterdir()) == sorted(names)
 
     def test_manifest_hash_tracks_config(self, tmp_path):
         from bayesdn.harness import write_manifest
@@ -416,8 +425,9 @@ class TestEmit:
             gibbs=GibbsConfig(burn_in=10, retained=20),
             master_seed=4,
         )
-        studies = run_threshold_study(cfg)
-        emit_study(studies, cfg, str(tmp_path))
+        table = run_experiment(cfg, study_only=True)
+        emit_experiment(table, cfg, str(tmp_path))
+        studies = table.studies
         payload = json.loads((tmp_path / "threshold_study.json").read_text())
         st, rs = studies[0], studies[0].rules["mean"]
         got = payload[0]["rules"]["mean"]
@@ -434,8 +444,8 @@ class TestEmit:
     def test_byte_identical_across_thread_counts(self, tmp_path):
         out1, out2 = tmp_path / "t1", tmp_path / "t2"
         for out, threads in ((out1, 1), (out2, 2)):
-            table = run_synthetic_experiment(TINY, threads=threads)
-            emit_results_table(table, TINY, str(out))
+            table = run_experiment(TINY, threads=threads)
+            emit_experiment(table, TINY, str(out))
         for name in ("results.csv", "manifest.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
@@ -459,8 +469,8 @@ class TestEmit:
         outputs = []
         for threads in (1, 2, 3):
             out = tmp_path / f"t{threads}"
-            emit_results_table(run_synthetic_experiment(cfg, threads=threads), cfg, str(out))
-            emit_study(run_threshold_study(cfg, threads=threads), cfg, str(out))
+            emit_experiment(run_experiment(cfg, threads=threads), cfg, str(out))
+            emit_experiment(run_experiment(cfg, threads=threads, study_only=True), cfg, str(out))
             outputs.append({name: (out / name).read_bytes() for name in names})
         assert outputs[0] == outputs[1] == outputs[2]
 
@@ -477,10 +487,10 @@ class TestEmit:
         outputs = []
         for threads in (1, 2):
             out = tmp_path / f"t{threads}"
-            emit_results_table(run_synthetic_experiment(cfg, threads=threads), cfg, str(out))
-            studies = run_threshold_study(cfg, threads=threads)
-            emit_study(studies, cfg, str(out))
-            assert [(st.structure, st.dim, st.sample_size) for st in studies] == [
+            emit_experiment(run_experiment(cfg, threads=threads), cfg, str(out))
+            table = run_experiment(cfg, threads=threads, study_only=True)
+            emit_experiment(table, cfg, str(out))
+            assert [(st.structure, st.dim, st.sample_size) for st in table.studies] == [
                 ("ar2", 5, 40),
                 ("ar2", 6, 50),
                 ("cluster", 5, 40),
@@ -842,6 +852,60 @@ class TestCli:
             assert exc.value.code == 2 and not out.exists()
             assert f"--threads: must be >= 1, got {threads}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["synthetic", "sweep"])
+    def test_prints_one_wrote_line_per_file(self, tmp_path, capsys, command):
+        # synthetic used to name results.csv and the study but not the
+        # manifest, and sweep named no file
+        from bayesdn.cli import main
+
+        out = tmp_path / "o"
+        rc = main([command, "--structures", "ar2,circle", "--dims", "5", "--sizes", "40",
+                   "--replications", "1", "--out", str(out),
+                   "--config", str(_tiny_cli_config(tmp_path))])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        wrote = [line.removeprefix("wrote ") for line in lines if line.startswith("wrote ")]
+        names = ["threshold_study.json", "manifest.json"]
+        if command == "synthetic":
+            names.insert(0, "results.csv")
+        assert wrote == [str(out / name) for name in names]
+        assert sorted(p.name for p in out.iterdir()) == sorted(names)
+        best = [line for line in lines if " rule=mean: best eta " in line]
+        assert [line.split(" rule=")[0] for line in best] == ["ar2 p=5", "circle p=5"]
+        assert len(lines) == len(wrote) + len(best)
+
+    @pytest.mark.parametrize("field", ["structures", "dims", "estimators", "rules"])
+    def test_repeated_entry_names_its_field(self, tmp_path, capsys, monkeypatch, field):
+        # a repeated structure ran its tasks twice, and results.csv kept only
+        # the second; a repeated estimator ran twice per task
+        from bayesdn.cli import main
+
+        ran = []
+        monkeypatch.setattr(harness, "_run_tasks", lambda *a: ran.append(a))
+        flags = {
+            "structures": ["--structures", "ar2,ar2"],
+            "dims": ["--dims", "10,10", "--sizes", "100,200"],
+            "estimators": ["--estimators", "dnet,dnet"],
+            "rules": [],
+        }[field]
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"rules": ["mean", "mean"] if field == "rules" else ["mean"]}))
+        out = tmp_path / "o"
+        rc = main(["synthetic", *flags, "--config", str(config), "--out", str(out)])
+        assert rc == 2 and not out.exists() and ran == []
+        assert f"config error: {field} must not hold a repeated entry" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--structures", "--estimators"])
+    def test_empty_list_flag_names_its_field(self, tmp_path, capsys, flag):
+        # an empty value used to be ignored, and the run took the default
+        from bayesdn.cli import main
+
+        out = tmp_path / "o"
+        assert main(["synthetic", flag, "", "--out", str(out)]) == 2
+        assert not out.exists()
+        field = flag.removeprefix("--")
+        assert f"config error: {field} must be a list of values from " in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["x", "10,", "1.5"])
     @pytest.mark.parametrize("flag", ["--dims", "--sizes"])
     def test_bad_int_list_names_its_flag(self, tmp_path, capsys, flag, value):
@@ -1004,7 +1068,8 @@ class TestCli:
     def test_failing_draw_names_chain_and_sweep(self, tmp_path, capsys, command):
         # at s = 1e160 the penalty draws underflow, lam**2 reaches 0 and
         # Generator.wald refuses it; synthetic exited 1 and sweep 2, naming
-        # no chain and no sweep
+        # no chain and no sweep.  synthetic and sweep report a failed task
+        # the same way
         from bayesdn.cli import main
 
         cfg = tmp_path / "c.json"
@@ -1022,7 +1087,7 @@ class TestCli:
             label = r"ar2 p=5 replication 0 sample [12]: "
         assert main([*argv, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err.strip()
-        prefix = "synthetic experiment failed: " if command == "synthetic" else ""
+        prefix = "" if command == "sample" else "synthetic experiment failed: "
         assert re.fullmatch(rf"error: {prefix}{label}sweep [0-4]: scale <= 0", err), err
 
     def test_sample_refuses_unknown_top_level_keys(self, tmp_path, capsys):

@@ -8,9 +8,12 @@ string constants, so every string that parses as Python is read as code
 too.  Conversely, every name those files import from a ``bayesdn`` module
 must be in its ``__all__``.
 
-The per-layer tracer (``perfbench/tracer.py``) wraps the functions named
-in each module's ``__all__`` and passes over a name that does not
-resolve, so a stale entry would drop a traced function without any error.
+The per-layer tracer (``perfbench/tracer.py``) wraps the names in each
+module's ``__all__`` that are plain Python functions: it passes over a
+name that does not resolve, so a stale entry would drop a traced function
+without any error, and over any other object, such as the
+``functools.lru_cache`` wrapper ``linalg.upper_indices``, whose calls are
+then charged to its callers.
 It also reads three functions by name that no other module imports; they
 stay exported for as long as the tracer names them.
 """
@@ -30,7 +33,7 @@ import bayesdn
 MODULES = [m.name for m in pkgutil.iter_modules(bayesdn.__path__)]
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SOURCES = ("src/bayesdn/*.py", "demos/*.py", "tools/*.py")
-# read by name in perfbench/tracer.py, which wraps what __all__ lists
+# read by name in perfbench/tracer.py, which wraps the plain functions __all__ lists
 TRACED = ("gibbs.update_column", "gibbs.update_hyperparameters", "ista.ista_solve")
 
 
