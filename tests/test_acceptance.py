@@ -29,11 +29,7 @@ from bayesdn.gibbs import (
     run_chains,
     update_hyperparameters,
 )
-from bayesdn.harness import (
-    ExperimentConfig,
-    emit_experiment,
-    run_experiment,
-)
+from bayesdn.harness import ExperimentConfig, emit_experiment, run_experiment
 from bayesdn.ista import IstaConfig, dnet_gradient, ista_solve
 from bayesdn.linalg import cholesky_pd, mirror_lower
 from bayesdn.metrics import ConfusionCounts, classification_scores, confusion, eigen_losses, is_na, matrix_losses
