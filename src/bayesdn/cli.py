@@ -38,6 +38,7 @@ from .harness import (
 # package imports and raises the peak RSS of an uncached import by about 0.5 MB
 from .diffnet import DN_MODES
 from .linalg import NotPositiveDefiniteError, mirror_lower
+from .metrics import is_na
 from .pipeline import (
     ColumnError,
     EmptyDataError,
@@ -144,10 +145,9 @@ def _cmd_experiment(args) -> int:
         print(f"wrote {path}")
     for st in table.studies:
         for rule, rs in st.rules.items():
-            print(
-                f"{st.structure} p={st.dim} rule={rule}: "
-                f"best eta {rs.best_eta:.2f} (median MCC {rs.best_mcc:.3f})"
-            )
+            mcc = "NA" if is_na(rs.best_mcc) else f"{rs.best_mcc:.3f}"
+            print(f"{st.structure} p={st.dim} rule={rule}: "
+                  f"best eta {rs.best_eta:.2f} (median MCC {mcc})")
     return 0
 
 

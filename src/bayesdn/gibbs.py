@@ -66,6 +66,7 @@ There is one sweep driver, over a :class:`ChainStack`: K chains of one p
 and one config, each with its own seed, whose arrays lie along a leading
 axis, a lone chain being a stack of one.  The draws, the checked resync,
 the hyperparameter update, the sweep loop, the fold into posterior means
+(one ``partial_correlation`` call per retained draw, on the whole stack)
 and the naming of a failing chain exist once, for any K.  Only the column
 update has two kernels, chosen by the height of the stack.  A lone chain
 runs :func:`update_column` on its chain's views.  A taller stack runs one
@@ -733,23 +734,19 @@ def chain_batches(requests: Sequence[ChainRequest], workers: int = 1) -> list[li
 def run_batch(requests: Sequence[ChainRequest]) -> list[ChainSummary]:
     """Run chains of one p and one config, any seeds, as one stack to their posterior means.
 
-    Each retained draw adds its Theta and its partial correlations
-    (``linalg.partial_correlation``) to the chain's sums.  A lone chain
-    runs on the lone-chain kernel, a taller stack on the stacked kernel;
-    either way each chain's means are the same bits.
+    Each retained draw adds the stack's Theta, and its partial correlations
+    from one ``linalg.partial_correlation`` call on the whole stack, to two
+    stacked sums; either column kernel gives each chain's means the same bits.
     """
     stack = _start(requests)
-    theta_sum = np.zeros_like(stack.theta)
-    partial_sum = np.zeros_like(stack.theta)
+    theta_sum, partial_sum = np.zeros((2, *stack.theta.shape))
     for _ in _sweeps(stack):
         theta_sum += stack.theta
-        for acc, theta in zip(partial_sum, stack.theta):
-            acc += partial_correlation(theta)
-    theta_sum /= stack.config.retained
-    partial_sum /= stack.config.retained
+        partial_sum += partial_correlation(stack.theta)
+    retained = stack.config.retained
     return [
-        ChainSummary(theta_mean=theta_sum[k].copy(), partial_mean=partial_sum[k].copy())
-        for k in range(stack.k)
+        ChainSummary(theta_mean=theta / retained, partial_mean=partial / retained)
+        for theta, partial in zip(theta_sum, partial_sum)
     ]
 
 

@@ -229,14 +229,18 @@ def _check_pivots(ms: np.ndarray, factors: np.ndarray) -> None:
 
 
 def partial_correlation(theta: np.ndarray) -> np.ndarray:
-    """Partial correlation matrix of a positive-definite precision matrix.
+    """Partial correlations of a ``(..., p, p)`` stack of precision matrices.
 
-    ``rho[i, j] = -theta[i, j] / sqrt(theta[i, i] * theta[j, j])`` off the
-    diagonal, with unit diagonal.  Positive definiteness is not re-checked:
-    callers pass sampler draws, which are PD by construction.
+    ``rho[..., i, j] = -theta[..., i, j] / sqrt(theta[..., i, i] * theta[..., j, j])``
+    off the diagonal, with unit diagonal; item k of a stack's result is the
+    result for item k, bit for bit.  Positive definiteness is not re-checked:
+    callers pass sampler draws and Wishart scales, PD by construction.
     """
-    theta = _require_square(theta, "theta")
-    d = np.sqrt(theta.diagonal())
-    rho = -theta / np.multiply.outer(d, d)
-    rho.reshape(-1)[:: theta.shape[0] + 1] = 1.0
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim < 2 or theta.shape[-1] != theta.shape[-2]:
+        raise ValueError(f"theta: expected square matrices, got shape {theta.shape}")
+    d = np.sqrt(theta.diagonal(0, -2, -1))
+    rho = -theta / (d[..., :, None] * d[..., None, :])
+    i = np.arange(theta.shape[-1])
+    rho[..., i, i] = 1.0
     return rho

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammaln, hyp2f1
 
-from .linalg import invert_pd, require_symmetric, upper_indices
+from .linalg import invert_pd, partial_correlation, require_symmetric, upper_indices
 from .metrics import classification_scores, confusion
 
 __all__ = [
@@ -109,8 +109,8 @@ def _partial_corr_mean(nu: float, psi: np.ndarray) -> np.ndarray:
     -theta_ij / sqrt(theta_ii theta_jj) depends only on the 2x2 block of
     (i, j), which is W_2(nu, psi block), so any ``nu > 1`` is valid, even
     below the dimension.  Its mean is minus the mean of a sample
-    correlation with population value r = psi_ij / sqrt(psi_ii psi_jj) and
-    nu degrees of freedom:
+    correlation with nu degrees of freedom and population value r, minus
+    entry (i, j) of :func:`~bayesdn.linalg.partial_correlation` of ``psi``:
 
         E[rho_ij] = -r G(nu) 2F1(1/2, 1/2; nu/2 + 1; r^2),
         G(nu) = Gamma((nu + 1)/2)^2 / (Gamma(nu/2) Gamma(nu/2 + 1)).
@@ -120,9 +120,8 @@ def _partial_corr_mean(nu: float, psi: np.ndarray) -> np.ndarray:
     is exactly 1 and is not evaluated.
     """
     p = psi.shape[0]
-    d = np.sqrt(np.diag(psi))
     i, j = upper_indices(p)
-    r = np.clip(psi[i, j] / (d[i] * d[j]), -1.0, 1.0)
+    r = np.clip(-partial_correlation(psi)[i, j], -1.0, 1.0)
     log_g = 2.0 * gammaln((nu + 1.0) / 2.0) - gammaln(nu / 2.0) - gammaln(nu / 2.0 + 1.0)
     shrink = np.minimum(np.exp(log_g) * _hyp2f1_half_half(nu / 2.0 + 1.0, r * r), 1.0)
     out = np.eye(p)

@@ -874,6 +874,25 @@ class TestCli:
         assert [line.split(" rule=")[0] for line in best] == ["ar2 p=5", "circle p=5"]
         assert len(lines) == len(wrote) + len(best)
 
+    def test_undefined_best_mcc_prints_na(self, tmp_path, monkeypatch, capsys):
+        # a study whose every MCC is undefined: the CLI line says NA, as
+        # threshold_study.json says null and results.csv says NA
+        import bayesdn.cli as cli
+
+        grid = np.array([0.2, 0.4])
+        rs = harness.RuleStudy(np.zeros(2), np.full(2, np.nan), 0.2, float("nan"), [0.2])
+        study = harness.StudyResult("ar2", 5, 4, grid, {"mean": rs})
+        monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: ResultsTable({}, (study,)))
+        out = tmp_path / "o"
+        rc = cli.main(["sweep", "--structures", "ar2", "--dims", "5", "--sizes", "4",
+                       "--replications", "1", "--out", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "ar2 p=5 rule=mean: best eta 0.20 (median MCC NA)"
+        )
+        (written,) = json.loads((out / "threshold_study.json").read_text())
+        assert written["rules"]["mean"]["best_mcc"] is None
+
     @pytest.mark.parametrize("field", ["structures", "dims", "estimators", "rules"])
     def test_repeated_entry_names_its_field(self, tmp_path, capsys, monkeypatch, field):
         # a repeated structure ran its tasks twice, and results.csv kept only

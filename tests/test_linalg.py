@@ -204,11 +204,18 @@ class TestPartialCorrelation:
         scaled = mirror_lower(d @ theta @ d)
         np.testing.assert_allclose(partial_correlation(scaled), rho, atol=1e-10)
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(k=st.integers(1, 7), p=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))
+    def test_stack_equals_each_item_bitwise(self, k, p, seed):
+        stack = random_pd_stack(k, p, seed)
+        got = partial_correlation(stack)
+        for item, rho in zip(stack, got):
+            np.testing.assert_array_equal(rho, partial_correlation(item))
+
     def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            partial_correlation(np.zeros((2, 3)))
-        with pytest.raises(ValueError, match="square matrix"):
-            partial_correlation(np.stack([np.eye(2), np.eye(2)]))
+        for shape in ((2, 3), (4, 2, 3), (3,)):
+            with pytest.raises(ValueError, match="expected square matrices"):
+                partial_correlation(np.zeros(shape))
 
 
 class TestSymmetryHelpers:

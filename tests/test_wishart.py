@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import hyp2f1
+from scipy.special import gammaln, hyp2f1
 
 from bayesdn.diffnet import DN_MODES, RATIO_FLOOR, dn_adjacency
 from bayesdn.linalg import (
@@ -111,7 +111,33 @@ def fixed_series(c, z):
     return total
 
 
+def entrywise_partial_corr_mean(nu, psi):
+    """``_partial_corr_mean`` with r formed entry by entry as psi_ij / (d_i d_j)."""
+    p = psi.shape[0]
+    d = np.sqrt(np.diag(psi))
+    i, j = np.triu_indices(p, 1)
+    r = np.clip(psi[i, j] / (d[i] * d[j]), -1.0, 1.0)
+    log_g = 2.0 * gammaln((nu + 1.0) / 2.0) - gammaln(nu / 2.0) - gammaln(nu / 2.0 + 1.0)
+    shrink = np.minimum(np.exp(log_g) * _hyp2f1_half_half(nu / 2.0 + 1.0, r * r), 1.0)
+    out = np.eye(p)
+    out[i, j] = -r * shrink
+    out[j, i] = out[i, j]
+    return out
+
+
 class TestPartialCorrMean:
+    @pytest.mark.parametrize("nu", [13.0, 203.0])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 250.0])
+    def test_equals_the_entrywise_formula_bitwise(self, nu, scale):
+        # r is read from linalg.partial_correlation; signed zeros count too
+        psi = random_pd(6, np.random.default_rng(int(scale * 1000) + int(nu)), jitter=3.0) * scale
+        psi[0, 2] = psi[2, 0] = 0.0
+        psi[1, 4] = psi[4, 1] = -0.0
+        got, want = _partial_corr_mean(nu, psi), entrywise_partial_corr_mean(nu, psi)
+        np.testing.assert_array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+        assert np.signbit(got[0, 2]) != np.signbit(got[1, 4])
+
     def test_isotropic_off_diagonals_near_zero(self):
         m = _partial_corr_mean(500.0, np.eye(4) / 500.0)
         off = ~np.eye(4, dtype=bool)
